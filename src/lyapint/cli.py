@@ -11,12 +11,14 @@ Subcommands:
 CSV schema per system: ``t, <state components...>, V, <drift metrics...>``
 with one header row, '.' decimal separator and 17 significant digits so the
 doubles round-trip exactly. Exit codes: 0 success, 2 configuration error,
-3 domain violation or scheme failure mid-run, 4 validator failure.
+3 domain violation, scheme failure or arithmetic overflow mid-run,
+4 validator failure.
 """
 
 import argparse
 import configparser
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -85,10 +87,14 @@ class ExperimentConfig:
                 "they apply to the Kepler-family systems only")
         if self.h is None:
             self.h = _BENCHMARK_STEP[self.system]
+        if not math.isfinite(self.h):
+            raise ConfigError(f"step size h must be finite, got {self.h!r}")
         if self.h <= 0.0:
             raise ConfigError("step size h must be positive")
         if self.t_end is None:
             raise ConfigError("t_end is required (config [experiment] or --t-end)")
+        if not math.isfinite(self.t_end):
+            raise ConfigError(f"t_end must be finite, got {self.t_end!r}")
         if self.t_end <= self.h:
             raise ConfigError("t_end must exceed the step size h")
         if self.sample_stride < 1:
@@ -282,16 +288,14 @@ class RunSummary:
     output_path: str
 
 
-def _format_value(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Integrate one configured cell, stream the CSV trace, return the summary.
 
     Drift maxima are tracked at full step resolution regardless of the output
-    stride. A mid-run domain violation or scheme failure flushes the partial
-    CSV before the error propagates (with a partial summary attached).
+    stride; only the rows that are written are formatted. A mid-run domain
+    violation or scheme failure flushes the partial CSV before the error
+    propagates (with a partial summary attached); float overflow or division
+    by zero inside a step or the drift metrics surfaces as IntegrationError.
     """
     cfg = cfg.validated()
     system = build_system(cfg)
@@ -304,41 +308,49 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     started = time.perf_counter()
     drift_cols = [name for name in system.drift_names if name != "V"]
     header = ["t", *system.state_names, "V", *drift_cols]
+    metric_cols = ("V", *drift_cols)
+    # one %-operation per row; "%.17g" writes the same text as format(v, ".17g")
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
-    def metrics_row(t, x):
+    def measure(x):
         metrics = system.drift_metrics(x, s0)
         for key, value in metrics.items():
             if maxima.get(key, -1.0) < value:
                 maxima[key] = value
-        return [_format_value(t), *(_format_value(c) for c in x),
-                _format_value(metrics["V"]),
-                *(_format_value(metrics[c]) for c in drift_cols)], metrics
+        return metrics
+
+    def row(t, x, metrics):
+        return row_format % (t, *x.tolist(), *[metrics[c] for c in metric_cols])
 
     x = s0.copy()
-    final_metrics = None
     with open(cfg.output_path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        row, final_metrics = metrics_row(0.0, x)
-        handle.write(",".join(row) + "\n")
+        final_metrics = measure(x)
+        handle.write(row(0.0, x, final_metrics))
         for k in range(1, n_steps + 1):
             try:
                 x = advance(x, cfg.h)
-                row, final_metrics = metrics_row(k * cfg.h, x)
-            except (DomainError, IntegrationError, ProjectionError) as exc:
+                final_metrics = measure(x)
+            except (DomainError, IntegrationError, ProjectionError, ArithmeticError) as exc:
                 handle.flush()
-                partial = RunSummary(
+                failure = exc
+                if isinstance(exc, ArithmeticError):
+                    failure = IntegrationError(
+                        f"{type(exc).__name__} during step: {exc}")
+                if getattr(failure, "step", None) is None:
+                    failure.step = k
+                failure.partial_summary = RunSummary(
                     max_drift=dict(maxima),
-                    final_v=final_metrics["V"] if final_metrics else float("nan"),
+                    final_v=final_metrics["V"],
                     wall_time=time.perf_counter() - started,
                     steps_taken=k - 1,
                     output_path=cfg.output_path,
                 )
-                if getattr(exc, "step", None) is None:
-                    exc.step = k
-                exc.partial_summary = partial
-                raise
+                if failure is exc:
+                    raise
+                raise failure from exc
             if k % stride == 0 or k == n_steps:
-                handle.write(",".join(row) + "\n")
+                handle.write(row(k * cfg.h, x, final_metrics))
     return RunSummary(
         max_drift=dict(maxima),
         final_v=final_metrics["V"],

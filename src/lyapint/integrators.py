@@ -144,9 +144,6 @@ def rollout(advance, x0, h, n_steps, stride=1, on_step=None):
     for k in range(1, n_steps + 1):
         try:
             x = advance(x, h)
-        except IntegrationError as exc:
-            exc.step = k
-            raise
         except Exception as exc:
             exc.step = k
             raise

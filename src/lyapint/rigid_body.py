@@ -14,12 +14,13 @@ define the stabilizing function
 """
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import I3, cross, frobenius_norm, hat
+from .numerics import I3, frobenius_norm
 
 DIM = 12
 
@@ -46,6 +47,10 @@ class RigidBodyParams:
     k2: float
     E0: float
     pi0: np.ndarray
+    # The moments and (E0, pi0) as Python floats, read by the float kernels
+    # on every call.
+    _inertia: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
@@ -58,19 +63,18 @@ class RigidBodyParams:
             raise ValueError("target energy must be positive")
         if float(self.pi0 @ self.pi0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
+        object.__setattr__(self, "_inertia", tuple(self.inertia.tolist()))
+        object.__setattr__(self, "_target", (float(self.E0), *self.pi0.tolist()))
 
     @classmethod
     def from_initial(cls, inertia, R0, Omega0, k0, k1, k2) -> "RigidBodyParams":
         """Build params with (E0, pi0) evaluated at the initial condition."""
         inertia = np.asarray(inertia, dtype=float)
-        R0 = np.asarray(R0, dtype=float).reshape(3, 3)
-        Omega0 = np.asarray(Omega0, dtype=float)
-        momentum = inertia * Omega0
+        E0, q0, q1, q2, _ = invariant_components(tuple(inertia.tolist()), pack(R0, Omega0))
         return cls(
             inertia=inertia,
             k0=float(k0), k1=float(k1), k2=float(k2),
-            E0=0.5 * float(Omega0 @ momentum),
-            pi0=R0 @ momentum,
+            E0=E0, pi0=(q0, q1, q2),
         )
 
 
@@ -97,71 +101,123 @@ def benchmark_setup(k0=None, k1=None, k2=None, inertia=None):
     return params, pack(I3, BENCHMARK_OMEGA0)
 
 
+def invariant_components(inertia: tuple, s: np.ndarray) -> tuple:
+    """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
+
+    ``inertia`` is the three principal moments as floats. The one source of
+    the rigid-body integrals: the kernels below, the target values (E0, pi0)
+    and the drift metrics all evaluate these expressions.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = s.tolist()
+    i0, i1, i2 = inertia
+    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
+    d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
+    d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
+    d22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
+    d01 = r00 * r01 + r10 * r11 + r20 * r21
+    d02 = r00 * r02 + r10 * r12 + r20 * r22
+    d12 = r01 * r02 + r11 * r12 + r21 * r22
+    return (0.5 * (w0 * m0 + w1 * m1 + w2 * m2),
+            r00 * m0 + r01 * m1 + r02 * m2,
+            r10 * m0 + r11 * m1 + r12 * m2,
+            r20 * m0 + r21 * m1 + r22 * m2,
+            d00 * d00 + d11 * d11 + d22 * d22
+            + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+
+
+def _field_components(p: RigidBodyParams, v: list) -> tuple:
+    """(R hat(Omega), Iinv((I Omega) x Omega)) at the state floats v, as 12 floats.
+
+    Row i of R hat(Omega) is row i of R crossed with Omega.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
+    i0, i1, i2 = p._inertia
+    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
+    return (
+        r01 * w2 - r02 * w1, r02 * w0 - r00 * w2, r00 * w1 - r01 * w0,
+        r11 * w2 - r12 * w1, r12 * w0 - r10 * w2, r10 * w1 - r11 * w0,
+        r21 * w2 - r22 * w1, r22 * w0 - r20 * w2, r20 * w1 - r21 * w0,
+        (m1 * w2 - m2 * w1) / i0, (m2 * w0 - m0 * w2) / i1, (m0 * w1 - m1 * w0) / i2,
+    )
+
+
+def _gradient_components(p: RigidBodyParams, v: list) -> tuple:
+    """Closed-form gradient of V at the state floats v, as 12 floats:
+
+    grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
+    grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
+
+    ``integral_map``'s numpy ``jac_t`` is kept apart as the oracle it is
+    checked against. E, pi and the defect repeat the expressions of
+    ``invariant_components`` inline, so the gradient is exactly zero at the
+    state the targets came from.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
+    i0, i1, i2 = p._inertia
+    E0, t0, t1, t2 = p._target
+    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
+    d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
+    d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
+    d22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
+    d01 = r00 * r01 + r10 * r11 + r20 * r21
+    d02 = r00 * r02 + r10 * r12 + r20 * r22
+    d12 = r01 * r02 + r11 * r12 + r21 * r22
+    k0, k2 = p.k0, p.k2
+    e = p.k1 * (0.5 * (w0 * m0 + w1 * m1 + w2 * m2) - E0)
+    q0 = k2 * (r00 * m0 + r01 * m1 + r02 * m2 - t0)
+    q1 = k2 * (r10 * m0 + r11 * m1 + r12 * m2 - t1)
+    q2 = k2 * (r20 * m0 + r21 * m1 + r22 * m2 - t2)
+    return (
+        k0 * (r00 * d00 + r01 * d01 + r02 * d02) + q0 * m0,
+        k0 * (r00 * d01 + r01 * d11 + r02 * d12) + q0 * m1,
+        k0 * (r00 * d02 + r01 * d12 + r02 * d22) + q0 * m2,
+        k0 * (r10 * d00 + r11 * d01 + r12 * d02) + q1 * m0,
+        k0 * (r10 * d01 + r11 * d11 + r12 * d12) + q1 * m1,
+        k0 * (r10 * d02 + r11 * d12 + r12 * d22) + q1 * m2,
+        k0 * (r20 * d00 + r21 * d01 + r22 * d02) + q2 * m0,
+        k0 * (r20 * d01 + r21 * d11 + r22 * d12) + q2 * m1,
+        k0 * (r20 * d02 + r21 * d12 + r22 * d22) + q2 * m2,
+        e * m0 + i0 * (r00 * q0 + r10 * q1 + r20 * q2),
+        e * m1 + i1 * (r01 * q0 + r11 * q1 + r21 * q2),
+        e * m2 + i2 * (r02 * q0 + r12 * q1 + r22 * q2),
+    )
+
+
 def field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
     """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega))."""
-    R, W = unpack(s)
-    momentum = p.inertia * W
-    out = np.empty(DIM)
-    out[:9] = (R @ hat(W)).ravel()
-    out[9:] = cross(momentum, W) / p.inertia
-    return out
+    return np.array(_field_components(p, s.tolist()))
 
 
 def integrals(p: RigidBodyParams, s: np.ndarray):
     """Kinetic energy E and spatial angular momentum vector pi."""
-    R, W = unpack(s)
-    momentum = p.inertia * W
-    return 0.5 * float(W @ momentum), R @ momentum
+    E, q0, q1, q2, _ = invariant_components(p._inertia, s)
+    return E, np.array((q0, q1, q2))
 
 
 def lyapunov(p: RigidBodyParams, s: np.ndarray) -> float:
-    R, W = unpack(s)
-    momentum = p.inertia * W
-    defect = R.T @ R - I3
-    dE = 0.5 * float(W @ momentum) - p.E0
-    dpi = R @ momentum - p.pi0
-    return (
-        0.25 * p.k0 * float(np.sum(defect * defect))
-        + 0.5 * p.k1 * dE * dE
-        + 0.5 * p.k2 * float(dpi @ dpi)
-    )
+    E, q0, q1, q2, defect_sq = invariant_components(p._inertia, s)
+    E0, t0, t1, t2 = p._target
+    dE = E - E0
+    d0, d1, d2 = q0 - t0, q1 - t1, q2 - t2
+    return (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * dE * dE
+            + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2))
 
 
 def lyapunov_gradient(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of V:
-
-    grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
-    grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
-    """
-    R, W = unpack(s)
-    momentum = p.inertia * W
-    defect = R.T @ R - I3
-    dpi = R @ momentum - p.pi0
-    dE = 0.5 * float(W @ momentum) - p.E0
-    out = np.empty(DIM)
-    out[:9] = (p.k0 * (R @ defect) + p.k2 * np.outer(dpi, momentum)).ravel()
-    out[9:] = (p.k1 * dE) * momentum + p.k2 * (p.inertia * (R.T @ dpi))
-    return out
+    """Closed-form gradient of V (see ``_gradient_components``)."""
+    return np.array(_gradient_components(p, s.tolist()))
 
 
 def modified_field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
     """Feedback dynamics: original field minus the Lyapunov gradient.
 
-    Fused so shared intermediates are computed once; the expressions mirror
-    ``field`` and ``lyapunov_gradient`` exactly, so the result stays
-    bit-identical to their difference.
+    Both terms come from the kernels of ``field`` and
+    ``lyapunov_gradient``, so the result is bit-identical to their
+    difference.
     """
-    R, W = unpack(s)
-    momentum = p.inertia * W
-    defect = R.T @ R - I3
-    dpi = R @ momentum - p.pi0
-    dE = 0.5 * float(W @ momentum) - p.E0
-    out = np.empty(DIM)
-    out[:9] = ((R @ hat(W))
-               - (p.k0 * (R @ defect) + p.k2 * np.outer(dpi, momentum))).ravel()
-    out[9:] = (cross(momentum, W) / p.inertia
-               - ((p.k1 * dE) * momentum + p.k2 * (p.inertia * (R.T @ dpi))))
-    return out
+    v = s.tolist()
+    return np.array(list(map(operator.sub, _field_components(p, v),
+                             _gradient_components(p, v))))
 
 
 def gain_bound(p: RigidBodyParams) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import I3, norm
+from .numerics import norm
 
 SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
 
@@ -76,25 +76,23 @@ def rigid_body_system(params=None, initial_state=None, gains=None, inertia=None)
         initial_state = np.asarray(initial_state, dtype=float)
 
     p = params
-    E0, pi0 = rigid_body.integrals(p, initial_state)
+    inertia = tuple(p.inertia.tolist())
+    start = rigid_body.invariant_components(inertia, initial_state)
+    target = (float(p.E0), *p.pi0.tolist())
 
-    def drift(s, _s0, E0=E0, pi0=pi0):
-        # single pass; expressions match integrals/so3_deviation/lyapunov
-        R, W = rigid_body.unpack(s)
-        momentum = p.inertia * W
-        E = 0.5 * float(W @ momentum)
-        pi = R @ momentum
-        defect = R.T @ R - I3
-        defect_sq = float(np.sum(defect * defect))
-        dE_target = E - p.E0
-        dpi_target = pi - p.pi0
+    def drift(s, _s0, start=start, target=target):
+        # single pass on floats; V matches rigid_body.lyapunov term for term
+        E, q0, q1, q2, defect_sq = rigid_body.invariant_components(inertia, s)
+        E_start, s0, s1, s2, _ = start
+        u0, u1, u2 = q0 - s0, q1 - s1, q2 - s2
+        dE = E - target[0]
+        d0, d1, d2 = q0 - target[1], q1 - target[2], q2 - target[3]
         return {
-            "dE": abs(E - E0),
-            "dPi": norm(pi - pi0),
+            "dE": abs(E - E_start),
+            "dPi": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
             "so3dev": math.sqrt(defect_sq),
-            "V": (0.25 * p.k0 * defect_sq
-                  + 0.5 * p.k1 * dE_target * dE_target
-                  + 0.5 * p.k2 * float(dpi_target @ dpi_target)),
+            "V": (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * dE * dE
+                  + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)),
         }
 
     return SystemModel(
@@ -133,19 +131,24 @@ def kepler_system(params=None, initial_state=None, gains=None, mu=None) -> Syste
         initial_state = np.asarray(initial_state, dtype=float)
 
     p = params
-    L0, A0, E0 = kepler.invariants(p, initial_state)
+    start = kepler.invariant_components(p.mu, initial_state)
+    target = (*p.L0.tolist(), *p.A0.tolist())
     _, _, period = kepler.orbit_geometry(p)
 
-    def drift(s, _s0, L0=L0, A0=A0, E0=E0):
-        L, A, E = kepler.invariants(p, s)
-        dL_target = L - p.L0
-        dA_target = A - p.A0
+    def drift(s, _s0, start=start, target=target):
+        # single pass on floats; V matches kepler.lyapunov term for term
+        l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(p.mu, s)
+        L0x, L0y, L0z, A0x, A0y, A0z, E0 = start
+        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+        w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
+        d0, d1, d2 = l0 - target[0], l1 - target[1], l2 - target[2]
+        e0, e1, e2 = a0 - target[3], a1 - target[4], a2 - target[5]
         return {
-            "dL": norm(L - L0),
-            "dA": norm(A - A0),
+            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            "dA": math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
             "dE": abs(E - E0),
-            "V": (0.5 * p.k1 * float(dL_target @ dL_target)
-                  + 0.5 * p.k2 * float(dA_target @ dA_target)),
+            "V": (0.5 * p.k1 * (d0 * d0 + d1 * d1 + d2 * d2)
+                  + 0.5 * p.k2 * (e0 * e0 + e1 * e1 + e2 * e2)),
         }
 
     return SystemModel(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from lyapint.cli import (
     run_experiment,
     serialize_config,
 )
-from lyapint.errors import ConfigError
+from lyapint.errors import ConfigError, IntegrationError
 from lyapint.integrators import rollout, steps_for
 
 SAMPLE_CONFIG = """\
@@ -189,6 +191,46 @@ def test_main_exit_code_mid_run_failure(tmp_path, capsys):
     assert header[0] == "t"
     assert 1 <= len(rows) < 50
     assert "aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, t_end", [("nan", "1.0"), ("inf", "1.0"),
+                                       ("0.01", "inf"), ("0.01", "nan")])
+def test_main_rejects_non_finite_step_or_horizon(tmp_path, h, t_end):
+    out = tmp_path / "never.csv"
+    code = main(["run", "--system", "kepler", "--method", "euler", "--h", h,
+                 "--t-end", t_end, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("system, method, h", [
+    ("perturbed_kepler", "feedback_euler", "0.3"),  # delta / r**3 overflows
+    ("perturbed_kepler", "feedback_rk4", "1.0"),    # r**4 overflows
+    ("kepler", "feedback_euler", "0.5"),
+])
+def test_main_arithmetic_overflow_mid_run_exits_3(tmp_path, capsys, system, method, h):
+    out = tmp_path / "partial.csv"
+    code = main(["run", "--system", system, "--method", method, "--h", h,
+                 "--t-end", "400", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "run aborted at step" in err
+    completed = int(re.search(r"\((\d+) completed steps\)", err).group(1))
+    _, rows = read_csv(out)
+    assert len(rows) == completed + 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_run_experiment_wraps_overflow_with_step_and_partial_summary(tmp_path):
+    cfg = ExperimentConfig(system="perturbed_kepler", method="feedback_euler",
+                           h=0.3, t_end=400.0, output_path=str(tmp_path / "p.csv"))
+    with pytest.raises(IntegrationError) as info:
+        run_experiment(cfg)
+    exc = info.value
+    assert isinstance(exc.__cause__, OverflowError)
+    assert exc.partial_summary.steps_taken == exc.step - 1
+    assert set(exc.partial_summary.max_drift) == {"dE", "dL", "V"}
 
 
 def test_main_bad_gains_string():

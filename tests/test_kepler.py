@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lyapint import kepler
+from lyapint.cli import ExperimentConfig, make_advance, run_experiment
 from lyapint.errors import DomainError
-from lyapint.integrators import euler_step
+from lyapint.feedback import generic_gradient
+from lyapint.integrators import euler_step, rollout, steps_for
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,64 @@ def test_gradient_vanishes_on_target_orbit(params):
 def test_modified_field_on_orbit_equals_field(params, start):
     assert np.array_equal(kepler.modified_field(params, start),
                           kepler.field(params, start))
+
+
+def random_states(seed, n):
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < n:
+        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
+        if np.linalg.norm(s[:3]) >= 0.2:
+            states.append(s)
+    return states
+
+
+@pytest.mark.parametrize("mu, k1, k2, seed", [(1.0, 4.0, 2.0, 34), (2.5, 0.3, 7.0, 35)])
+def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
+    # the float kernel against field - Df^T K (f - f0) built from the numpy jac_t
+    p = kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+    fim, spec = kepler.integral_map(p), kepler.feedback_spec(p)
+    worst = 0.0
+    for s in random_states(seed, 1000):
+        expected = kepler.field(p, s) - generic_gradient(fim, spec, s)
+        diff = np.linalg.norm(kepler.modified_field(p, s) - expected)
+        worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
+    assert worst <= 1e-12
+
+
+def test_drift_metrics_match_numpy_invariants(kepler_sys):
+    p = kepler_sys.params
+    s0 = kepler_sys.initial_state
+    L0, A0, E0 = kepler.invariants(p, s0)
+    for s in random_states(36, 1000):
+        L, A, E = kepler.invariants(p, s)
+        expected = {
+            "dL": np.linalg.norm(L - L0),
+            "dA": np.linalg.norm(A - A0),
+            "dE": abs(E - E0),
+            "V": 0.5 * p.k1 * np.sum((L - p.L0) ** 2) + 0.5 * p.k2 * np.sum((A - p.A0) ** 2),
+        }
+        got = kepler_sys.drift_metrics(s, s0)
+        assert set(got) == set(expected)
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-14 * abs(value), key
+
+
+def test_strided_csv_rows_are_17_digit_values_of_the_trajectory(tmp_path, kepler_sys):
+    out = tmp_path / "stride3.csv"
+    cfg = ExperimentConfig(system="kepler", method="feedback_euler", h=0.005,
+                           t_end=0.5, output_path=str(out), sample_stride=3)
+    run_experiment(cfg)
+    n = steps_for(0.5, 0.005)
+    lines = out.read_text().splitlines()
+    # step 0, every third step, and the final step (n = 100 is not a multiple of 3)
+    assert len(lines) - 1 == 1 + n // 3 + 1
+    times, states = rollout(make_advance(kepler_sys, "feedback_euler", cfg),
+                            kepler_sys.initial_state, 0.005, n, stride=3)
+    for line, t, s in zip(lines[1:], times, states, strict=True):
+        m = kepler_sys.drift_metrics(s, kepler_sys.initial_state)
+        values = (t, *s, m["V"], m["dL"], m["dA"], m["dE"])
+        assert line.split(",") == [format(v, ".17g") for v in values]
 
 
 def test_euler_step_decreases_v_off_orbit(params, start):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import global_order_ratio
 from lyapint import rigid_body
+from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.numerics import hat
 
@@ -134,6 +135,59 @@ def test_modified_field_coincides_on_level_set(params):
     s = rigid_body.pack(np.eye(3), (1.0, 1.0, 1.0))
     assert np.array_equal(rigid_body.modified_field(params, s),
                           rigid_body.field(params, s))
+
+
+def random_states(seed, n):
+    rng = np.random.default_rng(seed)
+    return [rigid_body.pack(np.eye(3) + rng.uniform(-0.5, 0.5, (3, 3)),
+                            rng.uniform(-2, 2, 3)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("inertia, gains, seed", [
+    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 24),
+    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 25),
+])
+def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
+    # the float kernel against field - Df^T K (f - f0) built from the numpy jac_t
+    p = rigid_body.RigidBodyParams.from_initial(
+        inertia, random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9), *gains)
+    fim, spec = rigid_body.integral_map(p), rigid_body.feedback_spec(p)
+    worst = 0.0
+    for s in random_states(seed, 1000):
+        R, W = rigid_body.unpack(s)
+        numpy_field = np.concatenate(((R @ hat(W)).ravel(), np.cross(p.inertia * W, W) / p.inertia))
+        expected = numpy_field - generic_gradient(fim, spec, s)
+        diff = np.linalg.norm(rigid_body.modified_field(p, s) - expected)
+        worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
+    assert worst <= 1e-12
+
+
+def test_drift_metrics_match_numpy_integrals(rigid_sys):
+    p = rigid_sys.params
+    s0 = rigid_sys.initial_state
+    R0, W0 = rigid_body.unpack(s0)
+    pi_start = R0 @ (p.inertia * W0)
+    E_start = 0.5 * float(W0 @ (p.inertia * W0))
+    for s in random_states(26, 1000):
+        R, W = rigid_body.unpack(s)
+        momentum = p.inertia * W
+        E = 0.5 * float(W @ momentum)
+        pi = R @ momentum
+        defect_sq = float(np.sum((R.T @ R - np.eye(3)) ** 2))
+        expected = {
+            "dE": abs(E - E_start),
+            "dPi": np.linalg.norm(pi - pi_start),
+            "so3dev": math.sqrt(defect_sq),
+            "V": (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * (E - p.E0) ** 2
+                  + 0.5 * p.k2 * np.sum((pi - p.pi0) ** 2)),
+        }
+        got = rigid_sys.drift_metrics(s, s0)
+        assert set(got) == set(expected)
+        assert got["so3dev"] == pytest.approx(rigid_body.so3_deviation(s), rel=1e-14)
+        assert got["V"] == pytest.approx(rigid_sys.lyapunov(s), rel=1e-14)
+        # dE and dPi are differences of O(1) integrals: absolute roundoff
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-13 * (1.0 + abs(value)), key
 
 
 def test_euler_step_pulls_back_toward_rotation_group(params):
