@@ -28,6 +28,7 @@ from .feedback import (
 from .integrators import (
     ProjectionConfig,
     euler_step,
+    integrate,
     projection_step,
     rk4_step,
     rollout,
@@ -41,7 +42,7 @@ __all__ = [
     "ProjectionError", "RankError",
     "FeedbackField", "FeedbackSpec", "FirstIntegralMap",
     "generic_gradient", "lyapunov_value", "make_feedback_field",
-    "ProjectionConfig", "euler_step", "projection_step", "rk4_step",
+    "ProjectionConfig", "euler_step", "integrate", "projection_step", "rk4_step",
     "rollout", "steps_for", "stormer_verlet_step",
     "SystemModel", "make_system",
 ]

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import perturbed_kepler
+from . import kepler, perturbed_kepler, rigid_body
 from .diagnostics import (
     check_rank_condition,
     gradient_agreement_report,
@@ -36,11 +36,12 @@ from .errors import ConfigError, DomainError, IntegrationError, ProjectionError
 from .integrators import (
     ProjectionConfig,
     euler_step,
+    integrate,
     projection_step,
     rk4_step,
+    rollout,
     steps_for,
     stormer_verlet_step,
-    rollout,
 )
 from .kepler import state_at_eccentric_anomaly
 from .numerics import norm
@@ -51,6 +52,8 @@ METHOD_NAMES = (
     "projection_euler", "splitting", "stormer_verlet_a", "stormer_verlet_b",
 )
 
+_SYSTEM_MODULES = {"rigid_body": rigid_body, "kepler": kepler,
+                   "perturbed_kepler": perturbed_kepler}
 _GAIN_KEYS = {"rigid_body": ("k0", "k1", "k2"), "kepler": ("k1", "k2"),
               "perturbed_kepler": ("k1", "k2")}
 
@@ -99,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError("t_end must exceed the step size h")
         if self.sample_stride < 1:
             raise ConfigError("sample stride must be a positive integer")
+        if self.projection_tol is not None and not self.projection_tol > 0.0:
+            raise ConfigError("projection tol must be positive")
+        if self.projection_max_iter < 1:
+            raise ConfigError("projection max_iter must be at least 1")
         for key, value in self.gains.items():
             if key not in ("k0", "k1", "k2"):
                 raise ConfigError(f"unknown gain {key!r}")
@@ -110,18 +117,44 @@ class ExperimentConfig:
 _BENCHMARK_STEP = {"rigid_body": 1e-4, "kepler": 0.005, "perturbed_kepler": 0.03}
 
 
+# Keys each config section accepts. None defers the check: gain names to
+# ExperimentConfig.validated(), state-component names to build_system().
+_CONFIG_KEYS = {
+    "experiment": ("system", "method", "h", "t_end", "out", "stride"),
+    "gains": None,
+    "constants": ("mu", "delta", "eccentricity", "inertia"),
+    "initial": None,
+    "projection": ("tol", "max_iter"),
+}
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read a flat key = value config file with section headers."""
-    parser = configparser.ConfigParser()
-    with open(path) as handle:
-        parser.read_file(handle)
-    return _config_from_parser(parser)
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse config text; an unknown section or key or an unparsable value is a ConfigError."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
-    return _config_from_parser(parser)
+    try:
+        parser.read_string(text)
+        for section in parser.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            allowed = _CONFIG_KEYS[section]
+            unknown = [k for k in parser[section] if allowed is not None and k not in allowed]
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown} in config section [{section}]")
+        return _config_from_parser(parser)
+    except ConfigError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -208,13 +241,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def build_system(cfg: ExperimentConfig) -> SystemModel:
     """Instantiate the configured system with gains, constants and start state."""
-    gain_keys = _GAIN_KEYS[cfg.system]
-    defaults = {"rigid_body": (50.0, 100.0, 50.0), "kepler": (4.0, 2.0),
-                "perturbed_kepler": (2.0, 3.0)}[cfg.system]
-    gains = tuple(cfg.gains.get(k, d) for k, d in zip(gain_keys, defaults))
+    module = _SYSTEM_MODULES[cfg.system]
+    gains = tuple(cfg.gains.get(k, d)
+                  for k, d in zip(_GAIN_KEYS[cfg.system], module.BENCHMARK_GAINS))
     initial = None
     if cfg.initial_condition != "paper_default":
-        names = _state_names(cfg.system)
+        names = module.STATE_NAMES
         missing = [n for n in names if n not in cfg.initial_condition]
         if missing:
             raise ConfigError(f"initial condition missing components {missing}")
@@ -235,12 +267,6 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         return make_system(cfg.system, **kwargs)
     except (ValueError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _state_names(system_name: str):
-    from . import kepler as kepler_mod
-    from . import rigid_body as rigid_mod
-    return rigid_mod.STATE_NAMES if system_name == "rigid_body" else kepler_mod.STATE_NAMES
 
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
@@ -292,10 +318,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Integrate one configured cell, stream the CSV trace, return the summary.
 
     Drift maxima are tracked at full step resolution regardless of the output
-    stride; only the rows that are written are formatted. A mid-run domain
-    violation or scheme failure flushes the partial CSV before the error
-    propagates (with a partial summary attached); float overflow or division
-    by zero inside a step or the drift metrics surfaces as IntegrationError.
+    stride; only the rows that are written are formatted. A mid-run failure
+    (``integrate`` numbers the step and turns float overflow or division by
+    zero into IntegrationError) flushes the partial CSV before the error
+    propagates with a partial summary attached.
     """
     cfg = cfg.validated()
     system = build_system(cfg)
@@ -305,6 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
     s0 = np.array(system.initial_state)
     maxima: dict = {}
+    final_metrics: dict = {}
     started = time.perf_counter()
     drift_cols = [name for name in system.drift_names if name != "V"]
     header = ["t", *system.state_names, "V", *drift_cols]
@@ -312,52 +339,39 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     # one %-operation per row; "%.17g" writes the same text as format(v, ".17g")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
-    def measure(x):
-        metrics = system.drift_metrics(x, s0)
-        for key, value in metrics.items():
-            if maxima.get(key, -1.0) < value:
-                maxima[key] = value
-        return metrics
-
-    def row(t, x, metrics):
-        return row_format % (t, *x.tolist(), *[metrics[c] for c in metric_cols])
-
-    x = s0.copy()
-    with open(cfg.output_path, "w", newline="") as handle:
+    try:
+        handle = open(cfg.output_path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.output_path!r}: {exc}") from exc
+    with handle:
         handle.write(",".join(header) + "\n")
-        final_metrics = measure(x)
-        handle.write(row(0.0, x, final_metrics))
-        for k in range(1, n_steps + 1):
-            try:
-                x = advance(x, cfg.h)
-                final_metrics = measure(x)
-            except (DomainError, IntegrationError, ProjectionError, ArithmeticError) as exc:
-                handle.flush()
-                failure = exc
-                if isinstance(exc, ArithmeticError):
-                    failure = IntegrationError(
-                        f"{type(exc).__name__} during step: {exc}")
-                if getattr(failure, "step", None) is None:
-                    failure.step = k
-                failure.partial_summary = RunSummary(
-                    max_drift=dict(maxima),
-                    final_v=final_metrics["V"],
-                    wall_time=time.perf_counter() - started,
-                    steps_taken=k - 1,
-                    output_path=cfg.output_path,
-                )
-                if failure is exc:
-                    raise
-                raise failure from exc
+
+        def observe(k, x):
+            nonlocal final_metrics
+            final_metrics = metrics = system.drift_metrics(x, s0)
+            for key, value in metrics.items():
+                if maxima.get(key, -1.0) < value:
+                    maxima[key] = value
             if k % stride == 0 or k == n_steps:
-                handle.write(row(k * cfg.h, x, final_metrics))
-    return RunSummary(
-        max_drift=dict(maxima),
-        final_v=final_metrics["V"],
-        wall_time=time.perf_counter() - started,
-        steps_taken=n_steps,
-        output_path=cfg.output_path,
-    )
+                handle.write(row_format % (k * cfg.h, *x.tolist(),
+                                           *[metrics[c] for c in metric_cols]))
+
+        def summary(steps_taken):
+            return RunSummary(
+                max_drift=dict(maxima),
+                final_v=final_metrics["V"],
+                wall_time=time.perf_counter() - started,
+                steps_taken=steps_taken,
+                output_path=cfg.output_path,
+            )
+
+        try:
+            integrate(advance, s0, cfg.h, n_steps, observe)
+        except (DomainError, IntegrationError, ProjectionError) as exc:
+            handle.flush()
+            exc.partial_summary = summary(exc.step - 1)
+            raise
+    return summary(n_steps)
 
 
 @dataclass(frozen=True)

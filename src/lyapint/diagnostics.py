@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BasinViolationError, DomainError
 from .feedback import FirstIntegralMap, assemble_jacobian
-from .integrators import steps_for
+from .integrators import integrate, steps_for
 from .systems import SystemModel
 
 
@@ -54,38 +54,8 @@ def drift_maxima(samples) -> dict:
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
-    """Descending singular values by one-sided Jacobi on the smaller dimension.
-
-    Columns of the (tall) working copy are orthogonalized pairwise by plane
-    rotations; on convergence the column norms are the singular values. The
-    matrices here have at most 13 rows/columns, so a handful of sweeps
-    converges to machine precision.
-    """
-    b = np.array(a if a.shape[0] >= a.shape[1] else a.T, dtype=float)
-    n = b.shape[1]
-    for _ in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(b[:, p] @ b[:, q])
-                app = float(b[:, p] @ b[:, p])
-                aqq = float(b[:, q] @ b[:, q])
-                scale = math.sqrt(app * aqq)
-                if scale > 0.0:
-                    off = max(off, abs(apq) / scale)
-                if apq == 0.0 or abs(apq) <= 1e-300:
-                    continue
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-        if off < 1e-15:
-            break
-    sv = np.sqrt(np.sum(b * b, axis=0))
-    return np.sort(sv)[::-1]
+    """Descending singular values of a (LAPACK through numpy)."""
+    return np.linalg.svd(a, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -168,7 +138,7 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
     For each h the trajectory starts at a state with V = v_init and runs to
     the horizon; the plateau is the median of V over the final tenth of the
     samples. Escaping the sublevel set V <= gain bound raises
-    BasinViolationError.
+    BasinViolationError; a step that overflows raises IntegrationError.
     """
     steps = tuple(float(h) for h in step_sizes)
     if any(b >= a for a, b in zip(steps, steps[1:])):
@@ -181,16 +151,16 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
     for h in steps:
         n = steps_for(horizon, h)
         values = np.empty(n + 1)
-        values[0] = system.lyapunov(x0)
-        x = x0
-        for k in range(1, n + 1):
-            x = scheme(system.modified_field, x, h)
+
+        def observe(k, x):
             v = system.lyapunov(x)
             if v > system.gain_bound:
                 raise BasinViolationError(
                     f"V = {v:.3e} escaped the basin bound {system.gain_bound:.3e}",
                     h=h, step=k, value=v)
             values[k] = v
+
+        integrate(lambda x, dt: scheme(system.modified_field, x, dt), x0, h, n, observe)
         tail = values[-max(1, (n + 1) // 10):]
         plateaus.append(float(np.median(tail)))
     return AttractorStudyResult(step_sizes=steps, plateau_values=tuple(plateaus))

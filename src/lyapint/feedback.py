@@ -85,23 +85,18 @@ def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class FeedbackField:
-    """Corrected vector field x -> base_field(x) - matrix_gain(x) @ gradient(x).
+    """Corrected vector field x -> base_field(x) - gradient(x).
 
-    Without a matrix gain the correction is the plain negative gradient. On
-    the invariant set the gradient vanishes and evaluation reproduces
+    On the invariant set the gradient vanishes and evaluation reproduces
     ``base_field`` exactly.
     """
 
     base_field: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    matrix_gain: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        g = self.gradient(x)
-        if self.matrix_gain is not None:
-            g = self.matrix_gain(x) @ g
-        return self.base_field(x) - g
+        return self.base_field(x) - self.gradient(x)
 
 
-def make_feedback_field(base, grad, matrix_gain=None) -> FeedbackField:
-    return FeedbackField(base_field=base, gradient=grad, matrix_gain=matrix_gain)
+def make_feedback_field(base, grad) -> FeedbackField:
+    return FeedbackField(base_field=base, gradient=grad)

@@ -1,9 +1,11 @@
 """One-step integration schemes and the constraint-projection wrapper.
 
 Every scheme is a pure function ``(field, x, h) -> x_next`` on flat state
-vectors; trajectories are advanced by repeated application. Projection wraps
-any base scheme and pulls the result back onto a target level set of a
-first-integral map with a simplified Newton iteration.
+vectors. ``integrate`` is the one loop that advances a trajectory by repeated
+application, and the one place where a failing step is numbered and turned
+into IntegrationError. Projection wraps any base scheme and pulls the result
+back onto a target level set of a first-integral map with a simplified Newton
+iteration.
 """
 
 import math
@@ -131,25 +133,42 @@ def steps_for(t_end: float, h: float) -> int:
     return int(math.floor(t_end / h + 1e-9))
 
 
-def rollout(advance, x0, h, n_steps, stride=1, on_step=None):
-    """Advance ``x = advance(x, h)`` for n_steps, recording every ``stride``-th state.
+def integrate(advance, x0, h, n_steps, observe):
+    """Advance ``x = advance(x, h)`` n_steps times from a copy of x0; return the final state.
 
-    Step 0 and the final step are always recorded. ``on_step(k, x)``, when
-    given, is called after every step at full resolution. Scheme and domain
-    errors are re-raised with the 1-based failing step index attached.
+    ``observe(k, x)`` sees the start state (k = 0) and the state after every
+    step k. A step and its observation fail together as step k: an
+    ``ArithmeticError`` (float overflow, division by zero) becomes
+    IntegrationError with ``step = k`` and the original error as its cause;
+    any other exception gets ``step = k`` unless it already carries a step,
+    and propagates unchanged.
     """
     x = np.array(x0, dtype=float)
-    times = [0.0]
-    states = [x.copy()]
-    for k in range(1, n_steps + 1):
-        try:
+    observe(0, x)
+    try:
+        for k in range(1, n_steps + 1):
             x = advance(x, h)
-        except Exception as exc:
+            observe(k, x)
+    except ArithmeticError as exc:
+        raise IntegrationError(f"{type(exc).__name__} during step: {exc}", step=k) from exc
+    except Exception as exc:
+        if getattr(exc, "step", None) is None:
             exc.step = k
-            raise
-        if on_step is not None:
-            on_step(k, x)
+        raise
+    return x
+
+
+def rollout(advance, x0, h, n_steps, stride=1):
+    """``integrate`` recording every ``stride``-th state; returns (times, states).
+
+    Step 0 and the final step are always recorded.
+    """
+    times, states = [], []
+
+    def record(k, x):
         if k % stride == 0 or k == n_steps:
             times.append(k * h)
-            states.append(np.array(x))
+            states.append(x.copy())
+
+    integrate(advance, x0, h, n_steps, record)
     return np.array(times), np.array(states)

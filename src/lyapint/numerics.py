@@ -12,22 +12,6 @@ import numpy as np
 I3 = np.eye(3)
 
 
-def vec3(x, y, z) -> np.ndarray:
-    """Finite-checked 3-vector."""
-    v = np.array((x, y, z), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite 3-vector components: {(x, y, z)}")
-    return v
-
-
-def mat3(entries) -> np.ndarray:
-    """Finite-checked 3x3 matrix from 9 reals (row-major) or a nested sequence."""
-    m = np.asarray(entries, dtype=float).reshape(3, 3).copy()
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite 3x3 matrix entries")
-    return m
-
-
 def hat(omega) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector; hat(u) @ v equals cross(u, v)."""
     w0, w1, w2 = omega

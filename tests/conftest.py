@@ -11,7 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapint.integrators import euler_step, rk4_step, steps_for, stormer_verlet_step
+from lyapint.integrators import (
+    euler_step,
+    integrate,
+    rk4_step,
+    steps_for,
+    stormer_verlet_step,
+)
 from lyapint.systems import make_system
 
 # Per-step allowance for scheme truncation in the V-decrease property.
@@ -26,18 +32,19 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
     t <= cutoff for each cutoff in ``v_windows``), a coarse series of one
     metric, and the worst per-step rise of V beyond the truncation allowance.
     """
-    x = np.array(system.initial_state if x0 is None else x0, dtype=float)
-    s0 = x.copy()
+    s0 = np.array(system.initial_state if x0 is None else x0, dtype=float)
     n = steps_for(t_end, h)
     maxima = {}
-    times, states = [0.0], [x.copy()]
+    times, states = [0.0], [s0.copy()]
     series = []
-    v_window_max = {cut: system.lyapunov(x) for cut in v_windows}
-    v_prev = system.lyapunov(x)
+    v_prev = system.lyapunov(s0)
+    v_window_max = {cut: v_prev for cut in v_windows}
     worst_rise = -math.inf
-    started = time.perf_counter()
-    for k in range(1, n + 1):
-        x = advance(x, h)
+
+    def observe(k, x):
+        nonlocal v_prev, worst_rise
+        if k == 0:  # the start state is recorded above; maxima cover steps 1..n
+            return
         m = system.drift_metrics(x, s0)
         for key, value in m.items():
             if maxima.get(key, -1.0) < value:
@@ -54,11 +61,14 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
             states.append(x.copy())
         if series_stride and k % series_stride == 0:
             series.append(m[series_metric])
+
+    started = time.perf_counter()
+    final = integrate(advance, s0, h, n, observe)
     return SimpleNamespace(
         maxima=maxima,
         times=np.array(times),
         states=np.array(states),
-        final=x,
+        final=final,
         worst_rise=worst_rise,
         v_window_max=v_window_max,
         series=np.array(series) if series else None,
@@ -71,9 +81,8 @@ def global_order_ratio(step, field, x0, t_end, h, exact):
     """Ratio of global errors at steps h and h/2 against a known endpoint."""
 
     def err(hh):
-        x = np.array(x0, dtype=float)
-        for _ in range(round(t_end / hh)):
-            x = step(field, x, hh)
+        x = integrate(lambda x, dt: step(field, x, dt), x0, hh, round(t_end / hh),
+                      lambda k, x: None)
         return float(np.linalg.norm(x - exact))
 
     return err(h) / err(h / 2.0)

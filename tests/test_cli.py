@@ -233,6 +233,33 @@ def test_run_experiment_wraps_overflow_with_step_and_partial_summary(tmp_path):
     assert set(exc.partial_summary.max_drift) == {"dE", "dL", "V"}
 
 
+VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_end = 1.0\n"
+
+
+@pytest.mark.parametrize("config, out_dir", [
+    (VALID_EXPERIMENT + "stride = abc\n", None),
+    (VALID_EXPERIMENT + "[gains]\nk1 = abc\n", None),
+    (VALID_EXPERIMENT + "[initial]\nx0 = abc\n", None),
+    (VALID_EXPERIMENT + "[projection]\nmax_iter = 0\n", None),
+    (VALID_EXPERIMENT + "[projection]\ntol = 0\n", None),
+    (VALID_EXPERIMENT + "[projection]\ntol = -1e-8\n", None),
+    (VALID_EXPERIMENT + "strid = 5\n", None),
+    (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
+    (None, None),  # the --config file does not exist
+    (VALID_EXPERIMENT, "missing"),  # --out inside a directory that does not exist
+], ids=["stride", "gain", "initial", "max_iter", "tol_zero", "tol_negative",
+        "unknown_key", "unknown_section", "missing_config", "missing_out_dir"])
+def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir):
+    config_path = tmp_path / "exp.ini"
+    if config is not None:
+        config_path.write_text(config)
+    out = tmp_path / (out_dir or ".") / "never.csv"
+    code = main(["run", "--config", str(config_path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_bad_gains_string():
     code = main(["run", "--system", "kepler", "--method", "euler",
                  "--t-end", "1.0", "--gains", "k1:4"])

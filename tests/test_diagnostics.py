@@ -15,7 +15,7 @@ from lyapint.diagnostics import (
     singular_values,
     state_with_lyapunov,
 )
-from lyapint.errors import BasinViolationError, DomainError
+from lyapint.errors import BasinViolationError, DomainError, IntegrationError
 from lyapint.integrators import euler_step
 from lyapint.kepler import state_at_eccentric_anomaly
 
@@ -149,6 +149,15 @@ def test_attractor_study_reports_basin_escape(rigid_sys):
         attractor_step_study(rigid_sys, euler_step, (0.05,), 1.0, 5.0)
     assert info.value.h == 0.05
     assert info.value.value > rigid_sys.gain_bound
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_attractor_study_numbers_a_float_overflow(pk_sys):
+    # perturbed Kepler has no basin bound; far beyond its stability limit the
+    # float kernels overflow, which must surface with the failing step
+    with pytest.raises(IntegrationError) as info:
+        attractor_step_study(pk_sys, euler_step, (0.3,), 0.0, 300.0)
+    assert info.value.step is not None and info.value.step >= 1
 
 
 def test_orthogonality_report_passes(rigid_sys, kepler_sys, pk_sys):

@@ -141,16 +141,6 @@ def test_feedback_field_coincides_on_level_set(system):
     assert np.array_equal(field(x0), system.field(x0))
 
 
-def test_identity_matrix_gain_reproduces_plain_field(system):
-    rng = np.random.default_rng(17)
-    plain = make_feedback_field(system.field, system.gradient)
-    gained = make_feedback_field(system.field, system.gradient,
-                                 matrix_gain=lambda x: np.eye(system.dim))
-    for _ in range(20):
-        x = system.sample_state(rng)
-        assert np.array_equal(plain(x), gained(x))
-
-
 def test_orthogonality_of_gradient_and_field(system):
     rng = np.random.default_rng(18)
     for _ in range(2000):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import global_order_ratio
-from lyapint.errors import IntegrationError, ProjectionError, RankError
+from lyapint.cli import ExperimentConfig, make_advance
+from lyapint.errors import DomainError, IntegrationError, ProjectionError, RankError
 from lyapint.feedback import FirstIntegralMap
 from lyapint.integrators import (
     ProjectionConfig,
     euler_step,
+    integrate,
     projection_step,
     rk4_step,
     rollout,
@@ -217,3 +219,65 @@ def test_rollout_attaches_step_index_on_blowup():
         rollout(lambda x, h: euler_step(grow, x, h), np.array([1.0]), 1.0, 50)
     assert info.value.step is not None
     assert 1 <= info.value.step <= 50
+
+
+def test_integrate_observes_start_and_every_step_and_returns_final():
+    x0 = np.zeros(1)
+    seen = []
+    final = integrate(lambda x, h: x + h, x0, 0.5, 3,
+                      lambda k, x: seen.append((k, float(x[0]))))
+    assert seen == [(0, 0.0), (1, 0.5), (2, 1.0), (3, 1.5)]
+    assert final[0] == 1.5
+    assert x0[0] == 0.0  # the start state is copied, never advanced in place
+
+
+def test_integrate_turns_arithmetic_error_into_integration_error():
+    def advance(x, h):
+        if x[0] >= 2.0:
+            raise ZeroDivisionError("float division by zero")
+        return x + h
+
+    with pytest.raises(IntegrationError) as info:
+        integrate(advance, np.zeros(1), 1.0, 10, lambda k, x: None)
+    assert info.value.step == 3
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_integrate_numbers_a_failing_observation_as_its_step():
+    def observe(k, x):
+        if k == 4:
+            raise OverflowError("math range error")
+
+    with pytest.raises(IntegrationError) as info:
+        integrate(lambda x, h: x + h, np.zeros(1), 1.0, 10, observe)
+    assert info.value.step == 4
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_integrate_attaches_step_to_other_errors_unless_set():
+    def leave_domain(x, h):
+        if x[0] >= 1.0:
+            raise DomainError("left the domain")
+        return x + h
+
+    with pytest.raises(DomainError) as info:
+        integrate(leave_domain, np.zeros(1), 1.0, 10, lambda k, x: None)
+    assert info.value.step == 2
+
+    def preset(x, h):
+        raise IntegrationError("already numbered", step=99)
+
+    with pytest.raises(IntegrationError) as info:
+        integrate(preset, np.zeros(1), 1.0, 10, lambda k, x: None)
+    assert info.value.step == 99
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_rollout_turns_float_overflow_into_integration_error(pk_sys):
+    # perturbed Kepler feedback Euler at h = 0.3 overflows delta / r**3 on
+    # Python floats at step 8
+    advance = make_advance(pk_sys, "feedback_euler", ExperimentConfig())
+    with pytest.raises(IntegrationError) as info:
+        rollout(advance, pk_sys.initial_state, 0.3, 1300)
+    assert info.value.step == 8
+    assert isinstance(info.value.__cause__, OverflowError)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapint.numerics import cross, frobenius_norm, hat, mat3, norm, vec3
+from lyapint.numerics import cross, frobenius_norm, hat, norm
 
 
 def cross_oracle(u, v):
@@ -66,19 +66,3 @@ def test_frobenius_norm_squared_is_entry_square_sum():
 def test_norm_matches_euclidean():
     v = np.array([3.0, 4.0, 12.0])
     assert norm(v) == pytest.approx(13.0, rel=1e-15)
-
-
-def test_constructors_reject_non_finite():
-    with pytest.raises(ValueError):
-        vec3(1.0, math.nan, 0.0)
-    with pytest.raises(ValueError):
-        vec3(1.0, math.inf, 0.0)
-    with pytest.raises(ValueError):
-        mat3([1.0] * 8 + [math.nan])
-
-
-def test_mat3_accepts_flat_and_nested():
-    a = mat3(range(9))
-    assert a.shape == (3, 3) and a[2, 1] == 7.0
-    b = mat3([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert b[0, 2] == 3.0
