@@ -19,6 +19,7 @@ import argparse
 import configparser
 import io
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -100,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_end must be finite, got {self.t_end!r}")
         if self.t_end <= self.h:
             raise ConfigError("t_end must exceed the step size h")
+        if not math.isfinite(self.t_end / self.h):
+            raise ConfigError(f"step count t_end / h = {self.t_end!r} / {self.h!r} is not finite")
         if self.sample_stride < 1:
             raise ConfigError("sample stride must be a positive integer")
         if self.projection_tol is not None and not self.projection_tol > 0.0:
@@ -107,8 +110,9 @@ class ExperimentConfig:
         if self.projection_max_iter < 1:
             raise ConfigError("projection max_iter must be at least 1")
         for key, value in self.gains.items():
-            if key not in ("k0", "k1", "k2"):
-                raise ConfigError(f"unknown gain {key!r}")
+            if key not in _GAIN_KEYS[self.system]:
+                raise ConfigError(f"unknown gain {key!r} for system {self.system!r}; "
+                                  f"choose from {_GAIN_KEYS[self.system]}")
             if value <= 0.0:
                 raise ConfigError(f"gain {key} must be positive")
         return self
@@ -415,9 +419,10 @@ def replicate_figure(figure_id: str, scale: float, out_dir: str) -> dict:
     if not (0.0 < scale <= 1.0):
         raise ConfigError("scale must lie in (0, 1]")
     spec = FIGURES[figure_id]
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     paths = {}
     for method in spec.methods:
         h = spec.h_overrides.get(method, spec.h)

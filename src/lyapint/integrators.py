@@ -27,7 +27,7 @@ _GRAM_CUTOFF = 1e-14
 def euler_step(field, x, h):
     """Forward Euler: x + h * field(x)."""
     y = x + h * field(x)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError("non-finite state after Euler step")
     return y
 
@@ -39,7 +39,7 @@ def rk4_step(field, x, h):
     k3 = field(x + (0.5 * h) * k2)
     k4 = field(x + h * k3)
     y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError("non-finite state after RK4 step")
     return y
 
@@ -84,39 +84,39 @@ class ProjectionConfig:
 
 
 def _gram_pseudo_solver(jac):
-    """Factor G = J J^T once; return a solver for G y = r restricted to the usable spectrum."""
+    """Correction matrix C = J^T G^+ for G = J J^T, restricted to G's usable spectrum.
+
+    G^+ = U diag(inv) U^T from one SVD of G, where inv drops singular values
+    below ``_GRAM_CUTOFF`` relative to the largest. C has shape (n, m) for an
+    (m, n) Jacobian J.
+    """
     gram = jac @ jac.T
     u, s, _ = np.linalg.svd(gram)
     if s[0] <= 0.0 or not np.isfinite(s[0]):
         raise RankError("constraint Jacobian Gram matrix is numerically rank zero")
     inv = np.where(s > s[0] * _GRAM_CUTOFF, 1.0 / np.maximum(s, 1e-300), 0.0)
-
-    def solve(r):
-        return u @ (inv * (u.T @ r))
-
-    return solve
+    return jac.T @ (u * inv) @ u.T
 
 
 def projection_step(base, cfg: ProjectionConfig, field, x, h):
     """Base step followed by pull-back onto the constraint level set.
 
     Computes xt = base(field, x, h), then solves f(xt + Df(xt)^T lam) = target
-    for lam by simplified Newton with the Gram matrix Df Df^T frozen at xt.
-    lam starts at zero each step. Returns once the residual norm is within
-    cfg.tol; raises ProjectionError with the final residual otherwise.
+    for lam by simplified Newton with the Gram matrix G = Df Df^T frozen at
+    xt. The iteration runs on the state itself: with the correction matrix
+    C = Df(xt)^T G^+ built once per step, each iteration is
+    y <- y - C (f(y) - target), starting from y = xt. Returns once the
+    residual norm is within cfg.tol; raises ProjectionError with the final
+    residual otherwise.
     """
-    xt = base(field, x, h)
-    res = cfg.constraint.eval(xt) - cfg.target
+    y = base(field, x, h)
+    res = cfg.constraint.eval(y) - cfg.target
     rnorm = math.sqrt(float(res @ res))
     if rnorm <= cfg.tol:
-        return xt
-    jac = assemble_jacobian(cfg.constraint, xt)
-    solve = _gram_pseudo_solver(jac)
-    lam = np.zeros(cfg.constraint.dim_values)
-    y = xt
+        return y
+    correction = _gram_pseudo_solver(assemble_jacobian(cfg.constraint, y))
     for _ in range(cfg.max_iter):
-        lam -= solve(res)
-        y = xt + jac.T @ lam
+        y = y - correction @ res
         res = cfg.constraint.eval(y) - cfg.target
         rnorm = math.sqrt(float(res @ res))
         if rnorm <= cfg.tol:

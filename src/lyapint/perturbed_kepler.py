@@ -16,14 +16,14 @@ potential. ``check_hypothesis`` tests this numerically on a bracket.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import cross, hat, norm
+from .numerics import cross, norm
 
 DIM = 6
 
@@ -73,9 +73,12 @@ class PerturbedKeplerParams:
     k2: float
     E0: float
     L0: np.ndarray
+    # (E0, L0) as four Python floats, read by the float kernels on every call.
+    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "L0", np.asarray(self.L0, dtype=float))
+        object.__setattr__(self, "_target", (float(self.E0), *self.L0.tolist()))
         if min(self.k1, self.k2) <= 0.0:
             raise ValueError("gains must be positive")
         if norm(self.L0) == 0.0:
@@ -84,8 +87,8 @@ class PerturbedKeplerParams:
     @classmethod
     def from_initial(cls, potential, x0, v0, k1, k2) -> "PerturbedKeplerParams":
         s = np.concatenate((np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)))
-        E, L = _invariants(potential, s)
-        return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=L)
+        E, l0, l1, l2 = invariant_components(potential, s)
+        return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=(l0, l1, l2))
 
 
 def benchmark_setup(k1=None, k2=None, mu=None, delta=None, eccentricity=None):
@@ -102,8 +105,9 @@ def benchmark_setup(k1=None, k2=None, mu=None, delta=None, eccentricity=None):
     return params, np.concatenate((x0, v0))
 
 
-def _radius(s) -> float:
-    r = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+def _radius(r2: float) -> float:
+    """|x| from |x|^2, rejecting positions at the origin."""
+    r = math.sqrt(r2)
     if r < ORIGIN_RADIUS:
         raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
     return r
@@ -112,9 +116,7 @@ def _radius(s) -> float:
 def field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
     """Original dynamics (v, -U'(|x|) x / |x|)."""
     x0, x1, x2, v0, v1, v2 = s.tolist()
-    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if r < ORIGIN_RADIUS:
-        raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
+    r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
     c = -p.potential.u_prime(r) / r
     return np.array((v0, v1, v2, c * x0, c * x1, c * x2))
 
@@ -122,33 +124,38 @@ def field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
 def accel(p: PerturbedKeplerParams, q: np.ndarray) -> np.ndarray:
     """Position-only acceleration -U'(|q|) q / |q|."""
     q0, q1, q2 = q.tolist()
-    r = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
-    if r < ORIGIN_RADIUS:
-        raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
+    r = _radius(q0 * q0 + q1 * q1 + q2 * q2)
     c = -p.potential.u_prime(r) / r
     return np.array((c * q0, c * q1, c * q2))
 
 
-def _invariants(potential: RadialPotential, s: np.ndarray):
-    x = s[:3]
-    v = s[3:]
-    r = _radius(s)
-    E = 0.5 * float(v @ v) + potential.u(r)
+def invariant_components(potential: RadialPotential, s: np.ndarray) -> tuple:
+    """(E, L) at s as four Python floats: E, L0, L1, L2.
+
+    The one source of the perturbed-Kepler integrals: the target values
+    (E0, L0), ``invariants``, ``lyapunov``, the integral map's ``eval`` and
+    the drift metrics all evaluate these expressions.
+    """
+    x0, x1, x2, v0, v1, v2 = s.tolist()
+    r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
+    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + potential.u(r)
     if not math.isfinite(E):
         raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
-    return E, cross(x, v)
+    return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
 def invariants(p: PerturbedKeplerParams, s: np.ndarray):
     """Total energy E and angular momentum vector L."""
-    return _invariants(p.potential, s)
+    E, l0, l1, l2 = invariant_components(p.potential, s)
+    return E, np.array((l0, l1, l2))
 
 
 def lyapunov(p: PerturbedKeplerParams, s: np.ndarray) -> float:
-    E, L = _invariants(p.potential, s)
-    dE = E - p.E0
-    dL = L - p.L0
-    return 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * float(dL @ dL)
+    E, l0, l1, l2 = invariant_components(p.potential, s)
+    t = p._target
+    dE = E - t[0]
+    d0, d1, d2 = l0 - t[1], l1 - t[2], l2 - t[3]
+    return 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def lyapunov_gradient(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
@@ -159,8 +166,8 @@ def lyapunov_gradient(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
     """
     x = s[:3]
     v = s[3:]
-    r = _radius(s)
-    E, L = _invariants(p.potential, s)
+    r = _radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+    E, L = invariants(p, s)
     dE = E - p.E0
     dL = L - p.L0
     gx = (p.k1 * dE * p.potential.u_prime(r) / r) * x + p.k2 * cross(v, dL)
@@ -177,16 +184,12 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
     """Stacked map (E, L) of dimension 4."""
 
     def evaluate(s):
-        E, L = _invariants(p.potential, s)
-        out = np.empty(4)
-        out[0] = E
-        out[1:] = L
-        return out
+        return np.array(invariant_components(p.potential, s))
 
     def jac_t(s, w):
         x = s[:3]
         v = s[3:]
-        r = _radius(s)
+        r = _radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
         we = w[0]
         wl = w[1:]
         gx = (we * p.potential.u_prime(r) / r) * x + cross(v, wl)
@@ -194,15 +197,16 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
         return np.concatenate((gx, gv))
 
     def jacobian(s):
-        x = s[:3]
-        v = s[3:]
-        r = _radius(s)
-        rows = np.empty((4, 6))
-        rows[0, :3] = (p.potential.u_prime(r) / r) * x
-        rows[0, 3:] = v
-        rows[1:, :3] = -hat(v)
-        rows[1:, 3:] = hat(x)
-        return rows
+        # rows: grad E = (U'(r)/r x, v), then grad L_i = (-hat(v), hat(x)) row i
+        x0, x1, x2, v0, v1, v2 = s.tolist()
+        r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
+        c = p.potential.u_prime(r) / r
+        return np.array((
+            (c * x0, c * x1, c * x2, v0, v1, v2),
+            (0.0, v2, -v1, 0.0, -x2, x1),
+            (-v2, 0.0, v0, x2, 0.0, -x0),
+            (v1, -v0, 0.0, -x1, x0, 0.0),
+        ))
 
     return FirstIntegralMap(
         dim_state=DIM, dim_values=4,

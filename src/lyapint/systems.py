@@ -190,21 +190,24 @@ def perturbed_kepler_system(params=None, initial_state=None, gains=None,
         initial_state = np.asarray(initial_state, dtype=float)
 
     p = params
-    E0, L0 = perturbed_kepler.invariants(p, initial_state)
+    start = perturbed_kepler.invariant_components(p.potential, initial_state)
+    target = (float(p.E0), *p.L0.tolist())
     # Radial period estimate from the osculating Kepler ellipse of the start
     # point; adequate for choosing desk-scale horizons.
-    a = -1.0 / (2.0 * E0) if E0 < 0.0 else 1.0
+    a = -1.0 / (2.0 * start[0]) if start[0] < 0.0 else 1.0
     period = 2.0 * math.pi * math.sqrt(abs(a) ** 3)
 
-    def drift(s, _s0, E0=E0, L0=L0):
-        E, L = perturbed_kepler.invariants(p, s)
-        dE_target = E - p.E0
-        dL_target = L - p.L0
+    def drift(s, _s0, start=start, target=target):
+        # single pass on floats; V matches perturbed_kepler.lyapunov term for term
+        E, l0, l1, l2 = perturbed_kepler.invariant_components(p.potential, s)
+        E_start, L0x, L0y, L0z = start
+        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+        dE = E - target[0]
+        d0, d1, d2 = l0 - target[1], l1 - target[2], l2 - target[3]
         return {
-            "dE": abs(E - E0),
-            "dL": norm(L - L0),
-            "V": (0.5 * p.k1 * dE_target * dE_target
-                  + 0.5 * p.k2 * float(dL_target @ dL_target)),
+            "dE": abs(E - E_start),
+            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            "V": 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2),
         }
 
     def sampler(rng):

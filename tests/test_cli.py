@@ -2,10 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lyapint.cli import (
+    _GAIN_KEYS,
+    _SYSTEM_MODULES,
     ExperimentConfig,
     FIGURES,
+    METHOD_NAMES,
     build_system,
     check_system,
     main,
@@ -17,6 +21,7 @@ from lyapint.cli import (
 )
 from lyapint.errors import ConfigError, IntegrationError
 from lyapint.integrators import rollout, steps_for
+from lyapint.systems import SYSTEM_NAMES
 
 SAMPLE_CONFIG = """\
 [experiment]
@@ -54,6 +59,41 @@ def test_config_round_trip():
     assert reparsed == cfg
     # a second round trip is byte-stable
     assert serialize_config(reparsed) == serialize_config(cfg)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-300, allow_infinity=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    system = draw(st.sampled_from(SYSTEM_NAMES))
+    initial = draw(st.just("paper_default")
+                   | st.dictionaries(st.sampled_from(_SYSTEM_MODULES[system].STATE_NAMES), _FLOATS))
+    return ExperimentConfig(
+        system=system,
+        method=draw(st.sampled_from(METHOD_NAMES)),
+        h=draw(st.none() | _POSITIVE),
+        t_end=draw(st.none() | _POSITIVE),
+        gains=draw(st.dictionaries(st.sampled_from(_GAIN_KEYS[system]), _POSITIVE)),
+        initial_condition=initial,
+        # no '%' (configparser interpolates it) and no edge whitespace (stripped)
+        output_path=draw(st.text("abcxyz019_-./", min_size=1, max_size=20)),
+        sample_stride=draw(st.integers(1, 10**6)),
+        mu=draw(st.none() | _POSITIVE),
+        delta=draw(st.none() | st.floats(0.0, 1.0)),
+        eccentricity=draw(st.none() | st.floats(0.0, 0.99)),
+        inertia=draw(st.none() | st.tuples(_POSITIVE, _POSITIVE, _POSITIVE)),
+        projection_tol=draw(st.none() | _POSITIVE),
+        projection_max_iter=draw(st.integers(1, 10**4)),
+    )
+
+
+@given(experiment_configs())
+def test_config_round_trip_property(cfg):
+    text = serialize_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert serialize_config(parse_config_text(text)) == text
 
 
 def test_parse_config_defaults():
@@ -194,7 +234,8 @@ def test_main_exit_code_mid_run_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("h, t_end", [("nan", "1.0"), ("inf", "1.0"),
-                                       ("0.01", "inf"), ("0.01", "nan")])
+                                       ("0.01", "inf"), ("0.01", "nan"),
+                                       ("1e-300", "1e12")])  # t_end / h overflows
 def test_main_rejects_non_finite_step_or_horizon(tmp_path, h, t_end):
     out = tmp_path / "never.csv"
     code = main(["run", "--system", "kepler", "--method", "euler", "--h", h,
@@ -260,6 +301,16 @@ def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", ["kepler", "perturbed_kepler"])
+def test_main_rejects_a_gain_the_system_does_not_have(tmp_path, capsys, system):
+    out = tmp_path / "never.csv"
+    code = main(["run", "--system", system, "--method", "euler", "--t-end", "0.1",
+                 "--gains", "k0=7", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "unknown gain 'k0'" in capsys.readouterr().err
+
+
 def test_main_bad_gains_string():
     code = main(["run", "--system", "kepler", "--method", "euler",
                  "--t-end", "1.0", "--gains", "k1:4"])
@@ -272,6 +323,15 @@ def test_figure_unknown_id(tmp_path):
     assert code == 2
     with pytest.raises(ConfigError):
         replicate_figure("F2", 1.5, str(tmp_path))
+
+
+def test_figure_out_dir_on_an_existing_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    code = main(["figure", "--id", "F2", "--scale", "0.001", "--out-dir", str(existing)])
+    assert code == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert existing.read_text() == ""
 
 
 def test_figure_f2_writes_one_csv_per_method(tmp_path):

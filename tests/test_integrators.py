@@ -6,7 +6,7 @@ import pytest
 from conftest import global_order_ratio
 from lyapint.cli import ExperimentConfig, make_advance
 from lyapint.errors import DomainError, IntegrationError, ProjectionError, RankError
-from lyapint.feedback import FirstIntegralMap
+from lyapint.feedback import FirstIntegralMap, assemble_jacobian
 from lyapint.integrators import (
     ProjectionConfig,
     euler_step,
@@ -158,6 +158,54 @@ def test_projection_rigid_residual_within_tolerance(rigid_sys):
         x = projection_step(euler_step, cfg, rigid_sys.field, x, 1e-4)
         res = np.linalg.norm(rigid_sys.integral_map.eval(x) - cfg.target)
         assert res <= 1e-4
+
+
+def pk_projection_config(pk_sys):
+    return ProjectionConfig(constraint=pk_sys.integral_map,
+                            target=pk_sys.feedback_spec.reference,
+                            tol=pk_sys.projection_tol)
+
+
+def test_projection_perturbed_kepler_residual_within_tolerance(pk_sys):
+    cfg = pk_projection_config(pk_sys)
+    rng = np.random.default_rng(47)
+    x = pk_sys.initial_state + rng.uniform(-1e-3, 1e-3, 6)
+    for _ in range(200):
+        x = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
+        res = np.linalg.norm(pk_sys.integral_map.eval(x) - cfg.target)
+        assert res <= cfg.tol
+
+
+def lagrange_multiplier_projection(cfg, field, x, h):
+    """Reference: simplified Newton on lam for f(xt + J^T lam) = target, J frozen at xt."""
+    xt = euler_step(field, x, h)
+    res = cfg.constraint.eval(xt) - cfg.target
+    if np.linalg.norm(res) <= cfg.tol:
+        return xt, 0
+    jac = assemble_jacobian(cfg.constraint, xt)
+    u, s, _ = np.linalg.svd(jac @ jac.T)
+    inv = np.where(s > s[0] * 1e-14, 1.0 / s, 0.0)
+    lam = np.zeros(len(res))
+    for iteration in range(1, cfg.max_iter + 1):
+        lam -= u @ (inv * (u.T @ res))
+        y = xt + jac.T @ lam
+        res = cfg.constraint.eval(y) - cfg.target
+        if np.linalg.norm(res) <= cfg.tol:
+            return y, iteration
+    raise AssertionError("reference projection did not converge")
+
+
+def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(pk_sys):
+    cfg = pk_projection_config(pk_sys)
+    rng = np.random.default_rng(48)
+    iterations = []
+    for _ in range(50):
+        x = pk_sys.initial_state + rng.uniform(-1e-2, 1e-2, 6)
+        expected, n_iter = lagrange_multiplier_projection(cfg, pk_sys.field, x, 0.03)
+        got = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
+        assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
+        iterations.append(n_iter)
+    assert min(iterations) >= 2  # every state exercises the Newton loop
 
 
 def test_projection_reports_nonconvergence(kepler_sys):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import central_difference_gradient
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
+from lyapint.feedback import FirstIntegralMap, assemble_jacobian
 from lyapint.integrators import euler_step, rk4_step, steps_for
+from lyapint.systems import perturbed_kepler_system
+from test_kepler import random_states
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,71 @@ def test_invariants_rotation_property(params):
         E, L = pk.invariants(params, rotated)
         assert E == pytest.approx(E_ref, rel=1e-13)
         assert np.allclose(L, Q @ L_ref, atol=1e-13)
+
+
+# (mu, delta, k1, k2, seed): the benchmark constants, and a stronger
+# perturbation with other gains
+KERNEL_CASES = [(1.0, 0.0025, 2.0, 3.0, 44), (2.5, 0.04, 0.5, 7.0, 45)]
+
+
+def case_params(mu, delta, k1, k2):
+    return pk.PerturbedKeplerParams.from_initial(
+        pk.inverse_cube_perturbed(mu, delta), (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+
+
+def numpy_invariants(potential, s):
+    """E = 0.5 v.v + U(|x|) and L = x cross v, evaluated with numpy."""
+    x, v = s[:3], s[3:]
+    return 0.5 * float(v @ v) + potential.u(float(np.linalg.norm(x))), np.cross(x, v)
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed):
+    p = case_params(mu, delta, k1, k2)
+    evaluate = pk.integral_map(p).eval
+    for s in random_states(seed, 1000):
+        E, L = numpy_invariants(p.potential, s)
+        got = evaluate(s)
+        assert got.shape == (4,)
+        assert abs(got[0] - E) <= 1e-14 * (1.0 + abs(E))
+        assert np.abs(got[1:] - L).max() <= 1e-15 * (1.0 + np.linalg.norm(L))
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_jacobian_matches_jac_t_assembly_and_finite_differences(mu, delta, k1, k2, seed):
+    # the float Jacobian against rows assembled from the numpy jac_t on basis
+    # vectors, and against central differences of eval
+    fim = pk.integral_map(case_params(mu, delta, k1, k2))
+    columnwise = FirstIntegralMap(dim_state=fim.dim_state, dim_values=fim.dim_values,
+                                  eval=fim.eval,
+                                  jacobian_transpose_apply=fim.jacobian_transpose_apply)
+    for s in random_states(seed, 1000):
+        jac = fim.jacobian(s)
+        assert jac.shape == (4, 6)
+        scale = 1.0 + np.abs(jac).max()
+        assert np.abs(jac - assemble_jacobian(columnwise, s)).max() <= 1e-14 * scale
+        fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
+                       for i in range(4)])
+        assert np.abs(jac - fd).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
+    p = case_params(mu, delta, k1, k2)
+    s0 = np.array([0.9, -0.3, 0.2, 0.2, 1.0, -0.1])
+    system = perturbed_kepler_system(params=p, initial_state=s0)
+    E0, L0 = numpy_invariants(p.potential, s0)
+    for s in random_states(seed, 1000):
+        E, L = numpy_invariants(p.potential, s)
+        expected = {
+            "dE": abs(E - E0),
+            "dL": np.linalg.norm(L - L0),
+            "V": 0.5 * p.k1 * (E - p.E0) ** 2 + 0.5 * p.k2 * np.sum((L - p.L0) ** 2),
+        }
+        got = system.drift_metrics(s, s0)
+        assert set(got) == set(expected)
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-13 * (1.0 + abs(value)), key
 
 
 def test_gradient_vanishes_on_level_set(params, start, pk_runs):
