@@ -33,7 +33,7 @@ from .diagnostics import (
     gradient_agreement_report,
     orthogonality_report,
 )
-from .errors import ConfigError, DomainError, IntegrationError, ProjectionError
+from .errors import ConfigError, DomainError, IntegrationError, ProjectionError, RankError
 from .integrators import (
     ProjectionConfig,
     euler_step,
@@ -143,8 +143,11 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse config text; an unknown section or key or an unparsable value is a ConfigError."""
-    parser = configparser.ConfigParser()
+    """Parse config text; an unknown section or key or an unparsable value is a ConfigError.
+
+    Values are literal: a '%' is not an interpolation.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
         for section in parser.sections():
@@ -203,7 +206,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["experiment"] = {
         "system": cfg.system,
         "method": cfg.method,
@@ -371,7 +374,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
         try:
             integrate(advance, s0, cfg.h, n_steps, observe)
-        except (DomainError, IntegrationError, ProjectionError) as exc:
+        except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
             handle.flush()
             exc.partial_summary = summary(exc.step - 1)
             raise
@@ -609,7 +612,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IntegrationError, ProjectionError) as exc:
+    except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
         step = getattr(exc, "step", None)
         where = f" at step {step}" if step is not None else ""
         print(f"run aborted{where}: {exc}", file=sys.stderr)

@@ -91,8 +91,10 @@ def _gram_pseudo_solver(jac):
     (m, n) Jacobian J.
     """
     gram = jac @ jac.T
+    if not np.isfinite(gram).all():
+        raise IntegrationError("non-finite constraint Jacobian Gram matrix")
     u, s, _ = np.linalg.svd(gram)
-    if s[0] <= 0.0 or not np.isfinite(s[0]):
+    if s[0] <= 0.0:
         raise RankError("constraint Jacobian Gram matrix is numerically rank zero")
     inv = np.where(s > s[0] * _GRAM_CUTOFF, 1.0 / np.maximum(s, 1e-300), 0.0)
     return jac.T @ (u * inv) @ u.T

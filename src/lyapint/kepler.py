@@ -12,15 +12,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import DomainError
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import cross, hat, norm
+from .numerics import componentwise, cross, norm, radius
 
 DIM = 6
 
 STATE_NAMES = ("x0", "x1", "x2", "v0", "v1", "v2")
-
-ORIGIN_RADIUS = 1e-12
 
 BENCHMARK_MU = 1.0
 BENCHMARK_X0 = (1.0, 0.0, 0.0)
@@ -73,27 +70,24 @@ def benchmark_setup(k1=None, k2=None, mu=None):
     return KeplerParams.from_initial(mu, x0[:3], x0[3:], *gains), x0
 
 
-def _radius(r2: float) -> float:
-    """|x| from |x|^2, rejecting positions at the origin."""
-    r = math.sqrt(r2)
-    if r < ORIGIN_RADIUS:
-        raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
-    return r
+def _field_components(p: KeplerParams, v) -> tuple:
+    """(v, -mu x / |x|^3) at the state components v, as 6 components."""
+    x0, x1, x2, v0, v1, v2 = v
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    c = -p.mu / (r2 * radius(r2))
+    return v0, v1, v2, c * x0, c * x1, c * x2
 
 
 def field(p: KeplerParams, s: np.ndarray) -> np.ndarray:
-    """Original dynamics (v, -mu x / |x|^3)."""
-    x0, x1, x2, v0, v1, v2 = s.tolist()
-    r2 = x0 * x0 + x1 * x1 + x2 * x2
-    c = -p.mu / (r2 * _radius(r2))
-    return np.array((v0, v1, v2, c * x0, c * x1, c * x2))
+    """Original dynamics (v, -mu x / |x|^3) at a state (6,) or a batch (N, 6)."""
+    return componentwise(_field_components, p, s)
 
 
 def accel(p: KeplerParams, q: np.ndarray) -> np.ndarray:
     """Position-only acceleration -mu q / |q|^3 (for Stormer-Verlet stepping)."""
     q0, q1, q2 = q.tolist()
     r2 = q0 * q0 + q1 * q1 + q2 * q2
-    c = -p.mu / (r2 * _radius(r2))
+    c = -p.mu / (r2 * radius(r2))
     return np.array((c * q0, c * q1, c * q2))
 
 
@@ -104,7 +98,7 @@ def invariant_components(mu: float, s: np.ndarray) -> tuple:
     values (L0, A0) and the drift metrics all evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s.tolist()
-    m = mu / _radius(x0 * x0 + x1 * x1 + x2 * x2)
+    m = mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
@@ -130,8 +124,9 @@ def lyapunov(p: KeplerParams, s: np.ndarray) -> float:
             + 0.5 * p.k2 * (e0 * e0 + e1 * e1 + e2 * e2))
 
 
-def _field_and_gradient(p: KeplerParams, s: np.ndarray) -> tuple:
-    """State, the factor c = -mu/|x|^3 of the field, and grad V, as 13 floats.
+def _field_and_gradient(p: KeplerParams, v) -> tuple:
+    """State, the factor c = -mu/|x|^3 of the field, and grad V at the state
+    components v (floats, or arrays for a batch), as 13 components.
 
     With dL = L - L0 and dA = A - A0, the closed form of grad V is
 
@@ -145,9 +140,9 @@ def _field_and_gradient(p: KeplerParams, s: np.ndarray) -> tuple:
     this kernel about 1.5 us, some 40%, slower per call), so dL and dA are
     exactly zero at the state the targets came from.
     """
-    x0, x1, x2, v0, v1, v2 = s.tolist()
+    x0, x1, x2, v0, v1, v2 = v
     r2 = x0 * x0 + x1 * x1 + x2 * x2
-    r = _radius(r2)
+    r = radius(r2)
     m = p.mu / r
     m3 = p.mu / (r2 * r)
     l0 = x1 * v2 - x2 * v1
@@ -176,14 +171,21 @@ def _field_and_gradient(p: KeplerParams, s: np.ndarray) -> tuple:
     )
 
 
+def _gradient_components(p: KeplerParams, v) -> tuple:
+    return _field_and_gradient(p, v)[7:]
+
+
 def lyapunov_gradient(p: KeplerParams, s: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of V (see ``_field_and_gradient``)."""
-    return np.array(_field_and_gradient(p, s)[7:])
+    """Closed-form gradient of V (see ``_field_and_gradient``).
+
+    Takes a state of shape (6,) or a batch of shape (N, 6).
+    """
+    return componentwise(_gradient_components, p, s)
 
 
 def modified_field(p: KeplerParams, s: np.ndarray) -> np.ndarray:
     """Feedback dynamics: original field minus the Lyapunov gradient."""
-    x0, x1, x2, v0, v1, v2, c, g0, g1, g2, g3, g4, g5 = _field_and_gradient(p, s)
+    x0, x1, x2, v0, v1, v2, c, g0, g1, g2, g3, g4, g5 = _field_and_gradient(p, s.tolist())
     return np.array((v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5))
 
 
@@ -263,7 +265,7 @@ def integral_map(p: KeplerParams) -> FirstIntegralMap:
     def jac_t(s, w):
         x = s[:3]
         v = s[3:]
-        r = _radius(float(x @ x))
+        r = radius(float(x @ x))
         L = cross(x, v)
         wl = w[:3]
         wa = w[3:]
@@ -273,17 +275,29 @@ def integral_map(p: KeplerParams) -> FirstIntegralMap:
         return np.concatenate((gx, gv))
 
     def jacobian(s):
-        x = s[:3]
-        v = s[3:]
-        r = _radius(float(x @ x))
-        L = cross(x, v)
-        rows = np.empty((6, 6))
-        rows[:3, :3] = -hat(v)
-        rows[:3, 3:] = hat(x)
-        rows[3:, :3] = (float(v @ v) * np.eye(3) - np.outer(v, v)) \
-            - (p.mu / r) * np.eye(3) + (p.mu / r**3) * np.outer(x, x)
-        rows[3:, 3:] = -hat(L) + np.outer(x, v) - float(x @ v) * np.eye(3)
-        return rows
+        # rows: grad L_i = (-hat(v), hat(x)) row i, then grad A_i =
+        # ((|v|^2 - mu/|x|) I - v v^T + mu/|x|^3 x x^T, -hat(L) + x v^T - (x . v) I) row i
+        x0, x1, x2, v0, v1, v2 = s.tolist()
+        r2 = x0 * x0 + x1 * x1 + x2 * x2
+        r = radius(r2)
+        m3 = p.mu / (r2 * r)
+        a = v0 * v0 + v1 * v1 + v2 * v2 - p.mu / r
+        xv = x0 * v0 + x1 * v1 + x2 * v2
+        l0 = x1 * v2 - x2 * v1
+        l1 = x2 * v0 - x0 * v2
+        l2 = x0 * v1 - x1 * v0
+        mx0, mx1, mx2 = m3 * x0, m3 * x1, m3 * x2
+        return np.array((
+            (0.0, v2, -v1, 0.0, -x2, x1),
+            (-v2, 0.0, v0, x2, 0.0, -x0),
+            (v1, -v0, 0.0, -x1, x0, 0.0),
+            (a - v0 * v0 + mx0 * x0, mx0 * x1 - v0 * v1, mx0 * x2 - v0 * v2,
+             x0 * v0 - xv, l2 + x0 * v1, x0 * v2 - l1),
+            (mx1 * x0 - v1 * v0, a - v1 * v1 + mx1 * x1, mx1 * x2 - v1 * v2,
+             x1 * v0 - l2, x1 * v1 - xv, l0 + x1 * v2),
+            (mx2 * x0 - v2 * v0, mx2 * x1 - v2 * v1, a - v2 * v2 + mx2 * x2,
+             l1 + x2 * v0, x2 * v1 - l0, x2 * v2 - xv),
+        ))
 
     return FirstIntegralMap(
         dim_state=DIM, dim_values=6,

@@ -1,15 +1,21 @@
 """Fixed-size vector/matrix primitives shared by all systems.
 
-Everything works on plain float64 numpy arrays: 3-vectors of shape (3,)
-and 3x3 matrices of shape (3, 3), stored row-major. The helpers here are
-deliberately scalar-unrolled; they sit inside tight integration loops.
+The vector helpers work on plain float64 numpy arrays: 3-vectors of shape
+(3,) and 3x3 matrices of shape (3, 3), stored row-major. ``componentwise``
+and ``radius`` serve the system kernels, which are written over state
+components: Python floats for one state, shape-(N,) arrays for a batch.
 """
 
 import math
 
 import numpy as np
 
+from .errors import DomainError
+
 I3 = np.eye(3)
+
+# Positions closer to the origin than this are outside the central-force domain.
+ORIGIN_RADIUS = 1e-12
 
 
 def hat(omega) -> np.ndarray:
@@ -31,3 +37,37 @@ def norm(v) -> float:
 def frobenius_norm(a) -> float:
     """Matrix 2-norm sqrt(trace(A^T A)), i.e. the root of the entry-square sum."""
     return math.sqrt(float(np.sum(a * a)))
+
+
+def componentwise(kernel, p, s: np.ndarray) -> np.ndarray:
+    """``kernel(p, components)`` on one state of shape (dim,) or a batch of shape (N, dim).
+
+    One state is handed to the kernel as dim Python floats and gives an array
+    of shape (m,); a batch as its dim columns, arrays of shape (N,), and gives
+    shape (N, m). The kernel applies the same IEEE operations in the same
+    order either way, so row i of a batch result equals the result for state
+    i bit for bit.
+    """
+    if s.ndim == 1:
+        return np.array(kernel(p, s.tolist()))
+    return np.array(kernel(p, s.T)).T
+
+
+def radius(r2):
+    """|x| from |x|^2, rejecting positions at the origin.
+
+    ``r2`` is a float (one state) or an array of shape (N,) (a batch); a batch
+    with any radius below ORIGIN_RADIUS is rejected as a whole.
+    """
+    if not isinstance(r2, np.ndarray):
+        r = math.sqrt(r2)
+        if r < ORIGIN_RADIUS:
+            raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
+        return r
+    r = np.sqrt(r2)
+    inside = r < ORIGIN_RADIUS
+    if inside.any():
+        i = int(inside.argmax())
+        raise DomainError(
+            f"position radius {r[i]:.3e} of batch state {i} below {ORIGIN_RADIUS:.0e}")
+    return r

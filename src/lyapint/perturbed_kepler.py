@@ -16,6 +16,7 @@ potential. ``check_hypothesis`` tests this numerically on a bracket.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -23,13 +24,11 @@ import numpy as np
 
 from .errors import DomainError
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import cross, norm
+from .numerics import componentwise, cross, norm, radius
 
 DIM = 6
 
 STATE_NAMES = ("x0", "x1", "x2", "v0", "v1", "v2")
-
-ORIGIN_RADIUS = 1e-12
 
 BENCHMARK_MU = 1.0
 BENCHMARK_DELTA = 0.0025
@@ -44,7 +43,11 @@ DEFAULT_BRACKET = (1e-3, 1e3)
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Radial potential r -> U(r) together with its analytic derivative."""
+    """Radial potential r -> U(r) together with its analytic derivative.
+
+    Both take and return Python floats; a batch of states evaluates them at
+    each radius in turn (see ``_radial``).
+    """
 
     u: Callable[[float], float]
     u_prime: Callable[[float], float]
@@ -97,6 +100,8 @@ def benchmark_setup(k1=None, k2=None, mu=None, delta=None, eccentricity=None):
     mu = BENCHMARK_MU if mu is None else mu
     delta = BENCHMARK_DELTA if delta is None else delta
     e = BENCHMARK_ECCENTRICITY if eccentricity is None else eccentricity
+    if not 0.0 <= e < 1.0:
+        raise ValueError(f"eccentricity must lie in [0, 1), got {e!r}")
     gains = (BENCHMARK_GAINS[0] if k1 is None else k1, BENCHMARK_GAINS[1] if k2 is None else k2)
     potential = inverse_cube_perturbed(mu, delta)
     x0 = np.array((1.0 - e, 0.0, 0.0))
@@ -105,26 +110,37 @@ def benchmark_setup(k1=None, k2=None, mu=None, delta=None, eccentricity=None):
     return params, np.concatenate((x0, v0))
 
 
-def _radius(r2: float) -> float:
-    """|x| from |x|^2, rejecting positions at the origin."""
-    r = math.sqrt(r2)
-    if r < ORIGIN_RADIUS:
-        raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
-    return r
+def _radial(fn, r):
+    """A potential function at a float radius, or at each radius of an array.
+
+    Potentials are written for floats: ``inverse_cube_perturbed`` uses
+    Python's ``**``, which raises OverflowError where a product would go on
+    with inf, and the trajectory driver reports that as the failing step. A
+    batch calls the same function at each of its radii, so its entries equal
+    the single-state values bit for bit.
+    """
+    if isinstance(r, np.ndarray):
+        return np.fromiter(map(fn, r.tolist()), float, len(r))
+    return fn(r)
+
+
+def _field_components(p: PerturbedKeplerParams, v) -> tuple:
+    """(v, -U'(|x|) x / |x|) at the state components v, as 6 components."""
+    x0, x1, x2, v0, v1, v2 = v
+    r = radius(x0 * x0 + x1 * x1 + x2 * x2)
+    c = -_radial(p.potential.u_prime, r) / r
+    return v0, v1, v2, c * x0, c * x1, c * x2
 
 
 def field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
-    """Original dynamics (v, -U'(|x|) x / |x|)."""
-    x0, x1, x2, v0, v1, v2 = s.tolist()
-    r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = -p.potential.u_prime(r) / r
-    return np.array((v0, v1, v2, c * x0, c * x1, c * x2))
+    """Original dynamics (v, -U'(|x|) x / |x|) at a state (6,) or a batch (N, 6)."""
+    return componentwise(_field_components, p, s)
 
 
 def accel(p: PerturbedKeplerParams, q: np.ndarray) -> np.ndarray:
     """Position-only acceleration -U'(|q|) q / |q|."""
     q0, q1, q2 = q.tolist()
-    r = _radius(q0 * q0 + q1 * q1 + q2 * q2)
+    r = radius(q0 * q0 + q1 * q1 + q2 * q2)
     c = -p.potential.u_prime(r) / r
     return np.array((c * q0, c * q1, c * q2))
 
@@ -137,7 +153,7 @@ def invariant_components(potential: RadialPotential, s: np.ndarray) -> tuple:
     the drift metrics all evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s.tolist()
-    r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
+    r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + potential.u(r)
     if not math.isfinite(E):
         raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
@@ -158,26 +174,54 @@ def lyapunov(p: PerturbedKeplerParams, s: np.ndarray) -> float:
     return 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def lyapunov_gradient(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of V:
+def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
+    """Closed-form gradient of V at the state components v, as 6 components:
 
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
     grad_v = k1 dE v + k2 dL x x
+
+    ``integral_map``'s numpy ``jac_t`` is kept apart as the oracle it is
+    checked against. E and L repeat the expressions of
+    ``invariant_components`` inline, so the gradient is exactly zero at the
+    state the targets came from.
     """
-    x = s[:3]
-    v = s[3:]
-    r = _radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
-    E, L = invariants(p, s)
-    dE = E - p.E0
-    dL = L - p.L0
-    gx = (p.k1 * dE * p.potential.u_prime(r) / r) * x + p.k2 * cross(v, dL)
-    gv = (p.k1 * dE) * v + p.k2 * cross(dL, x)
-    return np.concatenate((gx, gv))
+    x0, x1, x2, v0, v1, v2 = v
+    r = radius(x0 * x0 + x1 * x1 + x2 * x2)
+    E0, t0, t1, t2 = p._target
+    e = p.k1 * (0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(p.potential.u, r) - E0)
+    c = e * _radial(p.potential.u_prime, r) / r
+    d0 = x1 * v2 - x2 * v1 - t0
+    d1 = x2 * v0 - x0 * v2 - t1
+    d2 = x0 * v1 - x1 * v0 - t2
+    k2 = p.k2
+    return (
+        c * x0 + k2 * (v1 * d2 - v2 * d1),
+        c * x1 + k2 * (v2 * d0 - v0 * d2),
+        c * x2 + k2 * (v0 * d1 - v1 * d0),
+        e * v0 + k2 * (d1 * x2 - d2 * x1),
+        e * v1 + k2 * (d2 * x0 - d0 * x2),
+        e * v2 + k2 * (d0 * x1 - d1 * x0),
+    )
+
+
+def lyapunov_gradient(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
+    """Closed-form gradient of V (see ``_gradient_components``).
+
+    Takes a state of shape (6,) or a batch of shape (N, 6).
+    """
+    return componentwise(_gradient_components, p, s)
 
 
 def modified_field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
-    """Feedback dynamics: original field minus the Lyapunov gradient."""
-    return field(p, s) - lyapunov_gradient(p, s)
+    """Feedback dynamics: original field minus the Lyapunov gradient.
+
+    Both terms come from the kernels of ``field`` and
+    ``lyapunov_gradient``, so the result is bit-identical to their
+    difference.
+    """
+    v = s.tolist()
+    return np.array(list(map(operator.sub, _field_components(p, v),
+                             _gradient_components(p, v))))
 
 
 def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
@@ -189,7 +233,7 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
     def jac_t(s, w):
         x = s[:3]
         v = s[3:]
-        r = _radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
+        r = radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
         we = w[0]
         wl = w[1:]
         gx = (we * p.potential.u_prime(r) / r) * x + cross(v, wl)
@@ -199,7 +243,7 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
     def jacobian(s):
         # rows: grad E = (U'(r)/r x, v), then grad L_i = (-hat(v), hat(x)) row i
         x0, x1, x2, v0, v1, v2 = s.tolist()
-        r = _radius(x0 * x0 + x1 * x1 + x2 * x2)
+        r = radius(x0 * x0 + x1 * x1 + x2 * x2)
         c = p.potential.u_prime(r) / r
         return np.array((
             (c * x0, c * x1, c * x2, v0, v1, v2),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import I3, frobenius_norm
+from .numerics import I3, componentwise, frobenius_norm
 
 DIM = 12
 
@@ -125,8 +125,8 @@ def invariant_components(inertia: tuple, s: np.ndarray) -> tuple:
             + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
 
 
-def _field_components(p: RigidBodyParams, v: list) -> tuple:
-    """(R hat(Omega), Iinv((I Omega) x Omega)) at the state floats v, as 12 floats.
+def _field_components(p: RigidBodyParams, v) -> tuple:
+    """(R hat(Omega), Iinv((I Omega) x Omega)) at the state components v, as 12 components.
 
     Row i of R hat(Omega) is row i of R crossed with Omega.
     """
@@ -141,8 +141,8 @@ def _field_components(p: RigidBodyParams, v: list) -> tuple:
     )
 
 
-def _gradient_components(p: RigidBodyParams, v: list) -> tuple:
-    """Closed-form gradient of V at the state floats v, as 12 floats:
+def _gradient_components(p: RigidBodyParams, v) -> tuple:
+    """Closed-form gradient of V at the state components v, as 12 components:
 
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
     grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
@@ -184,8 +184,11 @@ def _gradient_components(p: RigidBodyParams, v: list) -> tuple:
 
 
 def field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
-    """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega))."""
-    return np.array(_field_components(p, s.tolist()))
+    """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega)).
+
+    Takes a state of shape (12,) or a batch of shape (N, 12).
+    """
+    return componentwise(_field_components, p, s)
 
 
 def integrals(p: RigidBodyParams, s: np.ndarray):
@@ -204,8 +207,11 @@ def lyapunov(p: RigidBodyParams, s: np.ndarray) -> float:
 
 
 def lyapunov_gradient(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
-    """Closed-form gradient of V (see ``_gradient_components``)."""
-    return np.array(_gradient_components(p, s.tolist()))
+    """Closed-form gradient of V (see ``_gradient_components``).
+
+    Takes a state of shape (12,) or a batch of shape (N, 12).
+    """
+    return componentwise(_gradient_components, p, s)
 
 
 def modified_field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:

@@ -43,13 +43,17 @@ class SystemModel:
 
 
 def _rigid_sampler(rng: np.random.Generator) -> np.ndarray:
-    # Attitudes near (but not on) the rotation group with positive determinant.
+    # Attitudes I + U, U uniform in [-0.5, 0.5]^(3x3), near (but not on) the
+    # rotation group with positive determinant.
     while True:
-        R = np.eye(3) + rng.uniform(-0.5, 0.5, size=(3, 3))
-        if np.linalg.det(R) > 1e-3:
+        u00, u01, u02, u10, u11, u12, u20, u21, u22 = rng.uniform(-0.5, 0.5, size=9).tolist()
+        a00, a11, a22 = 1.0 + u00, 1.0 + u11, 1.0 + u22
+        det = (a00 * (a11 * a22 - u12 * u21) - u01 * (u10 * a22 - u12 * u20)
+               + u02 * (u10 * u21 - a11 * u20))
+        if det > 1e-3:
             break
-    W = rng.uniform(-2.0, 2.0, size=3)
-    return rigid_body.pack(R, W)
+    return np.array((a00, u01, u02, u10, a11, u12, u20, u21, a22,
+                     *rng.uniform(-2.0, 2.0, size=3).tolist()))
 
 
 def _orbital_sampler(rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,12 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lyapint.cli import (
+    _BENCHMARK_STEP,
     _GAIN_KEYS,
     _SYSTEM_MODULES,
     ExperimentConfig,
@@ -77,8 +79,8 @@ def experiment_configs(draw):
         t_end=draw(st.none() | _POSITIVE),
         gains=draw(st.dictionaries(st.sampled_from(_GAIN_KEYS[system]), _POSITIVE)),
         initial_condition=initial,
-        # no '%' (configparser interpolates it) and no edge whitespace (stripped)
-        output_path=draw(st.text("abcxyz019_-./", min_size=1, max_size=20)),
+        # no edge whitespace (stripped)
+        output_path=draw(st.text("abcxyz019_-./%", min_size=1, max_size=20)),
         sample_stride=draw(st.integers(1, 10**6)),
         mu=draw(st.none() | _POSITIVE),
         delta=draw(st.none() | st.floats(0.0, 1.0)),
@@ -94,6 +96,130 @@ def test_config_round_trip_property(cfg):
     text = serialize_config(cfg)
     assert parse_config_text(text) == cfg
     assert serialize_config(parse_config_text(text)) == text
+
+
+
+# Usual values of each `run` setting, and values outside its domain. A generated
+# invocation takes usual values for all but at most two of the settings it gives.
+_USUAL = {
+    "system": SYSTEM_NAMES,
+    "method": METHOD_NAMES,
+    "h": ("0.001", "0.005", "0.03", "0.3", "1.0"),
+    "t_end": ("1.0",),  # only with an invalid step size; see run_invocations
+    "stride": ("1", "7", "100000"),
+    "gains": ("1", "4", "50", "0.3"),
+    "mu": ("1", "2.5"),
+    "delta": ("0.0025", "0.04"),
+    "eccentricity": ("0.6", "0.9", "0.99"),
+    "inertia": ("3,2,1", "0.7,1.9,4.2"),
+    "initial": ("0", "1", "-0.5", "1.2", "0.3"),
+    "tol": ("1e-8", "0.005"),
+    "max_iter": ("1", "25"),
+    "extra": ("",),  # a config line besides the settings
+}
+_NUMBERS_OUT = ("0", "-1", "nan", "inf", "1e308", "1e-300", "abc")
+_OUT_OF_DOMAIN = {
+    **{key: _NUMBERS_OUT for key in _USUAL},
+    "system": ("pendulum", ""),
+    "method": ("leapfrog",),
+    "t_end": ("0", "-1", "nan", "inf", "abc", ""),  # no long horizon
+    "eccentricity": _NUMBERS_OUT + ("1", "1.5"),
+    "inertia": ("1,2", "0,1,1", "nan,1,1", "abc"),
+    "initial": ("nan", "1e200", "-1e200", "abc"),
+    "max_iter": ("0", "-3", "2.5", "abc"),
+    "extra": ("strid = 5", "[outputs]", "[gains", "= 1"),
+}
+_SECTIONS = {"constants": ("mu", "delta", "eccentricity", "inertia"),
+             "projection": ("tol", "max_iter")}
+
+
+@st.composite
+def run_invocations(draw):
+    """(config text or None, `run` flags) over valid and invalid settings.
+
+    A valid step size gets a horizon of at most 2000 steps, so every run
+    that starts ends within about a second.
+    """
+    given_keys = draw(st.sets(st.sampled_from(
+        ("h", "stride", "gains", "initial", *_SECTIONS["constants"], *_SECTIONS["projection"]))))
+    odd = draw(st.sets(st.sampled_from(
+        sorted(given_keys | {"system", "method", "t_end", "extra"})), max_size=2))
+
+    def value(key):
+        return draw(st.sampled_from(_OUT_OF_DOMAIN[key] if key in odd else _USUAL[key]))
+
+    system, method = value("system"), value("method")
+    h = value("h") if "h" in given_keys else None
+    try:
+        step = _BENCHMARK_STEP.get(system) if h is None else float(h)
+    except ValueError:
+        step = None
+    if step is not None and 0.0 < step < math.inf and "t_end" not in odd:
+        t_end = repr(step * draw(st.integers(2, 2000)))
+    else:
+        t_end = value("t_end")
+    experiment = {"system": system, "method": method, "h": h, "t_end": t_end,
+                  "stride": value("stride") if "stride" in given_keys else None}
+    gains = {}
+    if "gains" in given_keys:
+        names = _GAIN_KEYS.get(system, ()) + (("k9",) if "gains" in odd else ())
+        gains = {name: value("gains") for name in draw(st.sets(st.sampled_from(names or ("k9",))))}
+
+    flags, lines = [], ["[experiment]"]
+    for key, text in experiment.items():
+        if text is not None:
+            if draw(st.booleans()):
+                flags += [f"--{key.replace('_', '-')}", text]
+            else:
+                lines.append(f"{key} = {text}")
+    if gains and draw(st.booleans()):
+        flags += ["--gains", ",".join(f"{k}={v}" for k, v in gains.items())]
+    elif gains:
+        lines += ["[gains]", *(f"{k} = {v}" for k, v in gains.items())]
+    for section, keys in _SECTIONS.items():
+        entries = [f"{k} = {value(k)}" for k in keys if k in given_keys]
+        if entries:
+            lines += [f"[{section}]", *entries]
+    lines.append("[initial]")
+    module = _SYSTEM_MODULES.get(system)
+    if module is None or "initial" not in given_keys:
+        lines.append("condition = paper_default")
+    else:
+        # out of domain: one component missing, one too many, or one odd value
+        components = {n: draw(st.sampled_from(_USUAL["initial"])) for n in module.STATE_NAMES}
+        if "initial" in odd:
+            name = draw(st.sampled_from(module.STATE_NAMES))
+            fault = draw(st.sampled_from(("missing", "extra", "value")))
+            if fault == "missing":
+                del components[name]
+            else:
+                components["zz" if fault == "extra" else name] = value("initial")
+        lines += [f"{n} = {v}" for n, v in components.items()]
+    lines.append(value("extra"))
+    if flags and draw(st.booleans()):
+        return None, flags
+    return "\n".join(lines) + "\n", flags
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_invocations(), st.sampled_from(("run.csv",) * 3 + ("missing/run.csv",)),
+       st.sampled_from((False,) * 3 + (True,)))
+def test_main_run_exits_only_with_documented_codes(tmp_path, invocation, out, config_missing):
+    config, flags = invocation
+    argv = ["run", *flags, "--out", str(tmp_path / out)]
+    config_path = tmp_path / "run.ini"
+    if config is not None:
+        config_path.write_text(config)
+        argv += ["--config", str(config_path)]
+    elif config_missing:
+        argv += ["--config", str(tmp_path / "absent.ini")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value
+        code = exc.code
+    assert code in (0, 2, 3, 4)
 
 
 def test_parse_config_defaults():
@@ -310,6 +436,33 @@ def test_main_rejects_a_gain_the_system_does_not_have(tmp_path, capsys, system):
     assert not out.exists()
     assert "unknown gain 'k0'" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("eccentricity", ["1", "1.5", "-0.1", "nan"])
+def test_main_benchmark_eccentricity_outside_0_1_exits_2(tmp_path, capsys, eccentricity):
+    # at e = 1 the perihelion speed sqrt((1 + e) / (1 - e)) divides by zero
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nsystem = perturbed_kepler\nmethod = euler\n"
+                      f"t_end = 1.0\n[constants]\neccentricity = {eccentricity}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "eccentricity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
+    # R[0][0] = 1e200 squares to inf in the Gram matrix of the constraint Jacobian
+    components = dict.fromkeys(_SYSTEM_MODULES["rigid_body"].STATE_NAMES, 0.0)
+    components.update(r00=1e200, r11=1.0, r22=1.0, w0=1.0, w1=1.0, w2=1.0)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nsystem = rigid_body\nmethod = projection_euler\n"
+                      "t_end = 0.01\n[initial]\n"
+                      + "".join(f"{k} = {v!r}\n" for k, v in components.items()))
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert "run aborted at step 1: non-finite constraint Jacobian" in capsys.readouterr().err
+    assert len(read_csv(out)[1]) == 1
 
 def test_main_bad_gains_string():
     code = main(["run", "--system", "kepler", "--method", "euler",

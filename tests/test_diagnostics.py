@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,46 @@ def test_orthogonality_report_passes(rigid_sys, kepler_sys, pk_sys):
         report = orthogonality_report(system, n_samples=1500, seed=0)
         assert report.passed, report
 
+
+
+def per_state_worst_residual(system, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        s = system.sample_state(rng)
+        g = system.gradient(s)
+        f = system.field(s)
+        worst = max(worst, abs(float(g @ f)) / (1.0 + np.linalg.norm(g) * np.linalg.norm(f)))
+    return worst
+
+
+@pytest.mark.parametrize("n_samples", [999, 2500])  # one short block; a partial last block
+def test_orthogonality_report_matches_a_per_state_loop(rigid_sys, kepler_sys, pk_sys, n_samples):
+    for system in (rigid_sys, kepler_sys, pk_sys):
+        report = orthogonality_report(system, n_samples=n_samples, seed=5)
+        assert report.n_samples == n_samples
+        assert abs(report.max_scaled_residual
+                   - per_state_worst_residual(system, n_samples, 5)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_samples", [999, 2500])
+def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
+    # gradient = field makes the residual |X|^2 / (1 + |X|^2); the k-th state
+    # drawn, x = (1, 0, 0) and v = (0, k, 0), has |X|^2 = k^2 + 1, so the last
+    # state has the largest residual, some 1e-10 above the one before it
+    drawn = []
+
+    def growing(rng):
+        drawn.append(None)
+        return np.array((1.0, 0.0, 0.0, 0.0, float(len(drawn)), 0.0))
+
+    probe = dataclasses.replace(kepler_sys, sample_state=growing, gradient=kepler_sys.field)
+    report = orthogonality_report(probe, n_samples=n_samples, seed=6)
+    assert len(drawn) == n_samples
+    drawn.clear()
+    expected = per_state_worst_residual(probe, n_samples, 6)
+    assert abs(report.max_scaled_residual - expected) <= 1e-15
+    assert report.max_scaled_residual > 0.5
 
 def test_gradient_agreement_report_passes(rigid_sys, kepler_sys, pk_sys):
     for system in (rigid_sys, kepler_sys, pk_sys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import central_difference_gradient
 from lyapint import kepler
 from lyapint.cli import ExperimentConfig, make_advance, run_experiment
 from lyapint.errors import DomainError
-from lyapint.feedback import generic_gradient
+from lyapint.feedback import FirstIntegralMap, assemble_jacobian, generic_gradient
 from lyapint.integrators import euler_step, rollout, steps_for
 
 
@@ -133,6 +134,50 @@ def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
+
+
+# (mu, k1, k2, seed): the benchmark constants, and another mu with other gains
+KERNEL_CASES = [(1.0, 4.0, 2.0, 36), (2.5, 0.3, 7.0, 37)]
+
+
+def case_params(mu, k1, k2):
+    return kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+
+
+@pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)
+def test_jacobian_matches_jac_t_assembly_and_finite_differences(mu, k1, k2, seed):
+    # the float Jacobian against rows assembled from the numpy jac_t on basis
+    # vectors, and against central differences of eval
+    fim = kepler.integral_map(case_params(mu, k1, k2))
+    columnwise = FirstIntegralMap(dim_state=fim.dim_state, dim_values=fim.dim_values,
+                                  eval=fim.eval,
+                                  jacobian_transpose_apply=fim.jacobian_transpose_apply)
+    for s in random_states(seed, 1000):
+        jac = fim.jacobian(s)
+        assert jac.shape == (6, 6)
+        scale = 1.0 + np.abs(jac).max()
+        assert np.abs(jac - assemble_jacobian(columnwise, s)).max() <= 1e-14 * scale
+        fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
+                       for i in range(6)])
+        assert np.abs(jac - fd).max() <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)
+def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, k1, k2, seed):
+    p = case_params(mu, k1, k2)
+    states = np.array(random_states(seed, 2000))
+    for kernel in (kepler.field, kepler.lyapunov_gradient):
+        batch = kernel(p, states)
+        assert batch.shape == states.shape
+        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+
+
+def test_batch_with_a_state_at_the_origin_raises(params):
+    states = np.array(random_states(38, 10))
+    states[7, :3] = 0.0
+    for kernel in (kepler.field, kepler.lyapunov_gradient):
+        with pytest.raises(DomainError, match="batch state 7 "):
+            kernel(params, states)
 
 def test_drift_metrics_match_numpy_invariants(kepler_sys):
     p = kepler_sys.params

@@ -6,7 +6,7 @@ import pytest
 from conftest import central_difference_gradient
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
-from lyapint.feedback import FirstIntegralMap, assemble_jacobian
+from lyapint.feedback import FirstIntegralMap, assemble_jacobian, generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.systems import perturbed_kepler_system
 from test_kepler import random_states
@@ -163,6 +163,45 @@ def test_jacobian_matches_jac_t_assembly_and_finite_differences(mu, delta, k1, k
                        for i in range(4)])
         assert np.abs(jac - fd).max() <= 1e-6 * scale
 
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, seed):
+    # the float gradient kernel against field - Df^T K (f - f0) built from the numpy jac_t
+    p = case_params(mu, delta, k1, k2)
+    fim, spec = pk.integral_map(p), pk.feedback_spec(p)
+    worst = 0.0
+    for s in random_states(seed, 1000):
+        expected = pk.field(p, s) - generic_gradient(fim, spec, s)
+        diff = np.linalg.norm(pk.modified_field(p, s) - expected)
+        worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, delta, k1, k2, seed):
+    p = case_params(mu, delta, k1, k2)
+    states = np.array(random_states(seed, 2000))
+    for kernel in (pk.field, pk.lyapunov_gradient):
+        batch = kernel(p, states)
+        assert batch.shape == states.shape
+        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+
+
+@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
+def test_modified_field_is_field_minus_gradient_bit_for_bit(mu, delta, k1, k2, seed):
+    p = case_params(mu, delta, k1, k2)
+    for s in random_states(seed, 2000):
+        assert np.array_equal(pk.modified_field(p, s),
+                              pk.field(p, s) - pk.lyapunov_gradient(p, s))
+
+
+def test_batch_with_a_state_at_the_origin_raises(params):
+    states = np.array(random_states(46, 10))
+    states[3, :3] = 0.0
+    for kernel in (pk.field, pk.lyapunov_gradient):
+        with pytest.raises(DomainError, match="batch state 3 "):
+            kernel(params, states)
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):

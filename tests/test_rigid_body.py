@@ -8,6 +8,7 @@ from lyapint import rigid_body
 from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.numerics import hat
+from lyapint.systems import rigid_body_system
 
 
 def rodrigues(axis, angle):
@@ -161,6 +162,36 @@ def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
+
+
+@pytest.mark.parametrize("inertia, gains, seed", [
+    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 26),
+    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 27),
+])
+def test_batched_kernels_equal_single_state_results_bit_for_bit(inertia, gains, seed):
+    p = rigid_body.RigidBodyParams.from_initial(
+        inertia, random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9), *gains)
+    states = np.array(random_states(seed, 2000))
+    for kernel in (rigid_body.field, rigid_body.lyapunov_gradient):
+        batch = kernel(p, states)
+        assert batch.shape == states.shape
+        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+
+
+def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
+    # the float triple-product determinant against np.linalg.det, same draws
+    def numpy_sampler(rng):
+        while True:
+            R = np.eye(3) + rng.uniform(-0.5, 0.5, size=(3, 3))
+            if np.linalg.det(R) > 1e-3:
+                break
+        return rigid_body.pack(R, rng.uniform(-2.0, 2.0, size=3))
+
+    sample = rigid_body_system().sample_state
+    new, old = np.random.default_rng(1), np.random.default_rng(1)
+    drawn = np.array([sample(new) for _ in range(10_000)])
+    assert np.array_equal(drawn, np.array([numpy_sampler(old) for _ in range(10_000)]))
+    assert np.array_equal(new.uniform(size=4), old.uniform(size=4))
 
 def test_drift_metrics_match_numpy_integrals(rigid_sys):
     p = rigid_sys.params
