@@ -45,7 +45,7 @@ from .integrators import (
     stormer_verlet_step,
 )
 from .kepler import state_at_eccentric_anomaly
-from .numerics import norm
+from .numerics import components, norm
 from .systems import SYSTEM_NAMES, SystemModel, make_system
 
 METHOD_NAMES = (
@@ -274,10 +274,12 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         return make_system(cfg.system, **kwargs)
     except (ValueError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:  # the start state's integrals overflow
+        raise ConfigError(f"{type(exc).__name__} at the initial state: {exc}") from exc
 
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
-    """Bind a method name to an ``advance(x, h) -> x`` stepping closure."""
+    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats."""
     if method == "feedback_euler":
         return lambda x, h: euler_step(system.modified_field, x, h)
     if method == "feedback_rk4":
@@ -298,7 +300,7 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
     if method == "splitting":
         if system.splitting_step is None:
             raise ConfigError(f"splitting is not defined for system {system.name!r}")
-        return lambda x, h: system.splitting_step(x, h)
+        return lambda x, h: components(system.splitting_step(np.array(x), h))
     if method in ("stormer_verlet_a", "stormer_verlet_b"):
         if system.accel is None:
             raise ConfigError(f"Stormer-Verlet is not defined for system {system.name!r}")
@@ -306,7 +308,7 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
 
         def advance(x, h):
             q, v = stormer_verlet_step(system.accel, x[:3], x[3:], h, variant=variant)
-            return np.concatenate((q, v))
+            return (*q, *v)
 
         return advance
     raise ConfigError(f"unknown method {method!r}")
@@ -336,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     n_steps = steps_for(cfg.t_end, cfg.h)
     stride = cfg.sample_stride
 
-    s0 = np.array(system.initial_state)
+    s0 = components(system.initial_state)
     maxima: dict = {}
     final_metrics: dict = {}
     started = time.perf_counter()
@@ -360,8 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
                 if maxima.get(key, -1.0) < value:
                     maxima[key] = value
             if k % stride == 0 or k == n_steps:
-                handle.write(row_format % (k * cfg.h, *x.tolist(),
-                                           *[metrics[c] for c in metric_cols]))
+                handle.write(row_format % (k * cfg.h, *x, *[metrics[c] for c in metric_cols]))
 
         def summary(steps_taken):
             return RunSummary(
@@ -476,7 +477,7 @@ def check_system(name: str) -> int:
         # bound
         _, states = rollout(
             make_advance(system, "feedback_euler", ExperimentConfig()),
-            system.initial_state, 1e-4, steps_for(2.0, 1e-4), stride=200)
+            components(system.initial_state), 1e-4, steps_for(2.0, 1e-4), stride=200)
         worst = max(system.lyapunov(s) for s in states)
         ok &= _print_check(
             "rigid_body.level_set_invariance",
@@ -514,7 +515,7 @@ def check_system(name: str) -> int:
     if name == "perturbed_kepler":
         _, states = rollout(
             make_advance(system, "rk4", ExperimentConfig()),
-            system.initial_state, 1e-3, steps_for(system.period, 1e-3),
+            components(system.initial_state), 1e-3, steps_for(system.period, 1e-3),
             stride=max(1, steps_for(system.period, 1e-3) // 6))
         rank = check_rank_condition(system.integral_map, list(states))
         ok &= _print_check(

@@ -146,7 +146,7 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
     if v_init >= system.gain_bound:
         raise ValueError(
             f"v_init {v_init:g} is not below the gain bound {system.gain_bound:g}")
-    x0 = state_with_lyapunov(system, v_init)
+    x0 = tuple(state_with_lyapunov(system, v_init).tolist())
     plateaus = []
     for h in steps:
         n = steps_for(horizon, h)

@@ -1,11 +1,13 @@
 """One-step integration schemes and the constraint-projection wrapper.
 
-Every scheme is a pure function ``(field, x, h) -> x_next`` on flat state
-vectors. ``integrate`` is the one loop that advances a trajectory by repeated
-application, and the one place where a failing step is numbered and turned
-into IntegrationError. Projection wraps any base scheme and pulls the result
-back onto a target level set of a first-integral map with a simplified Newton
-iteration.
+Each scheme ``(field, x, h) -> x_next`` is written once, over a tuple x of
+Python floats and a field mapping such tuples to float sequences; an array x
+is stepped as its floats, with ``field`` called on arrays, and comes back as
+an array. ``integrate`` is the one loop that advances a trajectory by
+repeated application, and the one place where a failing step is numbered and
+turned into IntegrationError. Projection wraps any base scheme and pulls the
+result back onto a target level set of a first-integral map with a
+simplified Newton iteration.
 """
 
 import math
@@ -24,24 +26,39 @@ from .feedback import FirstIntegralMap, assemble_jacobian
 _GRAM_CUTOFF = 1e-14
 
 
+def _axpy(x, a, y) -> tuple:
+    """x + a * y over component sequences, one IEEE multiply and add per component."""
+    return tuple([xi + a * yi for xi, yi in zip(x, y)])
+
+
+def _finite(y: tuple, scheme: str) -> tuple:
+    if not all(map(math.isfinite, y)):
+        raise IntegrationError(f"non-finite state after {scheme} step")
+    return y
+
+
+def _on_floats(fn):
+    """An array-to-array function ``fn`` as a function on component sequences."""
+    return lambda v: fn(np.array(v)).tolist()
+
+
 def euler_step(field, x, h):
     """Forward Euler: x + h * field(x)."""
-    y = x + h * field(x)
-    if not np.isfinite(y).all():
-        raise IntegrationError("non-finite state after Euler step")
-    return y
+    if not isinstance(x, tuple):
+        return np.array(euler_step(_on_floats(field), tuple(x.tolist()), h))
+    return _finite(_axpy(x, h, field(x)), "Euler")
 
 
 def rk4_step(field, x, h):
     """Classical four-stage Runge-Kutta step."""
+    if not isinstance(x, tuple):
+        return np.array(rk4_step(_on_floats(field), tuple(x.tolist()), h))
     k1 = field(x)
-    k2 = field(x + (0.5 * h) * k1)
-    k3 = field(x + (0.5 * h) * k2)
-    k4 = field(x + h * k3)
-    y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(y).all():
-        raise IntegrationError("non-finite state after RK4 step")
-    return y
+    k2 = field(_axpy(x, 0.5 * h, k1))
+    k3 = field(_axpy(x, 0.5 * h, k2))
+    k4 = field(_axpy(x, h, k3))
+    slope = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+    return _finite(_axpy(x, h / 6.0, slope), "RK4")
 
 
 def stormer_verlet_step(accel, q, v, h, variant="A"):
@@ -50,20 +67,23 @@ def stormer_verlet_step(accel, q, v, h, variant="A"):
     Variant A is kick-drift-kick: a velocity half-step, a full position
     update, then the closing velocity half-step. Variant B is its adjoint,
     drift-kick-drift. Both are second order and symplectic; the acceleration
-    may depend on position only.
+    may depend on position only. ``q`` and ``v`` are both tuples or both arrays.
     """
+    if not isinstance(q, tuple):
+        q1, v1 = stormer_verlet_step(_on_floats(accel), tuple(q.tolist()),
+                                     tuple(v.tolist()), h, variant)
+        return np.array(q1), np.array(v1)
     if variant == "A":
-        vh = v + (0.5 * h) * accel(q)
-        q1 = q + h * vh
-        v1 = vh + (0.5 * h) * accel(q1)
+        vh = _axpy(v, 0.5 * h, accel(q))
+        q1 = _axpy(q, h, vh)
+        v1 = _axpy(vh, 0.5 * h, accel(q1))
     elif variant == "B":
-        qh = q + (0.5 * h) * v
-        v1 = v + h * accel(qh)
-        q1 = qh + (0.5 * h) * v1
+        qh = _axpy(q, 0.5 * h, v)
+        v1 = _axpy(v, h, accel(qh))
+        q1 = _axpy(qh, 0.5 * h, v1)
     else:
         raise ValueError(f"unknown Stormer-Verlet variant {variant!r}")
-    if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(v1))):
-        raise IntegrationError("non-finite state after Stormer-Verlet step")
+    _finite(q1 + v1, "Stormer-Verlet")
     return q1, v1
 
 
@@ -109,20 +129,23 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
     C = Df(xt)^T G^+ built once per step, each iteration is
     y <- y - C (f(y) - target), starting from y = xt. Returns once the
     residual norm is within cfg.tol; raises ProjectionError with the final
-    residual otherwise.
+    residual otherwise. ``base`` steps the tuple; the Newton loop runs on an array built from xt.
     """
-    y = base(field, x, h)
+    if not isinstance(x, tuple):
+        return np.array(projection_step(base, cfg, _on_floats(field), tuple(x.tolist()), h))
+    xt = base(field, x, h)
+    y = np.array(xt)
     res = cfg.constraint.eval(y) - cfg.target
     rnorm = math.sqrt(float(res @ res))
     if rnorm <= cfg.tol:
-        return y
+        return xt
     correction = _gram_pseudo_solver(assemble_jacobian(cfg.constraint, y))
     for _ in range(cfg.max_iter):
         y = y - correction @ res
         res = cfg.constraint.eval(y) - cfg.target
         rnorm = math.sqrt(float(res @ res))
         if rnorm <= cfg.tol:
-            return y
+            return tuple(y.tolist())
     raise ProjectionError(
         f"projection residual {rnorm:.3e} above tolerance {cfg.tol:.3e} "
         f"after {cfg.max_iter} iterations",
@@ -136,16 +159,17 @@ def steps_for(t_end: float, h: float) -> int:
 
 
 def integrate(advance, x0, h, n_steps, observe):
-    """Advance ``x = advance(x, h)`` n_steps times from a copy of x0; return the final state.
+    """Advance ``x = advance(x, h)`` n_steps times from x0; return the final state.
 
-    ``observe(k, x)`` sees the start state (k = 0) and the state after every
-    step k. A step and its observation fail together as step k: an
-    ``ArithmeticError`` (float overflow, division by zero) becomes
-    IntegrationError with ``step = k`` and the original error as its cause;
-    any other exception gets ``step = k`` unless it already carries a step,
-    and propagates unchanged.
+    A tuple x0 of floats is carried as tuples; any other x0 is first copied
+    into a float array. ``observe(k, x)`` sees the start state (k = 0) and
+    the state after every step k. A step and its observation fail together
+    as step k: an ``ArithmeticError`` (float overflow, division by zero)
+    becomes IntegrationError with ``step = k`` and the original error as its
+    cause; any other exception gets ``step = k`` unless it already carries a
+    step, and propagates unchanged.
     """
-    x = np.array(x0, dtype=float)
+    x = x0 if isinstance(x0, tuple) else np.array(x0, dtype=float)
     observe(0, x)
     try:
         for k in range(1, n_steps + 1):
@@ -161,7 +185,7 @@ def integrate(advance, x0, h, n_steps, observe):
 
 
 def rollout(advance, x0, h, n_steps, stride=1):
-    """``integrate`` recording every ``stride``-th state; returns (times, states).
+    """``integrate`` recording every ``stride``-th state; returns (times, states) as arrays.
 
     Step 0 and the final step are always recorded.
     """
@@ -170,7 +194,7 @@ def rollout(advance, x0, h, n_steps, stride=1):
     def record(k, x):
         if k % stride == 0 or k == n_steps:
             times.append(k * h)
-            states.append(x.copy())
+            states.append(np.array(x))
 
     integrate(advance, x0, h, n_steps, record)
     return np.array(times), np.array(states)

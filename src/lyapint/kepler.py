@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import componentwise, cross, norm, radius
+from .numerics import componentwise, components, cross, norm, radius
 
 DIM = 6
 
@@ -78,26 +78,27 @@ def _field_components(p: KeplerParams, v) -> tuple:
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
-def field(p: KeplerParams, s: np.ndarray) -> np.ndarray:
-    """Original dynamics (v, -mu x / |x|^3) at a state (6,) or a batch (N, 6)."""
+def field(p: KeplerParams, s):
+    """Original dynamics (v, -mu x / |x|^3) at a state (a tuple or (6,)) or a batch (N, 6)."""
     return componentwise(_field_components, p, s)
 
 
-def accel(p: KeplerParams, q: np.ndarray) -> np.ndarray:
+def _accel_components(p: KeplerParams, q) -> tuple:
+    return _field_components(p, (*q, 0.0, 0.0, 0.0))[3:]
+
+
+def accel(p: KeplerParams, q):
     """Position-only acceleration -mu q / |q|^3 (for Stormer-Verlet stepping)."""
-    q0, q1, q2 = q.tolist()
-    r2 = q0 * q0 + q1 * q1 + q2 * q2
-    c = -p.mu / (r2 * radius(r2))
-    return np.array((c * q0, c * q1, c * q2))
+    return componentwise(_accel_components, p, q)
 
 
-def invariant_components(mu: float, s: np.ndarray) -> tuple:
+def invariant_components(mu: float, s) -> tuple:
     """(L, A, E) at s as seven Python floats: L0, L1, L2, A0, A1, A2, E.
 
     The one source of the Kepler integrals: the kernels below, the target
     values (L0, A0) and the drift metrics all evaluate these expressions.
     """
-    x0, x1, x2, v0, v1, v2 = s.tolist()
+    x0, x1, x2, v0, v1, v2 = components(s)
     m = mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
@@ -115,7 +116,7 @@ def invariants(p: KeplerParams, s: np.ndarray):
     return np.array((l0, l1, l2)), np.array((a0, a1, a2)), E
 
 
-def lyapunov(p: KeplerParams, s: np.ndarray) -> float:
+def lyapunov(p: KeplerParams, s) -> float:
     l0, l1, l2, a0, a1, a2, _ = invariant_components(p.mu, s)
     t = p._target
     d0, d1, d2 = l0 - t[0], l1 - t[1], l2 - t[2]
@@ -175,18 +176,22 @@ def _gradient_components(p: KeplerParams, v) -> tuple:
     return _field_and_gradient(p, v)[7:]
 
 
-def lyapunov_gradient(p: KeplerParams, s: np.ndarray) -> np.ndarray:
+def lyapunov_gradient(p: KeplerParams, s):
     """Closed-form gradient of V (see ``_field_and_gradient``).
 
-    Takes a state of shape (6,) or a batch of shape (N, 6).
+    Takes a tuple of floats, a state of shape (6,) or a batch of shape (N, 6).
     """
     return componentwise(_gradient_components, p, s)
 
 
-def modified_field(p: KeplerParams, s: np.ndarray) -> np.ndarray:
-    """Feedback dynamics: original field minus the Lyapunov gradient."""
-    x0, x1, x2, v0, v1, v2, c, g0, g1, g2, g3, g4, g5 = _field_and_gradient(p, s.tolist())
-    return np.array((v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5))
+def _modified_field_components(p: KeplerParams, v) -> tuple:
+    x0, x1, x2, v0, v1, v2, c, g0, g1, g2, g3, g4, g5 = _field_and_gradient(p, v)
+    return v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5
+
+
+def modified_field(p: KeplerParams, s):
+    """Feedback dynamics: original field minus the Lyapunov gradient (shapes as ``field``)."""
+    return componentwise(_modified_field_components, p, s)
 
 
 def gain_bound(p: KeplerParams) -> float:

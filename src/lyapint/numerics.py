@@ -39,15 +39,22 @@ def frobenius_norm(a) -> float:
     return math.sqrt(float(np.sum(a * a)))
 
 
-def componentwise(kernel, p, s: np.ndarray) -> np.ndarray:
-    """``kernel(p, components)`` on one state of shape (dim,) or a batch of shape (N, dim).
+def components(s) -> tuple:
+    """One state as a tuple of Python floats: a tuple as it is, an array (dim,) by ``tolist``."""
+    return s if isinstance(s, tuple) else tuple(s.tolist())
 
-    One state is handed to the kernel as dim Python floats and gives an array
-    of shape (m,); a batch as its dim columns, arrays of shape (N,), and gives
-    shape (N, m). The kernel applies the same IEEE operations in the same
-    order either way, so row i of a batch result equals the result for state
-    i bit for bit.
+
+def componentwise(kernel, p, s):
+    """``kernel(p, components)`` on a tuple of floats (giving a tuple), a state (dim,) or a batch.
+
+    A state of shape (dim,) goes to the kernel as dim Python floats and gives
+    shape (m,); a batch of shape (N, dim) as its dim columns, arrays of shape
+    (N,), and gives (N, m). The kernel applies the same IEEE operations in the
+    same order either way, so row i of a batch result equals the result for
+    state i bit for bit.
     """
+    if isinstance(s, tuple):
+        return kernel(p, s)
     if s.ndim == 1:
         return np.array(kernel(p, s.tolist()))
     return np.array(kernel(p, s.T)).T

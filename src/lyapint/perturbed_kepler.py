@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import componentwise, cross, norm, radius
+from .numerics import componentwise, components, cross, norm, radius
 
 DIM = 6
 
@@ -132,27 +132,28 @@ def _field_components(p: PerturbedKeplerParams, v) -> tuple:
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
-def field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
-    """Original dynamics (v, -U'(|x|) x / |x|) at a state (6,) or a batch (N, 6)."""
+def field(p: PerturbedKeplerParams, s):
+    """Original dynamics (v, -U'(|x|) x / |x|) at a state (a tuple or (6,)) or a batch (N, 6)."""
     return componentwise(_field_components, p, s)
 
 
-def accel(p: PerturbedKeplerParams, q: np.ndarray) -> np.ndarray:
+def _accel_components(p: PerturbedKeplerParams, q) -> tuple:
+    return _field_components(p, (*q, 0.0, 0.0, 0.0))[3:]
+
+
+def accel(p: PerturbedKeplerParams, q):
     """Position-only acceleration -U'(|q|) q / |q|."""
-    q0, q1, q2 = q.tolist()
-    r = radius(q0 * q0 + q1 * q1 + q2 * q2)
-    c = -p.potential.u_prime(r) / r
-    return np.array((c * q0, c * q1, c * q2))
+    return componentwise(_accel_components, p, q)
 
 
-def invariant_components(potential: RadialPotential, s: np.ndarray) -> tuple:
+def invariant_components(potential: RadialPotential, s) -> tuple:
     """(E, L) at s as four Python floats: E, L0, L1, L2.
 
     The one source of the perturbed-Kepler integrals: the target values
     (E0, L0), ``invariants``, ``lyapunov``, the integral map's ``eval`` and
     the drift metrics all evaluate these expressions.
     """
-    x0, x1, x2, v0, v1, v2 = s.tolist()
+    x0, x1, x2, v0, v1, v2 = components(s)
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + potential.u(r)
     if not math.isfinite(E):
@@ -166,7 +167,7 @@ def invariants(p: PerturbedKeplerParams, s: np.ndarray):
     return E, np.array((l0, l1, l2))
 
 
-def lyapunov(p: PerturbedKeplerParams, s: np.ndarray) -> float:
+def lyapunov(p: PerturbedKeplerParams, s) -> float:
     E, l0, l1, l2 = invariant_components(p.potential, s)
     t = p._target
     dE = E - t[0]
@@ -204,24 +205,26 @@ def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
     )
 
 
-def lyapunov_gradient(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
+def lyapunov_gradient(p: PerturbedKeplerParams, s):
     """Closed-form gradient of V (see ``_gradient_components``).
 
-    Takes a state of shape (6,) or a batch of shape (N, 6).
+    Takes a tuple of floats, a state of shape (6,) or a batch of shape (N, 6).
     """
     return componentwise(_gradient_components, p, s)
 
 
-def modified_field(p: PerturbedKeplerParams, s: np.ndarray) -> np.ndarray:
+def _modified_field_components(p: PerturbedKeplerParams, v) -> tuple:
+    return tuple(map(operator.sub, _field_components(p, v), _gradient_components(p, v)))
+
+
+def modified_field(p: PerturbedKeplerParams, s):
     """Feedback dynamics: original field minus the Lyapunov gradient.
 
     Both terms come from the kernels of ``field`` and
     ``lyapunov_gradient``, so the result is bit-identical to their
-    difference.
+    difference. Takes a tuple of floats, a state (6,) or a batch (N, 6).
     """
-    v = s.tolist()
-    return np.array(list(map(operator.sub, _field_components(p, v),
-                             _gradient_components(p, v))))
+    return componentwise(_modified_field_components, p, s)
 
 
 def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import I3, componentwise, frobenius_norm
+from .numerics import I3, componentwise, components, frobenius_norm
 
 DIM = 12
 
@@ -101,14 +101,14 @@ def benchmark_setup(k0=None, k1=None, k2=None, inertia=None):
     return params, pack(I3, BENCHMARK_OMEGA0)
 
 
-def invariant_components(inertia: tuple, s: np.ndarray) -> tuple:
+def invariant_components(inertia: tuple, s) -> tuple:
     """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
 
     ``inertia`` is the three principal moments as floats. The one source of
     the rigid-body integrals: the kernels below, the target values (E0, pi0)
     and the drift metrics all evaluate these expressions.
     """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = s.tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = components(s)
     i0, i1, i2 = inertia
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
@@ -183,10 +183,10 @@ def _gradient_components(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
+def field(p: RigidBodyParams, s):
     """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega)).
 
-    Takes a state of shape (12,) or a batch of shape (N, 12).
+    Takes a tuple of floats, a state of shape (12,) or a batch of shape (N, 12).
     """
     return componentwise(_field_components, p, s)
 
@@ -197,7 +197,7 @@ def integrals(p: RigidBodyParams, s: np.ndarray):
     return E, np.array((q0, q1, q2))
 
 
-def lyapunov(p: RigidBodyParams, s: np.ndarray) -> float:
+def lyapunov(p: RigidBodyParams, s) -> float:
     E, q0, q1, q2, defect_sq = invariant_components(p._inertia, s)
     E0, t0, t1, t2 = p._target
     dE = E - E0
@@ -206,24 +206,26 @@ def lyapunov(p: RigidBodyParams, s: np.ndarray) -> float:
             + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2))
 
 
-def lyapunov_gradient(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
+def lyapunov_gradient(p: RigidBodyParams, s):
     """Closed-form gradient of V (see ``_gradient_components``).
 
-    Takes a state of shape (12,) or a batch of shape (N, 12).
+    Takes a tuple of floats, a state of shape (12,) or a batch of shape (N, 12).
     """
     return componentwise(_gradient_components, p, s)
 
 
-def modified_field(p: RigidBodyParams, s: np.ndarray) -> np.ndarray:
+def _modified_field_components(p: RigidBodyParams, v) -> tuple:
+    return tuple(map(operator.sub, _field_components(p, v), _gradient_components(p, v)))
+
+
+def modified_field(p: RigidBodyParams, s):
     """Feedback dynamics: original field minus the Lyapunov gradient.
 
     Both terms come from the kernels of ``field`` and
     ``lyapunov_gradient``, so the result is bit-identical to their
-    difference.
+    difference. Takes a tuple of floats, a state (12,) or a batch (N, 12).
     """
-    v = s.tolist()
-    return np.array(list(map(operator.sub, _field_components(p, v),
-                             _gradient_components(p, v))))
+    return componentwise(_modified_field_components, p, s)
 
 
 def gain_bound(p: RigidBodyParams) -> float:

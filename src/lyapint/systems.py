@@ -6,6 +6,8 @@ stacked integral map with its gain spec, drift metrics relative to a run's
 initial state, and a sampler for randomized property checks.
 """
 
+from __future__ import annotations  # np.random.Generator would load numpy.random
+
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -14,7 +16,6 @@ import numpy as np
 
 from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import norm
 
 SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
 
@@ -56,13 +57,16 @@ def _rigid_sampler(rng: np.random.Generator) -> np.ndarray:
                      *rng.uniform(-2.0, 2.0, size=3).tolist()))
 
 
-def _orbital_sampler(rng: np.random.Generator) -> np.ndarray:
+def _orbital_sampler(rng: np.random.Generator, r_min: float = 0.2) -> np.ndarray:
+    # Positions uniform in [-2, 2]^3 with |x| >= 0.2, then velocities uniform
+    # in [-1.5, 1.5]^3; a state with |x| < r_min is drawn again from the start.
     while True:
-        x = rng.uniform(-2.0, 2.0, size=3)
-        if norm(x) >= 0.2:
-            break
-    v = rng.uniform(-1.5, 1.5, size=3)
-    return np.concatenate((x, v))
+        x0, x1, x2 = rng.uniform(-2.0, 2.0, size=3).tolist()
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if r >= 0.2:
+            v = rng.uniform(-1.5, 1.5, size=3).tolist()
+            if r >= r_min:
+                return np.array((x0, x1, x2, *v))
 
 
 def rigid_body_system(params=None, initial_state=None, gains=None, inertia=None) -> SystemModel:
@@ -214,13 +218,6 @@ def perturbed_kepler_system(params=None, initial_state=None, gains=None,
             "V": 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2),
         }
 
-    def sampler(rng):
-        # Keep radii away from the strongly repulsive inner region.
-        while True:
-            s = _orbital_sampler(rng)
-            if norm(s[:3]) >= 0.25:
-                return s
-
     return SystemModel(
         name="perturbed_kepler",
         dim=perturbed_kepler.DIM,
@@ -235,7 +232,7 @@ def perturbed_kepler_system(params=None, initial_state=None, gains=None,
         state_names=perturbed_kepler.STATE_NAMES,
         drift_names=("dE", "dL", "V"),
         drift_metrics=drift,
-        sample_state=sampler,
+        sample_state=lambda rng: _orbital_sampler(rng, r_min=0.25),  # off the repulsive core
         gain_bound=float("inf"),
         period=period,
         projection_tol=1e-8,

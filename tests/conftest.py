@@ -1,7 +1,8 @@
 """Shared fixtures: the benchmark systems and the heavy trajectory runs.
 
 The long integrations (minutes in total) are computed once per session and
-reused by both the module tests and the acceptance suite.
+reused by both the module tests and the acceptance suite. They carry their
+state as a tuple of Python floats, the form the schemes step directly.
 """
 
 import math
@@ -11,13 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapint.integrators import (
-    euler_step,
-    integrate,
-    rk4_step,
-    steps_for,
-    stormer_verlet_step,
-)
+from lyapint.cli import ExperimentConfig, make_advance
+from lyapint.integrators import euler_step, integrate, rk4_step, steps_for
+from lyapint.numerics import components
 from lyapint.systems import make_system
 
 # Per-step allowance for scheme truncation in the V-decrease property.
@@ -32,10 +29,10 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
     t <= cutoff for each cutoff in ``v_windows``), a coarse series of one
     metric, and the worst per-step rise of V beyond the truncation allowance.
     """
-    s0 = np.array(system.initial_state if x0 is None else x0, dtype=float)
+    s0 = components(np.array(system.initial_state if x0 is None else x0, dtype=float))
     n = steps_for(t_end, h)
     maxima = {}
-    times, states = [0.0], [s0.copy()]
+    times, states = [0.0], [s0]
     series = []
     v_prev = system.lyapunov(s0)
     v_window_max = {cut: v_prev for cut in v_windows}
@@ -58,7 +55,7 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
                 v_window_max[cut] = v
         if state_stride and (k % state_stride == 0 or k == n):
             times.append(t)
-            states.append(x.copy())
+            states.append(x)
         if series_stride and k % series_stride == 0:
             series.append(m[series_metric])
 
@@ -68,7 +65,7 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
         maxima=maxima,
         times=np.array(times),
         states=np.array(states),
-        final=final,
+        final=np.array(final),
         worst_rise=worst_rise,
         v_window_max=v_window_max,
         series=np.array(series) if series else None,
@@ -78,7 +75,11 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
 
 
 def global_order_ratio(step, field, x0, t_end, h, exact):
-    """Ratio of global errors at steps h and h/2 against a known endpoint."""
+    """Ratio of global errors at steps h and h/2 against a known endpoint.
+
+    ``x0`` is stepped as ``integrate`` takes it: a tuple of floats on the
+    float path, anything else as an array.
+    """
 
     def err(hh):
         x = integrate(lambda x, dt: step(field, x, dt), x0, hh, round(t_end / hh),
@@ -147,12 +148,9 @@ def kepler_feedback_10T(kepler_sys):
 
 @pytest.fixture(scope="session")
 def kepler_sva_10T(kepler_sys):
-    def advance(x, h):
-        q, v = stormer_verlet_step(kepler_sys.accel, x[:3], x[3:], h, "A")
-        return np.concatenate((q, v))
-
     return run_with_metrics(
-        kepler_sys, advance, h=0.005, t_end=10.0 * kepler_sys.period,
+        kepler_sys, make_advance(kepler_sys, "stormer_verlet_a", ExperimentConfig()),
+        h=0.005, t_end=10.0 * kepler_sys.period,
         series_stride=1000, series_metric="dA")
 
 
@@ -167,8 +165,6 @@ def kepler_ref_period(kepler_sys):
 @pytest.fixture(scope="session")
 def pk_runs(pk_sys):
     """The four perturbed-Kepler benchmark trajectories over t in [0, 200]."""
-    from lyapint.cli import ExperimentConfig, make_advance
-
     cfg = ExperimentConfig(system="perturbed_kepler", projection_tol=1e-8)
     runs = {}
     runs["feedback"] = run_with_metrics(

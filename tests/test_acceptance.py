@@ -231,9 +231,9 @@ def test_c8_hypothesis_checker():
 # -- criterion 9: convergence orders ------------------------------------------
 
 def test_c9_scheme_orders(rigid_sys):
-    euler_ratio = global_order_ratio(euler_step, lambda s: s, [1.0], 1.0,
+    euler_ratio = global_order_ratio(euler_step, lambda s: s, (1.0,), 1.0,
                                      0.01, np.array([math.e]))
-    rk4_ratio = global_order_ratio(rk4_step, lambda s: s, [1.0], 1.0,
+    rk4_ratio = global_order_ratio(rk4_step, lambda s: s, (1.0,), 1.0,
                                    0.1, np.array([math.e]))
 
     def sv_error(h):

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,7 +199,8 @@ def run_invocations(draw):
                 components["zz" if fault == "extra" else name] = value("initial")
         lines += [f"{n} = {v}" for n, v in components.items()]
     lines.append(value("extra"))
-    if flags and draw(st.booleans()):
+    # flags alone only when they carry h: t_end was sized for that step
+    if flags and (h is None or "--h" in flags) and draw(st.booleans()):
         return None, flags
     return "\n".join(lines) + "\n", flags
 
@@ -448,6 +452,26 @@ def test_main_benchmark_eccentricity_outside_0_1_exits_2(tmp_path, capsys, eccen
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert "eccentricity" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_far_perturbed_kepler_start_exits_2(tmp_path, capsys):
+    # |x| = 1e103: r**3 in the start state's energy overflows Python floats
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nsystem = perturbed_kepler\nmethod = euler\n"
+                      "t_end = 1\n[initial]\nx0 = 1e103\nx1 = 0\nx2 = 0\n"
+                      "v0 = 0\nv1 = 1\nv2 = 0\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "OverflowError at the initial state" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy.random costs the start of every `lyapint run`; only `check` samples
+    code = "import sys, lyapint.cli; sys.exit('numpy.random' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import global_order_ratio
-from lyapint.cli import ExperimentConfig, make_advance
-from lyapint.errors import DomainError, IntegrationError, ProjectionError, RankError
+from lyapint.cli import (
+    _BENCHMARK_STEP,
+    METHOD_NAMES,
+    ExperimentConfig,
+    make_advance,
+    run_experiment,
+)
+from lyapint.errors import (
+    ConfigError,
+    DomainError,
+    IntegrationError,
+    ProjectionError,
+    RankError,
+)
 from lyapint.feedback import FirstIntegralMap, assemble_jacobian
 from lyapint.integrators import (
     ProjectionConfig,
@@ -17,6 +29,7 @@ from lyapint.integrators import (
     steps_for,
     stormer_verlet_step,
 )
+from lyapint.systems import SYSTEM_NAMES, make_system
 
 
 def test_euler_zero_field_keeps_state():
@@ -106,13 +119,13 @@ def test_stormer_verlet_kepler_angular_momentum(kepler_sys):
 
 
 def test_order_euler():
-    ratio = global_order_ratio(euler_step, lambda s: s, [1.0], 1.0, 0.01,
+    ratio = global_order_ratio(euler_step, lambda s: s, (1.0,), 1.0, 0.01,
                                np.array([math.e]))
     assert 1.8 <= ratio <= 2.2
 
 
 def test_order_rk4():
-    ratio = global_order_ratio(rk4_step, lambda s: s, [1.0], 1.0, 0.1,
+    ratio = global_order_ratio(rk4_step, lambda s: s, (1.0,), 1.0, 0.1,
                                np.array([math.e]))
     assert 14.0 <= ratio <= 18.0
 
@@ -329,3 +342,119 @@ def test_rollout_turns_float_overflow_into_integration_error(pk_sys):
         rollout(advance, pk_sys.initial_state, 0.3, 1300)
     assert info.value.step == 8
     assert isinstance(info.value.__cause__, OverflowError)
+
+
+def _is_valid(name, method):
+    try:
+        ExperimentConfig(system=name, method=method, t_end=1.0).validated()
+    except ConfigError:
+        return False
+    return True
+
+
+VALID_PAIRS = [(name, method) for name in SYSTEM_NAMES for method in METHOD_NAMES
+               if _is_valid(name, method)]
+
+
+def test_valid_pairs_are_the_twenty_documented_cells():
+    assert len(VALID_PAIRS) == 20  # rigid body 6, Kepler 7, perturbed Kepler 7
+
+
+def array_advance(system, method):
+    """The method stepped by the public schemes on arrays, independently of make_advance."""
+    field = system.modified_field if method.startswith("feedback") else system.field
+    if method in ("feedback_euler", "euler"):
+        return lambda x, h: euler_step(field, x, h)
+    if method in ("feedback_rk4", "rk4"):
+        return lambda x, h: rk4_step(field, x, h)
+    if method == "projection_euler":
+        cfg = ProjectionConfig(constraint=system.integral_map,
+                               target=system.feedback_spec.reference,
+                               tol=system.projection_tol)
+        return lambda x, h: projection_step(euler_step, cfg, field, x, h)
+    if method == "splitting":
+        return system.splitting_step
+    variant = method[-1].upper()
+
+    def advance(x, h):
+        q, v = stormer_verlet_step(system.accel, x[:3], x[3:], h, variant)
+        return np.concatenate((q, v))
+
+    return advance
+
+
+@pytest.mark.parametrize("name, method", VALID_PAIRS)
+def test_float_steps_equal_the_array_schemes_bit_for_bit(name, method):
+    system = make_system(name)
+    h = _BENCHMARK_STEP[name]
+    # off the level set, so the feedback acts and projection's Newton loop runs
+    xa = system.initial_state + np.random.default_rng(61).uniform(-1e-3, 1e-3, system.dim)
+    xt = tuple(xa.tolist())
+    advance = make_advance(system, method, ExperimentConfig())
+    reference = array_advance(system, method)
+    for _ in range(200):
+        xt, xa = advance(xt, h), reference(xa, h)
+        assert type(xt) is tuple and all(type(c) is float for c in xt)
+        assert np.array(xt).tobytes() == xa.tobytes()
+
+
+@pytest.mark.parametrize("name, method", VALID_PAIRS)
+def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
+    out = tmp_path / "stride3.csv"
+    h, n = _BENCHMARK_STEP[name], 20
+    run_experiment(ExperimentConfig(system=name, method=method, h=h, t_end=(n + 0.5) * h,
+                                    output_path=str(out), sample_stride=3))
+    system = make_system(name)
+    times, states = rollout(array_advance(system, method), system.initial_state, h, n,
+                            stride=3)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 1 + n // 3 + 1  # header, step 0, every third step, step n
+    drift_cols = [c for c in system.drift_names if c != "V"]
+    for line, t, s in zip(lines[1:], times, states, strict=True):
+        m = system.drift_metrics(s, system.initial_state)
+        values = (t, *s, m["V"], *(m[c] for c in drift_cols))
+        assert line.split(",") == [format(v, ".17g") for v in values]
+
+
+def numpy_euler(field, x, h):
+    return x + h * field(x)
+
+
+def numpy_rk4(field, x, h):
+    k1 = field(x)
+    k2 = field(x + (0.5 * h) * k1)
+    k3 = field(x + (0.5 * h) * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def numpy_stormer_verlet(accel, q, v, h, variant):
+    if variant == "A":
+        vh = v + (0.5 * h) * accel(q)
+        q1 = q + h * vh
+        return q1, vh + (0.5 * h) * accel(q1)
+    qh = q + (0.5 * h) * v
+    v1 = v + h * accel(qh)
+    return qh + (0.5 * h) * v1, v1
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
+    # the componentwise schemes against the same formulas on numpy vectors
+    system = make_system(name)
+    h = _BENCHMARK_STEP[name]
+    x0 = system.initial_state + np.random.default_rng(62).uniform(-1e-3, 1e-3, system.dim)
+    for scheme, reference in ((euler_step, numpy_euler), (rk4_step, numpy_rk4)):
+        for field in (system.field, system.modified_field):
+            x = y = x0
+            for _ in range(200):
+                x, y = scheme(field, x, h), reference(field, y, h)
+                assert x.tobytes() == y.tobytes()
+    if system.accel is None:
+        return
+    for variant in "AB":
+        q, v = p, w = x0[:3], x0[3:]
+        for _ in range(200):
+            q, v = stormer_verlet_step(system.accel, q, v, h, variant)
+            p, w = numpy_stormer_verlet(system.accel, p, w, h, variant)
+            assert q.tobytes() == p.tobytes() and v.tobytes() == w.tobytes()

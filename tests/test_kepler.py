@@ -9,6 +9,7 @@ from lyapint.cli import ExperimentConfig, make_advance, run_experiment
 from lyapint.errors import DomainError
 from lyapint.feedback import FirstIntegralMap, assemble_jacobian, generic_gradient
 from lyapint.integrators import euler_step, rollout, steps_for
+from lyapint.systems import make_system
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +297,33 @@ def test_no_spurious_critical_points_in_basin(params):
         if np.linalg.norm(kepler.lyapunov_gradient(params, s)) <= 1e-10:
             assert v <= 1e-20
     assert checked > 500
+
+
+def numpy_orbital_sampler(rng):
+    """The orbital sampler as numpy vectors: np.dot radius, np.concatenate state."""
+    while True:
+        x = rng.uniform(-2.0, 2.0, size=3)
+        if math.sqrt(float(np.dot(x, x))) >= 0.2:
+            break
+    return np.concatenate((x, rng.uniform(-1.5, 1.5, size=3)))
+
+
+def numpy_perturbed_kepler_sampler(rng):
+    while True:
+        s = numpy_orbital_sampler(rng)
+        if math.sqrt(float(np.dot(s[:3], s[:3]))) >= 0.25:
+            return s
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, reference", [
+    ("kepler", numpy_orbital_sampler),
+    ("perturbed_kepler", numpy_perturbed_kepler_sampler),
+])
+def test_orbital_samplers_draw_the_states_of_the_numpy_samplers(name, reference, seed):
+    # the float samplers make the same generator draws in the same order
+    sample = make_system(name).sample_state
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = np.array([sample(new) for _ in range(10_000)])
+    assert np.array_equal(drawn, np.array([reference(old) for _ in range(10_000)]))
+    assert np.array_equal(new.uniform(size=4), old.uniform(size=4))
