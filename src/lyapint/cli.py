@@ -29,6 +29,7 @@ import numpy as np
 
 from . import kepler, perturbed_kepler, rigid_body
 from .diagnostics import (
+    ORTHOGONALITY_BLOCK,
     check_rank_condition,
     gradient_agreement_report,
     orthogonality_report,
@@ -489,14 +490,14 @@ def check_system(name: str) -> int:
         from .kepler import invariants as kep_invariants
 
         worst = 0.0
-        for _ in range(2000):
-            s = system.sample_state(rng)
-            L, A, E = kep_invariants(system.params, s)
-            relation = abs(float(A @ A) - system.params.mu**2
-                           - 2.0 * E * float(L @ L))
-            ortho = abs(float(L @ A)) / (1.0 + norm(L) * norm(A))
-            scale = 1.0 + abs(float(A @ A)) + 2.0 * abs(E) * float(L @ L)
-            worst = max(worst, relation / scale, ortho)
+        for block in system.sample_blocks(rng, 2000, ORTHOGONALITY_BLOCK):
+            for s in block:
+                L, A, E = kep_invariants(system.params, s)
+                relation = abs(float(A @ A) - system.params.mu**2
+                               - 2.0 * E * float(L @ L))
+                ortho = abs(float(L @ A)) / (1.0 + norm(L) * norm(A))
+                scale = 1.0 + abs(float(A @ A)) + 2.0 * abs(E) * float(L @ L)
+                worst = max(worst, relation / scale, ortho)
         ok &= _print_check(
             "kepler.vector_identities",
             worst <= 1e-12,

@@ -1,7 +1,8 @@
-"""Drift metrics, hypothesis validators, and the step-size attractor study.
+"""Hypothesis validators, orbital measurements, and the step-size attractor study.
 
-``measure_drift`` turns a trajectory into per-sample conservation errors
-relative to the first state. ``check_rank_condition`` estimates the smallest
+``orthogonality_report`` and ``gradient_agreement_report`` check the paper's
+premises at seeded random states, drawn in blocks by
+``SystemModel.sample_blocks``. ``check_rank_condition`` estimates the smallest
 singular values of the stacked integral map's Jacobian over sample states.
 ``attractor_step_study`` measures, per step size, the level at which the
 stabilizing function V plateaus when a one-step scheme integrates the
@@ -14,43 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BasinViolationError, DomainError
+from .errors import BasinViolationError
 from .feedback import FirstIntegralMap, assemble_jacobian
 from .integrators import integrate, steps_for
 from .systems import SystemModel
-
-
-@dataclass(frozen=True)
-class DriftSample:
-    t: float
-    metrics: dict
-
-
-def measure_drift(system: SystemModel, times: np.ndarray, states: np.ndarray):
-    """Per-sample drift metrics against the trajectory's first state.
-
-    Raises DomainError annotated with the failing sample index if a state
-    leaves the system domain mid-trajectory.
-    """
-    if len(times) == 0:
-        raise ValueError("empty trajectory")
-    s0 = states[0]
-    samples = []
-    for i, (t, s) in enumerate(zip(times, states)):
-        try:
-            metrics = system.drift_metrics(s, s0)
-        except DomainError as exc:
-            raise DomainError(f"sample {i} (t = {t:g}): {exc}") from exc
-        samples.append(DriftSample(t=float(t), metrics=metrics))
-    return samples
-
-
-def drift_maxima(samples) -> dict:
-    out = {}
-    for sample in samples:
-        for key, value in sample.metrics.items():
-            out[key] = max(out.get(key, 0.0), value)
-    return out
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -218,9 +186,10 @@ class OrthogonalityReport:
         return self.max_scaled_residual <= self.tolerance
 
 
-# States per batched evaluation in orthogonality_report: large enough that the
-# per-call cost of the kernels vanishes, small enough that the blocks do not
-# raise the peak memory of a `check` run.
+# States per sampled block, and so per batched evaluation, in the reports and
+# the `check` validators: large enough that the per-call cost of the kernels
+# vanishes, small enough that the blocks do not raise the peak memory of a
+# `check` run.
 ORTHOGONALITY_BLOCK = 1000
 
 
@@ -228,15 +197,14 @@ def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
                          seed: int = 0, tolerance: float = 1e-12) -> OrthogonalityReport:
     """Check <grad V(x), X(x)> = 0 at sampled states, scaled by 1 + |grad V| |X|.
 
-    The states are drawn one at a time, as ``system.sample_state`` draws
-    them, and evaluated in blocks of ORTHOGONALITY_BLOCK with one batched
-    gradient and one batched field call per block.
+    The states are the first n_samples that ``system.sample_state`` draws
+    from ``default_rng(seed)``. ``system.sample_blocks`` draws them in blocks
+    of ORTHOGONALITY_BLOCK, each evaluated with one batched gradient and one
+    batched field call.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, n_samples, ORTHOGONALITY_BLOCK):
-        size = min(ORTHOGONALITY_BLOCK, n_samples - start)
-        block = np.array([system.sample_state(rng) for _ in range(size)])
+    for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
         g = system.gradient(block)
         f = system.field(block)
         scale = 1.0 + np.sqrt((g * g).sum(axis=1)) * np.sqrt((f * f).sum(axis=1))
@@ -260,17 +228,24 @@ class GradientAgreementReport:
 
 def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
                               seed: int = 0, tolerance: float = 1e-12) -> GradientAgreementReport:
-    """Compare the analytic gradient to Df^T K (f - f0) at sampled states."""
+    """Compare the analytic gradient to Df^T K (f - f0) at sampled states.
+
+    The states are those of ``orthogonality_report`` for the same seed, in
+    the same blocks. The analytic side is one batched gradient per block,
+    whose rows equal the single-state gradients; the ``generic_gradient``
+    oracle runs per state.
+    """
     from .feedback import generic_gradient
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
-        s = system.sample_state(rng)
-        ga = system.gradient(s)
-        gg = generic_gradient(system.integral_map, system.feedback_spec, s)
-        diff = math.sqrt(float((ga - gg) @ (ga - gg)))
-        scale = 1.0 + math.sqrt(float(ga @ ga))
-        worst = max(worst, diff / scale)
+    for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
+        # the batch comes column by column; a dot product over a strided row
+        # can round differently from one over the single-state gradient
+        for s, ga in zip(block, np.ascontiguousarray(system.gradient(block))):
+            gg = generic_gradient(system.integral_map, system.feedback_spec, s)
+            diff = math.sqrt(float((ga - gg) @ (ga - gg)))
+            scale = 1.0 + math.sqrt(float(ga @ ga))
+            worst = max(worst, diff / scale)
     return GradientAgreementReport(max_scaled_difference=worst, n_samples=n_samples,
                                    tolerance=tolerance)

@@ -19,9 +19,25 @@ from .feedback import FeedbackSpec, FirstIntegralMap
 
 SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
 
+# Uniforms per generator call in SystemModel.sample_blocks: a few blocks of
+# states' worth, so that numpy's per-call cost vanishes next to the kernel.
+SAMPLE_REFILL = 4096
+
 
 @dataclass(frozen=True)
 class SystemModel:
+    """One shipped system: its fields, integrals, metrics and state sampler.
+
+    ``sampler(draw)`` is the system's one sampler kernel. It returns a state
+    as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard
+    uniforms in ``[0, 1)`` as Python floats. ``sample_state(rng)`` draws
+    exactly the uniforms its state uses, so its states and the generator
+    state after each call are those of the same sampler on ``rng.uniform``.
+    ``sample_blocks(rng, n, block)`` yields the same ``n`` states in the same
+    order, as a generator's uniforms form one stream however they are
+    requested, but may leave the generator past the last of them.
+    """
+
     name: str
     dim: int
     params: object
@@ -35,38 +51,79 @@ class SystemModel:
     state_names: tuple
     drift_names: tuple
     drift_metrics: Callable[[np.ndarray, np.ndarray], dict]
-    sample_state: Callable[[np.random.Generator], np.ndarray]
+    sampler: Callable[[Callable[[int], list]], tuple]
     gain_bound: float
     period: float
     projection_tol: float
     accel: Optional[Callable[[np.ndarray], np.ndarray]] = None
     splitting_step: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
+    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+        """One random state, drawing one ``rng.random(k)`` per kernel request."""
+        return np.array(self.sampler(lambda k: rng.random(k).tolist()))
 
-def _rigid_sampler(rng: np.random.Generator) -> np.ndarray:
+    def sample_blocks(self, rng: np.random.Generator, n_samples: int, block: int):
+        """The first n_samples states of ``sample_state`` on rng, in blocks.
+
+        Yields arrays of ``block`` rows (fewer in the last), one at a time;
+        the uniforms come from one buffer that ``_buffered_draw`` refills.
+        """
+        draw = _buffered_draw(rng)
+        for start in range(0, n_samples, block):
+            yield np.array([self.sampler(draw) for _ in range(min(block, n_samples - start))])
+
+
+def _buffered_draw(rng: np.random.Generator) -> Callable[[int], list]:
+    # draw(k) served from one list of uniforms, refilled by one
+    # rng.random(SAMPLE_REFILL) call once fewer than k are left
+    buffer, pos = [], 0
+
+    def draw(k):
+        nonlocal buffer, pos
+        end = pos + k
+        while end > len(buffer):
+            buffer = buffer[pos:] + rng.random(SAMPLE_REFILL).tolist()
+            end -= pos
+            pos = 0
+        out = buffer[pos:end]
+        pos = end
+        return out
+
+    return draw
+
+
+# The sampler kernels map a standard uniform u to [low, high) as
+# low + (high - low) * u, the arithmetic of numpy's Generator.uniform, with
+# high - low written out; the states are those of rng.uniform draws.
+def _rigid_sampler(draw) -> tuple:
     # Attitudes I + U, U uniform in [-0.5, 0.5]^(3x3), near (but not on) the
-    # rotation group with positive determinant.
+    # rotation group with positive determinant, then angular velocities
+    # uniform in [-2, 2]^3. (high - low = 1 for U, so the product is exact.)
     while True:
-        u00, u01, u02, u10, u11, u12, u20, u21, u22 = rng.uniform(-0.5, 0.5, size=9).tolist()
-        a00, a11, a22 = 1.0 + u00, 1.0 + u11, 1.0 + u22
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = draw(9)
+        u01, u02, u10 = -0.5 + r01, -0.5 + r02, -0.5 + r10
+        u12, u20, u21 = -0.5 + r12, -0.5 + r20, -0.5 + r21
+        a00, a11, a22 = 1.0 + (-0.5 + r00), 1.0 + (-0.5 + r11), 1.0 + (-0.5 + r22)
         det = (a00 * (a11 * a22 - u12 * u21) - u01 * (u10 * a22 - u12 * u20)
                + u02 * (u10 * u21 - a11 * u20))
         if det > 1e-3:
             break
-    return np.array((a00, u01, u02, u10, a11, u12, u20, u21, a22,
-                     *rng.uniform(-2.0, 2.0, size=3).tolist()))
+    w0, w1, w2 = draw(3)
+    return (a00, u01, u02, u10, a11, u12, u20, u21, a22,
+            -2.0 + 4.0 * w0, -2.0 + 4.0 * w1, -2.0 + 4.0 * w2)
 
 
-def _orbital_sampler(rng: np.random.Generator, r_min: float = 0.2) -> np.ndarray:
+def _orbital_sampler(draw, r_min: float = 0.2) -> tuple:
     # Positions uniform in [-2, 2]^3 with |x| >= 0.2, then velocities uniform
     # in [-1.5, 1.5]^3; a state with |x| < r_min is drawn again from the start.
     while True:
-        x0, x1, x2 = rng.uniform(-2.0, 2.0, size=3).tolist()
+        u0, u1, u2 = draw(3)
+        x0, x1, x2 = -2.0 + 4.0 * u0, -2.0 + 4.0 * u1, -2.0 + 4.0 * u2
         r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         if r >= 0.2:
-            v = rng.uniform(-1.5, 1.5, size=3).tolist()
+            u0, u1, u2 = draw(3)
             if r >= r_min:
-                return np.array((x0, x1, x2, *v))
+                return (x0, x1, x2, -1.5 + 3.0 * u0, -1.5 + 3.0 * u1, -1.5 + 3.0 * u2)
 
 
 def rigid_body_system(params=None, initial_state=None, gains=None, inertia=None) -> SystemModel:
@@ -117,7 +174,7 @@ def rigid_body_system(params=None, initial_state=None, gains=None, inertia=None)
         state_names=rigid_body.STATE_NAMES,
         drift_names=("dE", "dPi", "so3dev", "V"),
         drift_metrics=drift,
-        sample_state=_rigid_sampler,
+        sampler=_rigid_sampler,
         gain_bound=rigid_body.gain_bound(p),
         period=rigid_body.BENCHMARK_OMEGA_PERIOD,
         projection_tol=1e-4,
@@ -173,7 +230,7 @@ def kepler_system(params=None, initial_state=None, gains=None, mu=None) -> Syste
         state_names=kepler.STATE_NAMES,
         drift_names=("dL", "dA", "dE", "V"),
         drift_metrics=drift,
-        sample_state=_orbital_sampler,
+        sampler=_orbital_sampler,
         gain_bound=kepler.gain_bound(p),
         period=period,
         projection_tol=0.005,
@@ -232,7 +289,7 @@ def perturbed_kepler_system(params=None, initial_state=None, gains=None,
         state_names=perturbed_kepler.STATE_NAMES,
         drift_names=("dE", "dL", "V"),
         drift_metrics=drift,
-        sample_state=lambda rng: _orbital_sampler(rng, r_min=0.25),  # off the repulsive core
+        sampler=lambda draw: _orbital_sampler(draw, r_min=0.25),  # off the repulsive core
         gain_bound=float("inf"),
         period=period,
         projection_tol=1e-8,

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lyapint import systems
 from lyapint.diagnostics import (
     attractor_step_study,
     check_rank_condition,
-    drift_maxima,
     gradient_agreement_report,
-    measure_drift,
     orthogonality_report,
     perihelion_passages,
     precession_rate,
@@ -17,38 +16,22 @@ from lyapint.diagnostics import (
     state_with_lyapunov,
 )
 from lyapint.errors import BasinViolationError, DomainError, IntegrationError
+from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step
 from lyapint.kepler import state_at_eccentric_anomaly
+from lyapint.systems import SYSTEM_NAMES, make_system
 
 
-def test_measure_drift_zero_at_start(rigid_sys):
-    samples = measure_drift(rigid_sys, np.array([0.0]),
-                            np.array([rigid_sys.initial_state]))
-    assert len(samples) == 1
-    assert samples[0].metrics["dE"] == 0.0
-    assert samples[0].metrics["dPi"] == 0.0
-    assert samples[0].metrics["V"] == 0.0
+def test_drift_metrics_zero_at_start(rigid_sys):
+    metrics = rigid_sys.drift_metrics(rigid_sys.initial_state, rigid_sys.initial_state)
+    assert metrics["dE"] == 0.0
+    assert metrics["dPi"] == 0.0
+    assert metrics["V"] == 0.0
 
 
-def test_measure_drift_reference_trajectory(rigid_sys, rigid_ref_period):
-    samples = measure_drift(rigid_sys, rigid_ref_period.times,
-                            rigid_ref_period.states)
-    maxima = drift_maxima(samples)
-    assert maxima["dE"] <= 1e-10
-    assert samples[0].t == 0.0
-
-
-def test_measure_drift_reports_domain_violation(kepler_sys):
-    good = kepler_sys.initial_state
-    bad = np.zeros(6)
-    with pytest.raises(DomainError) as info:
-        measure_drift(kepler_sys, np.array([0.0, 1.0]), np.array([good, bad]))
-    assert "sample 1" in str(info.value)
-
-
-def test_measure_drift_rejects_empty(kepler_sys):
-    with pytest.raises(ValueError):
-        measure_drift(kepler_sys, np.array([]), np.empty((0, 6)))
+def test_drift_metrics_reject_a_state_off_the_domain(kepler_sys):
+    with pytest.raises(DomainError):
+        kepler_sys.drift_metrics(np.zeros(6), kepler_sys.initial_state)
 
 
 def test_plain_euler_energy_drift_grows(rigid_plain_euler_50):
@@ -195,17 +178,58 @@ def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
     # state has the largest residual, some 1e-10 above the one before it
     drawn = []
 
-    def growing(rng):
+    def growing(draw):
         drawn.append(None)
-        return np.array((1.0, 0.0, 0.0, 0.0, float(len(drawn)), 0.0))
+        return (1.0, 0.0, 0.0, 0.0, float(len(drawn)), 0.0)
 
-    probe = dataclasses.replace(kepler_sys, sample_state=growing, gradient=kepler_sys.field)
+    probe = dataclasses.replace(kepler_sys, sampler=growing, gradient=kepler_sys.field)
     report = orthogonality_report(probe, n_samples=n_samples, seed=6)
     assert len(drawn) == n_samples
     drawn.clear()
     expected = per_state_worst_residual(probe, n_samples, 6)
     assert abs(report.max_scaled_residual - expected) <= 1e-15
     assert report.max_scaled_residual > 0.5
+
+
+@pytest.mark.parametrize("refill", [7, systems.SAMPLE_REFILL])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_sample_blocks_draw_the_states_of_sample_state(monkeypatch, name, seed, refill):
+    # 777-row blocks leave a partial last block of 10,000 states. A refill of
+    # 7 uniforms puts a refill boundary inside two 3-value draws in seven and
+    # inside every 9-value rigid-body attitude draw. Each of these runs
+    # rejects 3-12 states (the radius and determinant loops), and in each at
+    # least one rejected draw straddles a refill.
+    monkeypatch.setattr(systems, "SAMPLE_REFILL", refill)
+    system = make_system(name)
+    blocks = list(system.sample_blocks(np.random.default_rng(seed), 10_000, 777))
+    assert [len(b) for b in blocks] == [777] * 12 + [676]
+    rng = np.random.default_rng(seed)
+    single = np.array([system.sample_state(rng) for _ in range(10_000)])
+    assert np.concatenate(blocks).tobytes() == single.tobytes()
+
+
+def per_state_worst_gradient_difference(system, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        s = system.sample_state(rng)
+        ga = system.gradient(s)
+        gg = generic_gradient(system.integral_map, system.feedback_spec, s)
+        diff = math.sqrt(float((ga - gg) @ (ga - gg)))
+        worst = max(worst, diff / (1.0 + math.sqrt(float(ga @ ga))))
+    return worst
+
+
+@pytest.mark.parametrize("n_samples", [999, 2500])  # one short block; a partial last block
+def test_gradient_agreement_report_matches_a_per_state_loop(rigid_sys, kepler_sys, pk_sys,
+                                                            n_samples):
+    for system in (rigid_sys, kepler_sys, pk_sys):
+        report = gradient_agreement_report(system, n_samples=n_samples, seed=5)
+        assert report.n_samples == n_samples
+        assert report.max_scaled_difference == per_state_worst_gradient_difference(
+            system, n_samples, 5)
+
 
 def test_gradient_agreement_report_passes(rigid_sys, kepler_sys, pk_sys):
     for system in (rigid_sys, kepler_sys, pk_sys):
