@@ -106,8 +106,9 @@ class ExperimentConfig:
             raise ConfigError(f"step count t_end / h = {self.t_end!r} / {self.h!r} is not finite")
         if self.sample_stride < 1:
             raise ConfigError("sample stride must be a positive integer")
-        if self.projection_tol is not None and not self.projection_tol > 0.0:
-            raise ConfigError("projection tol must be positive")
+        tol = self.projection_tol
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"projection tol must be positive and finite, got {tol!r}")
         if self.projection_max_iter < 1:
             raise ConfigError("projection max_iter must be at least 1")
         for key, value in self.gains.items():

@@ -27,23 +27,29 @@ import numpy as np
 class FirstIntegralMap:
     """Stacked constraint-plus-integrals map f: R^dim_state -> R^dim_values.
 
-    ``jacobian_transpose_apply(x, w)`` returns Df(x)^T w and must be linear
-    in ``w``. ``jacobian``, when given, returns the full Jacobian with row i
-    equal to the gradient of component i; otherwise rows are assembled from
-    Jacobian-transpose products with basis vectors.
+    ``eval`` takes one state, as a tuple of Python floats or an array of
+    shape (dim_state,): a tuple gives the dim_values values as a sequence
+    of floats, an array gives an array. ``jacobian``, when given, takes the
+    same two forms and returns the full Jacobian with row i equal to the
+    gradient of component i: a sequence of float rows for a tuple, an array
+    (dim_values, dim_state) for an array. Without it, rows are assembled
+    from Jacobian-transpose products with basis vectors.
+    ``jacobian_transpose_apply(x, w)`` takes arrays, returns Df(x)^T w and
+    must be linear in ``w``.
     """
 
     dim_state: int
     dim_values: int
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable
     jacobian_transpose_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable] = None
 
 
-def assemble_jacobian(f: FirstIntegralMap, x: np.ndarray) -> np.ndarray:
-    """Full (dim_values, dim_state) Jacobian of f at x."""
+def assemble_jacobian(f: FirstIntegralMap, x) -> np.ndarray:
+    """Full (dim_values, dim_state) Jacobian of f at x, a tuple of floats or an array."""
     if f.jacobian is not None:
-        return f.jacobian(x)
+        return np.asarray(f.jacobian(x), dtype=float)
+    x = np.asarray(x, dtype=float)
     rows = np.empty((f.dim_values, f.dim_state))
     w = np.zeros(f.dim_values)
     for i in range(f.dim_values):

@@ -11,19 +11,21 @@ simplified Newton iteration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap, assemble_jacobian
 
-# Relative cutoff below which Gram-matrix directions are treated as null.
-# Constraint maps whose level sets contain whole trajectories (e.g. the
-# six angular-momentum/eccentricity values of a Kepler orbit) are rank
-# deficient by construction; the pseudo-inverse restricted to the usable
-# spectrum still converges because the residual stays in the range.
-_GRAM_CUTOFF = 1e-14
+# Relative cutoff below which singular values of the constraint Jacobian J
+# are treated as null: sqrt(1e-14), the cutoff 1e-14 on those of the Gram
+# matrix J J^T, which are their squares. Constraint maps whose level sets
+# contain whole trajectories (e.g. the six angular-momentum/eccentricity
+# values of a Kepler orbit) are rank deficient by construction; the
+# pseudo-inverse restricted to the usable spectrum still converges because
+# the residual stays in the range.
+_SINGULAR_CUTOFF = math.sqrt(1e-14)
 
 
 def _axpy(x, a, y) -> tuple:
@@ -95,57 +97,76 @@ class ProjectionConfig:
     target: np.ndarray
     tol: float
     max_iter: int = 25
+    # The target values as Python floats, read by every projection step.
+    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("projection tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("projection tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        target = np.asarray(self.target, dtype=float)
+        if target.shape != (self.constraint.dim_values,):
+            raise ValueError(f"projection target must hold {self.constraint.dim_values} "
+                             f"values, got shape {target.shape}")
+        object.__setattr__(self, "_target", tuple(target.tolist()))
 
 
-def _gram_pseudo_solver(jac):
-    """Correction matrix C = J^T G^+ for G = J J^T, restricted to G's usable spectrum.
+def _pseudo_inverse(jac):
+    """Correction matrix C = J^+ = V diag(inv) U^T from one SVD J = U diag(s) V^T.
 
-    G^+ = U diag(inv) U^T from one SVD of G, where inv drops singular values
-    below ``_GRAM_CUTOFF`` relative to the largest. C has shape (n, m) for an
-    (m, n) Jacobian J.
+    inv drops singular values below ``_SINGULAR_CUTOFF`` relative to the
+    largest, so C equals J^T G^+ for the Gram matrix G = J J^T restricted to
+    its usable spectrum. C has shape (n, m) for an (m, n) Jacobian J. The sum
+    of the squared entries of J is the trace of G, finite exactly when G is.
     """
-    gram = jac @ jac.T
-    if not np.isfinite(gram).all():
+    if not math.isfinite(float(np.vdot(jac, jac))):
         raise IntegrationError("non-finite constraint Jacobian Gram matrix")
-    u, s, _ = np.linalg.svd(gram)
-    if s[0] <= 0.0:
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    sv = s.tolist()
+    if sv[0] <= 0.0:
         raise RankError("constraint Jacobian Gram matrix is numerically rank zero")
-    inv = np.where(s > s[0] * _GRAM_CUTOFF, 1.0 / np.maximum(s, 1e-300), 0.0)
-    return jac.T @ (u * inv) @ u.T
+    k = sum(si > sv[0] * _SINGULAR_CUTOFF for si in sv)
+    return (vt[:k].T / s[:k]) @ u[:, :k].T
+
+
+def _residual(values, target) -> list:
+    return [v - t for v, t in zip(values, target)]
 
 
 def projection_step(base, cfg: ProjectionConfig, field, x, h):
     """Base step followed by pull-back onto the constraint level set.
 
     Computes xt = base(field, x, h), then solves f(xt + Df(xt)^T lam) = target
-    for lam by simplified Newton with the Gram matrix G = Df Df^T frozen at
-    xt. The iteration runs on the state itself: with the correction matrix
-    C = Df(xt)^T G^+ built once per step, each iteration is
+    for lam by simplified Newton with Df frozen at xt. The iteration runs on
+    the state itself: with the correction matrix C = Df(xt)^+, which is
+    Df(xt)^T G^+ for G = Df Df^T, built once per step, each iteration is
     y <- y - C (f(y) - target), starting from y = xt. Returns once the
     residual norm is within cfg.tol; raises ProjectionError with the final
-    residual otherwise. ``base`` steps the tuple; the Newton loop runs on an array built from xt.
+    residual otherwise.
+
+    ``base`` steps the tuple, and ``cfg.constraint``'s ``eval`` and
+    ``jacobian`` take tuples: each residual and its norm are Python floats.
+    An array y is built from xt only when the Newton loop runs, for the
+    update ``C @ residual``.
     """
     if not isinstance(x, tuple):
         return np.array(projection_step(base, cfg, _on_floats(field), tuple(x.tolist()), h))
+    f, target = cfg.constraint, cfg._target
     xt = base(field, x, h)
-    y = np.array(xt)
-    res = cfg.constraint.eval(y) - cfg.target
-    rnorm = math.sqrt(float(res @ res))
+    res = _residual(f.eval(xt), target)
+    rnorm = math.hypot(*res)
     if rnorm <= cfg.tol:
         return xt
-    correction = _gram_pseudo_solver(assemble_jacobian(cfg.constraint, y))
+    correction = _pseudo_inverse(assemble_jacobian(f, xt))
+    y = np.array(xt)
     for _ in range(cfg.max_iter):
         y = y - correction @ res
-        res = cfg.constraint.eval(y) - cfg.target
-        rnorm = math.sqrt(float(res @ res))
+        yt = tuple(y.tolist())
+        res = _residual(f.eval(yt), target)
+        rnorm = math.hypot(*res)
         if rnorm <= cfg.tol:
-            return tuple(y.tolist())
+            return yt
     raise ProjectionError(
         f"projection residual {rnorm:.3e} above tolerance {cfg.tol:.3e} "
         f"after {cfg.max_iter} iterations",

@@ -9,6 +9,7 @@ function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2.
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -261,11 +262,45 @@ def state_at_eccentric_anomaly(p: KeplerParams, psi: float) -> np.ndarray:
     return np.concatenate((x, v))
 
 
-def integral_map(p: KeplerParams) -> FirstIntegralMap:
-    """Stacked map (L, A) of dimension 6."""
+def _integral_values(p: KeplerParams, v) -> tuple:
+    """(L, A) at the state components v, as 6 components."""
+    return invariant_components(p.mu, v)[:6]
 
-    def evaluate(s):
-        return np.array(invariant_components(p.mu, s)[:6])
+
+def _jacobian_rows(p: KeplerParams, v) -> tuple:
+    """Jacobian of (L, A) at the state components v, as 6 rows of 6 components:
+
+    grad L_i = (-hat(v), hat(x)) row i, then grad A_i =
+    ((|v|^2 - mu/|x|) I - v v^T + mu/|x|^3 x x^T, -hat(L) + x v^T - (x . v) I) row i.
+    """
+    x0, x1, x2, v0, v1, v2 = v
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    r = radius(r2)
+    m3 = p.mu / (r2 * r)
+    a = v0 * v0 + v1 * v1 + v2 * v2 - p.mu / r
+    xv = x0 * v0 + x1 * v1 + x2 * v2
+    l0 = x1 * v2 - x2 * v1
+    l1 = x2 * v0 - x0 * v2
+    l2 = x0 * v1 - x1 * v0
+    mx0, mx1, mx2 = m3 * x0, m3 * x1, m3 * x2
+    return (
+        (0.0, v2, -v1, 0.0, -x2, x1),
+        (-v2, 0.0, v0, x2, 0.0, -x0),
+        (v1, -v0, 0.0, -x1, x0, 0.0),
+        (a - v0 * v0 + mx0 * x0, mx0 * x1 - v0 * v1, mx0 * x2 - v0 * v2,
+         x0 * v0 - xv, l2 + x0 * v1, x0 * v2 - l1),
+        (mx1 * x0 - v1 * v0, a - v1 * v1 + mx1 * x1, mx1 * x2 - v1 * v2,
+         x1 * v0 - l2, x1 * v1 - xv, l0 + x1 * v2),
+        (mx2 * x0 - v2 * v0, mx2 * x1 - v2 * v1, a - v2 * v2 + mx2 * x2,
+         l1 + x2 * v0, x2 * v1 - l0, x2 * v2 - xv),
+    )
+
+
+def integral_map(p: KeplerParams) -> FirstIntegralMap:
+    """Stacked map (L, A) of dimension 6.
+
+    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (6,).
+    """
 
     def jac_t(s, w):
         x = s[:3]
@@ -279,34 +314,11 @@ def integral_map(p: KeplerParams) -> FirstIntegralMap:
         gv = cross(wl, x) + cross(L, wa) + cross(x, cross(v, wa))
         return np.concatenate((gx, gv))
 
-    def jacobian(s):
-        # rows: grad L_i = (-hat(v), hat(x)) row i, then grad A_i =
-        # ((|v|^2 - mu/|x|) I - v v^T + mu/|x|^3 x x^T, -hat(L) + x v^T - (x . v) I) row i
-        x0, x1, x2, v0, v1, v2 = s.tolist()
-        r2 = x0 * x0 + x1 * x1 + x2 * x2
-        r = radius(r2)
-        m3 = p.mu / (r2 * r)
-        a = v0 * v0 + v1 * v1 + v2 * v2 - p.mu / r
-        xv = x0 * v0 + x1 * v1 + x2 * v2
-        l0 = x1 * v2 - x2 * v1
-        l1 = x2 * v0 - x0 * v2
-        l2 = x0 * v1 - x1 * v0
-        mx0, mx1, mx2 = m3 * x0, m3 * x1, m3 * x2
-        return np.array((
-            (0.0, v2, -v1, 0.0, -x2, x1),
-            (-v2, 0.0, v0, x2, 0.0, -x0),
-            (v1, -v0, 0.0, -x1, x0, 0.0),
-            (a - v0 * v0 + mx0 * x0, mx0 * x1 - v0 * v1, mx0 * x2 - v0 * v2,
-             x0 * v0 - xv, l2 + x0 * v1, x0 * v2 - l1),
-            (mx1 * x0 - v1 * v0, a - v1 * v1 + mx1 * x1, mx1 * x2 - v1 * v2,
-             x1 * v0 - l2, x1 * v1 - xv, l0 + x1 * v2),
-            (mx2 * x0 - v2 * v0, mx2 * x1 - v2 * v1, a - v2 * v2 + mx2 * x2,
-             l1 + x2 * v0, x2 * v1 - l0, x2 * v2 - xv),
-        ))
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=6,
-        eval=evaluate, jacobian_transpose_apply=jac_t, jacobian=jacobian,
+        eval=partial(componentwise, _integral_values, p),
+        jacobian_transpose_apply=jac_t,
+        jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
 

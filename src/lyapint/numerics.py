@@ -40,8 +40,8 @@ def frobenius_norm(a) -> float:
 
 
 def components(s) -> tuple:
-    """One state as a tuple of Python floats: a tuple as it is, an array (dim,) by ``tolist``."""
-    return s if isinstance(s, tuple) else tuple(s.tolist())
+    """One state as Python floats: an array (dim,) as a tuple by ``tolist``, a tuple or list as it is."""
+    return tuple(s.tolist()) if isinstance(s, np.ndarray) else s
 
 
 def componentwise(kernel, p, s):
@@ -49,15 +49,15 @@ def componentwise(kernel, p, s):
 
     A state of shape (dim,) goes to the kernel as dim Python floats and gives
     shape (m,); a batch of shape (N, dim) as its dim columns, arrays of shape
-    (N,), and gives (N, m). The kernel applies the same IEEE operations in the
-    same order either way, so row i of a batch result equals the result for
-    state i bit for bit.
+    (N,), and gives a C-contiguous (N, m). The kernel applies the same IEEE
+    operations in the same order either way, so row i of a batch result equals
+    the result for state i bit for bit, and so does a reduction over the row.
     """
     if isinstance(s, tuple):
         return kernel(p, s)
     if s.ndim == 1:
         return np.array(kernel(p, s.tolist()))
-    return np.array(kernel(p, s.T)).T
+    return np.stack(kernel(p, s.T), axis=1)
 
 
 def radius(r2):

@@ -18,6 +18,7 @@ potential. ``check_hypothesis`` tests this numerically on a bracket.
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -227,11 +228,32 @@ def modified_field(p: PerturbedKeplerParams, s):
     return componentwise(_modified_field_components, p, s)
 
 
-def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
-    """Stacked map (E, L) of dimension 4."""
+def _integral_values(p: PerturbedKeplerParams, v) -> tuple:
+    """(E, L) at the state components v, as 4 components."""
+    return invariant_components(p.potential, v)
 
-    def evaluate(s):
-        return np.array(invariant_components(p.potential, s))
+
+def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
+    """Jacobian of (E, L) at the state components v, as 4 rows of 6 components:
+
+    grad E = (U'(r)/r x, v), then grad L_i = (-hat(v), hat(x)) row i.
+    """
+    x0, x1, x2, v0, v1, v2 = v
+    r = radius(x0 * x0 + x1 * x1 + x2 * x2)
+    c = p.potential.u_prime(r) / r
+    return (
+        (c * x0, c * x1, c * x2, v0, v1, v2),
+        (0.0, v2, -v1, 0.0, -x2, x1),
+        (-v2, 0.0, v0, x2, 0.0, -x0),
+        (v1, -v0, 0.0, -x1, x0, 0.0),
+    )
+
+
+def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
+    """Stacked map (E, L) of dimension 4.
+
+    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (6,).
+    """
 
     def jac_t(s, w):
         x = s[:3]
@@ -243,21 +265,11 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
         gv = we * v + cross(wl, x)
         return np.concatenate((gx, gv))
 
-    def jacobian(s):
-        # rows: grad E = (U'(r)/r x, v), then grad L_i = (-hat(v), hat(x)) row i
-        x0, x1, x2, v0, v1, v2 = s.tolist()
-        r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-        c = p.potential.u_prime(r) / r
-        return np.array((
-            (c * x0, c * x1, c * x2, v0, v1, v2),
-            (0.0, v2, -v1, 0.0, -x2, x1),
-            (-v2, 0.0, v0, x2, 0.0, -x0),
-            (v1, -v0, 0.0, -x1, x0, 0.0),
-        ))
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=4,
-        eval=evaluate, jacobian_transpose_apply=jac_t, jacobian=jacobian,
+        eval=partial(componentwise, _integral_values, p),
+        jacobian_transpose_apply=jac_t,
+        jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
 

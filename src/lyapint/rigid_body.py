@@ -16,6 +16,7 @@ define the stabilizing function
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -101,26 +102,34 @@ def benchmark_setup(k0=None, k1=None, k2=None, inertia=None):
     return params, pack(I3, BENCHMARK_OMEGA0)
 
 
+def _defect_and_integrals(inertia: tuple, v) -> tuple:
+    """The entries d00, d01, d02, d11, d12, d22 of the symmetric R^T R - I,
+    then E and pi, at the state components v, as ten components."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
+    i0, i1, i2 = inertia
+    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
+    return (r00 * r00 + r10 * r10 + r20 * r20 - 1.0,
+            r00 * r01 + r10 * r11 + r20 * r21,
+            r00 * r02 + r10 * r12 + r20 * r22,
+            r01 * r01 + r11 * r11 + r21 * r21 - 1.0,
+            r01 * r02 + r11 * r12 + r21 * r22,
+            r02 * r02 + r12 * r12 + r22 * r22 - 1.0,
+            0.5 * (w0 * m0 + w1 * m1 + w2 * m2),
+            r00 * m0 + r01 * m1 + r02 * m2,
+            r10 * m0 + r11 * m1 + r12 * m2,
+            r20 * m0 + r21 * m1 + r22 * m2)
+
+
 def invariant_components(inertia: tuple, s) -> tuple:
     """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
 
-    ``inertia`` is the three principal moments as floats. The one source of
-    the rigid-body integrals: the kernels below, the target values (E0, pi0)
-    and the drift metrics all evaluate these expressions.
+    ``inertia`` is the three principal moments as floats. With
+    ``_defect_and_integrals`` the one source of the rigid-body integrals: the
+    kernels below, the integral map, the target values (E0, pi0) and the
+    drift metrics all evaluate these expressions.
     """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = components(s)
-    i0, i1, i2 = inertia
-    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
-    d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
-    d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
-    d22 = r02 * r02 + r12 * r12 + r22 * r22 - 1.0
-    d01 = r00 * r01 + r10 * r11 + r20 * r21
-    d02 = r00 * r02 + r10 * r12 + r20 * r22
-    d12 = r01 * r02 + r11 * r12 + r21 * r22
-    return (0.5 * (w0 * m0 + w1 * m1 + w2 * m2),
-            r00 * m0 + r01 * m1 + r02 * m2,
-            r10 * m0 + r11 * m1 + r12 * m2,
-            r20 * m0 + r21 * m1 + r22 * m2,
+    d00, d01, d02, d11, d12, d22, E, q0, q1, q2 = _defect_and_integrals(inertia, components(s))
+    return (E, q0, q1, q2,
             d00 * d00 + d11 * d11 + d22 * d22
             + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
 
@@ -275,17 +284,43 @@ def splitting_step(p: RigidBodyParams, s: np.ndarray, h: float) -> np.ndarray:
     return pack(R, momentum / p.inertia)
 
 
-def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
-    """Stacked map (vec(R^T R - I), E, pi) of dimension 13."""
+def _integral_values(p: RigidBodyParams, v) -> tuple:
+    """(vec(R^T R - I), E, pi) at the state components v, as 13 components."""
+    d00, d01, d02, d11, d12, d22, E, q0, q1, q2 = _defect_and_integrals(p._inertia, v)
+    return d00, d01, d02, d01, d11, d12, d02, d12, d22, E, q0, q1, q2
 
-    def evaluate(s):
-        R, W = unpack(s)
-        momentum = p.inertia * W
-        out = np.empty(13)
-        out[:9] = (R.T @ R - I3).ravel()
-        out[9] = 0.5 * float(W @ momentum)
-        out[10:] = R @ momentum
-        return out
+
+def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
+    """Jacobian of (vec(R^T R - I), E, pi) at the state components v, as 13
+    rows of 12 components.
+
+    Row 3i+j, the gradient of (R^T R)_ij, holds R_aj at R_ai and R_ai at R_aj
+    (2 R_ai where i = j); row 9 is (0, I Omega); row 10+i holds I Omega at
+    row i of R and (R_i0 I0, R_i1 I1, R_i2 I2) at Omega.
+    """
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
+    i0, i1, i2 = p._inertia
+    m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
+    z = 0.0
+    d01 = (r01, r00, z, r11, r10, z, r21, r20, z, z, z, z)
+    d02 = (r02, z, r00, r12, z, r10, r22, z, r20, z, z, z)
+    d12 = (z, r02, r01, z, r12, r11, z, r22, r21, z, z, z)
+    return (
+        (2.0 * r00, z, z, 2.0 * r10, z, z, 2.0 * r20, z, z, z, z, z), d01, d02,
+        d01, (z, 2.0 * r01, z, z, 2.0 * r11, z, z, 2.0 * r21, z, z, z, z), d12,
+        d02, d12, (z, z, 2.0 * r02, z, z, 2.0 * r12, z, z, 2.0 * r22, z, z, z),
+        (z, z, z, z, z, z, z, z, z, m0, m1, m2),
+        (m0, m1, m2, z, z, z, z, z, z, r00 * i0, r01 * i1, r02 * i2),
+        (z, z, z, m0, m1, m2, z, z, z, r10 * i0, r11 * i1, r12 * i2),
+        (z, z, z, z, z, z, m0, m1, m2, r20 * i0, r21 * i1, r22 * i2),
+    )
+
+
+def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
+    """Stacked map (vec(R^T R - I), E, pi) of dimension 13.
+
+    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (12,).
+    """
 
     def jac_t(s, w):
         R, W = unpack(s)
@@ -297,23 +332,11 @@ def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
         out[9:] = w[9] * momentum + p.inertia * (R.T @ wpi)
         return out
 
-    def jacobian(s):
-        R, W = unpack(s)
-        momentum = p.inertia * W
-        rows = np.zeros((13, DIM))
-        for i in range(3):
-            for j in range(3):
-                d = np.outer(R[:, j], I3[i]) + np.outer(R[:, i], I3[j])
-                rows[3 * i + j, :9] = d.ravel()
-        rows[9, 9:] = momentum
-        for i in range(3):
-            rows[10 + i, :9] = np.outer(I3[i], momentum).ravel()
-        rows[10:, 9:] = R * p.inertia
-        return rows
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=13,
-        eval=evaluate, jacobian_transpose_apply=jac_t, jacobian=jacobian,
+        eval=partial(componentwise, _integral_values, p),
+        jacobian_transpose_apply=jac_t,
+        jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
 

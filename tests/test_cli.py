@@ -414,11 +414,12 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     (VALID_EXPERIMENT + "[projection]\nmax_iter = 0\n", None),
     (VALID_EXPERIMENT + "[projection]\ntol = 0\n", None),
     (VALID_EXPERIMENT + "[projection]\ntol = -1e-8\n", None),
+    (VALID_EXPERIMENT + "[projection]\ntol = inf\n", None),
     (VALID_EXPERIMENT + "strid = 5\n", None),
     (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
     (None, None),  # the --config file does not exist
     (VALID_EXPERIMENT, "missing"),  # --out inside a directory that does not exist
-], ids=["stride", "gain", "initial", "max_iter", "tol_zero", "tol_negative",
+], ids=["stride", "gain", "initial", "max_iter", "tol_zero", "tol_negative", "tol_inf",
         "unknown_key", "unknown_section", "missing_config", "missing_out_dir"])
 def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir):
     config_path = tmp_path / "exp.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from lyapint.errors import (
 from lyapint.feedback import FirstIntegralMap, assemble_jacobian
 from lyapint.integrators import (
     ProjectionConfig,
+    _pseudo_inverse,
     euler_step,
     integrate,
     projection_step,
@@ -189,6 +191,33 @@ def test_projection_perturbed_kepler_residual_within_tolerance(pk_sys):
         assert res <= cfg.tol
 
 
+def gram_pseudo_inverse(jac):
+    """Reference: J^T G^+ for G = J J^T, with G's singular values below 1e-14 relative dropped."""
+    u, s, _ = np.linalg.svd(jac @ jac.T)
+    inv = np.where(s > s[0] * 1e-14, 1.0 / s, 0.0)
+    return jac.T @ (u * inv) @ u.T
+
+
+# Numerical rank of each system's constraint Jacobian: the Kepler (L, A) has
+# the flow direction in its null space; the rigid body's 13 values repeat
+# the three off-diagonal entries of the symmetric R^T R - I.
+JACOBIAN_RANK = {"rigid_body": 10, "kepler": 5, "perturbed_kepler": 4}
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_pseudo_inverse_equals_the_gram_reference(name):
+    system = make_system(name)
+    rng = np.random.default_rng(49)
+    for _ in range(200):
+        x = system.initial_state + rng.uniform(-0.1, 0.1, system.dim)
+        jac = assemble_jacobian(system.integral_map, x)
+        expected = gram_pseudo_inverse(jac)
+        assert np.linalg.matrix_rank(expected) == JACOBIAN_RANK[name]
+        got = _pseudo_inverse(jac)
+        assert got.shape == (system.dim, system.integral_map.dim_values)
+        assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
 def lagrange_multiplier_projection(cfg, field, x, h):
     """Reference: simplified Newton on lam for f(xt + J^T lam) = target, J frozen at xt."""
     xt = euler_step(field, x, h)
@@ -208,17 +237,50 @@ def lagrange_multiplier_projection(cfg, field, x, h):
     raise AssertionError("reference projection did not converge")
 
 
-def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(pk_sys):
-    cfg = pk_projection_config(pk_sys)
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name):
+    system = make_system(name)
+    h = _BENCHMARK_STEP[name]
+    # perturbed Kepler's tolerance, tight enough that every system iterates
+    cfg = ProjectionConfig(constraint=system.integral_map,
+                           target=system.feedback_spec.reference, tol=1e-8)
+    evals = []
+
+    def counted_eval(s):
+        evals.append(s)
+        return system.integral_map.eval(s)
+
+    counted = ProjectionConfig(
+        constraint=dataclasses.replace(system.integral_map, eval=counted_eval),
+        target=cfg.target, tol=cfg.tol)
     rng = np.random.default_rng(48)
     iterations = []
     for _ in range(50):
-        x = pk_sys.initial_state + rng.uniform(-1e-2, 1e-2, 6)
-        expected, n_iter = lagrange_multiplier_projection(cfg, pk_sys.field, x, 0.03)
-        got = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
+        x = system.initial_state + rng.uniform(-1e-2, 1e-2, system.dim)
+        expected, n_iter = lagrange_multiplier_projection(cfg, system.field, x, h)
+        evals.clear()
+        got = projection_step(euler_step, counted, system.field, x, h)
         assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
+        assert len(evals) - 1 == n_iter  # one eval per residual
         iterations.append(n_iter)
     assert min(iterations) >= 2  # every state exercises the Newton loop
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_integral_map_on_a_tuple_equals_its_array_form_bit_for_bit(name):
+    system = make_system(name)
+    fim = system.integral_map
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        xa = system.initial_state + rng.uniform(-0.1, 0.1, system.dim)
+        xt = tuple(xa.tolist())
+        values, rows = fim.eval(xt), fim.jacobian(xt)
+        assert len(values) == fim.dim_values and all(type(v) is float for v in values)
+        assert len(rows) == fim.dim_values
+        assert all(len(row) == fim.dim_state and all(type(c) is float for c in row)
+                   for row in rows)
+        assert np.array(values).tobytes() == fim.eval(xa).tobytes()
+        assert np.array(rows).tobytes() == fim.jacobian(xa).tobytes()
 
 
 def test_projection_reports_nonconvergence(kepler_sys):
@@ -248,6 +310,13 @@ def test_projection_config_validation(kepler_sys):
     with pytest.raises(ValueError):
         ProjectionConfig(constraint=kepler_sys.integral_map,
                          target=np.zeros(6), tol=1e-6, max_iter=0)
+    for tol in (math.inf, math.nan):
+        # rnorm <= inf holds at every step: projection would be plain Euler
+        with pytest.raises(ValueError, match="positive and finite"):
+            ProjectionConfig(constraint=kepler_sys.integral_map, target=np.zeros(6), tol=tol)
+    for target in (np.zeros(5), np.zeros(7), np.zeros((6, 1))):
+        with pytest.raises(ValueError, match="must hold 6 values"):
+            ProjectionConfig(constraint=kepler_sys.integral_map, target=target, tol=1e-6)
 
 
 def test_schemes_are_deterministic(rigid_sys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lyapint.numerics import cross, frobenius_norm, hat, norm
+from lyapint.systems import SYSTEM_NAMES, make_system
 
 
 def cross_oracle(u, v):
@@ -66,3 +67,16 @@ def test_frobenius_norm_squared_is_entry_square_sum():
 def test_norm_matches_euclidean():
     v = np.array([3.0, 4.0, 12.0])
     assert norm(v) == pytest.approx(13.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_batches_are_c_contiguous_and_reduce_rows_like_single_states(name):
+    # a reduction over a batch row rounds as the one over the single-state result
+    system = make_system(name)
+    states = system.initial_state + np.random.default_rng(5).uniform(-0.1, 0.1, (999, system.dim))
+    for kernel in (system.field, system.gradient):
+        batch = kernel(states)
+        assert batch.shape == states.shape and batch.flags.c_contiguous
+        for row, s in zip(batch, states):
+            single = kernel(s)
+            assert float(row @ row) == float(single @ single)

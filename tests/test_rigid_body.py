@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import global_order_ratio
+from conftest import central_difference_gradient, global_order_ratio
 from lyapint import rigid_body
-from lyapint.feedback import generic_gradient
+from lyapint.feedback import FirstIntegralMap, assemble_jacobian, generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.numerics import hat
 from lyapint.systems import rigid_body_system
@@ -162,6 +162,53 @@ def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
+
+
+def numpy_integral_map(p, s):
+    # the integral map's values and Jacobian as matrix products and outer products
+    R, W = rigid_body.unpack(s)
+    momentum = p.inertia * W
+    values = np.empty(13)
+    values[:9] = (R.T @ R - np.eye(3)).ravel()
+    values[9] = 0.5 * float(W @ momentum)
+    values[10:] = R @ momentum
+    rows = np.zeros((13, 12))
+    unit = np.eye(3)
+    for i in range(3):
+        for j in range(3):
+            rows[3 * i + j, :9] = (np.outer(R[:, j], unit[i]) + np.outer(R[:, i], unit[j])).ravel()
+    rows[9, 9:] = momentum
+    for i in range(3):
+        rows[10 + i, :9] = np.outer(unit[i], momentum).ravel()
+    rows[10:, 9:] = R * p.inertia
+    return values, rows
+
+
+@pytest.mark.parametrize("inertia, gains, seed", [
+    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 28),
+    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 29),
+])
+def test_integral_map_matches_numpy_form_jac_t_and_finite_differences(inertia, gains, seed):
+    # the float eval and Jacobian against their numpy forms, the Jacobian
+    # against rows assembled from the numpy jac_t on basis vectors, and
+    # against central differences of eval
+    p = rigid_body.RigidBodyParams.from_initial(
+        inertia, random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9), *gains)
+    fim = rigid_body.integral_map(p)
+    columnwise = FirstIntegralMap(dim_state=fim.dim_state, dim_values=fim.dim_values,
+                                  eval=fim.eval,
+                                  jacobian_transpose_apply=fim.jacobian_transpose_apply)
+    for s in random_states(seed, 300):
+        values, rows = numpy_integral_map(p, s)
+        jac = fim.jacobian(s)
+        assert jac.shape == (13, 12)
+        assert np.array_equal(jac, rows)
+        assert np.abs(fim.eval(s) - values).max() <= 1e-14 * (1.0 + np.abs(values).max())
+        scale = 1.0 + np.abs(jac).max()
+        assert np.abs(jac - assemble_jacobian(columnwise, s)).max() <= 1e-14 * scale
+        fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
+                       for i in range(13)])
+        assert np.abs(jac - fd).max() <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("inertia, gains, seed", [
