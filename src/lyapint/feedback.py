@@ -13,8 +13,9 @@ vanishes exactly on the invariant set through x0, and its gradient is
 Integrating the corrected field X - grad V with any ordinary one-step scheme
 keeps the numerical trajectory near that invariant set. The shipped systems
 provide closed-form gradients as the production path; ``generic_gradient``
-below evaluates the Jacobian-transpose formula directly and doubles as a
-cross-check oracle for those closed forms.
+below evaluates the Jacobian-transpose formula from the map's own ``eval``
+and ``jacobian`` kernels, a derivation independent of the closed forms, and
+serves as the oracle they are checked against.
 """
 
 from dataclasses import dataclass
@@ -22,41 +23,37 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .numerics import componentwise
+
 
 @dataclass(frozen=True)
 class FirstIntegralMap:
     """Stacked constraint-plus-integrals map f: R^dim_state -> R^dim_values.
 
-    ``eval`` takes one state, as a tuple of Python floats or an array of
-    shape (dim_state,): a tuple gives the dim_values values as a sequence
-    of floats, an array gives an array. ``jacobian``, when given, takes the
-    same two forms and returns the full Jacobian with row i equal to the
-    gradient of component i: a sequence of float rows for a tuple, an array
-    (dim_values, dim_state) for an array. Without it, rows are assembled
-    from Jacobian-transpose products with basis vectors.
-    ``jacobian_transpose_apply(x, w)`` takes arrays, returns Df(x)^T w and
-    must be linear in ``w``.
+    ``eval`` and ``jacobian`` are ``numerics.componentwise`` kernels. A
+    state of shape (dim_state,) gives the dim_values values as an array and
+    the Jacobian as an array (dim_values, dim_state), whose row i is the
+    gradient of component i. A tuple of components gives the values as a
+    sequence and the Jacobian as a sequence of rows: Python floats for a
+    tuple of floats, and for a tuple of a block's columns, arrays of shape
+    (N,), arrays or float constants (an entry that is identically zero may
+    be the float 0.0), with entry i of each equal to the single-state value
+    of state i bit for bit.
+    ``jacobian_transpose_apply(x, w)``, Df(x)^T w, is optional and unused
+    by the library; no shipped map sets it, and ``perfbench/tracer.py``
+    wraps it by name where a map does.
     """
 
     dim_state: int
     dim_values: int
     eval: Callable
-    jacobian_transpose_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable] = None
+    jacobian: Callable
+    jacobian_transpose_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def assemble_jacobian(f: FirstIntegralMap, x) -> np.ndarray:
     """Full (dim_values, dim_state) Jacobian of f at x, a tuple of floats or an array."""
-    if f.jacobian is not None:
-        return np.asarray(f.jacobian(x), dtype=float)
-    x = np.asarray(x, dtype=float)
-    rows = np.empty((f.dim_values, f.dim_state))
-    w = np.zeros(f.dim_values)
-    for i in range(f.dim_values):
-        w[i] = 1.0
-        rows[i] = f.jacobian_transpose_apply(x, w)
-        w[i] = 0.0
-    return rows
+    return np.asarray(f.jacobian(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -83,26 +80,27 @@ def lyapunov_value(f: FirstIntegralMap, spec: FeedbackSpec, x: np.ndarray) -> fl
     return 0.5 * float(d @ (spec.gain_diag * d))
 
 
-def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x: np.ndarray) -> np.ndarray:
-    """grad V via the Jacobian-transpose formula Df(x)^T K (f(x) - f0)."""
-    d = f.eval(x) - spec.reference
-    return f.jacobian_transpose_apply(x, spec.gain_diag * d)
+def _gradient_components(fs, v) -> tuple:
+    # Df^T K (f - f0) at the state components v: column j is the sum over
+    # the values i, in order, of jacobian[i][j] * K_i (f_i - f0_i)
+    f, spec = fs
+    v = tuple(v)
+    w = [k * (fi - ri) for k, fi, ri in
+         zip(spec.gain_diag.tolist(), f.eval(v), spec.reference.tolist())]
+    rows = f.jacobian(v)
+    grad = [d * w[0] for d in rows[0]]
+    for row, wi in zip(rows[1:], w[1:]):
+        grad = [g + d * wi for g, d in zip(grad, row)]
+    return tuple(grad)
 
 
-@dataclass(frozen=True)
-class FeedbackField:
-    """Corrected vector field x -> base_field(x) - gradient(x).
+def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x):
+    """grad V via the Jacobian-transpose formula Df(x)^T K (f(x) - f0).
 
-    On the invariant set the gradient vanishes and evaluation reproduces
-    ``base_field`` exactly.
+    Built from ``f.eval`` and ``f.jacobian`` alone; x is a tuple of floats, a
+    state (dim_state,) or a block (N, dim_state), handled as
+    ``numerics.componentwise`` does: a block is evaluated on its columns, with
+    no (N, dim_values, dim_state) Jacobian formed, and row i of the result
+    equals the gradient at state i bit for bit.
     """
-
-    base_field: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.base_field(x) - self.gradient(x)
-
-
-def make_feedback_field(base, grad) -> FeedbackField:
-    return FeedbackField(base_field=base, gradient=grad)
+    return componentwise(_gradient_components, (f, spec), x)

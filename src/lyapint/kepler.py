@@ -94,10 +94,13 @@ def accel(p: KeplerParams, q):
 
 
 def invariant_components(mu: float, s) -> tuple:
-    """(L, A, E) at s as seven Python floats: L0, L1, L2, A0, A1, A2, E.
+    """(L, A, E) at s as seven components: L0, L1, L2, A0, A1, A2, E.
 
-    The one source of the Kepler integrals: the kernels below, the target
-    values (L0, A0) and the drift metrics all evaluate these expressions.
+    ``s`` is a state, as an array (6,) or a tuple of floats (giving Python
+    floats), or a tuple of a block's columns (giving arrays (N,)). The one
+    source of the Kepler integrals: the kernels below, the target values
+    (L0, A0), the drift metrics and the ``check`` vector identities all
+    evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = components(s)
     m = mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
@@ -136,11 +139,11 @@ def _field_and_gradient(p: KeplerParams, v) -> tuple:
         grad_v = k1 dL x x + k2 (L x dA + (x . dA) v - (x . v) dA),
 
     where v x (dA x v) and x x (v x dA) are expanded by the BAC-CAB rule.
-    ``integral_map``'s numpy ``jac_t`` is kept apart as the oracle it is
-    checked against. L and A repeat the expressions of
-    ``invariant_components`` inline (a shared helper returning them made
-    this kernel about 1.5 us, some 40%, slower per call), so dL and dA are
-    exactly zero at the state the targets came from.
+    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
+    and ``jacobian``, is the oracle it is checked against. L and A repeat
+    the expressions of ``invariant_components`` inline (a shared helper
+    returning them made this kernel about 1.5 us, some 40%, slower per
+    call), so dL and dA are exactly zero at the state the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r2 = x0 * x0 + x1 * x1 + x2 * x2
@@ -299,25 +302,12 @@ def _jacobian_rows(p: KeplerParams, v) -> tuple:
 def integral_map(p: KeplerParams) -> FirstIntegralMap:
     """Stacked map (L, A) of dimension 6.
 
-    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (6,).
+    ``eval`` and ``jacobian`` take a tuple of floats, a state of shape (6,)
+    or a tuple of a block's columns (see ``feedback.FirstIntegralMap``).
     """
-
-    def jac_t(s, w):
-        x = s[:3]
-        v = s[3:]
-        r = radius(float(x @ x))
-        L = cross(x, v)
-        wl = w[:3]
-        wa = w[3:]
-        gx = cross(v, wl) + cross(v, cross(wa, v)) - (p.mu / r) * wa \
-            + (p.mu / r**3) * float(x @ wa) * x
-        gv = cross(wl, x) + cross(L, wa) + cross(x, cross(v, wa))
-        return np.concatenate((gx, gv))
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=6,
         eval=partial(componentwise, _integral_values, p),
-        jacobian_transpose_apply=jac_t,
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 

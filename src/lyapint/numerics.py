@@ -1,9 +1,10 @@
 """Fixed-size vector/matrix primitives shared by all systems.
 
 The vector helpers work on plain float64 numpy arrays: 3-vectors of shape
-(3,) and 3x3 matrices of shape (3, 3), stored row-major. ``componentwise``
-and ``radius`` serve the system kernels, which are written over state
-components: Python floats for one state, shape-(N,) arrays for a batch.
+(3,) and 3x3 matrices of shape (3, 3), stored row-major. ``componentwise``,
+``column_dot`` and ``radius`` serve the system kernels and their callers,
+which are written over state components: Python floats for one state,
+shape-(N,) arrays for a batch.
 """
 
 import math
@@ -45,11 +46,13 @@ def components(s) -> tuple:
 
 
 def componentwise(kernel, p, s):
-    """``kernel(p, components)`` on a tuple of floats (giving a tuple), a state (dim,) or a batch.
+    """``kernel(p, components)`` on a tuple of components (giving a tuple), a state (dim,) or a batch.
 
     A state of shape (dim,) goes to the kernel as dim Python floats and gives
     shape (m,); a batch of shape (N, dim) as its dim columns, arrays of shape
-    (N,), and gives a C-contiguous (N, m). The kernel applies the same IEEE
+    (N,), and gives a C-contiguous (N, m). A tuple goes to the kernel as it
+    is: dim floats give m floats, and a batch's dim columns give its m result
+    columns without stacking them. The kernel applies the same IEEE
     operations in the same order either way, so row i of a batch result equals
     the result for state i bit for bit, and so does a reduction over the row.
     """
@@ -58,6 +61,18 @@ def componentwise(kernel, p, s):
     if s.ndim == 1:
         return np.array(kernel(p, s.tolist()))
     return np.stack(kernel(p, s.T), axis=1)
+
+
+def column_dot(a, b):
+    """<a_i, b_i> for each state i of a batch given as two sequences of columns.
+
+    The columns are arrays of shape (N,), as a kernel returns them for a
+    tuple of a batch's columns; the products are summed in column order.
+    """
+    out = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        out += x * y
+    return out
 
 
 def radius(r2):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import componentwise, components, cross, norm, radius
+from .numerics import componentwise, components, norm, radius
 
 DIM = 6
 
@@ -148,17 +148,31 @@ def accel(p: PerturbedKeplerParams, q):
 
 
 def invariant_components(potential: RadialPotential, s) -> tuple:
-    """(E, L) at s as four Python floats: E, L0, L1, L2.
+    """(E, L) at s as four components: E, L0, L1, L2.
 
-    The one source of the perturbed-Kepler integrals: the target values
-    (E0, L0), ``invariants``, ``lyapunov``, the integral map's ``eval`` and
-    the drift metrics all evaluate these expressions.
+    ``s`` is a state, as an array (6,) or a tuple of floats (giving Python
+    floats), or a tuple of a block's columns (giving arrays (N,); a block
+    with any non-finite energy is rejected as a whole). The one source of
+    the perturbed-Kepler integrals: the target values (E0, L0),
+    ``invariants``, ``lyapunov``, the integral map's ``eval`` and the drift
+    metrics all evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = components(s)
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + potential.u(r)
-    if not math.isfinite(E):
-        raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
+    kinetic = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
+    # one type test per call: the single-state path, which every projection
+    # residual takes, calls U directly
+    if isinstance(r, np.ndarray):
+        E = kinetic + _radial(potential.u, r)
+        finite = np.isfinite(E)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise DomainError(
+                f"potential evaluation not finite at r = {r[i]:.3e} of batch state {i}")
+    else:
+        E = kinetic + potential.u(r)
+        if not math.isfinite(E):
+            raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
     return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
@@ -182,10 +196,10 @@ def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
     grad_v = k1 dE v + k2 dL x x
 
-    ``integral_map``'s numpy ``jac_t`` is kept apart as the oracle it is
-    checked against. E and L repeat the expressions of
-    ``invariant_components`` inline, so the gradient is exactly zero at the
-    state the targets came from.
+    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
+    and ``jacobian``, is the oracle it is checked against. E and L repeat
+    the expressions of ``invariant_components`` inline, so the gradient is
+    exactly zero at the state the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
@@ -240,7 +254,7 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = p.potential.u_prime(r) / r
+    c = _radial(p.potential.u_prime, r) / r
     return (
         (c * x0, c * x1, c * x2, v0, v1, v2),
         (0.0, v2, -v1, 0.0, -x2, x1),
@@ -252,23 +266,12 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
 def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
     """Stacked map (E, L) of dimension 4.
 
-    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (6,).
+    ``eval`` and ``jacobian`` take a tuple of floats, a state of shape (6,)
+    or a tuple of a block's columns (see ``feedback.FirstIntegralMap``).
     """
-
-    def jac_t(s, w):
-        x = s[:3]
-        v = s[3:]
-        r = radius(s[0] * s[0] + s[1] * s[1] + s[2] * s[2])
-        we = w[0]
-        wl = w[1:]
-        gx = (we * p.potential.u_prime(r) / r) * x + cross(v, wl)
-        gv = we * v + cross(wl, x)
-        return np.concatenate((gx, gv))
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=4,
         eval=partial(componentwise, _integral_values, p),
-        jacobian_transpose_apply=jac_t,
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 

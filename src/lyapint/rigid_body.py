@@ -156,10 +156,10 @@ def _gradient_components(p: RigidBodyParams, v) -> tuple:
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
     grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
 
-    ``integral_map``'s numpy ``jac_t`` is kept apart as the oracle it is
-    checked against. E, pi and the defect repeat the expressions of
-    ``invariant_components`` inline, so the gradient is exactly zero at the
-    state the targets came from.
+    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
+    and ``jacobian``, is the oracle it is checked against. E, pi and the
+    defect repeat the expressions of ``invariant_components`` inline, so the
+    gradient is exactly zero at the state the targets came from.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
     i0, i1, i2 = p._inertia
@@ -319,23 +319,12 @@ def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
 def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
     """Stacked map (vec(R^T R - I), E, pi) of dimension 13.
 
-    ``eval`` and ``jacobian`` take a tuple of floats or a state of shape (12,).
+    ``eval`` and ``jacobian`` take a tuple of floats, a state of shape (12,)
+    or a tuple of a block's columns (see ``feedback.FirstIntegralMap``).
     """
-
-    def jac_t(s, w):
-        R, W = unpack(s)
-        momentum = p.inertia * W
-        wdef = w[:9].reshape(3, 3)
-        wpi = w[10:]
-        out = np.empty(DIM)
-        out[:9] = (R @ (wdef + wdef.T) + np.outer(wpi, momentum)).ravel()
-        out[9:] = w[9] * momentum + p.inertia * (R.T @ wpi)
-        return out
-
     return FirstIntegralMap(
         dim_state=DIM, dim_values=13,
         eval=partial(componentwise, _integral_values, p),
-        jacobian_transpose_apply=jac_t,
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 

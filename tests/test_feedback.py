@@ -3,14 +3,8 @@ import pytest
 
 from conftest import central_difference_gradient
 from lyapint import rigid_body
-from lyapint.feedback import (
-    FeedbackSpec,
-    FirstIntegralMap,
-    assemble_jacobian,
-    generic_gradient,
-    lyapunov_value,
-    make_feedback_field,
-)
+from lyapint.errors import DomainError
+from lyapint.feedback import FeedbackSpec, generic_gradient, lyapunov_value
 
 ALL_SYSTEMS = ["rigid_body", "kepler", "perturbed_kepler"]
 
@@ -30,29 +24,23 @@ def test_feedback_spec_validation():
         FeedbackSpec(reference=np.array([np.inf, 0.0]), gain_diag=np.ones(2))
 
 
-def test_jacobian_transpose_is_linear(system):
-    rng = np.random.default_rng(10)
-    f = system.integral_map
-    for _ in range(50):
-        x = system.sample_state(rng)
-        w1 = rng.standard_normal(f.dim_values)
-        w2 = rng.standard_normal(f.dim_values)
-        a, b = rng.uniform(-2, 2, 2)
-        lhs = f.jacobian_transpose_apply(x, a * w1 + b * w2)
-        rhs = a * f.jacobian_transpose_apply(x, w1) + b * f.jacobian_transpose_apply(x, w2)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_closed_form_jacobian_matches_columnwise_assembly(system):
-    rng = np.random.default_rng(11)
-    f = system.integral_map
-    generic = FirstIntegralMap(
-        dim_state=f.dim_state, dim_values=f.dim_values,
-        eval=f.eval, jacobian_transpose_apply=f.jacobian_transpose_apply)
-    for _ in range(25):
-        x = system.sample_state(rng)
-        assert np.allclose(assemble_jacobian(f, x), assemble_jacobian(generic, x),
-                           rtol=1e-13, atol=1e-13)
+def test_oracle_on_block_columns_equals_single_state_floats_bit_for_bit(system):
+    # eval, jacobian and generic_gradient on a block's columns against the
+    # Python floats of each state; 1,500 states, one full and one partial block
+    f, spec = system.integral_map, system.feedback_spec
+    for block in system.sample_blocks(np.random.default_rng(19), 1500, 1000):
+        columns = tuple(block.T)
+        values, rows = f.eval(columns), f.jacobian(columns)
+        oracle = generic_gradient(f, spec, block)
+        assert oracle.shape == block.shape and oracle.flags.c_contiguous
+        for i, state in enumerate(block.tolist()):
+            x = tuple(state)
+            assert np.array([v[i] for v in values]).tobytes() == np.array(f.eval(x)).tobytes()
+            entries = [[np.broadcast_to(c, len(block))[i] for c in row] for row in rows]
+            assert np.array(entries).tobytes() == np.array(f.jacobian(x)).tobytes()
+            single = generic_gradient(f, spec, x)
+            assert all(type(c) is float for c in single)
+            assert np.array(single).tobytes() == oracle[i].tobytes()
 
 
 def test_gradient_zero_at_reference_point(system):
@@ -88,6 +76,15 @@ def test_generic_matches_analytic_gradient(system):
         assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
 
 
+def test_closed_form_gradient_matches_finite_differences_of_lyapunov(system):
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        x = system.sample_state(rng)
+        ga = system.gradient(x)
+        gfd = central_difference_gradient(system.lyapunov, x)
+        assert np.linalg.norm(ga - gfd) <= 1e-5 * (1.0 + np.linalg.norm(ga))
+
+
 def test_generic_matches_finite_differences(system):
     rng = np.random.default_rng(13)
     fun = lambda x: lyapunov_value(system.integral_map, system.feedback_spec, x)
@@ -99,14 +96,16 @@ def test_generic_matches_finite_differences(system):
 
 
 def test_gradient_rejects_domain_violations(kepler_sys, pk_sys):
-    from lyapint.errors import DomainError
-
     origin = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     for system in (kepler_sys, pk_sys):
         with pytest.raises(DomainError):
             generic_gradient(system.integral_map, system.feedback_spec, origin)
         with pytest.raises(DomainError):
             lyapunov_value(system.integral_map, system.feedback_spec, origin)
+        block = np.array([system.sample_state(np.random.default_rng(k)) for k in range(5)])
+        block[3] = origin
+        with pytest.raises(DomainError, match="batch state 3"):
+            generic_gradient(system.integral_map, system.feedback_spec, block)
 
 
 def test_lyapunov_value_nonnegative(system):
@@ -127,18 +126,16 @@ def test_gain_doubling_doubles_gradient(system):
         assert np.array_equal(g2, 2.0 * g1)
 
 
-def test_feedback_field_is_base_minus_gradient(system):
+def test_modified_field_is_field_minus_gradient(system):
     rng = np.random.default_rng(16)
-    field = make_feedback_field(system.field, system.gradient)
     for _ in range(20):
         x = system.sample_state(rng)
-        assert np.array_equal(field(x), system.field(x) - system.gradient(x))
+        assert np.array_equal(system.modified_field(x), system.field(x) - system.gradient(x))
 
 
-def test_feedback_field_coincides_on_level_set(system):
-    field = make_feedback_field(system.field, system.gradient)
+def test_modified_field_coincides_with_field_on_level_set(system):
     x0 = system.initial_state
-    assert np.array_equal(field(x0), system.field(x0))
+    assert np.array_equal(system.modified_field(x0), system.field(x0))
 
 
 def test_orthogonality_of_gradient_and_field(system):

@@ -297,7 +297,7 @@ def test_projection_rank_error_on_degenerate_constraint():
     flat = FirstIntegralMap(
         dim_state=2, dim_values=1,
         eval=lambda x: np.array([1.0]),
-        jacobian_transpose_apply=lambda x, w: np.zeros(2))
+        jacobian=lambda x: np.zeros((1, 2)))
     cfg = ProjectionConfig(constraint=flat, target=np.array([0.0]), tol=1e-10)
     with pytest.raises(RankError):
         projection_step(euler_step, cfg, lambda s: np.zeros(2), np.zeros(2), 0.1)
