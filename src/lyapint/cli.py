@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kepler, perturbed_kepler, rigid_body
+from . import kepler, perturbed_kepler
 from .diagnostics import (
     ORTHOGONALITY_BLOCK,
     check_rank_condition,
@@ -47,17 +47,12 @@ from .integrators import (
 )
 from .kepler import state_at_eccentric_anomaly
 from .numerics import column_dot, components
-from .systems import SYSTEM_NAMES, SystemModel, make_system
+from .systems import MODULES, SYSTEM_NAMES, SystemModel, make_system
 
 METHOD_NAMES = (
     "feedback_euler", "feedback_rk4", "euler", "rk4",
     "projection_euler", "splitting", "stormer_verlet_a", "stormer_verlet_b",
 )
-
-_SYSTEM_MODULES = {"rigid_body": rigid_body, "kepler": kepler,
-                   "perturbed_kepler": perturbed_kepler}
-_GAIN_KEYS = {"rigid_body": ("k0", "k1", "k2"), "kepler": ("k1", "k2"),
-              "perturbed_kepler": ("k1", "k2")}
 
 
 @dataclass
@@ -84,14 +79,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}; choose from {SYSTEM_NAMES}")
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHOD_NAMES}")
-        if self.method == "splitting" and self.system != "rigid_body":
-            raise ConfigError("splitting method is only defined for the rigid body")
-        if self.method.startswith("stormer_verlet") and self.system == "rigid_body":
+        module = MODULES[self.system]
+        if self.method == "splitting" and not hasattr(module, "splitting_step"):
+            raise ConfigError(f"the splitting method is not defined for system {self.system!r}")
+        if self.method.startswith("stormer_verlet") and not hasattr(module, "accel"):
             raise ConfigError(
-                "Stormer-Verlet schemes need a position-only acceleration; "
-                "they apply to the Kepler-family systems only")
+                "Stormer-Verlet schemes need a position-only acceleration, "
+                f"which system {self.system!r} does not have")
         if self.h is None:
-            self.h = _BENCHMARK_STEP[self.system]
+            self.h = module.BENCHMARK_STEP
         if not math.isfinite(self.h):
             raise ConfigError(f"step size h must be finite, got {self.h!r}")
         if self.h <= 0.0:
@@ -112,15 +108,21 @@ class ExperimentConfig:
         if self.projection_max_iter < 1:
             raise ConfigError("projection max_iter must be at least 1")
         for key, value in self.gains.items():
-            if key not in _GAIN_KEYS[self.system]:
+            if key not in module.GAIN_NAMES:
                 raise ConfigError(f"unknown gain {key!r} for system {self.system!r}; "
-                                  f"choose from {_GAIN_KEYS[self.system]}")
+                                  f"choose from {module.GAIN_NAMES}")
             if value <= 0.0:
                 raise ConfigError(f"gain {key} must be positive")
+        for key in self.constants():
+            if key not in module.CONSTANTS:
+                raise ConfigError(f"constant {key!r} does not apply to system "
+                                  f"{self.system!r}; it takes {module.CONSTANTS}")
         return self
 
-
-_BENCHMARK_STEP = {"rigid_body": 1e-4, "kepler": 0.005, "perturbed_kepler": 0.03}
+    def constants(self) -> dict:
+        """The [constants] that are set, by name."""
+        return {k: getattr(self, k) for k in _CONFIG_KEYS["constants"]
+                if getattr(self, k) is not None}
 
 
 # Keys each config section accepts. None defers the check: gain names to
@@ -250,12 +252,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def build_system(cfg: ExperimentConfig) -> SystemModel:
     """Instantiate the configured system with gains, constants and start state."""
-    module = _SYSTEM_MODULES[cfg.system]
-    gains = tuple(cfg.gains.get(k, d)
-                  for k, d in zip(_GAIN_KEYS[cfg.system], module.BENCHMARK_GAINS))
     initial = None
     if cfg.initial_condition != "paper_default":
-        names = module.STATE_NAMES
+        names = MODULES[cfg.system].STATE_NAMES
         missing = [n for n in names if n not in cfg.initial_condition]
         if missing:
             raise ConfigError(f"initial condition missing components {missing}")
@@ -263,17 +262,9 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         if extra:
             raise ConfigError(f"unknown initial-condition components {extra}")
         initial = np.array([cfg.initial_condition[n] for n in names])
-    kwargs = {"gains": gains, "initial_state": initial}
-    if cfg.system == "rigid_body":
-        kwargs["inertia"] = cfg.inertia
-    else:
-        kwargs["mu"] = cfg.mu
-        if cfg.system == "perturbed_kepler":
-            kwargs["delta"] = cfg.delta
-            if initial is None:
-                kwargs["eccentricity"] = cfg.eccentricity
     try:
-        return make_system(cfg.system, **kwargs)
+        return make_system(cfg.system, initial_state=initial, gains=cfg.gains,
+                           **cfg.constants())
     except (ValueError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:  # the start state's integrals overflow
@@ -359,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
 
         def observe(k, x):
             nonlocal final_metrics
-            final_metrics = metrics = system.drift_metrics(x, s0)
+            final_metrics = metrics = system.drift_metrics(x)
             for key, value in metrics.items():
                 if maxima.get(key, -1.0) < value:
                     maxima[key] = value

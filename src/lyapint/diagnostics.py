@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BasinViolationError
-from .feedback import FirstIntegralMap, assemble_jacobian
+from .feedback import FirstIntegralMap
 from .integrators import integrate, steps_for
 from .numerics import column_dot
 from .systems import SystemModel
@@ -51,7 +51,7 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence[np.ndarray],
     """
     spectra = []
     for s in samples:
-        jac = assemble_jacobian(f, np.asarray(s, dtype=float))
+        jac = np.asarray(f.jacobian(np.asarray(s, dtype=float)), dtype=float)
         spectra.append(tuple(singular_values(jac)))
     smallest = min(spec[-1] for spec in spectra)
     return RankReport(min_singular_value=float(smallest), spectra=tuple(spectra),

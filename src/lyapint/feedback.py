@@ -51,11 +51,6 @@ class FirstIntegralMap:
     jacobian_transpose_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
-def assemble_jacobian(f: FirstIntegralMap, x) -> np.ndarray:
-    """Full (dim_values, dim_state) Jacobian of f at x, a tuple of floats or an array."""
-    return np.asarray(f.jacobian(x), dtype=float)
-
-
 @dataclass(frozen=True)
 class FeedbackSpec:
     """Reference values f(x0) and the diagonal of the gain matrix K."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import IntegrationError, ProjectionError, RankError
-from .feedback import FirstIntegralMap, assemble_jacobian
+from .feedback import FirstIntegralMap
 
 # Relative cutoff below which singular values of the constraint Jacobian J
 # are treated as null: sqrt(1e-14), the cutoff 1e-14 on those of the Gram
@@ -158,7 +158,7 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
     rnorm = math.hypot(*res)
     if rnorm <= cfg.tol:
         return xt
-    correction = _pseudo_inverse(assemble_jacobian(f, xt))
+    correction = _pseudo_inverse(np.asarray(f.jacobian(xt), dtype=float))
     y = np.array(xt)
     for _ in range(cfg.max_iter):
         y = y - correction @ res

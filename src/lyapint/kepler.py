@@ -24,6 +24,12 @@ BENCHMARK_MU = 1.0
 BENCHMARK_X0 = (1.0, 0.0, 0.0)
 BENCHMARK_V0 = (0.0, math.sqrt(1.8), 0.0)
 BENCHMARK_GAINS = (4.0, 2.0)
+BENCHMARK_STEP = 0.005
+
+GAIN_NAMES = ("k1", "k2")
+CONSTANTS = ("mu",)
+DRIFT_NAMES = ("dL", "dA", "dE", "V")
+PROJECTION_TOL = 0.005
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,12 @@ class KeplerParams:
                    L0=(l0, l1, l2), A0=(a0, a1, a2))
 
 
-def benchmark_setup(k1=None, k2=None, mu=None):
-    """Benchmark orbit: mu = 1, perihelion start (1,0,0) with speed sqrt(1.8)."""
-    mu = BENCHMARK_MU if mu is None else mu
-    gains = (BENCHMARK_GAINS[0] if k1 is None else k1, BENCHMARK_GAINS[1] if k2 is None else k2)
-    x0 = np.concatenate((np.array(BENCHMARK_X0), np.array(BENCHMARK_V0)))
-    return KeplerParams.from_initial(mu, x0[:3], x0[3:], *gains), x0
+def setup(initial_state, gains, mu=BENCHMARK_MU):
+    """Params (gains (k1, k2), targets (L0, A0) from the start) and the start
+    state; None starts at the benchmark perihelion (1,0,0), speed sqrt(1.8)."""
+    s0 = (np.array((*BENCHMARK_X0, *BENCHMARK_V0)) if initial_state is None
+          else np.asarray(initial_state, dtype=float))
+    return KeplerParams.from_initial(mu, s0[:3], s0[3:], *gains), s0
 
 
 def _field_components(p: KeplerParams, v) -> tuple:
@@ -120,13 +126,39 @@ def invariants(p: KeplerParams, s: np.ndarray):
     return np.array((l0, l1, l2)), np.array((a0, a1, a2)), E
 
 
-def lyapunov(p: KeplerParams, s) -> float:
-    l0, l1, l2, a0, a1, a2, _ = invariant_components(p.mu, s)
+def _lyapunov_of(p: KeplerParams, integrals) -> float:
+    """V from the integrals (L, A, E) that ``invariant_components`` gives."""
+    l0, l1, l2, a0, a1, a2, _ = integrals
     t = p._target
     d0, d1, d2 = l0 - t[0], l1 - t[1], l2 - t[2]
     e0, e1, e2 = a0 - t[3], a1 - t[4], a2 - t[5]
     return (0.5 * p.k1 * (d0 * d0 + d1 * d1 + d2 * d2)
             + 0.5 * p.k2 * (e0 * e0 + e1 * e1 + e2 * e2))
+
+
+def lyapunov(p: KeplerParams, s) -> float:
+    return _lyapunov_of(p, invariant_components(p.mu, s))
+
+
+def drift_metrics(p: KeplerParams, s0):
+    """``drift(s)``: |L - L(s0)|, |A - A(s0)|, |E - E(s0)| and V at a state,
+    from one ``invariant_components`` call on its floats."""
+    mu = p.mu
+    L0x, L0y, L0z, A0x, A0y, A0z, E0 = invariant_components(mu, s0)
+
+    def drift(s):
+        integrals = invariant_components(mu, s)
+        l0, l1, l2, a0, a1, a2, E = integrals
+        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+        w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
+        return {
+            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            "dA": math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
+            "dE": abs(E - E0),
+            "V": _lyapunov_of(p, integrals),
+        }
+
+    return drift
 
 
 def _field_and_gradient(p: KeplerParams, v) -> tuple:
@@ -225,15 +257,9 @@ def orbit_geometry(p: KeplerParams):
     return a, e, period
 
 
-def solve_kepler_equation(e: float, mean_anomaly: float, tol=1e-14, max_iter=64) -> float:
-    """Eccentric anomaly psi with psi - e sin(psi) = mean_anomaly, by Newton."""
-    psi = mean_anomaly if e < 0.8 else math.pi
-    for _ in range(max_iter):
-        delta = (psi - e * math.sin(psi) - mean_anomaly) / (1.0 - e * math.cos(psi))
-        psi -= delta
-        if abs(delta) <= tol:
-            return psi
-    raise RuntimeError("Kepler equation Newton iteration did not converge")
+def period(p: KeplerParams) -> float:
+    """Period of the target orbit (see ``orbit_geometry``)."""
+    return orbit_geometry(p)[2]
 
 
 def _orbit_frame(p: KeplerParams):

@@ -19,12 +19,6 @@ I3 = np.eye(3)
 ORIGIN_RADIUS = 1e-12
 
 
-def hat(omega) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector; hat(u) @ v equals cross(u, v)."""
-    w0, w1, w2 = omega
-    return np.array(((0.0, -w2, w1), (w2, 0.0, -w0), (-w1, w0, 0.0)))
-
-
 def cross(u, v) -> np.ndarray:
     u0, u1, u2 = u
     v0, v1, v2 = v

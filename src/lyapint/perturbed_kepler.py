@@ -35,6 +35,12 @@ BENCHMARK_MU = 1.0
 BENCHMARK_DELTA = 0.0025
 BENCHMARK_ECCENTRICITY = 0.6
 BENCHMARK_GAINS = (2.0, 3.0)
+BENCHMARK_STEP = 0.03
+
+GAIN_NAMES = ("k1", "k2")
+CONSTANTS = ("mu", "delta", "eccentricity")
+DRIFT_NAMES = ("dE", "dL", "V")
+PROJECTION_TOL = 1e-8
 
 # Residual threshold for declaring the circular-orbit equations incompatible,
 # and the default radius bracket searched for candidate roots.
@@ -95,20 +101,23 @@ class PerturbedKeplerParams:
         return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=(l0, l1, l2))
 
 
-def benchmark_setup(k1=None, k2=None, mu=None, delta=None, eccentricity=None):
-    """Benchmark setup: mu = 1, delta = 0.0025, start at perihelion of an
-    e = 0.6 Kepler ellipse: x = (1-e, 0, 0), v = (0, sqrt((1+e)/(1-e)), 0)."""
-    mu = BENCHMARK_MU if mu is None else mu
-    delta = BENCHMARK_DELTA if delta is None else delta
-    e = BENCHMARK_ECCENTRICITY if eccentricity is None else eccentricity
-    if not 0.0 <= e < 1.0:
-        raise ValueError(f"eccentricity must lie in [0, 1), got {e!r}")
-    gains = (BENCHMARK_GAINS[0] if k1 is None else k1, BENCHMARK_GAINS[1] if k2 is None else k2)
+def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentricity=None):
+    """Params (gains (k1, k2), targets (E0, L0) from the start) and the start
+    state. None starts at the perihelion of a Kepler ellipse of eccentricity
+    e (default 0.6), x = (1-e, 0, 0), v = (0, sqrt((1+e)/(1-e)), 0); e sets
+    only that start, so it cannot come with an explicit ``initial_state``."""
+    if initial_state is None:
+        e = BENCHMARK_ECCENTRICITY if eccentricity is None else eccentricity
+        if not 0.0 <= e < 1.0:
+            raise ValueError(f"eccentricity must lie in [0, 1), got {e!r}")
+        s0 = np.array((1.0 - e, 0.0, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e)), 0.0))
+    elif eccentricity is not None:
+        raise ValueError("eccentricity sets the benchmark start; "
+                         "it cannot be given with an explicit initial state")
+    else:
+        s0 = np.asarray(initial_state, dtype=float)
     potential = inverse_cube_perturbed(mu, delta)
-    x0 = np.array((1.0 - e, 0.0, 0.0))
-    v0 = np.array((0.0, math.sqrt((1.0 + e) / (1.0 - e)), 0.0))
-    params = PerturbedKeplerParams.from_initial(potential, x0, v0, *gains)
-    return params, np.concatenate((x0, v0))
+    return PerturbedKeplerParams.from_initial(potential, s0[:3], s0[3:], *gains), s0
 
 
 def _radial(fn, r):
@@ -182,12 +191,48 @@ def invariants(p: PerturbedKeplerParams, s: np.ndarray):
     return E, np.array((l0, l1, l2))
 
 
-def lyapunov(p: PerturbedKeplerParams, s) -> float:
-    E, l0, l1, l2 = invariant_components(p.potential, s)
+def _lyapunov_of(p: PerturbedKeplerParams, integrals) -> float:
+    """V from the integrals (E, L) that ``invariant_components`` gives."""
+    E, l0, l1, l2 = integrals
     t = p._target
     dE = E - t[0]
     d0, d1, d2 = l0 - t[1], l1 - t[2], l2 - t[3]
     return 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def lyapunov(p: PerturbedKeplerParams, s) -> float:
+    return _lyapunov_of(p, invariant_components(p.potential, s))
+
+
+def drift_metrics(p: PerturbedKeplerParams, s0):
+    """``drift(s)``: |E - E(s0)|, |L - L(s0)| and V at a state, from one
+    ``invariant_components`` call on its floats."""
+    potential = p.potential
+    E_start, L0x, L0y, L0z = invariant_components(potential, s0)
+
+    def drift(s):
+        integrals = invariant_components(potential, s)
+        E, l0, l1, l2 = integrals
+        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+        return {
+            "dE": abs(E - E_start),
+            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            "V": _lyapunov_of(p, integrals),
+        }
+
+    return drift
+
+
+def period(p: PerturbedKeplerParams) -> float:
+    """Radial period estimate from the osculating Kepler ellipse (mu = 1) of
+    the start point, adequate for choosing desk-scale horizons."""
+    a = -1.0 / (2.0 * p.E0) if p.E0 < 0.0 else 1.0
+    return 2.0 * math.pi * math.sqrt(abs(a) ** 3)
+
+
+def gain_bound(p: PerturbedKeplerParams) -> float:
+    """No sublevel bound is known for this system."""
+    return math.inf
 
 
 def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:

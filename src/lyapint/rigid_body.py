@@ -36,6 +36,12 @@ BENCHMARK_OMEGA0 = (1.0, 1.0, 1.0)
 BENCHMARK_GAINS = (50.0, 100.0, 50.0)
 # Approximate period of the body angular velocity for the benchmark setup.
 BENCHMARK_OMEGA_PERIOD = 6.4227
+BENCHMARK_STEP = 1e-4
+
+GAIN_NAMES = ("k0", "k1", "k2")
+CONSTANTS = ("inertia",)
+DRIFT_NAMES = ("dE", "dPi", "so3dev", "V")
+PROJECTION_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -90,16 +96,13 @@ def unpack(s):
     return s[:9].reshape(3, 3), s[9:]
 
 
-def benchmark_setup(k0=None, k1=None, k2=None, inertia=None):
-    """Benchmark parameters and initial state: I = diag(3,2,1), R = identity, Omega = (1,1,1)."""
-    gains = (
-        BENCHMARK_GAINS[0] if k0 is None else k0,
-        BENCHMARK_GAINS[1] if k1 is None else k1,
-        BENCHMARK_GAINS[2] if k2 is None else k2,
-    )
-    inertia = BENCHMARK_INERTIA if inertia is None else inertia
-    params = RigidBodyParams.from_initial(inertia, I3, BENCHMARK_OMEGA0, *gains)
-    return params, pack(I3, BENCHMARK_OMEGA0)
+def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
+    """Params (gains (k0, k1, k2), targets (E0, pi0) from the start) and the
+    start state; None starts at R = identity, Omega = (1,1,1)."""
+    s0 = (pack(I3, BENCHMARK_OMEGA0) if initial_state is None
+          else np.asarray(initial_state, dtype=float))
+    R0, W0 = unpack(s0)
+    return RigidBodyParams.from_initial(inertia, R0, W0, *gains), s0
 
 
 def _defect_and_integrals(inertia: tuple, v) -> tuple:
@@ -206,13 +209,38 @@ def integrals(p: RigidBodyParams, s: np.ndarray):
     return E, np.array((q0, q1, q2))
 
 
-def lyapunov(p: RigidBodyParams, s) -> float:
-    E, q0, q1, q2, defect_sq = invariant_components(p._inertia, s)
+def _lyapunov_of(p: RigidBodyParams, integrals) -> float:
+    """V from the integrals (E, pi, defect) that ``invariant_components`` gives."""
+    E, q0, q1, q2, defect_sq = integrals
     E0, t0, t1, t2 = p._target
     dE = E - E0
     d0, d1, d2 = q0 - t0, q1 - t1, q2 - t2
     return (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * dE * dE
             + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2))
+
+
+def lyapunov(p: RigidBodyParams, s) -> float:
+    return _lyapunov_of(p, invariant_components(p._inertia, s))
+
+
+def drift_metrics(p: RigidBodyParams, s0):
+    """``drift(s)``: |E - E(s0)|, |pi - pi(s0)|, ||R^T R - I|| and V at a
+    state, from one ``invariant_components`` call on its floats."""
+    inertia = p._inertia
+    E_start, p0, p1, p2, _ = invariant_components(inertia, s0)
+
+    def drift(s):
+        integrals = invariant_components(inertia, s)
+        E, q0, q1, q2, defect_sq = integrals
+        u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
+        return {
+            "dE": abs(E - E_start),
+            "dPi": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            "so3dev": math.sqrt(defect_sq),
+            "V": _lyapunov_of(p, integrals),
+        }
+
+    return drift
 
 
 def lyapunov_gradient(p: RigidBodyParams, s):
@@ -247,6 +275,11 @@ def gain_bound(p: RigidBodyParams) -> float:
         0.5 * p.k1 * abs(p.E0),
         0.5 * p.k2 * float(p.pi0 @ p.pi0),
     )
+
+
+def period(p: RigidBodyParams) -> float:
+    """The benchmark's angular-velocity period, whatever the parameters."""
+    return BENCHMARK_OMEGA_PERIOD
 
 
 def _axis_rotation(axis: int, angle: float) -> np.ndarray:

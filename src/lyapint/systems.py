@@ -3,7 +3,8 @@
 A ``SystemModel`` bundles everything the drift diagnostics, validators and
 the experiment runner need: the original and feedback vector fields, the
 stacked integral map with its gain spec, drift metrics relative to a run's
-initial state, and a sampler for randomized property checks.
+initial state, and a sampler for randomized property checks. ``make_system``
+builds one from the system's module in ``MODULES``.
 """
 
 from __future__ import annotations  # np.random.Generator would load numpy.random
@@ -17,7 +18,10 @@ import numpy as np
 from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FeedbackSpec, FirstIntegralMap
 
-SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
+# Each module states its system once: ``setup``, the kernels, ``drift_metrics``,
+# ``period``, ``gain_bound`` and the constants that ``make_system`` reads.
+MODULES = {"rigid_body": rigid_body, "kepler": kepler, "perturbed_kepler": perturbed_kepler}
+SYSTEM_NAMES = tuple(MODULES)
 
 # Uniforms per generator call in SystemModel.sample_blocks: a few blocks of
 # states' worth, so that numpy's per-call cost vanishes next to the kernel.
@@ -50,7 +54,7 @@ class SystemModel:
     initial_state: np.ndarray
     state_names: tuple
     drift_names: tuple
-    drift_metrics: Callable[[np.ndarray, np.ndarray], dict]
+    drift_metrics: Callable[[np.ndarray], dict]
     sampler: Callable[[Callable[[int], list]], tuple]
     gain_bound: float
     period: float
@@ -126,187 +130,53 @@ def _orbital_sampler(draw, r_min: float = 0.2) -> tuple:
                 return (x0, x1, x2, -1.5 + 3.0 * u0, -1.5 + 3.0 * u1, -1.5 + 3.0 * u2)
 
 
-def rigid_body_system(params=None, initial_state=None, gains=None, inertia=None) -> SystemModel:
-    if params is None:
-        k0, k1, k2 = gains if gains is not None else rigid_body.BENCHMARK_GAINS
-        params, default_initial = rigid_body.benchmark_setup(k0=k0, k1=k1, k2=k2, inertia=inertia)
-        if initial_state is None:
-            initial_state = default_initial
-        else:
-            initial_state = np.asarray(initial_state, dtype=float)
-            R0, W0 = rigid_body.unpack(initial_state)
-            params = rigid_body.RigidBodyParams.from_initial(
-                params.inertia, R0, W0, params.k0, params.k1, params.k2)
-    else:
-        initial_state = np.asarray(initial_state, dtype=float)
-
-    p = params
-    inertia = tuple(p.inertia.tolist())
-    start = rigid_body.invariant_components(inertia, initial_state)
-    target = (float(p.E0), *p.pi0.tolist())
-
-    def drift(s, _s0, start=start, target=target):
-        # single pass on floats; V matches rigid_body.lyapunov term for term
-        E, q0, q1, q2, defect_sq = rigid_body.invariant_components(inertia, s)
-        E_start, s0, s1, s2, _ = start
-        u0, u1, u2 = q0 - s0, q1 - s1, q2 - s2
-        dE = E - target[0]
-        d0, d1, d2 = q0 - target[1], q1 - target[2], q2 - target[3]
-        return {
-            "dE": abs(E - E_start),
-            "dPi": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "so3dev": math.sqrt(defect_sq),
-            "V": (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * dE * dE
-                  + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)),
-        }
-
-    return SystemModel(
-        name="rigid_body",
-        dim=rigid_body.DIM,
-        params=p,
-        field=lambda s: rigid_body.field(p, s),
-        modified_field=lambda s: rigid_body.modified_field(p, s),
-        gradient=lambda s: rigid_body.lyapunov_gradient(p, s),
-        lyapunov=lambda s: rigid_body.lyapunov(p, s),
-        integral_map=rigid_body.integral_map(p),
-        feedback_spec=rigid_body.feedback_spec(p),
-        initial_state=initial_state,
-        state_names=rigid_body.STATE_NAMES,
-        drift_names=("dE", "dPi", "so3dev", "V"),
-        drift_metrics=drift,
-        sampler=_rigid_sampler,
-        gain_bound=rigid_body.gain_bound(p),
-        period=rigid_body.BENCHMARK_OMEGA_PERIOD,
-        projection_tol=1e-4,
-        splitting_step=lambda s, h: rigid_body.splitting_step(p, s, h),
-    )
-
-
-def kepler_system(params=None, initial_state=None, gains=None, mu=None) -> SystemModel:
-    if params is None:
-        k1, k2 = gains if gains is not None else kepler.BENCHMARK_GAINS
-        params, default_initial = kepler.benchmark_setup(k1=k1, k2=k2, mu=mu)
-        if initial_state is None:
-            initial_state = default_initial
-        else:
-            initial_state = np.asarray(initial_state, dtype=float)
-            params = kepler.KeplerParams.from_initial(
-                params.mu, initial_state[:3], initial_state[3:], params.k1, params.k2)
-    else:
-        initial_state = np.asarray(initial_state, dtype=float)
-
-    p = params
-    start = kepler.invariant_components(p.mu, initial_state)
-    target = (*p.L0.tolist(), *p.A0.tolist())
-    _, _, period = kepler.orbit_geometry(p)
-
-    def drift(s, _s0, start=start, target=target):
-        # single pass on floats; V matches kepler.lyapunov term for term
-        l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(p.mu, s)
-        L0x, L0y, L0z, A0x, A0y, A0z, E0 = start
-        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
-        w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
-        d0, d1, d2 = l0 - target[0], l1 - target[1], l2 - target[2]
-        e0, e1, e2 = a0 - target[3], a1 - target[4], a2 - target[5]
-        return {
-            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "dA": math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
-            "dE": abs(E - E0),
-            "V": (0.5 * p.k1 * (d0 * d0 + d1 * d1 + d2 * d2)
-                  + 0.5 * p.k2 * (e0 * e0 + e1 * e1 + e2 * e2)),
-        }
-
-    return SystemModel(
-        name="kepler",
-        dim=kepler.DIM,
-        params=p,
-        field=lambda s: kepler.field(p, s),
-        modified_field=lambda s: kepler.modified_field(p, s),
-        gradient=lambda s: kepler.lyapunov_gradient(p, s),
-        lyapunov=lambda s: kepler.lyapunov(p, s),
-        integral_map=kepler.integral_map(p),
-        feedback_spec=kepler.feedback_spec(p),
-        initial_state=initial_state,
-        state_names=kepler.STATE_NAMES,
-        drift_names=("dL", "dA", "dE", "V"),
-        drift_metrics=drift,
-        sampler=_orbital_sampler,
-        gain_bound=kepler.gain_bound(p),
-        period=period,
-        projection_tol=0.005,
-        accel=lambda q: kepler.accel(p, q),
-    )
-
-
-def perturbed_kepler_system(params=None, initial_state=None, gains=None,
-                            mu=None, delta=None, eccentricity=None) -> SystemModel:
-    if params is None:
-        k1, k2 = gains if gains is not None else perturbed_kepler.BENCHMARK_GAINS
-        params, default_initial = perturbed_kepler.benchmark_setup(
-            k1=k1, k2=k2, mu=mu, delta=delta, eccentricity=eccentricity)
-        if initial_state is None:
-            initial_state = default_initial
-        else:
-            initial_state = np.asarray(initial_state, dtype=float)
-            params = perturbed_kepler.PerturbedKeplerParams.from_initial(
-                params.potential, initial_state[:3], initial_state[3:],
-                params.k1, params.k2)
-    else:
-        initial_state = np.asarray(initial_state, dtype=float)
-
-    p = params
-    start = perturbed_kepler.invariant_components(p.potential, initial_state)
-    target = (float(p.E0), *p.L0.tolist())
-    # Radial period estimate from the osculating Kepler ellipse of the start
-    # point; adequate for choosing desk-scale horizons.
-    a = -1.0 / (2.0 * start[0]) if start[0] < 0.0 else 1.0
-    period = 2.0 * math.pi * math.sqrt(abs(a) ** 3)
-
-    def drift(s, _s0, start=start, target=target):
-        # single pass on floats; V matches perturbed_kepler.lyapunov term for term
-        E, l0, l1, l2 = perturbed_kepler.invariant_components(p.potential, s)
-        E_start, L0x, L0y, L0z = start
-        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
-        dE = E - target[0]
-        d0, d1, d2 = l0 - target[1], l1 - target[2], l2 - target[3]
-        return {
-            "dE": abs(E - E_start),
-            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "V": 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2),
-        }
-
-    return SystemModel(
-        name="perturbed_kepler",
-        dim=perturbed_kepler.DIM,
-        params=p,
-        field=lambda s: perturbed_kepler.field(p, s),
-        modified_field=lambda s: perturbed_kepler.modified_field(p, s),
-        gradient=lambda s: perturbed_kepler.lyapunov_gradient(p, s),
-        lyapunov=lambda s: perturbed_kepler.lyapunov(p, s),
-        integral_map=perturbed_kepler.integral_map(p),
-        feedback_spec=perturbed_kepler.feedback_spec(p),
-        initial_state=initial_state,
-        state_names=perturbed_kepler.STATE_NAMES,
-        drift_names=("dE", "dL", "V"),
-        drift_metrics=drift,
-        sampler=lambda draw: _orbital_sampler(draw, r_min=0.25),  # off the repulsive core
-        gain_bound=float("inf"),
-        period=period,
-        projection_tol=1e-8,
-        accel=lambda q: perturbed_kepler.accel(p, q),
-    )
-
-
-_BUILDERS = {
-    "rigid_body": rigid_body_system,
-    "kepler": kepler_system,
-    "perturbed_kepler": perturbed_kepler_system,
+_SAMPLERS = {
+    "rigid_body": _rigid_sampler,
+    "kepler": _orbital_sampler,
+    "perturbed_kepler": lambda draw: _orbital_sampler(draw, r_min=0.25),  # off the repulsive core
 }
 
 
-def make_system(name: str, **kwargs) -> SystemModel:
+def make_system(name: str, initial_state=None, gains=None, **constants) -> SystemModel:
+    """The system ``name``, started at ``initial_state`` (default: its benchmark start).
+
+    ``gains`` maps gain names (the module's ``GAIN_NAMES``) to values and
+    ``constants`` are the module's ``CONSTANTS``; what is not given takes
+    the benchmark value. The targets f(x0) are the start state's integrals.
+    """
     try:
-        builder = _BUILDERS[name]
+        m = MODULES[name]
     except KeyError:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}") from None
-    return builder(**kwargs)
+    gains = gains or {}
+    unknown = [k for k in gains if k not in m.GAIN_NAMES]
+    if unknown:
+        raise ValueError(f"unknown gains {unknown} for system {name!r}; "
+                         f"choose from {m.GAIN_NAMES}")
+    p, s0 = m.setup(initial_state,
+                    tuple(gains.get(k, d) for k, d in zip(m.GAIN_NAMES, m.BENCHMARK_GAINS)),
+                    **constants)
+    # each call looks up the module function, so wrapping it in place
+    # (as perfbench/tracer.py does) sees every call
+    return SystemModel(
+        name=name,
+        dim=m.DIM,
+        params=p,
+        field=lambda s: m.field(p, s),
+        modified_field=lambda s: m.modified_field(p, s),
+        gradient=lambda s: m.lyapunov_gradient(p, s),
+        lyapunov=lambda s: m.lyapunov(p, s),
+        integral_map=m.integral_map(p),
+        feedback_spec=m.feedback_spec(p),
+        initial_state=s0,
+        state_names=m.STATE_NAMES,
+        drift_names=m.DRIFT_NAMES,
+        drift_metrics=m.drift_metrics(p, s0),
+        sampler=_SAMPLERS[name],
+        gain_bound=m.gain_bound(p),
+        period=m.period(p),
+        projection_tol=m.PROJECTION_TOL,
+        accel=(lambda q: m.accel(p, q)) if hasattr(m, "accel") else None,
+        splitting_step=((lambda s, h: m.splitting_step(p, s, h))
+                        if hasattr(m, "splitting_step") else None),
+    )

@@ -21,15 +21,15 @@ from lyapint.systems import make_system
 DECREASE_TAU = 1e-9
 
 
-def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
+def run_with_metrics(system, advance, h, t_end, state_stride=0,
                      v_windows=(), series_stride=0, series_metric=None):
-    """Advance a trajectory tracking drift maxima at full resolution.
+    """Advance a trajectory from the system's start, tracking drift maxima at full resolution.
 
     Optionally records subsampled states, windowed V maxima (max V over
     t <= cutoff for each cutoff in ``v_windows``), a coarse series of one
     metric, and the worst per-step rise of V beyond the truncation allowance.
     """
-    s0 = components(np.array(system.initial_state if x0 is None else x0, dtype=float))
+    s0 = components(system.initial_state)
     n = steps_for(t_end, h)
     maxima = {}
     times, states = [0.0], [s0]
@@ -42,7 +42,7 @@ def run_with_metrics(system, advance, h, t_end, x0=None, state_stride=0,
         nonlocal v_prev, worst_rise
         if k == 0:  # the start state is recorded above; maxima cover steps 1..n
             return
-        m = system.drift_metrics(x, s0)
+        m = system.drift_metrics(x)
         for key, value in m.items():
             if maxima.get(key, -1.0) < value:
                 maxima[key] = value

@@ -203,7 +203,7 @@ def test_c7_attractor_shrinkage(rigid_plateaus):
 # -- criterion 8: circular-orbit hypothesis checker --------------------------
 
 def test_c8_hypothesis_checker():
-    params, _ = perturbed_kepler.benchmark_setup()
+    params, _ = perturbed_kepler.setup(None, perturbed_kepler.BENCHMARK_GAINS)
     result = perturbed_kepler.check_hypothesis(params)
     roots = sorted(result.roots)
     # quadratic-formula oracle for mu r^2 - |L0|^2 r + 3 delta = 0

@@ -9,9 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lyapint.cli import (
-    _BENCHMARK_STEP,
-    _GAIN_KEYS,
-    _SYSTEM_MODULES,
     ExperimentConfig,
     FIGURES,
     METHOD_NAMES,
@@ -26,7 +23,7 @@ from lyapint.cli import (
 )
 from lyapint.errors import ConfigError, IntegrationError
 from lyapint.integrators import rollout, steps_for
-from lyapint.systems import SYSTEM_NAMES
+from lyapint.systems import MODULES, SYSTEM_NAMES
 
 SAMPLE_CONFIG = """\
 [experiment]
@@ -74,13 +71,13 @@ _POSITIVE = st.floats(min_value=1e-300, allow_infinity=False)
 def experiment_configs(draw):
     system = draw(st.sampled_from(SYSTEM_NAMES))
     initial = draw(st.just("paper_default")
-                   | st.dictionaries(st.sampled_from(_SYSTEM_MODULES[system].STATE_NAMES), _FLOATS))
+                   | st.dictionaries(st.sampled_from(MODULES[system].STATE_NAMES), _FLOATS))
     return ExperimentConfig(
         system=system,
         method=draw(st.sampled_from(METHOD_NAMES)),
         h=draw(st.none() | _POSITIVE),
         t_end=draw(st.none() | _POSITIVE),
-        gains=draw(st.dictionaries(st.sampled_from(_GAIN_KEYS[system]), _POSITIVE)),
+        gains=draw(st.dictionaries(st.sampled_from(MODULES[system].GAIN_NAMES), _POSITIVE)),
         initial_condition=initial,
         # no edge whitespace (stripped)
         output_path=draw(st.text("abcxyz019_-./%", min_size=1, max_size=20)),
@@ -154,7 +151,7 @@ def run_invocations(draw):
     system, method = value("system"), value("method")
     h = value("h") if "h" in given_keys else None
     try:
-        step = _BENCHMARK_STEP.get(system) if h is None else float(h)
+        step = getattr(MODULES.get(system), "BENCHMARK_STEP", None) if h is None else float(h)
     except ValueError:
         step = None
     if step is not None and 0.0 < step < math.inf and "t_end" not in odd:
@@ -165,7 +162,7 @@ def run_invocations(draw):
                   "stride": value("stride") if "stride" in given_keys else None}
     gains = {}
     if "gains" in given_keys:
-        names = _GAIN_KEYS.get(system, ()) + (("k9",) if "gains" in odd else ())
+        names = getattr(MODULES.get(system), "GAIN_NAMES", ()) + (("k9",) if "gains" in odd else ())
         gains = {name: value("gains") for name in draw(st.sets(st.sampled_from(names or ("k9",))))}
 
     flags, lines = [], ["[experiment]"]
@@ -184,7 +181,7 @@ def run_invocations(draw):
         if entries:
             lines += [f"[{section}]", *entries]
     lines.append("[initial]")
-    module = _SYSTEM_MODULES.get(system)
+    module = MODULES.get(system)
     if module is None or "initial" not in given_keys:
         lines.append("condition = paper_default")
     else:
@@ -455,6 +452,43 @@ def test_main_benchmark_eccentricity_outside_0_1_exits_2(tmp_path, capsys, eccen
     assert not out.exists()
 
 
+PK_START = "x0 = 0.4\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 2\nv2 = 0\n"
+
+
+@pytest.mark.parametrize("system, sections, key", [
+    ("kepler", "[constants]\ninertia = 3,2,1\n", "inertia"),
+    ("kepler", "[constants]\ndelta = 0.5\n", "delta"),
+    ("rigid_body", "[constants]\nmu = 2\n", "mu"),
+    ("perturbed_kepler", "[constants]\neccentricity = 0.5\n[initial]\n" + PK_START,
+     "eccentricity"),
+], ids=["inertia_on_kepler", "delta_on_kepler", "mu_on_rigid_body",
+        "eccentricity_with_explicit_start"])
+def test_main_constant_the_run_does_not_use_exits_2(tmp_path, capsys, system, sections, key):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\nsystem = {system}\nmethod = euler\nt_end = 1\n"
+                      + sections)
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    if key != "eccentricity":  # eccentricity is a constant of the system, but not of this start
+        assert str(MODULES[system].CONSTANTS) in err
+    assert not out.exists()
+
+
+def test_main_kepler_small_mu_with_a_bound_start_runs(tmp_path, capsys):
+    # the targets come from the given start, not from the benchmark orbit at
+    # this mu (which is not bound: |A0| = 1.3 > mu)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nsystem = kepler\nmethod = feedback_euler\nt_end = 0.1\n"
+                      "[constants]\nmu = 0.5\n[initial]\n"
+                      "x0 = 1\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 0.5\nv2 = 0\n")
+    out = tmp_path / "small_mu.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "steps_taken = 20" in capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == "t,x0,x1,x2,v0,v1,v2,V,dL,dA,dE"
+
+
 def test_main_far_perturbed_kepler_start_exits_2(tmp_path, capsys):
     # |x| = 1e103: r**3 in the start state's energy overflows Python floats
     config = tmp_path / "exp.ini"
@@ -478,7 +512,7 @@ def test_importing_the_cli_does_not_load_numpy_random():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
     # R[0][0] = 1e200 squares to inf in the Gram matrix of the constraint Jacobian
-    components = dict.fromkeys(_SYSTEM_MODULES["rigid_body"].STATE_NAMES, 0.0)
+    components = dict.fromkeys(MODULES["rigid_body"].STATE_NAMES, 0.0)
     components.update(r00=1e200, r11=1.0, r22=1.0, w0=1.0, w1=1.0, w2=1.0)
     config = tmp_path / "exp.ini"
     config.write_text("[experiment]\nsystem = rigid_body\nmethod = projection_euler\n"

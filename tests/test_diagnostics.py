@@ -19,11 +19,12 @@ from lyapint.errors import BasinViolationError, DomainError, IntegrationError
 from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step
 from lyapint.kepler import state_at_eccentric_anomaly
+from lyapint.numerics import components
 from lyapint.systems import SYSTEM_NAMES, make_system
 
 
 def test_drift_metrics_zero_at_start(rigid_sys):
-    metrics = rigid_sys.drift_metrics(rigid_sys.initial_state, rigid_sys.initial_state)
+    metrics = rigid_sys.drift_metrics(rigid_sys.initial_state)
     assert metrics["dE"] == 0.0
     assert metrics["dPi"] == 0.0
     assert metrics["V"] == 0.0
@@ -31,7 +32,26 @@ def test_drift_metrics_zero_at_start(rigid_sys):
 
 def test_drift_metrics_reject_a_state_off_the_domain(kepler_sys):
     with pytest.raises(DomainError):
-        kepler_sys.drift_metrics(np.zeros(6), kepler_sys.initial_state)
+        kepler_sys.drift_metrics(np.zeros(6))
+
+
+@pytest.mark.parametrize("name, start", [
+    ("rigid_body", None),
+    ("kepler", None),
+    ("kepler", (1.0, 0.2, -0.1, 0.1, 1.1, 0.3)),
+    ("perturbed_kepler", None),
+    ("perturbed_kepler", (0.9, -0.3, 0.2, 0.2, 1.0, -0.1)),
+])
+def test_drift_v_is_the_lyapunov_value_and_the_start_drifts_nothing(name, start):
+    # V is stated once per system, so the drift column is lyapunov bit for bit;
+    # the targets are the start's integrals, so every column is 0.0 there
+    system = make_system(name, initial_state=start)
+    assert set(system.drift_metrics(system.initial_state).values()) == {0.0}
+    assert set(system.drift_metrics(components(system.initial_state)).values()) == {0.0}
+    for block in system.sample_blocks(np.random.default_rng(11), 600, 200):
+        for s in block:
+            for x in (s, tuple(s.tolist())):
+                assert system.drift_metrics(x)["V"].hex() == system.lyapunov(x).hex()
 
 
 def test_plain_euler_energy_drift_grows(rigid_plain_euler_50):
@@ -79,8 +99,7 @@ def test_rank_condition_kepler_reports_flow_direction_null(kepler_sys):
     assert report.min_singular_value <= 1e-8
     assert min(spec[4] for spec in report.spectra) > 1e-8
     # oracle agreement at the first sample
-    from lyapint.feedback import assemble_jacobian
-    ref = np.linalg.svd(assemble_jacobian(kepler_sys.integral_map, samples[0]),
+    ref = np.linalg.svd(np.asarray(kepler_sys.integral_map.jacobian(samples[0]), dtype=float),
                         compute_uv=False)
     assert np.allclose(report.spectra[0], ref, rtol=1e-10, atol=1e-12)
 

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import global_order_ratio
 from lyapint.cli import (
-    _BENCHMARK_STEP,
     METHOD_NAMES,
     ExperimentConfig,
     make_advance,
@@ -19,7 +18,7 @@ from lyapint.errors import (
     ProjectionError,
     RankError,
 )
-from lyapint.feedback import FirstIntegralMap, assemble_jacobian
+from lyapint.feedback import FirstIntegralMap
 from lyapint.integrators import (
     ProjectionConfig,
     _pseudo_inverse,
@@ -31,7 +30,7 @@ from lyapint.integrators import (
     steps_for,
     stormer_verlet_step,
 )
-from lyapint.systems import SYSTEM_NAMES, make_system
+from lyapint.systems import MODULES, SYSTEM_NAMES, make_system
 
 
 def test_euler_zero_field_keeps_state():
@@ -116,7 +115,7 @@ def test_stormer_verlet_kepler_angular_momentum(kepler_sys):
     for _ in range(steps_for(kepler_sys.period, 0.005)):
         q, v = stormer_verlet_step(kepler_sys.accel, x[:3], x[3:], 0.005, "A")
         x = np.concatenate((q, v))
-        worst = max(worst, kepler_sys.drift_metrics(x, s0)["dL"])
+        worst = max(worst, kepler_sys.drift_metrics(x)["dL"])
     assert worst <= 1e-10
 
 
@@ -210,7 +209,7 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
     rng = np.random.default_rng(49)
     for _ in range(200):
         x = system.initial_state + rng.uniform(-0.1, 0.1, system.dim)
-        jac = assemble_jacobian(system.integral_map, x)
+        jac = np.asarray(system.integral_map.jacobian(x), dtype=float)
         expected = gram_pseudo_inverse(jac)
         assert np.linalg.matrix_rank(expected) == JACOBIAN_RANK[name]
         got = _pseudo_inverse(jac)
@@ -224,7 +223,7 @@ def lagrange_multiplier_projection(cfg, field, x, h):
     res = cfg.constraint.eval(xt) - cfg.target
     if np.linalg.norm(res) <= cfg.tol:
         return xt, 0
-    jac = assemble_jacobian(cfg.constraint, xt)
+    jac = np.asarray(cfg.constraint.jacobian(xt), dtype=float)
     u, s, _ = np.linalg.svd(jac @ jac.T)
     inv = np.where(s > s[0] * 1e-14, 1.0 / s, 0.0)
     lam = np.zeros(len(res))
@@ -240,7 +239,7 @@ def lagrange_multiplier_projection(cfg, field, x, h):
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name):
     system = make_system(name)
-    h = _BENCHMARK_STEP[name]
+    h = MODULES[name].BENCHMARK_STEP
     # perturbed Kepler's tolerance, tight enough that every system iterates
     cfg = ProjectionConfig(constraint=system.integral_map,
                            target=system.feedback_spec.reference, tol=1e-8)
@@ -455,7 +454,7 @@ def array_advance(system, method):
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
 def test_float_steps_equal_the_array_schemes_bit_for_bit(name, method):
     system = make_system(name)
-    h = _BENCHMARK_STEP[name]
+    h = MODULES[name].BENCHMARK_STEP
     # off the level set, so the feedback acts and projection's Newton loop runs
     xa = system.initial_state + np.random.default_rng(61).uniform(-1e-3, 1e-3, system.dim)
     xt = tuple(xa.tolist())
@@ -470,7 +469,7 @@ def test_float_steps_equal_the_array_schemes_bit_for_bit(name, method):
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
 def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
     out = tmp_path / "stride3.csv"
-    h, n = _BENCHMARK_STEP[name], 20
+    h, n = MODULES[name].BENCHMARK_STEP, 20
     run_experiment(ExperimentConfig(system=name, method=method, h=h, t_end=(n + 0.5) * h,
                                     output_path=str(out), sample_stride=3))
     system = make_system(name)
@@ -480,7 +479,7 @@ def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
     assert len(lines) == 1 + 1 + n // 3 + 1  # header, step 0, every third step, step n
     drift_cols = [c for c in system.drift_names if c != "V"]
     for line, t, s in zip(lines[1:], times, states, strict=True):
-        m = system.drift_metrics(s, system.initial_state)
+        m = system.drift_metrics(s)
         values = (t, *s, m["V"], *(m[c] for c in drift_cols))
         assert line.split(",") == [format(v, ".17g") for v in values]
 
@@ -511,7 +510,7 @@ def numpy_stormer_verlet(accel, q, v, h, variant):
 def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
     # the componentwise schemes against the same formulas on numpy vectors
     system = make_system(name)
-    h = _BENCHMARK_STEP[name]
+    h = MODULES[name].BENCHMARK_STEP
     x0 = system.initial_state + np.random.default_rng(62).uniform(-1e-3, 1e-3, system.dim)
     for scheme, reference in ((euler_step, numpy_euler), (rk4_step, numpy_rk4)):
         for field in (system.field, system.modified_field):

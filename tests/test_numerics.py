@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapint.numerics import cross, frobenius_norm, hat, norm
+from lyapint.numerics import cross, frobenius_norm, norm
 from lyapint.systems import SYSTEM_NAMES, make_system
 
 
@@ -16,32 +16,12 @@ def cross_oracle(u, v):
     ])
 
 
-def test_hat_matches_reference_matrix():
-    expected = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
-    assert np.array_equal(hat((1.0, 1.0, 1.0)), expected)
-
-
-def test_hat_zero_vector_is_zero_matrix():
-    assert np.array_equal(hat((0.0, 0.0, 0.0)), np.zeros((3, 3)))
-
-
-def test_hat_action_equals_cross_product():
+def test_cross_matches_componentwise_oracle():
     rng = np.random.default_rng(0)
     for _ in range(300):
         u = rng.uniform(-5, 5, 3)
         v = rng.uniform(-5, 5, 3)
-        expected = cross_oracle(u, v)
-        # matmul may fuse multiply-adds, so allow one ulp there
-        tol = 4e-16 * (1.0 + np.abs(expected).max())
-        assert np.allclose(hat(u) @ v, expected, rtol=0.0, atol=tol)
-        assert np.array_equal(cross(u, v), expected)
-
-
-def test_hat_is_exactly_skew():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        m = hat(rng.standard_normal(3))
-        assert np.array_equal(m + m.T, np.zeros((3, 3)))
+        assert np.array_equal(cross(u, v), cross_oracle(u, v))
 
 
 def test_frobenius_norm_identity():

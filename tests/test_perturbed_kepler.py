@@ -8,19 +8,19 @@ from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
-from lyapint.systems import perturbed_kepler_system
+from lyapint.systems import make_system
 from test_kepler import random_states
 
 
 @pytest.fixture(scope="module")
 def params():
-    p, _ = pk.benchmark_setup()
+    p, _ = pk.setup(None, pk.BENCHMARK_GAINS)
     return p
 
 
 @pytest.fixture(scope="module")
 def start():
-    _, s0 = pk.benchmark_setup()
+    _, s0 = pk.setup(None, pk.BENCHMARK_GAINS)
     return s0
 
 
@@ -210,9 +210,10 @@ def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params):
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
-    p = case_params(mu, delta, k1, k2)
     s0 = np.array([0.9, -0.3, 0.2, 0.2, 1.0, -0.1])
-    system = perturbed_kepler_system(params=p, initial_state=s0)
+    system = make_system("perturbed_kepler", initial_state=s0, gains={"k1": k1, "k2": k2},
+                         mu=mu, delta=delta)
+    p = system.params
     E0, L0 = numpy_invariants(p.potential, s0)
     for s in random_states(seed, 1000):
         E, L = numpy_invariants(p.potential, s)
@@ -221,7 +222,7 @@ def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
             "dL": np.linalg.norm(L - L0),
             "V": 0.5 * p.k1 * (E - p.E0) ** 2 + 0.5 * p.k2 * np.sum((L - p.L0) ** 2),
         }
-        got = system.drift_metrics(s, s0)
+        got = system.drift_metrics(s)
         assert set(got) == set(expected)
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-13 * (1.0 + abs(value)), key
