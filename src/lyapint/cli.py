@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,6 +113,8 @@ class ExperimentConfig:
                                   f"choose from {module.GAIN_NAMES}")
             if value <= 0.0:
                 raise ConfigError(f"gain {key} must be positive")
+            if not math.isfinite(value):
+                raise ConfigError(f"gain {key} must be finite, got {value!r}")
         for key in self.constants():
             if key not in module.CONSTANTS:
                 raise ConfigError(f"constant {key!r} does not apply to system "
@@ -121,19 +123,72 @@ class ExperimentConfig:
 
     def constants(self) -> dict:
         """The [constants] that are set, by name."""
-        return {k: getattr(self, k) for k in _CONFIG_KEYS["constants"]
-                if getattr(self, k) is not None}
+        return {row.key: getattr(self, row.field) for row in CONFIG_KEYS
+                if row.section == "constants" and getattr(self, row.field) is not None}
 
 
-# Keys each config section accepts. None defers the check: gain names to
-# ExperimentConfig.validated(), state-component names to build_system().
-_CONFIG_KEYS = {
-    "experiment": ("system", "method", "h", "t_end", "out", "stride"),
-    "gains": None,
-    "constants": ("mu", "delta", "eccentricity", "inertia"),
-    "initial": None,
-    "projection": ("tol", "max_iter"),
-}
+@dataclass(frozen=True)
+class ConfigKey:
+    """A config key, the ExperimentConfig field it sets, and how its text
+    parses and formats. Key None makes the section open: ``parse`` takes the
+    section's mapping and ``format`` gives one, and the system checks the
+    names (gains, state components) when it is built. An [experiment] key is
+    also a `run` flag, ``--key`` with '_' as '-', with ``help`` and ``choices``.
+    """
+
+    section: str
+    key: Optional[str]
+    field: str
+    parse: Callable = float
+    format: Callable = repr
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+def _float_values(section) -> dict:
+    return {k: float(v) for k, v in section.items()}
+
+
+def _repr_values(values: dict) -> dict:
+    return {k: repr(v) for k, v in values.items()}
+
+
+def _parse_initial(section):
+    """``condition = paper_default`` alone, or the start state's components."""
+    given = dict(section)
+    condition = given.pop("condition", None)
+    if condition is None:
+        return _float_values(given)
+    if condition != "paper_default":
+        raise ConfigError(f"unknown initial condition {condition!r}; give "
+                          "condition = paper_default or the start state's components")
+    if given:
+        raise ConfigError(f"initial components {list(given)} "
+                          "given with condition = paper_default")
+    return "paper_default"
+
+
+# The config schema: parsing, its unknown-section and unknown-key errors,
+# serialising and the `run` flags all read this table.
+CONFIG_KEYS = (
+    ConfigKey("experiment", "system", "system", str, str, "system override", SYSTEM_NAMES),
+    ConfigKey("experiment", "method", "method", str, str, "method override", METHOD_NAMES),
+    ConfigKey("experiment", "h", "h", help="step size override"),
+    ConfigKey("experiment", "t_end", "t_end", help="horizon override"),
+    ConfigKey("experiment", "out", "output_path", str, str, "output CSV path override"),
+    ConfigKey("experiment", "stride", "sample_stride", int, str, "output subsampling stride"),
+    ConfigKey("gains", None, "gains", _float_values, _repr_values),
+    ConfigKey("constants", "mu", "mu"),
+    ConfigKey("constants", "delta", "delta"),
+    ConfigKey("constants", "eccentricity", "eccentricity"),
+    ConfigKey("constants", "inertia", "inertia",
+              lambda text: tuple(float(part) for part in text.split(",")),
+              lambda values: ",".join(repr(v) for v in values)),
+    ConfigKey("initial", None, "initial_condition", _parse_initial, _repr_values),
+    ConfigKey("projection", "tol", "projection_tol"),
+    ConfigKey("projection", "max_iter", "projection_max_iter", int, str),
+)
+RUN_FLAGS = tuple(row for row in CONFIG_KEYS if row.section == "experiment")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -154,97 +209,37 @@ def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
+        cfg = ExperimentConfig()
         for section in parser.sections():
-            if section not in _CONFIG_KEYS:
+            rows = {row.key: row for row in CONFIG_KEYS if row.section == section}
+            if not rows:
                 raise ConfigError(f"unknown config section [{section}]")
-            allowed = _CONFIG_KEYS[section]
-            unknown = [k for k in parser[section] if allowed is not None and k not in allowed]
+            if None in rows:  # an open section
+                setattr(cfg, rows[None].field, rows[None].parse(parser[section]))
+                continue
+            unknown = [k for k in parser[section] if k not in rows]
             if unknown:
                 raise ConfigError(f"unknown keys {unknown} in config section [{section}]")
-        return _config_from_parser(parser)
+            for key, text in parser[section].items():
+                setattr(cfg, rows[key].field, rows[key].parse(text))
+        return cfg
     except ConfigError:
         raise
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        cfg.system = sec.get("system", cfg.system)
-        cfg.method = sec.get("method", cfg.method)
-        if "h" in sec:
-            cfg.h = sec.getfloat("h")
-        if "t_end" in sec:
-            cfg.t_end = sec.getfloat("t_end")
-        cfg.output_path = sec.get("out", cfg.output_path)
-        if "stride" in sec:
-            cfg.sample_stride = sec.getint("stride")
-    if parser.has_section("gains"):
-        cfg.gains = {k: float(v) for k, v in parser["gains"].items()}
-    if parser.has_section("constants"):
-        sec = parser["constants"]
-        if "mu" in sec:
-            cfg.mu = sec.getfloat("mu")
-        if "delta" in sec:
-            cfg.delta = sec.getfloat("delta")
-        if "eccentricity" in sec:
-            cfg.eccentricity = sec.getfloat("eccentricity")
-        if "inertia" in sec:
-            cfg.inertia = tuple(float(part) for part in sec["inertia"].split(","))
-    if parser.has_section("initial"):
-        sec = parser["initial"]
-        if sec.get("condition", "") == "paper_default":
-            cfg.initial_condition = "paper_default"
-        else:
-            cfg.initial_condition = {k: float(v) for k, v in sec.items()
-                                     if k != "condition"}
-    if parser.has_section("projection"):
-        sec = parser["projection"]
-        if "tol" in sec:
-            cfg.projection_tol = sec.getfloat("tol")
-        if "max_iter" in sec:
-            cfg.projection_max_iter = sec.getint("max_iter")
-    return cfg
-
-
 def serialize_config(cfg: ExperimentConfig) -> str:
+    """Config text that ``parse_config_text`` reads back as ``cfg``: each
+    value that differs from the ExperimentConfig default."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["experiment"] = {
-        "system": cfg.system,
-        "method": cfg.method,
-        "out": cfg.output_path,
-        "stride": str(cfg.sample_stride),
-    }
-    if cfg.h is not None:
-        parser["experiment"]["h"] = repr(cfg.h)
-    if cfg.t_end is not None:
-        parser["experiment"]["t_end"] = repr(cfg.t_end)
-    if cfg.gains:
-        parser["gains"] = {k: repr(v) for k, v in cfg.gains.items()}
-    constants = {}
-    if cfg.mu is not None:
-        constants["mu"] = repr(cfg.mu)
-    if cfg.delta is not None:
-        constants["delta"] = repr(cfg.delta)
-    if cfg.eccentricity is not None:
-        constants["eccentricity"] = repr(cfg.eccentricity)
-    if cfg.inertia is not None:
-        constants["inertia"] = ",".join(repr(v) for v in cfg.inertia)
-    if constants:
-        parser["constants"] = constants
-    if cfg.initial_condition == "paper_default":
-        parser["initial"] = {"condition": "paper_default"}
-    else:
-        parser["initial"] = {k: repr(v) for k, v in cfg.initial_condition.items()}
-    projection = {}
-    if cfg.projection_tol is not None:
-        projection["tol"] = repr(cfg.projection_tol)
-    if cfg.projection_max_iter != 25:
-        projection["max_iter"] = str(cfg.projection_max_iter)
-    if projection:
-        parser["projection"] = projection
+    default = ExperimentConfig()
+    for row in CONFIG_KEYS:
+        value = getattr(cfg, row.field)
+        if value == getattr(default, row.field):
+            continue
+        text = row.format(value)  # read_dict adds to a section already read
+        parser.read_dict({row.section: text if row.key is None else {row.key: text}})
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()
@@ -546,13 +541,10 @@ def _parse_gains(text: str) -> dict:
 def _build_run_parser(sub):
     p = sub.add_parser("run", help="run one experiment cell and write a CSV trace")
     p.add_argument("--config", help="config file (flat key = value with sections)")
-    p.add_argument("--h", type=float, help="step size override")
-    p.add_argument("--t-end", dest="t_end", type=float, help="horizon override")
+    for row in RUN_FLAGS:
+        p.add_argument("--" + row.key.replace("_", "-"), dest=row.key, type=row.parse,
+                       choices=row.choices, help=row.help)
     p.add_argument("--gains", help="gain overrides, e.g. k0=50,k1=100,k2=50")
-    p.add_argument("--method", choices=METHOD_NAMES, help="method override")
-    p.add_argument("--system", choices=SYSTEM_NAMES, help="system override")
-    p.add_argument("--out", help="output CSV path override")
-    p.add_argument("--stride", type=int, help="output subsampling stride")
 
 
 def main(argv=None) -> int:
@@ -573,20 +565,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = parse_config(args.config) if args.config else ExperimentConfig()
-            if args.system:
-                cfg.system = args.system
-            if args.method:
-                cfg.method = args.method
-            if args.h is not None:
-                cfg.h = args.h
-            if args.t_end is not None:
-                cfg.t_end = args.t_end
+            for row in RUN_FLAGS:  # a given flag beats the config file
+                if getattr(args, row.key) is not None:
+                    setattr(cfg, row.field, getattr(args, row.key))
             if args.gains:
                 cfg.gains = {**cfg.gains, **_parse_gains(args.gains)}
-            if args.out:
-                cfg.output_path = args.out
-            if args.stride is not None:
-                cfg.sample_stride = args.stride
             summary = run_experiment(cfg)
             print(f"steps_taken = {summary.steps_taken}")
             print(f"final_V = {summary.final_v:.17g}")

@@ -4,7 +4,8 @@ Flat state layout: s[0:3] position x, s[3:6] velocity v, in canonical units.
 The dynamics x' = v, v' = -mu x / |x|^3 conserve the angular momentum
 L = x cross v and the Laplace-Runge-Lenz vector A = v cross L - mu x / |x|,
 which together pin down a non-degenerate elliptic orbit. The stabilizing
-function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2.
+function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2, the quadratic form of
+``feedback.lyapunov_value`` with K = (k1, k1, k1, k2, k2, k2).
 """
 
 import math
@@ -13,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .feedback import FeedbackSpec, FirstIntegralMap
+from .feedback import FirstIntegralMap, lyapunov_value
 from .numerics import componentwise, components, cross, norm, radius
 
 DIM = 6
@@ -41,13 +42,16 @@ class KeplerParams:
     k2: float
     L0: np.ndarray
     A0: np.ndarray
-    # (L0, A0) as six Python floats, read by the float kernels on every call.
-    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
+    # The diagonal of K and the target f0 = (L0, A0) as Python floats, in the
+    # order of the integral map's values; V and the kernels read them.
+    K: tuple = dataclass_field(init=False, repr=False, compare=False)
+    f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "L0", np.asarray(self.L0, dtype=float))
         object.__setattr__(self, "A0", np.asarray(self.A0, dtype=float))
-        object.__setattr__(self, "_target", (*self.L0.tolist(), *self.A0.tolist()))
+        object.__setattr__(self, "K", (self.k1,) * 3 + (self.k2,) * 3)
+        object.__setattr__(self, "f0", (*self.L0.tolist(), *self.A0.tolist()))
         if self.mu <= 0.0:
             raise ValueError("gravitational parameter must be positive")
         if min(self.k1, self.k2) <= 0.0:
@@ -120,30 +124,15 @@ def invariant_components(mu: float, s) -> tuple:
             0.5 * (v0 * v0 + v1 * v1 + v2 * v2) - m)
 
 
-def invariants(p: KeplerParams, s: np.ndarray):
-    """Angular momentum L, Laplace-Runge-Lenz vector A, and energy E."""
-    l0, l1, l2, a0, a1, a2, E = invariant_components(p.mu, s)
-    return np.array((l0, l1, l2)), np.array((a0, a1, a2)), E
-
-
-def _lyapunov_of(p: KeplerParams, integrals) -> float:
-    """V from the integrals (L, A, E) that ``invariant_components`` gives."""
-    l0, l1, l2, a0, a1, a2, _ = integrals
-    t = p._target
-    d0, d1, d2 = l0 - t[0], l1 - t[1], l2 - t[2]
-    e0, e1, e2 = a0 - t[3], a1 - t[4], a2 - t[5]
-    return (0.5 * p.k1 * (d0 * d0 + d1 * d1 + d2 * d2)
-            + 0.5 * p.k2 * (e0 * e0 + e1 * e1 + e2 * e2))
-
-
 def lyapunov(p: KeplerParams, s) -> float:
-    return _lyapunov_of(p, invariant_components(p.mu, s))
+    """V at a state, from its integrals (L, A); E carries no gain."""
+    return lyapunov_value(p.K, p.f0, invariant_components(p.mu, s))
 
 
 def drift_metrics(p: KeplerParams, s0):
     """``drift(s)``: |L - L(s0)|, |A - A(s0)|, |E - E(s0)| and V at a state,
     from one ``invariant_components`` call on its floats."""
-    mu = p.mu
+    mu, K, f0 = p.mu, p.K, p.f0
     L0x, L0y, L0z, A0x, A0y, A0z, E0 = invariant_components(mu, s0)
 
     def drift(s):
@@ -155,7 +144,7 @@ def drift_metrics(p: KeplerParams, s0):
             "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
             "dA": math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
             "dE": abs(E - E0),
-            "V": _lyapunov_of(p, integrals),
+            "V": lyapunov_value(K, f0, integrals),
         }
 
     return drift
@@ -185,7 +174,7 @@ def _field_and_gradient(p: KeplerParams, v) -> tuple:
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
-    t = p._target
+    t = p.f0
     d0, d1, d2 = l0 - t[0], l1 - t[1], l2 - t[2]
     e0 = v1 * l2 - v2 * l1 - m * x0 - t[3]
     e1 = v2 * l0 - v0 * l2 - m * x1 - t[4]
@@ -337,9 +326,3 @@ def integral_map(p: KeplerParams) -> FirstIntegralMap:
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
-
-def feedback_spec(p: KeplerParams) -> FeedbackSpec:
-    return FeedbackSpec(
-        reference=np.concatenate((p.L0, p.A0)),
-        gain_diag=np.array([p.k1] * 3 + [p.k2] * 3),
-    )

@@ -29,11 +29,6 @@ def norm(v) -> float:
     return math.sqrt(float(np.dot(v, v)))
 
 
-def frobenius_norm(a) -> float:
-    """Matrix 2-norm sqrt(trace(A^T A)), i.e. the root of the entry-square sum."""
-    return math.sqrt(float(np.sum(a * a)))
-
-
 def components(s) -> tuple:
     """One state as Python floats: an array (dim,) as a tuple by ``tolist``, a tuple or list as it is."""
     return tuple(s.tolist()) if isinstance(s, np.ndarray) else s

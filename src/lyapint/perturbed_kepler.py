@@ -4,7 +4,8 @@ Flat state layout matches the Kepler module: position then velocity. The
 dynamics x' = v, v' = -U'(|x|) x / |x| derive from a radial potential U and
 conserve the energy E = 0.5 |v|^2 + U(|x|) and the angular momentum
 L = x cross v. The stabilizing function is
-V = k1/2 (E - E0)^2 + k2/2 |L - L0|^2.
+V = k1/2 (E - E0)^2 + k2/2 |L - L0|^2, the quadratic form of
+``feedback.lyapunov_value`` with K = (k1, k2, k2, k2).
 
 The level set {E = E0, L = L0} is a clean (full-rank) constraint target as
 long as no radius r > 0 simultaneously solves
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .feedback import FeedbackSpec, FirstIntegralMap
+from .feedback import FirstIntegralMap, lyapunov_value
 from .numerics import componentwise, components, norm, radius
 
 DIM = 6
@@ -83,12 +84,15 @@ class PerturbedKeplerParams:
     k2: float
     E0: float
     L0: np.ndarray
-    # (E0, L0) as four Python floats, read by the float kernels on every call.
-    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
+    # The diagonal of K and the target f0 = (E0, L0) as Python floats, in the
+    # order of the integral map's values; V and the kernels read them.
+    K: tuple = dataclass_field(init=False, repr=False, compare=False)
+    f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "L0", np.asarray(self.L0, dtype=float))
-        object.__setattr__(self, "_target", (float(self.E0), *self.L0.tolist()))
+        object.__setattr__(self, "K", (self.k1, self.k2, self.k2, self.k2))
+        object.__setattr__(self, "f0", (float(self.E0), *self.L0.tolist()))
         if min(self.k1, self.k2) <= 0.0:
             raise ValueError("gains must be positive")
         if norm(self.L0) == 0.0:
@@ -163,8 +167,8 @@ def invariant_components(potential: RadialPotential, s) -> tuple:
     floats), or a tuple of a block's columns (giving arrays (N,); a block
     with any non-finite energy is rejected as a whole). The one source of
     the perturbed-Kepler integrals: the target values (E0, L0),
-    ``invariants``, ``lyapunov``, the integral map's ``eval`` and the drift
-    metrics all evaluate these expressions.
+    ``lyapunov``, the integral map's ``eval`` and the drift metrics all
+    evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = components(s)
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
@@ -185,29 +189,15 @@ def invariant_components(potential: RadialPotential, s) -> tuple:
     return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
-def invariants(p: PerturbedKeplerParams, s: np.ndarray):
-    """Total energy E and angular momentum vector L."""
-    E, l0, l1, l2 = invariant_components(p.potential, s)
-    return E, np.array((l0, l1, l2))
-
-
-def _lyapunov_of(p: PerturbedKeplerParams, integrals) -> float:
-    """V from the integrals (E, L) that ``invariant_components`` gives."""
-    E, l0, l1, l2 = integrals
-    t = p._target
-    dE = E - t[0]
-    d0, d1, d2 = l0 - t[1], l1 - t[2], l2 - t[3]
-    return 0.5 * p.k1 * dE * dE + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2)
-
-
 def lyapunov(p: PerturbedKeplerParams, s) -> float:
-    return _lyapunov_of(p, invariant_components(p.potential, s))
+    """V at a state, from its integrals (E, L)."""
+    return lyapunov_value(p.K, p.f0, invariant_components(p.potential, s))
 
 
 def drift_metrics(p: PerturbedKeplerParams, s0):
     """``drift(s)``: |E - E(s0)|, |L - L(s0)| and V at a state, from one
     ``invariant_components`` call on its floats."""
-    potential = p.potential
+    potential, K, f0 = p.potential, p.K, p.f0
     E_start, L0x, L0y, L0z = invariant_components(potential, s0)
 
     def drift(s):
@@ -217,7 +207,7 @@ def drift_metrics(p: PerturbedKeplerParams, s0):
         return {
             "dE": abs(E - E_start),
             "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "V": _lyapunov_of(p, integrals),
+            "V": lyapunov_value(K, f0, integrals),
         }
 
     return drift
@@ -248,7 +238,7 @@ def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    E0, t0, t1, t2 = p._target
+    E0, t0, t1, t2 = p.f0
     e = p.k1 * (0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(p.potential.u, r) - E0)
     c = e * _radial(p.potential.u_prime, r) / r
     d0 = x1 * v2 - x2 * v1 - t0
@@ -320,15 +310,6 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
-
-def feedback_spec(p: PerturbedKeplerParams) -> FeedbackSpec:
-    reference = np.empty(4)
-    reference[0] = p.E0
-    reference[1:] = p.L0
-    return FeedbackSpec(
-        reference=reference,
-        gain_diag=np.array([p.k1, p.k2, p.k2, p.k2]),
-    )
 
 
 @dataclass(frozen=True)

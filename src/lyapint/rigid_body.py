@@ -10,7 +10,10 @@ E = 0.5 Omega^T I Omega and spatial angular momentum pi = R I Omega are
 first integrals; together with the orthogonality defect R^T R - I they
 define the stabilizing function
 
-    V = k0/4 ||R^T R - I||^2 + k1/2 (E - E0)^2 + k2/2 |pi - pi0|^2.
+    V = k0/4 ||R^T R - I||^2 + k1/2 (E - E0)^2 + k2/2 |pi - pi0|^2,
+
+the quadratic form of ``feedback.lyapunov_value`` over the nine entries of
+R^T R - I (gain k0/2 each, target 0), E and pi.
 """
 
 import math
@@ -20,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .feedback import FeedbackSpec, FirstIntegralMap
-from .numerics import I3, componentwise, components, frobenius_norm
+from .feedback import FirstIntegralMap, lyapunov_value
+from .numerics import I3, componentwise, components
 
 DIM = 12
 
@@ -54,10 +57,12 @@ class RigidBodyParams:
     k2: float
     E0: float
     pi0: np.ndarray
-    # The moments and (E0, pi0) as Python floats, read by the float kernels
-    # on every call.
+    # The moments, the diagonal of K and the target f0 = (0, ..., 0, E0, pi0)
+    # as Python floats, K and f0 in the order of the integral map's values;
+    # V and the kernels read them.
     _inertia: tuple = dataclass_field(init=False, repr=False, compare=False)
-    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
+    K: tuple = dataclass_field(init=False, repr=False, compare=False)
+    f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
@@ -71,7 +76,8 @@ class RigidBodyParams:
         if float(self.pi0 @ self.pi0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
         object.__setattr__(self, "_inertia", tuple(self.inertia.tolist()))
-        object.__setattr__(self, "_target", (float(self.E0), *self.pi0.tolist()))
+        object.__setattr__(self, "K", (0.5 * self.k0,) * 9 + (self.k1,) + (self.k2,) * 3)
+        object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0.tolist()))
 
     @classmethod
     def from_initial(cls, inertia, R0, Omega0, k0, k1, k2) -> "RigidBodyParams":
@@ -105,36 +111,42 @@ def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     return RigidBodyParams.from_initial(inertia, R0, W0, *gains), s0
 
 
-def _defect_and_integrals(inertia: tuple, v) -> tuple:
-    """The entries d00, d01, d02, d11, d12, d22 of the symmetric R^T R - I,
-    then E and pi, at the state components v, as ten components."""
+def _integral_values(inertia: tuple, v) -> tuple:
+    """(vec(R^T R - I), E, pi) at the state components v, as 13 components,
+    for the principal moments ``inertia``; R^T R - I is symmetric, so its
+    entries d01, d02 and d12 appear twice."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
     i0, i1, i2 = inertia
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
-    return (r00 * r00 + r10 * r10 + r20 * r20 - 1.0,
-            r00 * r01 + r10 * r11 + r20 * r21,
-            r00 * r02 + r10 * r12 + r20 * r22,
-            r01 * r01 + r11 * r11 + r21 * r21 - 1.0,
-            r01 * r02 + r11 * r12 + r21 * r22,
-            r02 * r02 + r12 * r12 + r22 * r22 - 1.0,
+    d01 = r00 * r01 + r10 * r11 + r20 * r21
+    d02 = r00 * r02 + r10 * r12 + r20 * r22
+    d12 = r01 * r02 + r11 * r12 + r21 * r22
+    return (r00 * r00 + r10 * r10 + r20 * r20 - 1.0, d01, d02,
+            d01, r01 * r01 + r11 * r11 + r21 * r21 - 1.0, d12,
+            d02, d12, r02 * r02 + r12 * r12 + r22 * r22 - 1.0,
             0.5 * (w0 * m0 + w1 * m1 + w2 * m2),
             r00 * m0 + r01 * m1 + r02 * m2,
             r10 * m0 + r11 * m1 + r12 * m2,
             r20 * m0 + r21 * m1 + r22 * m2)
 
 
+def _integrals_of(values) -> tuple:
+    """(E, pi, ||R^T R - I||^2) from the 13 values of ``_integral_values``."""
+    d00, d01, d02, _, d11, d12, _, _, d22, E, q0, q1, q2 = values
+    return (E, q0, q1, q2,
+            d00 * d00 + d11 * d11 + d22 * d22
+            + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+
+
 def invariant_components(inertia: tuple, s) -> tuple:
     """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
 
     ``inertia`` is the three principal moments as floats. With
-    ``_defect_and_integrals`` the one source of the rigid-body integrals: the
-    kernels below, the integral map, the target values (E0, pi0) and the
-    drift metrics all evaluate these expressions.
+    ``_integral_values`` the one source of the rigid-body integrals: the
+    kernels below, the integral map, the target values (E0, pi0), ``V`` and
+    the drift metrics all evaluate these expressions.
     """
-    d00, d01, d02, d11, d12, d22, E, q0, q1, q2 = _defect_and_integrals(inertia, components(s))
-    return (E, q0, q1, q2,
-            d00 * d00 + d11 * d11 + d22 * d22
-            + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+    return _integrals_of(_integral_values(inertia, components(s)))
 
 
 def _field_components(p: RigidBodyParams, v) -> tuple:
@@ -166,7 +178,7 @@ def _gradient_components(p: RigidBodyParams, v) -> tuple:
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
     i0, i1, i2 = p._inertia
-    E0, t0, t1, t2 = p._target
+    E0, t0, t1, t2 = p.f0[9:]
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
     d11 = r01 * r01 + r11 * r11 + r21 * r21 - 1.0
@@ -203,41 +215,26 @@ def field(p: RigidBodyParams, s):
     return componentwise(_field_components, p, s)
 
 
-def integrals(p: RigidBodyParams, s: np.ndarray):
-    """Kinetic energy E and spatial angular momentum vector pi."""
-    E, q0, q1, q2, _ = invariant_components(p._inertia, s)
-    return E, np.array((q0, q1, q2))
-
-
-def _lyapunov_of(p: RigidBodyParams, integrals) -> float:
-    """V from the integrals (E, pi, defect) that ``invariant_components`` gives."""
-    E, q0, q1, q2, defect_sq = integrals
-    E0, t0, t1, t2 = p._target
-    dE = E - E0
-    d0, d1, d2 = q0 - t0, q1 - t1, q2 - t2
-    return (0.25 * p.k0 * defect_sq + 0.5 * p.k1 * dE * dE
-            + 0.5 * p.k2 * (d0 * d0 + d1 * d1 + d2 * d2))
-
-
 def lyapunov(p: RigidBodyParams, s) -> float:
-    return _lyapunov_of(p, invariant_components(p._inertia, s))
+    """V at a state, from its 13 integral-map values."""
+    return lyapunov_value(p.K, p.f0, _integral_values(p._inertia, components(s)))
 
 
 def drift_metrics(p: RigidBodyParams, s0):
     """``drift(s)``: |E - E(s0)|, |pi - pi(s0)|, ||R^T R - I|| and V at a
-    state, from one ``invariant_components`` call on its floats."""
-    inertia = p._inertia
+    state, from one ``_integral_values`` call on its floats."""
+    inertia, K, f0 = p._inertia, p.K, p.f0
     E_start, p0, p1, p2, _ = invariant_components(inertia, s0)
 
     def drift(s):
-        integrals = invariant_components(inertia, s)
-        E, q0, q1, q2, defect_sq = integrals
+        values = _integral_values(inertia, components(s))
+        E, q0, q1, q2, defect_sq = _integrals_of(values)
         u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
         return {
             "dE": abs(E - E_start),
             "dPi": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
             "so3dev": math.sqrt(defect_sq),
-            "V": _lyapunov_of(p, integrals),
+            "V": lyapunov_value(K, f0, values),
         }
 
     return drift
@@ -317,12 +314,6 @@ def splitting_step(p: RigidBodyParams, s: np.ndarray, h: float) -> np.ndarray:
     return pack(R, momentum / p.inertia)
 
 
-def _integral_values(p: RigidBodyParams, v) -> tuple:
-    """(vec(R^T R - I), E, pi) at the state components v, as 13 components."""
-    d00, d01, d02, d11, d12, d22, E, q0, q1, q2 = _defect_and_integrals(p._inertia, v)
-    return d00, d01, d02, d01, d11, d12, d02, d12, d22, E, q0, q1, q2
-
-
 def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
     """Jacobian of (vec(R^T R - I), E, pi) at the state components v, as 13
     rows of 12 components.
@@ -357,27 +348,7 @@ def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
     """
     return FirstIntegralMap(
         dim_state=DIM, dim_values=13,
-        eval=partial(componentwise, _integral_values, p),
+        eval=partial(componentwise, _integral_values, p._inertia),
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 
-
-def feedback_spec(p: RigidBodyParams) -> FeedbackSpec:
-    """Gains per stacked component.
-
-    The nine orthogonality-defect components carry k0/2 so that the
-    quadratic form reproduces k0/4 ||R^T R - I||^2 exactly.
-    """
-    reference = np.zeros(13)
-    reference[9] = p.E0
-    reference[10:] = p.pi0
-    gains = np.empty(13)
-    gains[:9] = 0.5 * p.k0
-    gains[9] = p.k1
-    gains[10:] = p.k2
-    return FeedbackSpec(reference=reference, gain_diag=gains)
-
-
-def so3_deviation(s: np.ndarray) -> float:
-    R, _ = unpack(s)
-    return frobenius_norm(R.T @ R - I3)

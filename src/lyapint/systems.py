@@ -18,7 +18,8 @@ import numpy as np
 from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FeedbackSpec, FirstIntegralMap
 
-# Each module states its system once: ``setup``, the kernels, ``drift_metrics``,
+# Each module states its system once: ``setup``, whose params carry the gain
+# diagonal ``K`` and the targets ``f0``, the kernels, ``drift_metrics``,
 # ``period``, ``gain_bound`` and the constants that ``make_system`` reads.
 MODULES = {"rigid_body": rigid_body, "kepler": kepler, "perturbed_kepler": perturbed_kepler}
 SYSTEM_NAMES = tuple(MODULES)
@@ -167,7 +168,7 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
         gradient=lambda s: m.lyapunov_gradient(p, s),
         lyapunov=lambda s: m.lyapunov(p, s),
         integral_map=m.integral_map(p),
-        feedback_spec=m.feedback_spec(p),
+        feedback_spec=FeedbackSpec(reference=p.f0, gain_diag=p.K),
         initial_state=s0,
         state_names=m.STATE_NAMES,
         drift_names=m.DRIFT_NAMES,

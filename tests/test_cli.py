@@ -12,6 +12,8 @@ from lyapint.cli import (
     ExperimentConfig,
     FIGURES,
     METHOD_NAMES,
+    RUN_FLAGS,
+    RunSummary,
     build_system,
     check_system,
     main,
@@ -329,6 +331,36 @@ def test_main_run_with_config_and_overrides(tmp_path, capsys):
     assert out.exists()
 
 
+# A config value and a different flag value for each [experiment] key.
+_CONFIG_AND_FLAG = {
+    "system": ("kepler", "perturbed_kepler"),
+    "method": ("euler", "rk4"),
+    "h": ("0.01", "0.02"),
+    "t_end": ("1.0", "2.0"),
+    "out": ("config.csv", "flag.csv"),
+    "stride": ("3", "4"),
+}
+
+
+@pytest.mark.parametrize("row", RUN_FLAGS, ids=lambda r: r.key)
+def test_main_flag_beats_the_config_value_and_gains_merge(tmp_path, monkeypatch, row):
+    config_path = tmp_path / "exp.ini"
+    config_path.write_text(
+        "[experiment]\n"
+        + "".join(f"{key} = {pair[0]}\n" for key, pair in _CONFIG_AND_FLAG.items())
+        + "[gains]\nk1 = 1\nk2 = 2\n")
+    seen = []
+    monkeypatch.setattr("lyapint.cli.run_experiment",
+                        lambda cfg: seen.append(cfg) or RunSummary({}, 0.0, 0.0, 0, ""))
+    flag = "--" + row.key.replace("_", "-")
+    assert main(["run", "--config", str(config_path), flag, _CONFIG_AND_FLAG[row.key][1],
+                 "--gains", "k2=5"]) == 0
+    expected = parse_config_text(config_path.read_text())
+    setattr(expected, row.field, row.parse(_CONFIG_AND_FLAG[row.key][1]))
+    expected.gains = {"k1": 1.0, "k2": 5.0}
+    assert seen == [expected]
+
+
 def test_main_flag_only_run(tmp_path, capsys):
     out = tmp_path / "flags.csv"
     code = main(["run", "--system", "perturbed_kepler", "--method",
@@ -407,7 +439,12 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
 @pytest.mark.parametrize("config, out_dir", [
     (VALID_EXPERIMENT + "stride = abc\n", None),
     (VALID_EXPERIMENT + "[gains]\nk1 = abc\n", None),
+    (VALID_EXPERIMENT + "[gains]\nk1 = inf\n", None),
+    (VALID_EXPERIMENT + "[gains]\nk1 = nan\n", None),
     (VALID_EXPERIMENT + "[initial]\nx0 = abc\n", None),
+    (VALID_EXPERIMENT + "[initial]\ncondition = paper_default\nx0 = 1.5\n", None),
+    (VALID_EXPERIMENT + "[initial]\ncondition = circular\n"
+     "x0 = 1\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 1\nv2 = 0\n", None),
     (VALID_EXPERIMENT + "[projection]\nmax_iter = 0\n", None),
     (VALID_EXPERIMENT + "[projection]\ntol = 0\n", None),
     (VALID_EXPERIMENT + "[projection]\ntol = -1e-8\n", None),
@@ -416,7 +453,8 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
     (None, None),  # the --config file does not exist
     (VALID_EXPERIMENT, "missing"),  # --out inside a directory that does not exist
-], ids=["stride", "gain", "initial", "max_iter", "tol_zero", "tol_negative", "tol_inf",
+], ids=["stride", "gain", "gain_inf", "gain_nan", "initial",
+        "initial_beside_paper_default", "initial_unknown_condition", "max_iter", "tol_zero", "tol_negative", "tol_inf",
         "unknown_key", "unknown_section", "missing_config", "missing_out_dir"])
 def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir):
     config_path = tmp_path / "exp.ini"

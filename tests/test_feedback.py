@@ -22,6 +22,9 @@ def test_feedback_spec_validation():
         FeedbackSpec(reference=np.zeros(2), gain_diag=np.ones(3))
     with pytest.raises(ValueError):
         FeedbackSpec(reference=np.array([np.inf, 0.0]), gain_diag=np.ones(2))
+    for gain in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            FeedbackSpec(reference=np.zeros(2), gain_diag=np.array([1.0, gain]))
 
 
 def test_oracle_on_block_columns_equals_single_state_floats_bit_for_bit(system):
@@ -47,8 +50,9 @@ def test_gradient_zero_at_reference_point(system):
     g = generic_gradient(system.integral_map, system.feedback_spec,
                          system.initial_state)
     assert np.array_equal(g, np.zeros(system.dim))
-    assert lyapunov_value(system.integral_map, system.feedback_spec,
-                          system.initial_state) == 0.0
+    spec = system.feedback_spec
+    assert lyapunov_value(spec.gain_diag, spec.reference,
+                          system.integral_map.eval(system.initial_state)) == 0.0
 
 
 def test_rigid_body_generic_matches_analytic_at_scaled_identity(rigid_sys):
@@ -62,8 +66,9 @@ def test_rigid_body_lyapunov_hand_value(rigid_sys):
     s = rigid_body.pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
     # k0/4 ||0.21 I||^2 + 0 + k2/2 |0.1 (3,2,1)|^2 with gains 50/100/50
     expected = 50 / 4 * (3 * 0.21**2) + 50 / 2 * (0.01 * 14)
-    assert lyapunov_value(rigid_sys.integral_map, rigid_sys.feedback_spec,
-                          s) == pytest.approx(expected, rel=1e-12)
+    spec = rigid_sys.feedback_spec
+    assert lyapunov_value(spec.gain_diag, spec.reference,
+                          rigid_sys.integral_map.eval(s)) == pytest.approx(expected, rel=1e-12)
     assert rigid_sys.lyapunov(s) == pytest.approx(expected, rel=1e-12)
 
 
@@ -87,7 +92,8 @@ def test_closed_form_gradient_matches_finite_differences_of_lyapunov(system):
 
 def test_generic_matches_finite_differences(system):
     rng = np.random.default_rng(13)
-    fun = lambda x: lyapunov_value(system.integral_map, system.feedback_spec, x)
+    spec = system.feedback_spec
+    fun = lambda x: lyapunov_value(spec.gain_diag, spec.reference, system.integral_map.eval(x))
     for _ in range(60):
         x = system.sample_state(rng)
         gg = generic_gradient(system.integral_map, system.feedback_spec, x)
@@ -101,7 +107,8 @@ def test_gradient_rejects_domain_violations(kepler_sys, pk_sys):
         with pytest.raises(DomainError):
             generic_gradient(system.integral_map, system.feedback_spec, origin)
         with pytest.raises(DomainError):
-            lyapunov_value(system.integral_map, system.feedback_spec, origin)
+            lyapunov_value(system.feedback_spec.gain_diag, system.feedback_spec.reference,
+                           system.integral_map.eval(origin))
         block = np.array([system.sample_state(np.random.default_rng(k)) for k in range(5)])
         block[3] = origin
         with pytest.raises(DomainError, match="batch state 3"):

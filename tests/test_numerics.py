@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from lyapint.numerics import cross, frobenius_norm, norm
+from lyapint.numerics import cross, norm
 from lyapint.systems import SYSTEM_NAMES, make_system
 
 
@@ -22,26 +20,6 @@ def test_cross_matches_componentwise_oracle():
         u = rng.uniform(-5, 5, 3)
         v = rng.uniform(-5, 5, 3)
         assert np.array_equal(cross(u, v), cross_oracle(u, v))
-
-
-def test_frobenius_norm_identity():
-    assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3.0), rel=1e-15)
-
-
-def test_frobenius_norm_zero():
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_frobenius_norm_scaled_identity():
-    assert frobenius_norm(0.21 * np.eye(3)) == pytest.approx(
-        math.sqrt(3 * 0.21**2), rel=1e-15)
-
-
-def test_frobenius_norm_squared_is_entry_square_sum():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a = rng.standard_normal((3, 3))
-        assert frobenius_norm(a) ** 2 == pytest.approx(float(np.sum(a * a)), rel=1e-14)
 
 
 def test_norm_matches_euclidean():
