@@ -220,8 +220,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             unknown = [k for k in parser[section] if k not in rows]
             if unknown:
                 raise ConfigError(f"unknown keys {unknown} in config section [{section}]")
-            for key, text in parser[section].items():
-                setattr(cfg, rows[key].field, rows[key].parse(text))
+            for key, value in parser[section].items():
+                setattr(cfg, rows[key].field, rows[key].parse(value))
         return cfg
     except ConfigError:
         raise
