@@ -46,7 +46,7 @@ from .integrators import (
     stormer_verlet_step,
 )
 from .kepler import state_at_eccentric_anomaly
-from .numerics import column_dot, components
+from .numerics import column_dot
 from .systems import MODULES, SYSTEM_NAMES, SystemModel, make_system
 
 METHOD_NAMES = (
@@ -256,7 +256,7 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         extra = [n for n in cfg.initial_condition if n not in names]
         if extra:
             raise ConfigError(f"unknown initial-condition components {extra}")
-        initial = np.array([cfg.initial_condition[n] for n in names])
+        initial = tuple(cfg.initial_condition[n] for n in names)
     try:
         return make_system(cfg.system, initial_state=initial, gains=cfg.gains,
                            **cfg.constants())
@@ -288,7 +288,7 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
     if method == "splitting":
         if system.splitting_step is None:
             raise ConfigError(f"splitting is not defined for system {system.name!r}")
-        return lambda x, h: components(system.splitting_step(np.array(x), h))
+        return system.splitting_step
     if method in ("stormer_verlet_a", "stormer_verlet_b"):
         if system.accel is None:
             raise ConfigError(f"Stormer-Verlet is not defined for system {system.name!r}")
@@ -326,7 +326,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     n_steps = steps_for(cfg.t_end, cfg.h)
     stride = cfg.sample_stride
 
-    s0 = components(system.initial_state)
     maxima: dict = {}
     final_metrics: dict = {}
     started = time.perf_counter()
@@ -362,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
             )
 
         try:
-            integrate(advance, s0, cfg.h, n_steps, observe)
+            integrate(advance, system.initial_state, cfg.h, n_steps, observe)
         except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
             handle.flush()
             exc.partial_summary = summary(exc.step - 1)
@@ -465,7 +464,7 @@ def check_system(name: str) -> int:
         # bound
         _, states = rollout(
             make_advance(system, "feedback_euler", ExperimentConfig()),
-            components(system.initial_state), 1e-4, steps_for(2.0, 1e-4), stride=200)
+            system.initial_state, 1e-4, steps_for(2.0, 1e-4), stride=200)
         worst = max(system.lyapunov(s) for s in states)
         ok &= _print_check(
             "rigid_body.level_set_invariance",
@@ -502,7 +501,7 @@ def check_system(name: str) -> int:
     if name == "perturbed_kepler":
         _, states = rollout(
             make_advance(system, "rk4", ExperimentConfig()),
-            components(system.initial_state), 1e-3, steps_for(system.period, 1e-3),
+            system.initial_state, 1e-3, steps_for(system.period, 1e-3),
             stride=max(1, steps_for(system.period, 1e-3) // 6))
         rank = check_rank_condition(system.integral_map, list(states))
         ok &= _print_check(

@@ -1,4 +1,4 @@
-"""Hypothesis validators, orbital measurements, and the step-size attractor study.
+"""Hypothesis validators and the step-size attractor study.
 
 ``orthogonality_report`` and ``gradient_agreement_report`` check the paper's
 premises at seeded random states, drawn in blocks by
@@ -40,9 +40,11 @@ class RankReport:
         return self.min_singular_value > self.threshold
 
 
-def check_rank_condition(f: FirstIntegralMap, samples: Sequence[np.ndarray],
+def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
                          threshold: float = 1e-8) -> RankReport:
     """Estimate min over samples of the smallest singular value of Df.
+
+    Each sample is a state, a tuple of floats or an array (dim_state,).
 
     PASS (report.passed) means the map is numerically a submersion at every
     sample. Maps whose joint level sets contain whole trajectories are rank
@@ -64,23 +66,26 @@ class AttractorStudyResult:
     plateau_values: tuple
 
 
-def state_with_lyapunov(system: SystemModel, v_target: float, seed: int = 0) -> np.ndarray:
-    """Deterministic state with V equal to v_target.
+def state_with_lyapunov(system: SystemModel, v_target: float, seed: int = 0) -> tuple:
+    """Deterministic state with V equal to v_target, as a tuple of floats.
 
     Moves from the system's reference initial state along a fixed random
     direction and bisects the scaling until V matches to 1e-12 relative.
     """
-    x0 = np.array(system.initial_state, dtype=float)
     if v_target == 0.0:
-        return x0
+        return system.initial_state
     if v_target < 0.0:
         raise ValueError("v_target must be nonnegative")
+    x0 = np.array(system.initial_state)
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(system.dim)
     direction /= math.sqrt(float(direction @ direction))
 
+    def state(scale):
+        return tuple((x0 + scale * direction).tolist())
+
     def value(scale):
-        return system.lyapunov(x0 + scale * direction)
+        return system.lyapunov(state(scale))
 
     hi = 1e-6
     while value(hi) < v_target:
@@ -96,7 +101,7 @@ def state_with_lyapunov(system: SystemModel, v_target: float, seed: int = 0) -> 
             hi = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-    return x0 + hi * direction
+    return state(hi)
 
 
 def attractor_step_study(system: SystemModel, scheme: Callable,
@@ -115,7 +120,7 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
     if v_init >= system.gain_bound:
         raise ValueError(
             f"v_init {v_init:g} is not below the gain bound {system.gain_bound:g}")
-    x0 = tuple(state_with_lyapunov(system, v_init).tolist())
+    x0 = state_with_lyapunov(system, v_init)
     plateaus = []
     for h in steps:
         n = steps_for(horizon, h)
@@ -133,45 +138,6 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
         tail = values[-max(1, (n + 1) // 10):]
         plateaus.append(float(np.median(tail)))
     return AttractorStudyResult(step_sizes=steps, plateau_values=tuple(plateaus))
-
-
-def perihelion_passages(times: np.ndarray, states: np.ndarray, r_gate: float = np.inf):
-    """Perihelion times and apse angles from a sampled orbital trajectory.
-
-    Local minima of the radius below ``r_gate`` mark passages; the minimum
-    position is refined by a parabolic fit in time through the three
-    bracketing samples, and the in-plane angle of the position there is
-    returned unwrapped. States must hold position in the first three
-    components.
-    """
-    rs = np.array([math.sqrt(float(s[:3] @ s[:3])) for s in states])
-    t_list = []
-    angles = []
-    for i in range(1, len(rs) - 1):
-        if rs[i] < rs[i - 1] and rs[i] <= rs[i + 1] and rs[i] < r_gate:
-            denom = rs[i - 1] - 2.0 * rs[i] + rs[i + 1]
-            shift = 0.5 * (rs[i - 1] - rs[i + 1]) / denom if denom > 0.0 else 0.0
-            shift = min(0.5, max(-0.5, shift))
-            j = i + 1 if shift > 0.0 else i - 1
-            w = abs(shift)
-            theta_i = math.atan2(states[i][1], states[i][0])
-            theta_j = math.atan2(states[j][1], states[j][0])
-            # local unwrap before blending the two sample angles
-            if theta_j - theta_i > math.pi:
-                theta_j -= 2.0 * math.pi
-            elif theta_i - theta_j > math.pi:
-                theta_j += 2.0 * math.pi
-            angles.append((1.0 - w) * theta_i + w * theta_j)
-            t_list.append((1.0 - w) * times[i] + w * times[j])
-    return np.array(t_list), np.unwrap(np.array(angles))
-
-
-def precession_rate(times: np.ndarray, states: np.ndarray) -> float:
-    """Mean apse advance per radial period, in radians."""
-    t_peri, angles = perihelion_passages(times, states)
-    if len(angles) < 2:
-        raise ValueError("need at least two perihelion passages to measure precession")
-    return float((angles[-1] - angles[0]) / (len(angles) - 1))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ and ``jacobian`` kernels, a derivation independent of the closed forms, and
 serves as the oracle they are checked against.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .numerics import componentwise
 
@@ -48,26 +47,26 @@ class FirstIntegralMap:
     dim_values: int
     eval: Callable
     jacobian: Callable
-    jacobian_transpose_apply: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    jacobian_transpose_apply: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class FeedbackSpec:
-    """Reference values f(x0) and the diagonal of the gain matrix K."""
+    """Reference values f(x0) and the diagonal of the gain matrix K, as tuples of floats."""
 
-    reference: np.ndarray
-    gain_diag: np.ndarray
+    reference: tuple
+    gain_diag: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "reference", np.asarray(self.reference, dtype=float))
-        object.__setattr__(self, "gain_diag", np.asarray(self.gain_diag, dtype=float))
-        if self.reference.shape != self.gain_diag.shape:
+        object.__setattr__(self, "reference", tuple(map(float, self.reference)))
+        object.__setattr__(self, "gain_diag", tuple(map(float, self.gain_diag)))
+        if len(self.reference) != len(self.gain_diag):
             raise ValueError("reference and gain diagonal must have equal length")
-        if not np.all(self.gain_diag > 0.0):
+        if not all(k > 0.0 for k in self.gain_diag):
             raise ValueError("all gains must be positive")
-        if not np.all(np.isfinite(self.gain_diag)):
+        if not all(map(math.isfinite, self.gain_diag)):
             raise ValueError("non-finite gains")
-        if not np.all(np.isfinite(self.reference)):
+        if not all(map(math.isfinite, self.reference)):
             raise ValueError("non-finite reference values")
 
 
@@ -90,8 +89,7 @@ def _gradient_components(fs, v) -> tuple:
     # the values i, in order, of jacobian[i][j] * K_i (f_i - f0_i)
     f, spec = fs
     v = tuple(v)
-    w = [k * (fi - ri) for k, fi, ri in
-         zip(spec.gain_diag.tolist(), f.eval(v), spec.reference.tolist())]
+    w = [k * (fi - ri) for k, fi, ri in zip(spec.gain_diag, f.eval(v), spec.reference)]
     rows = f.jacobian(v)
     grad = [d * w[0] for d in rows[0]]
     for row, wi in zip(rows[1:], w[1:]):

@@ -1,9 +1,8 @@
 """One-step integration schemes and the constraint-projection wrapper.
 
-Each scheme ``(field, x, h) -> x_next`` is written once, over a tuple x of
-Python floats and a field mapping such tuples to float sequences; an array x
-is stepped as its floats, with ``field`` called on arrays, and comes back as
-an array. ``integrate`` is the one loop that advances a trajectory by
+Each scheme ``(field, x, h) -> x_next`` steps a state x given as a tuple of
+Python floats, with a field mapping such tuples to float sequences, and
+returns a tuple. ``integrate`` is the one loop that advances a trajectory by
 repeated application, and the one place where a failing step is numbered and
 turned into IntegrationError. Projection wraps any base scheme and pulls the
 result back onto a target level set of a first-integral map with a
@@ -11,7 +10,7 @@ simplified Newton iteration.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +38,13 @@ def _finite(y: tuple, scheme: str) -> tuple:
     return y
 
 
-def _on_floats(fn):
-    """An array-to-array function ``fn`` as a function on component sequences."""
-    return lambda v: fn(np.array(v)).tolist()
-
-
 def euler_step(field, x, h):
     """Forward Euler: x + h * field(x)."""
-    if not isinstance(x, tuple):
-        return np.array(euler_step(_on_floats(field), tuple(x.tolist()), h))
     return _finite(_axpy(x, h, field(x)), "Euler")
 
 
 def rk4_step(field, x, h):
     """Classical four-stage Runge-Kutta step."""
-    if not isinstance(x, tuple):
-        return np.array(rk4_step(_on_floats(field), tuple(x.tolist()), h))
     k1 = field(x)
     k2 = field(_axpy(x, 0.5 * h, k1))
     k3 = field(_axpy(x, 0.5 * h, k2))
@@ -69,12 +59,8 @@ def stormer_verlet_step(accel, q, v, h, variant="A"):
     Variant A is kick-drift-kick: a velocity half-step, a full position
     update, then the closing velocity half-step. Variant B is its adjoint,
     drift-kick-drift. Both are second order and symplectic; the acceleration
-    may depend on position only. ``q`` and ``v`` are both tuples or both arrays.
+    may depend on position only. ``q`` and ``v`` are tuples of floats.
     """
-    if not isinstance(q, tuple):
-        q1, v1 = stormer_verlet_step(_on_floats(accel), tuple(q.tolist()),
-                                     tuple(v.tolist()), h, variant)
-        return np.array(q1), np.array(v1)
     if variant == "A":
         vh = _axpy(v, 0.5 * h, accel(q))
         q1 = _axpy(q, h, vh)
@@ -91,25 +77,23 @@ def stormer_verlet_step(accel, q, v, h, variant="A"):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Constraint map, target values, and Newton termination settings."""
+    """Constraint map, target values (a tuple of floats), and Newton termination settings."""
 
     constraint: FirstIntegralMap
-    target: np.ndarray
+    target: tuple
     tol: float
     max_iter: int = 25
-    # The target values as Python floats, read by every projection step.
-    _target: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("projection tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        target = np.asarray(self.target, dtype=float)
-        if target.shape != (self.constraint.dim_values,):
+        shape = np.shape(self.target)
+        if shape != (self.constraint.dim_values,):
             raise ValueError(f"projection target must hold {self.constraint.dim_values} "
-                             f"values, got shape {target.shape}")
-        object.__setattr__(self, "_target", tuple(target.tolist()))
+                             f"values, got shape {shape}")
+        object.__setattr__(self, "target", tuple(map(float, self.target)))
 
 
 def _pseudo_inverse(jac):
@@ -150,9 +134,7 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
     An array y is built from xt only when the Newton loop runs, for the
     update ``C @ residual``.
     """
-    if not isinstance(x, tuple):
-        return np.array(projection_step(base, cfg, _on_floats(field), tuple(x.tolist()), h))
-    f, target = cfg.constraint, cfg._target
+    f, target = cfg.constraint, cfg.target
     xt = base(field, x, h)
     res = _residual(f.eval(xt), target)
     rnorm = math.hypot(*res)
@@ -182,15 +164,15 @@ def steps_for(t_end: float, h: float) -> int:
 def integrate(advance, x0, h, n_steps, observe):
     """Advance ``x = advance(x, h)`` n_steps times from x0; return the final state.
 
-    A tuple x0 of floats is carried as tuples; any other x0 is first copied
-    into a float array. ``observe(k, x)`` sees the start state (k = 0) and
-    the state after every step k. A step and its observation fail together
-    as step k: an ``ArithmeticError`` (float overflow, division by zero)
-    becomes IntegrationError with ``step = k`` and the original error as its
-    cause; any other exception gets ``step = k`` unless it already carries a
-    step, and propagates unchanged.
+    x0 is a tuple of floats, and ``advance`` maps such a tuple to the next
+    one. ``observe(k, x)`` sees the start state (k = 0) and the state after
+    every step k. A step and its observation fail together as step k: an
+    ``ArithmeticError`` (float overflow, division by zero) becomes
+    IntegrationError with ``step = k`` and the original error as its cause;
+    any other exception gets ``step = k`` unless it already carries a step,
+    and propagates unchanged.
     """
-    x = x0 if isinstance(x0, tuple) else np.array(x0, dtype=float)
+    x = x0
     observe(0, x)
     try:
         for k in range(1, n_steps + 1):

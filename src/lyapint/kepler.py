@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-import numpy as np
-
 from .feedback import FirstIntegralMap, lyapunov_value
-from .numerics import componentwise, components, cross, norm, radius
+from .numerics import componentwise, dot, norm, radius
 
 DIM = 6
 
@@ -35,23 +33,23 @@ PROJECTION_TOL = 0.005
 
 @dataclass(frozen=True)
 class KeplerParams:
-    """Gravitational parameter, gains, and the target (L0, A0) orbit."""
+    """Gravitational parameter, gains, and the target (L0, A0) orbit, as 3-tuples of floats."""
 
     mu: float
     k1: float
     k2: float
-    L0: np.ndarray
-    A0: np.ndarray
-    # The diagonal of K and the target f0 = (L0, A0) as Python floats, in the
-    # order of the integral map's values; V and the kernels read them.
+    L0: tuple
+    A0: tuple
+    # The diagonal of K and the target f0 = (L0, A0), in the order of the
+    # integral map's values; V and the kernels read them.
     K: tuple = dataclass_field(init=False, repr=False, compare=False)
     f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "L0", np.asarray(self.L0, dtype=float))
-        object.__setattr__(self, "A0", np.asarray(self.A0, dtype=float))
+        object.__setattr__(self, "L0", tuple(map(float, self.L0)))
+        object.__setattr__(self, "A0", tuple(map(float, self.A0)))
         object.__setattr__(self, "K", (self.k1,) * 3 + (self.k2,) * 3)
-        object.__setattr__(self, "f0", (*self.L0.tolist(), *self.A0.tolist()))
+        object.__setattr__(self, "f0", self.L0 + self.A0)
         if self.mu <= 0.0:
             raise ValueError("gravitational parameter must be positive")
         if min(self.k1, self.k2) <= 0.0:
@@ -62,13 +60,12 @@ class KeplerParams:
             raise ValueError("target angular momentum must be nonzero")
         if anorm >= self.mu:
             raise ValueError("target |A0| must be below mu (elliptic orbit)")
-        if abs(float(self.L0 @ self.A0)) > 1e-12 * lnorm * max(anorm, 1.0):
+        if abs(dot(self.L0, self.A0)) > 1e-12 * lnorm * max(anorm, 1.0):
             raise ValueError("target L0 and A0 must be orthogonal")
 
     @classmethod
     def from_initial(cls, mu, x0, v0, k1, k2) -> "KeplerParams":
-        s = np.concatenate((np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)))
-        l0, l1, l2, a0, a1, a2, _ = invariant_components(float(mu), s)
+        l0, l1, l2, a0, a1, a2, _ = invariant_components(float(mu), (*x0, *v0))
         return cls(mu=float(mu), k1=float(k1), k2=float(k2),
                    L0=(l0, l1, l2), A0=(a0, a1, a2))
 
@@ -76,8 +73,8 @@ class KeplerParams:
 def setup(initial_state, gains, mu=BENCHMARK_MU):
     """Params (gains (k1, k2), targets (L0, A0) from the start) and the start
     state; None starts at the benchmark perihelion (1,0,0), speed sqrt(1.8)."""
-    s0 = (np.array((*BENCHMARK_X0, *BENCHMARK_V0)) if initial_state is None
-          else np.asarray(initial_state, dtype=float))
+    s0 = ((*BENCHMARK_X0, *BENCHMARK_V0) if initial_state is None
+          else tuple(map(float, initial_state)))
     return KeplerParams.from_initial(mu, s0[:3], s0[3:], *gains), s0
 
 
@@ -106,13 +103,13 @@ def accel(p: KeplerParams, q):
 def invariant_components(mu: float, s) -> tuple:
     """(L, A, E) at s as seven components: L0, L1, L2, A0, A1, A2, E.
 
-    ``s`` is a state, as an array (6,) or a tuple of floats (giving Python
-    floats), or a tuple of a block's columns (giving arrays (N,)). The one
+    ``s`` is a state, as a tuple of floats (giving Python floats), or a
+    tuple of a block's columns (giving arrays (N,)). The one
     source of the Kepler integrals: the kernels below, the target values
     (L0, A0), the drift metrics and the ``check`` vector identities all
     evaluate these expressions.
     """
-    x0, x1, x2, v0, v1, v2 = components(s)
+    x0, x1, x2, v0, v1, v2 = s
     m = mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
@@ -225,7 +222,7 @@ def gain_bound(p: KeplerParams) -> float:
     min(k1 |L0|^2 / 2, k2 (mu - |A0|)^2 / 2).
     """
     return min(
-        0.5 * p.k1 * float(p.L0 @ p.L0),
+        0.5 * p.k1 * dot(p.L0, p.L0),
         0.5 * p.k2 * (p.mu - norm(p.A0)) ** 2,
     )
 
@@ -238,7 +235,7 @@ def orbit_geometry(p: KeplerParams):
     accepted (|A0| < mu is enforced at construction).
     """
     e = norm(p.A0) / p.mu
-    energy = (float(p.A0 @ p.A0) - p.mu**2) / (2.0 * float(p.L0 @ p.L0))
+    energy = (dot(p.A0, p.A0) - p.mu**2) / (2.0 * dot(p.L0, p.L0))
     if energy >= 0.0:
         raise ValueError("orbit geometry requires a bound (elliptic) target")
     a = -p.mu / (2.0 * energy)
@@ -251,33 +248,37 @@ def period(p: KeplerParams) -> float:
     return orbit_geometry(p)[2]
 
 
+def _unit(v) -> tuple:
+    n = norm(v)
+    return tuple(c / n for c in v)
+
+
 def _orbit_frame(p: KeplerParams):
-    w = p.L0 / norm(p.L0)
-    anorm = norm(p.A0)
-    if anorm > 0.0:
-        u = p.A0 / anorm
+    """Unit periapsis axis u and the in-plane unit normal n = w x u, w = L0 / |L0|."""
+    w0, w1, w2 = w = _unit(p.L0)
+    if norm(p.A0) > 0.0:
+        u0, u1, u2 = _unit(p.A0)
     else:
         # Circular target: any in-plane unit vector serves as periapsis axis.
-        trial = np.array((1.0, 0.0, 0.0))
-        if abs(float(trial @ w)) > 0.9:
-            trial = np.array((0.0, 1.0, 0.0))
-        u = trial - float(trial @ w) * w
-        u /= norm(u)
-    return u, cross(w, u)
+        trial = (1.0, 0.0, 0.0) if abs(w0) <= 0.9 else (0.0, 1.0, 0.0)
+        c = dot(trial, w)
+        u0, u1, u2 = _unit([t - c * wi for t, wi in zip(trial, w)])
+    return (u0, u1, u2), (w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0)
 
 
-def state_at_eccentric_anomaly(p: KeplerParams, psi: float) -> np.ndarray:
-    """Point of the (L0, A0) orbit at eccentric anomaly psi (psi = 0 is perihelion)."""
+def state_at_eccentric_anomaly(p: KeplerParams, psi: float) -> tuple:
+    """Point of the (L0, A0) orbit at eccentric anomaly psi (psi = 0 is perihelion), as 6 floats."""
     a, e, _ = orbit_geometry(p)
     b = a * math.sqrt(1.0 - e * e)
     u, n = _orbit_frame(p)
     mean_rate = math.sqrt(p.mu / a**3)
     cpsi = math.cos(psi)
     spsi = math.sin(psi)
-    x = a * (cpsi - e) * u + b * spsi * n
+    cx, nx = a * (cpsi - e), b * spsi
     rate = mean_rate / (1.0 - e * cpsi)
-    v = (-a * spsi * u + b * cpsi * n) * rate
-    return np.concatenate((x, v))
+    cv, nv = -a * spsi, b * cpsi
+    return (*(cx * ui + nx * ni for ui, ni in zip(u, n)),
+            *((cv * ui + nv * ni) * rate for ui, ni in zip(u, n)))
 
 
 def _integral_values(p: KeplerParams, v) -> tuple:

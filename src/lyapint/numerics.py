@@ -1,10 +1,10 @@
-"""Fixed-size vector/matrix primitives shared by all systems.
+"""Small helpers shared by all systems.
 
-The vector helpers work on plain float64 numpy arrays: 3-vectors of shape
-(3,) and 3x3 matrices of shape (3, 3), stored row-major. ``componentwise``,
-``column_dot`` and ``radius`` serve the system kernels and their callers,
-which are written over state components: Python floats for one state,
-shape-(N,) arrays for a batch.
+``dot`` and ``norm`` work on 3-vectors of Python floats, the form of the
+systems' parameter vectors. ``componentwise``, ``column_dot`` and
+``radius`` serve the system kernels and their callers, which are written
+over state components: Python floats for one state, shape-(N,) arrays for
+a batch.
 """
 
 import math
@@ -13,25 +13,19 @@ import numpy as np
 
 from .errors import DomainError
 
-I3 = np.eye(3)
-
 # Positions closer to the origin than this are outside the central-force domain.
 ORIGIN_RADIUS = 1e-12
 
 
-def cross(u, v) -> np.ndarray:
+def dot(u, v) -> float:
+    """u . v for two 3-vectors of floats, summed in component order."""
     u0, u1, u2 = u
     v0, v1, v2 = v
-    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+    return u0 * v0 + u1 * v1 + u2 * v2
 
 
 def norm(v) -> float:
-    return math.sqrt(float(np.dot(v, v)))
-
-
-def components(s) -> tuple:
-    """One state as Python floats: an array (dim,) as a tuple by ``tolist``, a tuple or list as it is."""
-    return tuple(s.tolist()) if isinstance(s, np.ndarray) else s
+    return math.sqrt(dot(v, v))
 
 
 def componentwise(kernel, p, s):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .feedback import FirstIntegralMap, lyapunov_value
-from .numerics import componentwise, components, norm, radius
+from .numerics import componentwise, dot, norm, radius
 
 DIM = 6
 
@@ -77,22 +77,22 @@ def inverse_cube_perturbed(mu: float, delta: float) -> RadialPotential:
 
 @dataclass(frozen=True)
 class PerturbedKeplerParams:
-    """Potential, gains, and target (E0, L0) values."""
+    """Potential, gains, and target (E0, L0) values; L0 is a 3-tuple of floats."""
 
     potential: RadialPotential
     k1: float
     k2: float
     E0: float
-    L0: np.ndarray
-    # The diagonal of K and the target f0 = (E0, L0) as Python floats, in the
-    # order of the integral map's values; V and the kernels read them.
+    L0: tuple
+    # The diagonal of K and the target f0 = (E0, L0), in the order of the
+    # integral map's values; V and the kernels read them.
     K: tuple = dataclass_field(init=False, repr=False, compare=False)
     f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "L0", np.asarray(self.L0, dtype=float))
+        object.__setattr__(self, "L0", tuple(map(float, self.L0)))
         object.__setattr__(self, "K", (self.k1, self.k2, self.k2, self.k2))
-        object.__setattr__(self, "f0", (float(self.E0), *self.L0.tolist()))
+        object.__setattr__(self, "f0", (float(self.E0), *self.L0))
         if min(self.k1, self.k2) <= 0.0:
             raise ValueError("gains must be positive")
         if norm(self.L0) == 0.0:
@@ -100,8 +100,7 @@ class PerturbedKeplerParams:
 
     @classmethod
     def from_initial(cls, potential, x0, v0, k1, k2) -> "PerturbedKeplerParams":
-        s = np.concatenate((np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)))
-        E, l0, l1, l2 = invariant_components(potential, s)
+        E, l0, l1, l2 = invariant_components(potential, (*x0, *v0))
         return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=(l0, l1, l2))
 
 
@@ -114,12 +113,12 @@ def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentri
         e = BENCHMARK_ECCENTRICITY if eccentricity is None else eccentricity
         if not 0.0 <= e < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {e!r}")
-        s0 = np.array((1.0 - e, 0.0, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e)), 0.0))
+        s0 = (1.0 - e, 0.0, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e)), 0.0)
     elif eccentricity is not None:
         raise ValueError("eccentricity sets the benchmark start; "
                          "it cannot be given with an explicit initial state")
     else:
-        s0 = np.asarray(initial_state, dtype=float)
+        s0 = tuple(map(float, initial_state))
     potential = inverse_cube_perturbed(mu, delta)
     return PerturbedKeplerParams.from_initial(potential, s0[:3], s0[3:], *gains), s0
 
@@ -163,14 +162,14 @@ def accel(p: PerturbedKeplerParams, q):
 def invariant_components(potential: RadialPotential, s) -> tuple:
     """(E, L) at s as four components: E, L0, L1, L2.
 
-    ``s`` is a state, as an array (6,) or a tuple of floats (giving Python
-    floats), or a tuple of a block's columns (giving arrays (N,); a block
+    ``s`` is a state, as a tuple of floats (giving Python floats), or a
+    tuple of a block's columns (giving arrays (N,); a block
     with any non-finite energy is rejected as a whole). The one source of
     the perturbed-Kepler integrals: the target values (E0, L0),
     ``lyapunov``, the integral map's ``eval`` and the drift metrics all
     evaluate these expressions.
     """
-    x0, x1, x2, v0, v1, v2 = components(s)
+    x0, x1, x2, v0, v1, v2 = s
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     kinetic = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
     # one type test per call: the single-state path, which every projection
@@ -362,7 +361,7 @@ def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
         raise ValueError("need 0 < r_min < r_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
-    l0sq = float(p.L0 @ p.L0)
+    l0sq = dot(p.L0, p.L0)
 
     def g(r):
         value = r**3 * p.potential.u_prime(r) - l0sq

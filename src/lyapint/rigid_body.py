@@ -21,10 +21,8 @@ import operator
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-import numpy as np
-
 from .feedback import FirstIntegralMap, lyapunov_value
-from .numerics import I3, componentwise, components
+from .numerics import componentwise, dot
 
 DIM = 12
 
@@ -35,7 +33,7 @@ STATE_NAMES = (
 
 # Moments, initial condition, and gains of the benchmark run.
 BENCHMARK_INERTIA = (3.0, 2.0, 1.0)
-BENCHMARK_OMEGA0 = (1.0, 1.0, 1.0)
+BENCHMARK_START = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
 BENCHMARK_GAINS = (50.0, 100.0, 50.0)
 # Approximate period of the body angular velocity for the benchmark setup.
 BENCHMARK_OMEGA_PERIOD = 6.4227
@@ -49,66 +47,47 @@ PROJECTION_TOL = 1e-4
 
 @dataclass(frozen=True)
 class RigidBodyParams:
-    """Principal moments, feedback gains and target integral values."""
+    """Principal moments, feedback gains and target integral values; inertia and pi0 are
+    3-tuples of floats."""
 
-    inertia: np.ndarray
+    inertia: tuple
     k0: float
     k1: float
     k2: float
     E0: float
-    pi0: np.ndarray
-    # The moments, the diagonal of K and the target f0 = (0, ..., 0, E0, pi0)
-    # as Python floats, K and f0 in the order of the integral map's values;
-    # V and the kernels read them.
-    _inertia: tuple = dataclass_field(init=False, repr=False, compare=False)
+    pi0: tuple
+    # The diagonal of K and the target f0 = (0, ..., 0, E0, pi0), in the
+    # order of the integral map's values; V and the kernels read them.
     K: tuple = dataclass_field(init=False, repr=False, compare=False)
     f0: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
-        object.__setattr__(self, "pi0", np.asarray(self.pi0, dtype=float))
-        if self.inertia.shape != (3,) or not np.all(self.inertia > 0.0):
+        object.__setattr__(self, "inertia", tuple(map(float, self.inertia)))
+        object.__setattr__(self, "pi0", tuple(map(float, self.pi0)))
+        if len(self.inertia) != 3 or not all(i > 0.0 for i in self.inertia):
             raise ValueError("inertia must be three positive principal moments")
         if min(self.k0, self.k1, self.k2) <= 0.0:
             raise ValueError("gains must be positive")
         if self.E0 <= 0.0:
             raise ValueError("target energy must be positive")
-        if float(self.pi0 @ self.pi0) == 0.0:
+        if dot(self.pi0, self.pi0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
-        object.__setattr__(self, "_inertia", tuple(self.inertia.tolist()))
         object.__setattr__(self, "K", (0.5 * self.k0,) * 9 + (self.k1,) + (self.k2,) * 3)
-        object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0.tolist()))
+        object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0))
 
     @classmethod
-    def from_initial(cls, inertia, R0, Omega0, k0, k1, k2) -> "RigidBodyParams":
-        """Build params with (E0, pi0) evaluated at the initial condition."""
-        inertia = np.asarray(inertia, dtype=float)
-        E0, q0, q1, q2, _ = invariant_components(tuple(inertia.tolist()), pack(R0, Omega0))
-        return cls(
-            inertia=inertia,
-            k0=float(k0), k1=float(k1), k2=float(k2),
-            E0=E0, pi0=(q0, q1, q2),
-        )
-
-
-def pack(R, Omega) -> np.ndarray:
-    s = np.empty(DIM)
-    s[:9] = np.asarray(R, dtype=float).reshape(9)
-    s[9:] = Omega
-    return s
-
-
-def unpack(s):
-    return s[:9].reshape(3, 3), s[9:]
+    def from_initial(cls, inertia, s0, k0, k1, k2) -> "RigidBodyParams":
+        """Build params with (E0, pi0) evaluated at the start state s0."""
+        E0, q0, q1, q2, _ = invariant_components(inertia, s0)
+        return cls(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
+                   E0=E0, pi0=(q0, q1, q2))
 
 
 def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     """Params (gains (k0, k1, k2), targets (E0, pi0) from the start) and the
     start state; None starts at R = identity, Omega = (1,1,1)."""
-    s0 = (pack(I3, BENCHMARK_OMEGA0) if initial_state is None
-          else np.asarray(initial_state, dtype=float))
-    R0, W0 = unpack(s0)
-    return RigidBodyParams.from_initial(inertia, R0, W0, *gains), s0
+    s0 = BENCHMARK_START if initial_state is None else tuple(map(float, initial_state))
+    return RigidBodyParams.from_initial(inertia, s0, *gains), s0
 
 
 def _integral_values(inertia: tuple, v) -> tuple:
@@ -146,7 +125,7 @@ def invariant_components(inertia: tuple, s) -> tuple:
     kernels below, the integral map, the target values (E0, pi0), ``V`` and
     the drift metrics all evaluate these expressions.
     """
-    return _integrals_of(_integral_values(inertia, components(s)))
+    return _integrals_of(_integral_values(inertia, s))
 
 
 def _field_components(p: RigidBodyParams, v) -> tuple:
@@ -155,7 +134,7 @@ def _field_components(p: RigidBodyParams, v) -> tuple:
     Row i of R hat(Omega) is row i of R crossed with Omega.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
-    i0, i1, i2 = p._inertia
+    i0, i1, i2 = p.inertia
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     return (
         r01 * w2 - r02 * w1, r02 * w0 - r00 * w2, r00 * w1 - r01 * w0,
@@ -177,7 +156,7 @@ def _gradient_components(p: RigidBodyParams, v) -> tuple:
     gradient is exactly zero at the state the targets came from.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
-    i0, i1, i2 = p._inertia
+    i0, i1, i2 = p.inertia
     E0, t0, t1, t2 = p.f0[9:]
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     d00 = r00 * r00 + r10 * r10 + r20 * r20 - 1.0
@@ -217,17 +196,17 @@ def field(p: RigidBodyParams, s):
 
 def lyapunov(p: RigidBodyParams, s) -> float:
     """V at a state, from its 13 integral-map values."""
-    return lyapunov_value(p.K, p.f0, _integral_values(p._inertia, components(s)))
+    return lyapunov_value(p.K, p.f0, _integral_values(p.inertia, s))
 
 
 def drift_metrics(p: RigidBodyParams, s0):
     """``drift(s)``: |E - E(s0)|, |pi - pi(s0)|, ||R^T R - I|| and V at a
     state, from one ``_integral_values`` call on its floats."""
-    inertia, K, f0 = p._inertia, p.K, p.f0
+    inertia, K, f0 = p.inertia, p.K, p.f0
     E_start, p0, p1, p2, _ = invariant_components(inertia, s0)
 
     def drift(s):
-        values = _integral_values(inertia, components(s))
+        values = _integral_values(inertia, s)
         E, q0, q1, q2, defect_sq = _integrals_of(values)
         u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
         return {
@@ -270,7 +249,7 @@ def gain_bound(p: RigidBodyParams) -> float:
     return min(
         0.25 * p.k0,
         0.5 * p.k1 * abs(p.E0),
-        0.5 * p.k2 * float(p.pi0 @ p.pi0),
+        0.5 * p.k2 * dot(p.pi0, p.pi0),
     )
 
 
@@ -279,39 +258,36 @@ def period(p: RigidBodyParams) -> float:
     return BENCHMARK_OMEGA_PERIOD
 
 
-def _axis_rotation(axis: int, angle: float) -> np.ndarray:
-    c = math.cos(angle)
-    s = math.sin(angle)
-    q = np.eye(3)
-    i, j = (1, 2) if axis == 0 else (2, 0) if axis == 1 else (0, 1)
-    q[i, i] = c
-    q[j, j] = c
-    q[i, j] = -s
-    q[j, i] = s
-    return q
-
-
-# Symmetric factor ordering: half steps on axes 0 and 1 around a full step
-# on axis 2, giving an order-2 composition of exact single-axis rotations.
+# Symmetric factor ordering (McLachlan 1993): half steps on axes 0 and 1
+# around a full step on axis 2, giving an order-2 composition of exact
+# single-axis rotations.
 _SPLIT_PLAN = ((0, 0.5), (1, 0.5), (2, 1.0), (1, 0.5), (0, 0.5))
 
 
-def splitting_step(p: RigidBodyParams, s: np.ndarray, h: float) -> np.ndarray:
+def splitting_step(p: RigidBodyParams, s: tuple, h: float) -> tuple:
     """Three-rotations splitting applied to the original dynamics.
 
-    Each factor freezes the body momentum component along one principal axis
-    and flows the corresponding single-axis rotation exactly, so R stays a
-    product of rotations: starting on SO(3) it remains there to roundoff.
+    Each factor freezes the body momentum component m_a = I_a Omega_a along
+    one principal axis a and flows the rotation Q by the angle
+    (m_a / I_a) (frac h) about that axis exactly: R <- R Q and m <- Q^T m,
+    so R stays a product of rotations and, starting on SO(3), remains there
+    to roundoff. Maps a tuple of 12 floats to a tuple of 12 floats.
     """
-    R, W = unpack(s)
-    R = R.copy()
-    momentum = p.inertia * W
+    inertia = p.inertia
+    r = list(s[:9])
+    m = [ik * wk for ik, wk in zip(inertia, s[9:])]
     for axis, frac in _SPLIT_PLAN:
-        angle = (momentum[axis] / p.inertia[axis]) * (frac * h)
-        q = _axis_rotation(axis, angle)
-        R = R @ q
-        momentum = q.T @ momentum
-    return pack(R, momentum / p.inertia)
+        angle = (m[axis] / inertia[axis]) * (frac * h)
+        c, sn = math.cos(angle), math.sin(angle)
+        i, j = (axis + 1) % 3, (axis + 2) % 3  # the plane the rotation turns
+        for a in (0, 3, 6):  # columns i and j of each row of R
+            ri, rj = r[a + i], r[a + j]
+            r[a + i] = ri * c + rj * sn
+            r[a + j] = rj * c - ri * sn
+        mi, mj = m[i], m[j]
+        m[i] = mi * c + mj * sn
+        m[j] = mj * c - mi * sn
+    return (*r, *(mk / ik for mk, ik in zip(m, inertia)))
 
 
 def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
@@ -323,7 +299,7 @@ def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
     row i of R and (R_i0 I0, R_i1 I1, R_i2 I2) at Omega.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
-    i0, i1, i2 = p._inertia
+    i0, i1, i2 = p.inertia
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     z = 0.0
     d01 = (r01, r00, z, r11, r10, z, r21, r20, z, z, z, z)
@@ -348,7 +324,7 @@ def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
     """
     return FirstIntegralMap(
         dim_state=DIM, dim_values=13,
-        eval=partial(componentwise, _integral_values, p._inertia),
+        eval=partial(componentwise, _integral_values, p.inertia),
         jacobian=partial(componentwise, _jacobian_rows, p),
     )
 

@@ -33,6 +33,11 @@ SAMPLE_REFILL = 4096
 class SystemModel:
     """One shipped system: its fields, integrals, metrics and state sampler.
 
+    A single state is a tuple of Python floats: ``initial_state``, what
+    ``sample_state`` draws, what the fields, ``lyapunov``, ``drift_metrics``,
+    ``accel`` and ``splitting_step`` take, and what the fields, ``accel`` and
+    ``splitting_step`` give. The fields and the gradient also take a batch.
+
     ``sampler(draw)`` is the system's one sampler kernel. It returns a state
     as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard
     uniforms in ``[0, 1)`` as Python floats. ``sample_state(rng)`` draws
@@ -46,26 +51,26 @@ class SystemModel:
     name: str
     dim: int
     params: object
-    field: Callable[[np.ndarray], np.ndarray]
-    modified_field: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    lyapunov: Callable[[np.ndarray], float]
+    field: Callable[[tuple], tuple]
+    modified_field: Callable[[tuple], tuple]
+    gradient: Callable[[tuple], tuple]
+    lyapunov: Callable[[tuple], float]
     integral_map: FirstIntegralMap
     feedback_spec: FeedbackSpec
-    initial_state: np.ndarray
+    initial_state: tuple
     state_names: tuple
     drift_names: tuple
-    drift_metrics: Callable[[np.ndarray], dict]
+    drift_metrics: Callable[[tuple], dict]
     sampler: Callable[[Callable[[int], list]], tuple]
     gain_bound: float
     period: float
     projection_tol: float
-    accel: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    splitting_step: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    accel: Optional[Callable[[tuple], tuple]] = None
+    splitting_step: Optional[Callable[[tuple, float], tuple]] = None
 
-    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+    def sample_state(self, rng: np.random.Generator) -> tuple:
         """One random state, drawing one ``rng.random(k)`` per kernel request."""
-        return np.array(self.sampler(lambda k: rng.random(k).tolist()))
+        return self.sampler(lambda k: rng.random(k).tolist())
 
     def sample_blocks(self, rng: np.random.Generator, n_samples: int, block: int):
         """The first n_samples states of ``sample_state`` on rng, in blocks.

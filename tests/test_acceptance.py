@@ -15,9 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, global_order_ratio
+from conftest import central_difference_gradient, global_order_ratio, precession_rate
 from lyapint import perturbed_kepler
-from lyapint.diagnostics import precession_rate
 from lyapint.feedback import generic_gradient, lyapunov_value
 from lyapint.integrators import euler_step, rk4_step, stormer_verlet_step
 
@@ -148,7 +147,7 @@ def test_c4_gradient_correctness(rigid_sys, kepler_sys, pk_sys):
         spec = system.feedback_spec
         fun = lambda x: lyapunov_value(spec.gain_diag, spec.reference, system.integral_map.eval(x))
         for _ in range(1000):
-            s = system.sample_state(rng)
+            s = np.array(system.sample_state(rng))
             ga = system.gradient(s)
             gg = generic_gradient(system.integral_map, system.feedback_spec, s)
             scale = 1.0 + float(np.linalg.norm(ga))
@@ -171,7 +170,7 @@ def test_c5_orthogonality_suites(rigid_sys, kepler_sys, pk_sys):
     for system in (rigid_sys, kepler_sys, pk_sys):
         rng = np.random.default_rng(101)
         for _ in range(10_000):
-            s = system.sample_state(rng)
+            s = np.array(system.sample_state(rng))
             g = system.gradient(s)
             f = system.field(s)
             bound = 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))
@@ -238,14 +237,14 @@ def test_c9_scheme_orders(rigid_sys):
                                    0.1, np.array([math.e]))
 
     def sv_error(h):
-        q, v = np.array([1.0]), np.array([0.0])
+        q, v = (1.0,), (0.0,)
         for _ in range(round(1.0 / h)):
-            q, v = stormer_verlet_step(lambda qq: -qq, q, v, h, "A")
+            q, v = stormer_verlet_step(lambda qq: (-qq[0],), q, v, h, "A")
         return abs(q[0] - math.cos(1.0))
 
     sv_ratio = sv_error(0.01) / sv_error(0.005)
 
-    ref = rigid_sys.initial_state.copy()
+    ref = rigid_sys.initial_state
     for _ in range(10_000):
         ref = rk4_step(rigid_sys.field, ref, 1e-4)
     split_ratio = global_order_ratio(

@@ -451,11 +451,17 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     (VALID_EXPERIMENT + "[projection]\ntol = inf\n", None),
     (VALID_EXPERIMENT + "strid = 5\n", None),
     (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
+    # non-finite constants give non-finite targets, which FeedbackSpec rejects
+    (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None),
+    (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None),
+    ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
+     "[constants]\ninertia = inf,2,1\n", None),
     (None, None),  # the --config file does not exist
     (VALID_EXPERIMENT, "missing"),  # --out inside a directory that does not exist
 ], ids=["stride", "gain", "gain_inf", "gain_nan", "initial",
         "initial_beside_paper_default", "initial_unknown_condition", "max_iter", "tol_zero", "tol_negative", "tol_inf",
-        "unknown_key", "unknown_section", "missing_config", "missing_out_dir"])
+        "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf",
+        "missing_config", "missing_out_dir"])
 def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir):
     config_path = tmp_path / "exp.ini"
     if config is not None:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient
-from lyapint import rigid_body
+from conftest import central_difference_gradient, pack
 from lyapint.errors import DomainError
 from lyapint.feedback import FeedbackSpec, generic_gradient, lyapunov_value
 
@@ -56,14 +55,14 @@ def test_gradient_zero_at_reference_point(system):
 
 
 def test_rigid_body_generic_matches_analytic_at_scaled_identity(rigid_sys):
-    s = rigid_body.pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
+    s = pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
     ga = rigid_sys.gradient(s)
     gg = generic_gradient(rigid_sys.integral_map, rigid_sys.feedback_spec, s)
     assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
 
 
 def test_rigid_body_lyapunov_hand_value(rigid_sys):
-    s = rigid_body.pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
+    s = pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
     # k0/4 ||0.21 I||^2 + 0 + k2/2 |0.1 (3,2,1)|^2 with gains 50/100/50
     expected = 50 / 4 * (3 * 0.21**2) + 50 / 2 * (0.01 * 14)
     spec = rigid_sys.feedback_spec
@@ -75,7 +74,7 @@ def test_rigid_body_lyapunov_hand_value(rigid_sys):
 def test_generic_matches_analytic_gradient(system):
     rng = np.random.default_rng(12)
     for _ in range(300):
-        x = system.sample_state(rng)
+        x = np.array(system.sample_state(rng))
         ga = system.gradient(x)
         gg = generic_gradient(system.integral_map, system.feedback_spec, x)
         assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
@@ -125,9 +124,9 @@ def test_lyapunov_value_nonnegative(system):
 def test_gain_doubling_doubles_gradient(system):
     rng = np.random.default_rng(15)
     doubled = FeedbackSpec(reference=system.feedback_spec.reference,
-                           gain_diag=2.0 * system.feedback_spec.gain_diag)
+                           gain_diag=2.0 * np.array(system.feedback_spec.gain_diag))
     for _ in range(50):
-        x = system.sample_state(rng)
+        x = np.array(system.sample_state(rng))
         g1 = generic_gradient(system.integral_map, system.feedback_spec, x)
         g2 = generic_gradient(system.integral_map, doubled, x)
         assert np.array_equal(g2, 2.0 * g1)
@@ -136,7 +135,7 @@ def test_gain_doubling_doubles_gradient(system):
 def test_modified_field_is_field_minus_gradient(system):
     rng = np.random.default_rng(16)
     for _ in range(20):
-        x = system.sample_state(rng)
+        x = np.array(system.sample_state(rng))
         assert np.array_equal(system.modified_field(x), system.field(x) - system.gradient(x))
 
 
@@ -148,7 +147,7 @@ def test_modified_field_coincides_with_field_on_level_set(system):
 def test_orthogonality_of_gradient_and_field(system):
     rng = np.random.default_rng(18)
     for _ in range(2000):
-        x = system.sample_state(rng)
+        x = np.array(system.sample_state(rng))
         g = system.gradient(x)
         f = system.field(x)
         bound = 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))

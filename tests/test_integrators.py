@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import global_order_ratio
+from lyapint import kepler
 from lyapint.cli import (
     METHOD_NAMES,
     ExperimentConfig,
@@ -88,11 +89,11 @@ def test_stormer_verlet_harmonic_energy_bounded():
     # q'' = -q: energy error oscillates at O(h^2) with no secular trend,
     # while forward Euler's energy grows without bound.
     h = 0.01
-    q, v = np.array([1.0]), np.array([0.0])
+    q, v = (1.0,), (0.0,)
     first, last = 0.0, 0.0
     n = 200_000
     for k in range(n):
-        q, v = stormer_verlet_step(lambda qq: -qq, q, v, h, "A")
+        q, v = stormer_verlet_step(lambda qq: (-qq[0],), q, v, h, "A")
         err = abs(0.5 * (q[0] ** 2 + v[0] ** 2) - 0.5)
         if k < n // 10:
             first = max(first, err)
@@ -109,12 +110,11 @@ def test_stormer_verlet_harmonic_energy_bounded():
 
 
 def test_stormer_verlet_kepler_angular_momentum(kepler_sys):
-    x = kepler_sys.initial_state.copy()
-    s0 = x.copy()
+    x = kepler_sys.initial_state
     worst = 0.0
     for _ in range(steps_for(kepler_sys.period, 0.005)):
         q, v = stormer_verlet_step(kepler_sys.accel, x[:3], x[3:], 0.005, "A")
-        x = np.concatenate((q, v))
+        x = (*q, *v)
         worst = max(worst, kepler_sys.drift_metrics(x)["dL"])
     assert worst <= 1e-10
 
@@ -133,9 +133,9 @@ def test_order_rk4():
 
 def test_order_stormer_verlet():
     def sho_error(h, variant):
-        q, v = np.array([1.0]), np.array([0.0])
+        q, v = (1.0,), (0.0,)
         for _ in range(round(1.0 / h)):
-            q, v = stormer_verlet_step(lambda qq: -qq, q, v, h, variant)
+            q, v = stormer_verlet_step(lambda qq: (-qq[0],), q, v, h, variant)
         return abs(q[0] - math.cos(1.0))
 
     for variant in "AB":
@@ -156,10 +156,10 @@ def test_projection_kepler_residual_within_tolerance(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
                            target=kepler_sys.feedback_spec.reference,
                            tol=0.005)
-    x = kepler_sys.initial_state.copy()
+    x = kepler_sys.initial_state
     for _ in range(2000):
         x = projection_step(euler_step, cfg, kepler_sys.field, x, 0.005)
-        res = np.linalg.norm(kepler_sys.integral_map.eval(x) - cfg.target)
+        res = np.linalg.norm(kepler_sys.integral_map.eval(np.array(x)) - cfg.target)
         assert res <= 0.005
 
 
@@ -167,10 +167,10 @@ def test_projection_rigid_residual_within_tolerance(rigid_sys):
     cfg = ProjectionConfig(constraint=rigid_sys.integral_map,
                            target=rigid_sys.feedback_spec.reference,
                            tol=1e-4)
-    x = rigid_sys.initial_state.copy()
+    x = rigid_sys.initial_state
     for _ in range(500):
         x = projection_step(euler_step, cfg, rigid_sys.field, x, 1e-4)
-        res = np.linalg.norm(rigid_sys.integral_map.eval(x) - cfg.target)
+        res = np.linalg.norm(rigid_sys.integral_map.eval(np.array(x)) - cfg.target)
         assert res <= 1e-4
 
 
@@ -183,10 +183,10 @@ def pk_projection_config(pk_sys):
 def test_projection_perturbed_kepler_residual_within_tolerance(pk_sys):
     cfg = pk_projection_config(pk_sys)
     rng = np.random.default_rng(47)
-    x = pk_sys.initial_state + rng.uniform(-1e-3, 1e-3, 6)
+    x = tuple((pk_sys.initial_state + rng.uniform(-1e-3, 1e-3, 6)).tolist())
     for _ in range(200):
         x = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
-        res = np.linalg.norm(pk_sys.integral_map.eval(x) - cfg.target)
+        res = np.linalg.norm(pk_sys.integral_map.eval(np.array(x)) - cfg.target)
         assert res <= cfg.tol
 
 
@@ -219,7 +219,7 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
 
 def lagrange_multiplier_projection(cfg, field, x, h):
     """Reference: simplified Newton on lam for f(xt + J^T lam) = target, J frozen at xt."""
-    xt = euler_step(field, x, h)
+    xt = np.array(euler_step(field, tuple(x.tolist()), h))
     res = cfg.constraint.eval(xt) - cfg.target
     if np.linalg.norm(res) <= cfg.tol:
         return xt, 0
@@ -258,7 +258,7 @@ def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name
         x = system.initial_state + rng.uniform(-1e-2, 1e-2, system.dim)
         expected, n_iter = lagrange_multiplier_projection(cfg, system.field, x, h)
         evals.clear()
-        got = projection_step(euler_step, counted, system.field, x, h)
+        got = projection_step(euler_step, counted, system.field, tuple(x.tolist()), h)
         assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
         assert len(evals) - 1 == n_iter  # one eval per residual
         iterations.append(n_iter)
@@ -343,9 +343,9 @@ def test_rollout_records_stride_and_final():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_rollout_attaches_step_index_on_blowup():
-    grow = lambda s: s * 1e150
+    grow = lambda s: (s[0] * 1e150,)
     with pytest.raises(IntegrationError) as info:
-        rollout(lambda x, h: euler_step(grow, x, h), np.array([1.0]), 1.0, 50)
+        rollout(lambda x, h: euler_step(grow, x, h), (1.0,), 1.0, 50)
     assert info.value.step is not None
     assert 1 <= info.value.step <= 50
 
@@ -357,7 +357,7 @@ def test_integrate_observes_start_and_every_step_and_returns_final():
                       lambda k, x: seen.append((k, float(x[0]))))
     assert seen == [(0, 0.0), (1, 0.5), (2, 1.0), (3, 1.5)]
     assert final[0] == 1.5
-    assert x0[0] == 0.0  # the start state is copied, never advanced in place
+    assert x0[0] == 0.0  # the start state is never advanced in place
 
 
 def test_integrate_turns_arithmetic_error_into_integration_error():
@@ -428,8 +428,8 @@ def test_valid_pairs_are_the_twenty_documented_cells():
     assert len(VALID_PAIRS) == 20  # rigid body 6, Kepler 7, perturbed Kepler 7
 
 
-def array_advance(system, method):
-    """The method stepped by the public schemes on arrays, independently of make_advance."""
+def scheme_advance(system, method):
+    """The method stepped by calling the public schemes directly, independently of make_advance."""
     field = system.modified_field if method.startswith("feedback") else system.field
     if method in ("feedback_euler", "euler"):
         return lambda x, h: euler_step(field, x, h)
@@ -446,24 +446,57 @@ def array_advance(system, method):
 
     def advance(x, h):
         q, v = stormer_verlet_step(system.accel, x[:3], x[3:], h, variant)
-        return np.concatenate((q, v))
+        return (*q, *v)
 
     return advance
 
 
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
-def test_float_steps_equal_the_array_schemes_bit_for_bit(name, method):
+def test_make_advance_steps_are_the_public_schemes_bit_for_bit(name, method):
     system = make_system(name)
     h = MODULES[name].BENCHMARK_STEP
     # off the level set, so the feedback acts and projection's Newton loop runs
-    xa = system.initial_state + np.random.default_rng(61).uniform(-1e-3, 1e-3, system.dim)
-    xt = tuple(xa.tolist())
+    xt = tuple((system.initial_state
+                + np.random.default_rng(61).uniform(-1e-3, 1e-3, system.dim)).tolist())
+    xa = xt
     advance = make_advance(system, method, ExperimentConfig())
-    reference = array_advance(system, method)
+    reference = scheme_advance(system, method)
     for _ in range(200):
         xt, xa = advance(xt, h), reference(xa, h)
         assert type(xt) is tuple and all(type(c) is float for c in xt)
-        assert np.array(xt).tobytes() == xa.tobytes()
+        assert np.array(xt).tobytes() == np.array(xa).tobytes()
+
+
+def is_float_tuple(x) -> bool:
+    return type(x) is tuple and all(type(c) is float for c in x)
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_a_single_state_and_every_parameter_vector_are_tuples_of_floats(name):
+    system = make_system(name)
+    explicit = make_system(name, initial_state=np.array(system.initial_state))
+    states = [system.initial_state, explicit.initial_state,
+              system.sample_state(np.random.default_rng(63))]
+    if name == "kepler":
+        states.append(kepler.state_at_eccentric_anomaly(system.params, 0.3))
+    # off the level set, so the feedback acts and projection's Newton loop runs
+    x = tuple((np.array(system.initial_state)
+               + np.random.default_rng(64).uniform(-1e-3, 1e-3, system.dim)).tolist())
+    h = MODULES[name].BENCHMARK_STEP
+    states += [make_advance(system, method, ExperimentConfig())(x, h)
+               for system_name, method in VALID_PAIRS if system_name == name]
+    if system.splitting_step is not None:
+        states.append(system.splitting_step(x, h))
+    for s in states:
+        assert is_float_tuple(s) and len(s) == system.dim
+    spec = system.feedback_spec
+    for vector in (spec.reference, spec.gain_diag, system.params.K, system.params.f0):
+        assert is_float_tuple(vector)
+    for f in dataclasses.fields(system.params):
+        value = getattr(system.params, f.name)
+        assert not isinstance(value, np.ndarray)
+        if isinstance(value, tuple):
+            assert is_float_tuple(value), f.name
 
 
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
@@ -473,7 +506,7 @@ def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
     run_experiment(ExperimentConfig(system=name, method=method, h=h, t_end=(n + 0.5) * h,
                                     output_path=str(out), sample_stride=3))
     system = make_system(name)
-    times, states = rollout(array_advance(system, method), system.initial_state, h, n,
+    times, states = rollout(scheme_advance(system, method), system.initial_state, h, n,
                             stride=3)
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 1 + n // 3 + 1  # header, step 0, every third step, step n
@@ -514,15 +547,16 @@ def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
     x0 = system.initial_state + np.random.default_rng(62).uniform(-1e-3, 1e-3, system.dim)
     for scheme, reference in ((euler_step, numpy_euler), (rk4_step, numpy_rk4)):
         for field in (system.field, system.modified_field):
-            x = y = x0
+            x, y = tuple(x0.tolist()), x0
             for _ in range(200):
                 x, y = scheme(field, x, h), reference(field, y, h)
-                assert x.tobytes() == y.tobytes()
+                assert np.array(x).tobytes() == y.tobytes()
     if system.accel is None:
         return
     for variant in "AB":
-        q, v = p, w = x0[:3], x0[3:]
+        q, v = tuple(x0[:3].tolist()), tuple(x0[3:].tolist())
+        p, w = x0[:3], x0[3:]
         for _ in range(200):
             q, v = stormer_verlet_step(system.accel, q, v, h, variant)
             p, w = numpy_stormer_verlet(system.accel, p, w, h, variant)
-            assert q.tobytes() == p.tobytes() and v.tobytes() == w.tobytes()
+            assert np.array(q).tobytes() == p.tobytes() and np.array(v).tobytes() == w.tobytes()

@@ -1,29 +1,21 @@
 import numpy as np
 import pytest
 
-from lyapint.numerics import cross, norm
+from lyapint.numerics import dot, norm
 from lyapint.systems import SYSTEM_NAMES, make_system
 
 
-def cross_oracle(u, v):
-    # componentwise cross product, written out independently
-    return np.array([
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ])
-
-
-def test_cross_matches_componentwise_oracle():
+def test_dot_sums_products_in_component_order():
     rng = np.random.default_rng(0)
     for _ in range(300):
-        u = rng.uniform(-5, 5, 3)
-        v = rng.uniform(-5, 5, 3)
-        assert np.array_equal(cross(u, v), cross_oracle(u, v))
+        u = rng.uniform(-5, 5, 3).tolist()
+        v = rng.uniform(-5, 5, 3).tolist()
+        assert dot(u, v) == (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+        assert dot(u, v) == pytest.approx(float(np.dot(u, v)), rel=1e-14, abs=1e-14)
 
 
 def test_norm_matches_euclidean():
-    v = np.array([3.0, 4.0, 12.0])
+    v = (3.0, 4.0, 12.0)
     assert norm(v) == pytest.approx(13.0, rel=1e-15)
 
 

@@ -210,7 +210,7 @@ def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params):
     states = np.array(random_states(47, 4))
     states[2, 3] = 1e200
     with pytest.raises(DomainError, match="not finite"):
-        pk.invariant_components(params.potential, states[2])
+        pk.invariant_components(params.potential, tuple(states[2].tolist()))
     with pytest.raises(DomainError, match="batch state 2"), np.errstate(over="ignore"):
         pk.invariant_components(params.potential, tuple(states.T))
 
@@ -271,7 +271,7 @@ def test_reference_flow_conserves_integrals(pk_runs):
 
 
 def test_level_set_trajectory_is_bounded(pk_sys):
-    x = pk_sys.initial_state.copy()
+    x = pk_sys.initial_state
     rmax = vmax = 0.0
     for _ in range(steps_for(pk_sys.period, 1e-3)):
         x = rk4_step(pk_sys.field, x, 1e-3)
@@ -329,7 +329,7 @@ def test_hypothesis_bracket_validation(params):
 def test_root_finding_against_dense_scan(params):
     # brute-force sign-change scan on a million-point log grid
     def dense_roots(p):
-        l0_sq = float(p.L0 @ p.L0)
+        l0_sq = float(np.dot(p.L0, p.L0))
         grid = np.geomspace(*pk.DEFAULT_BRACKET, 1_000_000)
         vals = grid**3 * p.potential.u_prime(grid) - l0_sq
         hits = []
