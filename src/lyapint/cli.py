@@ -465,7 +465,7 @@ def check_system(name: str) -> int:
         _, states = rollout(
             make_advance(system, "feedback_euler", ExperimentConfig()),
             system.initial_state, 1e-4, steps_for(2.0, 1e-4), stride=200)
-        worst = max(system.lyapunov(s) for s in states)
+        worst = max(system.lyapunov(s) for s in states.tolist())
         ok &= _print_check(
             "rigid_body.level_set_invariance",
             worst <= 1e-7,
@@ -503,7 +503,7 @@ def check_system(name: str) -> int:
             make_advance(system, "rk4", ExperimentConfig()),
             system.initial_state, 1e-3, steps_for(system.period, 1e-3),
             stride=max(1, steps_for(system.period, 1e-3) // 6))
-        rank = check_rank_condition(system.integral_map, list(states))
+        rank = check_rank_condition(system.integral_map, states.tolist())
         ok &= _print_check(
             "perturbed_kepler.integral_map_rank",
             rank.passed,

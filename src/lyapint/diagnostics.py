@@ -44,7 +44,7 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
                          threshold: float = 1e-8) -> RankReport:
     """Estimate min over samples of the smallest singular value of Df.
 
-    Each sample is a state, a tuple of floats or an array (dim_state,).
+    Each sample is a state as a sequence of Python floats.
 
     PASS (report.passed) means the map is numerically a submersion at every
     sample. Maps whose joint level sets contain whole trajectories are rank
@@ -53,7 +53,7 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
     """
     spectra = []
     for s in samples:
-        jac = np.asarray(f.jacobian(np.asarray(s, dtype=float)), dtype=float)
+        jac = np.asarray(f.jacobian(s), dtype=float)
         spectra.append(tuple(singular_values(jac)))
     smallest = min(spec[-1] for spec in spectra)
     return RankReport(min_singular_value=float(smallest), spectra=tuple(spectra),
@@ -200,18 +200,22 @@ def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
     """Compare the analytic gradient to Df^T K (f - f0) at sampled states.
 
     The states are those of ``orthogonality_report`` for the same seed, in
-    the same blocks. Each block gets one batched analytic gradient and one
-    ``generic_gradient`` call, the oracle built from the integral map's
-    ``eval`` and ``jacobian``; the rows of both equal their single-state
-    results bit for bit, and the difference is measured row by row.
+    the same blocks. Each block gets one analytic gradient and one
+    ``generic_gradient`` call on its columns, the oracle built from the
+    integral map's ``eval`` and ``jacobian``. Both are stacked into
+    C-contiguous (N, dim) arrays, whose rows equal the single-state results
+    bit for bit, and the difference is measured row by row.
     """
     from .feedback import generic_gradient
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
-        oracle = generic_gradient(system.integral_map, system.feedback_spec, block)
-        for ga, gg in zip(system.gradient(block), oracle):
+        columns = tuple(block.T)
+        analytic = np.stack(system.gradient(columns), axis=1)
+        oracle = np.stack(
+            generic_gradient(system.integral_map, system.feedback_spec, columns), axis=1)
+        for ga, gg in zip(analytic, oracle):
             diff = math.sqrt(float((ga - gg) @ (ga - gg)))
             scale = 1.0 + math.sqrt(float(ga @ ga))
             worst = max(worst, diff / scale)

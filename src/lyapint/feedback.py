@@ -22,22 +22,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .numerics import componentwise
-
 
 @dataclass(frozen=True)
 class FirstIntegralMap:
     """Stacked constraint-plus-integrals map f: R^dim_state -> R^dim_values.
 
-    ``eval`` and ``jacobian`` are ``numerics.componentwise`` kernels. A
-    state of shape (dim_state,) gives the dim_values values as an array and
-    the Jacobian as an array (dim_values, dim_state), whose row i is the
-    gradient of component i. A tuple of components gives the values as a
-    sequence and the Jacobian as a sequence of rows: Python floats for a
-    tuple of floats, and for a tuple of a block's columns, arrays of shape
-    (N,), arrays or float constants (an entry that is identically zero may
-    be the float 0.0), with entry i of each equal to the single-state value
-    of state i bit for bit.
+    ``eval`` and ``jacobian`` take a state's components and give the
+    dim_values values as a sequence and the Jacobian as a sequence of
+    dim_values rows, row i the gradient of value i: Python floats for one
+    state's floats, and for a block's columns, arrays of shape (N,) or float
+    constants (an entry that is identically zero may be the float 0.0), with
+    entry i of each equal to the single-state value of state i bit for bit.
     ``jacobian_transpose_apply(x, w)``, Df(x)^T w, is optional and unused
     by the library; no shipped map sets it, and ``perfbench/tracer.py``
     wraps it by name where a map does.
@@ -84,26 +79,19 @@ def lyapunov_value(gains, target, values) -> float:
     return 0.5 * total
 
 
-def _gradient_components(fs, v) -> tuple:
-    # Df^T K (f - f0) at the state components v: column j is the sum over
-    # the values i, in order, of jacobian[i][j] * K_i (f_i - f0_i)
-    f, spec = fs
-    v = tuple(v)
-    w = [k * (fi - ri) for k, fi, ri in zip(spec.gain_diag, f.eval(v), spec.reference)]
-    rows = f.jacobian(v)
+def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x):
+    """grad V via the Jacobian-transpose formula Df(x)^T K (f(x) - f0).
+
+    Built from ``f.eval`` and ``f.jacobian`` alone: entry j is the sum over
+    the values i, in order, of jacobian[i][j] * K_i (f_i - f0_i). x is a
+    state's components: floats for one state, giving dim_state floats, or a
+    block's columns, giving dim_state columns with no (N, dim_values,
+    dim_state) Jacobian formed, entry i of each equal to the gradient at
+    state i bit for bit.
+    """
+    w = [k * (fi - ri) for k, fi, ri in zip(spec.gain_diag, f.eval(x), spec.reference)]
+    rows = f.jacobian(x)
     grad = [d * w[0] for d in rows[0]]
     for row, wi in zip(rows[1:], w[1:]):
         grad = [g + d * wi for g, d in zip(grad, row)]
     return tuple(grad)
-
-
-def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x):
-    """grad V via the Jacobian-transpose formula Df(x)^T K (f(x) - f0).
-
-    Built from ``f.eval`` and ``f.jacobian`` alone; x is a tuple of floats, a
-    state (dim_state,) or a block (N, dim_state), handled as
-    ``numerics.componentwise`` does: a block is evaluated on its columns, with
-    no (N, dim_values, dim_state) Jacobian formed, and row i of the result
-    equals the gradient at state i bit for bit.
-    """
-    return componentwise(_gradient_components, (f, spec), x)

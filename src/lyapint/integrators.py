@@ -164,14 +164,18 @@ def steps_for(t_end: float, h: float) -> int:
 def integrate(advance, x0, h, n_steps, observe):
     """Advance ``x = advance(x, h)`` n_steps times from x0; return the final state.
 
-    x0 is a tuple of floats, and ``advance`` maps such a tuple to the next
-    one. ``observe(k, x)`` sees the start state (k = 0) and the state after
-    every step k. A step and its observation fail together as step k: an
-    ``ArithmeticError`` (float overflow, division by zero) becomes
-    IntegrationError with ``step = k`` and the original error as its cause;
-    any other exception gets ``step = k`` unless it already carries a step,
-    and propagates unchanged.
+    x0 is a tuple of Python floats, and ``advance`` maps such a tuple to the
+    next one; any other x0 raises TypeError, as an array's numpy scalars
+    would overflow to inf with a warning instead of raising. ``observe(k, x)``
+    sees the start state (k = 0) and the state after every step k. A step
+    and its observation fail together as step k: an ``ArithmeticError``
+    (float overflow, division by zero) becomes IntegrationError with
+    ``step = k`` and the original error as its cause; any other exception
+    gets ``step = k`` unless it already carries a step, and propagates
+    unchanged.
     """
+    if type(x0) is not tuple or not all(type(c) is float for c in x0):
+        raise TypeError(f"start state must be a tuple of Python floats, got {x0!r}")
     x = x0
     observe(0, x)
     try:

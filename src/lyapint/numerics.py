@@ -1,10 +1,9 @@
 """Small helpers shared by all systems.
 
 ``dot`` and ``norm`` work on 3-vectors of Python floats, the form of the
-systems' parameter vectors. ``componentwise``, ``column_dot`` and
-``radius`` serve the system kernels and their callers, which are written
-over state components: Python floats for one state, shape-(N,) arrays for
-a batch.
+systems' parameter vectors. ``column_dot`` and ``radius`` serve the system
+kernels and their callers, which are written over state components: Python
+floats for one state, shape-(N,) columns for a block.
 """
 
 import math
@@ -28,29 +27,11 @@ def norm(v) -> float:
     return math.sqrt(dot(v, v))
 
 
-def componentwise(kernel, p, s):
-    """``kernel(p, components)`` on a tuple of components (giving a tuple), a state (dim,) or a batch.
-
-    A state of shape (dim,) goes to the kernel as dim Python floats and gives
-    shape (m,); a batch of shape (N, dim) as its dim columns, arrays of shape
-    (N,), and gives a C-contiguous (N, m). A tuple goes to the kernel as it
-    is: dim floats give m floats, and a batch's dim columns give its m result
-    columns without stacking them. The kernel applies the same IEEE
-    operations in the same order either way, so row i of a batch result equals
-    the result for state i bit for bit, and so does a reduction over the row.
-    """
-    if isinstance(s, tuple):
-        return kernel(p, s)
-    if s.ndim == 1:
-        return np.array(kernel(p, s.tolist()))
-    return np.stack(kernel(p, s.T), axis=1)
-
-
 def column_dot(a, b):
-    """<a_i, b_i> for each state i of a batch given as two sequences of columns.
+    """<a_i, b_i> for each state i of a block given as two sequences of columns.
 
     The columns are arrays of shape (N,), as a kernel returns them for a
-    tuple of a batch's columns; the products are summed in column order.
+    block's columns; the products are summed in column order.
     """
     out = a[0] * b[0]
     for x, y in zip(a[1:], b[1:]):
@@ -61,7 +42,7 @@ def column_dot(a, b):
 def radius(r2):
     """|x| from |x|^2, rejecting positions at the origin.
 
-    ``r2`` is a float (one state) or an array of shape (N,) (a batch); a batch
+    ``r2`` is a float (one state) or a column of shape (N,) (a block); a block
     with any radius below ORIGIN_RADIUS is rejected as a whole.
     """
     if not isinstance(r2, np.ndarray):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .feedback import FirstIntegralMap, lyapunov_value
-from .numerics import componentwise, dot, norm, radius
+from .numerics import dot, norm, radius
 
 DIM = 6
 
@@ -53,7 +53,7 @@ DEFAULT_BRACKET = (1e-3, 1e3)
 class RadialPotential:
     """Radial potential r -> U(r) together with its analytic derivative.
 
-    Both take and return Python floats; a batch of states evaluates them at
+    Both take and return Python floats; a block of states evaluates them at
     each radius in turn (see ``_radial``).
     """
 
@@ -99,8 +99,9 @@ class PerturbedKeplerParams:
             raise ValueError("target angular momentum must be nonzero")
 
     @classmethod
-    def from_initial(cls, potential, x0, v0, k1, k2) -> "PerturbedKeplerParams":
-        E, l0, l1, l2 = invariant_components(potential, (*x0, *v0))
+    def from_initial(cls, potential, s0, k1, k2) -> "PerturbedKeplerParams":
+        """Build params with (E0, L0) evaluated at the start state s0."""
+        E, l0, l1, l2 = invariant_components(potential, s0)
         return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=(l0, l1, l2))
 
 
@@ -120,16 +121,16 @@ def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentri
     else:
         s0 = tuple(map(float, initial_state))
     potential = inverse_cube_perturbed(mu, delta)
-    return PerturbedKeplerParams.from_initial(potential, s0[:3], s0[3:], *gains), s0
+    return PerturbedKeplerParams.from_initial(potential, s0, *gains), s0
 
 
 def _radial(fn, r):
-    """A potential function at a float radius, or at each radius of an array.
+    """A potential function at a float radius, or at each radius of a column.
 
     Potentials are written for floats: ``inverse_cube_perturbed`` uses
     Python's ``**``, which raises OverflowError where a product would go on
     with inf, and the trajectory driver reports that as the failing step. A
-    batch calls the same function at each of its radii, so its entries equal
+    block calls the same function at each of its radii, so its entries equal
     the single-state values bit for bit.
     """
     if isinstance(r, np.ndarray):
@@ -137,26 +138,12 @@ def _radial(fn, r):
     return fn(r)
 
 
-def _field_components(p: PerturbedKeplerParams, v) -> tuple:
-    """(v, -U'(|x|) x / |x|) at the state components v, as 6 components."""
+def field(p: PerturbedKeplerParams, v) -> tuple:
+    """Original dynamics (v, -U'(|x|) x / |x|) at the state components v, as 6 components."""
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     c = -_radial(p.potential.u_prime, r) / r
     return v0, v1, v2, c * x0, c * x1, c * x2
-
-
-def field(p: PerturbedKeplerParams, s):
-    """Original dynamics (v, -U'(|x|) x / |x|) at a state (a tuple or (6,)) or a batch (N, 6)."""
-    return componentwise(_field_components, p, s)
-
-
-def _accel_components(p: PerturbedKeplerParams, q) -> tuple:
-    return _field_components(p, (*q, 0.0, 0.0, 0.0))[3:]
-
-
-def accel(p: PerturbedKeplerParams, q):
-    """Position-only acceleration -U'(|q|) q / |q|."""
-    return componentwise(_accel_components, p, q)
 
 
 def invariant_components(potential: RadialPotential, s) -> tuple:
@@ -224,7 +211,7 @@ def gain_bound(p: PerturbedKeplerParams) -> float:
     return math.inf
 
 
-def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
+def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
     """Closed-form gradient of V at the state components v, as 6 components:
 
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
@@ -254,26 +241,20 @@ def _gradient_components(p: PerturbedKeplerParams, v) -> tuple:
     )
 
 
-def lyapunov_gradient(p: PerturbedKeplerParams, s):
-    """Closed-form gradient of V (see ``_gradient_components``).
-
-    Takes a tuple of floats, a state of shape (6,) or a batch of shape (N, 6).
-    """
-    return componentwise(_gradient_components, p, s)
+# accel and modified_field call the kernels by these names, so that wrapping
+# the public ones in place (as perfbench/tracer.py does) counts only outside calls
+_field, _gradient = field, lyapunov_gradient
 
 
-def _modified_field_components(p: PerturbedKeplerParams, v) -> tuple:
-    return tuple(map(operator.sub, _field_components(p, v), _gradient_components(p, v)))
+def modified_field(p: PerturbedKeplerParams, v) -> tuple:
+    """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
+    to the difference of ``field`` and ``lyapunov_gradient``."""
+    return tuple(map(operator.sub, _field(p, v), _gradient(p, v)))
 
 
-def modified_field(p: PerturbedKeplerParams, s):
-    """Feedback dynamics: original field minus the Lyapunov gradient.
-
-    Both terms come from the kernels of ``field`` and
-    ``lyapunov_gradient``, so the result is bit-identical to their
-    difference. Takes a tuple of floats, a state (6,) or a batch (N, 6).
-    """
-    return componentwise(_modified_field_components, p, s)
+def accel(p: PerturbedKeplerParams, q) -> tuple:
+    """Position-only acceleration -U'(|q|) q / |q|."""
+    return _field(p, (*q, 0.0, 0.0, 0.0))[3:]
 
 
 def _integral_values(p: PerturbedKeplerParams, v) -> tuple:
@@ -298,15 +279,11 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
 
 
 def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
-    """Stacked map (E, L) of dimension 4.
-
-    ``eval`` and ``jacobian`` take a tuple of floats, a state of shape (6,)
-    or a tuple of a block's columns (see ``feedback.FirstIntegralMap``).
-    """
+    """Stacked map (E, L) of dimension 4."""
     return FirstIntegralMap(
         dim_state=DIM, dim_values=4,
-        eval=partial(componentwise, _integral_values, p),
-        jacobian=partial(componentwise, _jacobian_rows, p),
+        eval=partial(_integral_values, p),
+        jacobian=partial(_jacobian_rows, p),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
 from .feedback import FirstIntegralMap, lyapunov_value
-from .numerics import componentwise, dot
+from .numerics import dot
 
 DIM = 12
 
@@ -128,8 +128,9 @@ def invariant_components(inertia: tuple, s) -> tuple:
     return _integrals_of(_integral_values(inertia, s))
 
 
-def _field_components(p: RigidBodyParams, v) -> tuple:
-    """(R hat(Omega), Iinv((I Omega) x Omega)) at the state components v, as 12 components.
+def field(p: RigidBodyParams, v) -> tuple:
+    """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega)) at the state
+    components v, as 12 components.
 
     Row i of R hat(Omega) is row i of R crossed with Omega.
     """
@@ -144,7 +145,7 @@ def _field_components(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def _gradient_components(p: RigidBodyParams, v) -> tuple:
+def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
     """Closed-form gradient of V at the state components v, as 12 components:
 
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
@@ -186,14 +187,6 @@ def _gradient_components(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def field(p: RigidBodyParams, s):
-    """Original dynamics (R hat(Omega), Iinv((I Omega) x Omega)).
-
-    Takes a tuple of floats, a state of shape (12,) or a batch of shape (N, 12).
-    """
-    return componentwise(_field_components, p, s)
-
-
 def lyapunov(p: RigidBodyParams, s) -> float:
     """V at a state, from its 13 integral-map values."""
     return lyapunov_value(p.K, p.f0, _integral_values(p.inertia, s))
@@ -219,26 +212,15 @@ def drift_metrics(p: RigidBodyParams, s0):
     return drift
 
 
-def lyapunov_gradient(p: RigidBodyParams, s):
-    """Closed-form gradient of V (see ``_gradient_components``).
-
-    Takes a tuple of floats, a state of shape (12,) or a batch of shape (N, 12).
-    """
-    return componentwise(_gradient_components, p, s)
+# modified_field calls the kernels by these names, so that wrapping the
+# public ones in place (as perfbench/tracer.py does) counts only outside calls
+_field, _gradient = field, lyapunov_gradient
 
 
-def _modified_field_components(p: RigidBodyParams, v) -> tuple:
-    return tuple(map(operator.sub, _field_components(p, v), _gradient_components(p, v)))
-
-
-def modified_field(p: RigidBodyParams, s):
-    """Feedback dynamics: original field minus the Lyapunov gradient.
-
-    Both terms come from the kernels of ``field`` and
-    ``lyapunov_gradient``, so the result is bit-identical to their
-    difference. Takes a tuple of floats, a state (12,) or a batch (N, 12).
-    """
-    return componentwise(_modified_field_components, p, s)
+def modified_field(p: RigidBodyParams, v) -> tuple:
+    """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
+    to the difference of ``field`` and ``lyapunov_gradient``."""
+    return tuple(map(operator.sub, _field(p, v), _gradient(p, v)))
 
 
 def gain_bound(p: RigidBodyParams) -> float:
@@ -317,14 +299,10 @@ def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
 
 
 def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
-    """Stacked map (vec(R^T R - I), E, pi) of dimension 13.
-
-    ``eval`` and ``jacobian`` take a tuple of floats, a state of shape (12,)
-    or a tuple of a block's columns (see ``feedback.FirstIntegralMap``).
-    """
+    """Stacked map (vec(R^T R - I), E, pi) of dimension 13."""
     return FirstIntegralMap(
         dim_state=DIM, dim_values=13,
-        eval=partial(componentwise, _integral_values, p.inertia),
-        jacobian=partial(componentwise, _jacobian_rows, p),
+        eval=partial(_integral_values, p.inertia),
+        jacobian=partial(_jacobian_rows, p),
     )
 

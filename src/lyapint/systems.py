@@ -36,7 +36,9 @@ class SystemModel:
     A single state is a tuple of Python floats: ``initial_state``, what
     ``sample_state`` draws, what the fields, ``lyapunov``, ``drift_metrics``,
     ``accel`` and ``splitting_step`` take, and what the fields, ``accel`` and
-    ``splitting_step`` give. The fields and the gradient also take a batch.
+    ``splitting_step`` give. The fields, ``accel``, the gradient and the
+    integral map also take a block's columns, a tuple of arrays (N,), and
+    give columns.
 
     ``sampler(draw)`` is the system's one sampler kernel. It returns a state
     as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard

@@ -88,9 +88,10 @@ def global_order_ratio(step, field, x0, t_end, h, exact):
     return err(h) / err(h / 2.0)
 
 
-def pack(R, Omega) -> np.ndarray:
-    """A rigid-body state as an array (12,): R row-major, then Omega."""
-    return np.concatenate((np.asarray(R, dtype=float).reshape(9), np.asarray(Omega, dtype=float)))
+def pack(R, Omega) -> tuple:
+    """A rigid-body state as a tuple of 12 floats: R row-major, then Omega."""
+    return tuple(np.concatenate((np.asarray(R, dtype=float).reshape(9),
+                                 np.asarray(Omega, dtype=float))).tolist())
 
 
 def unpack(s):
@@ -138,7 +139,13 @@ def precession_rate(times: np.ndarray, states: np.ndarray) -> float:
     return float((angles[-1] - angles[0]) / (len(angles) - 1))
 
 
+def stacked(columns) -> np.ndarray:
+    """A kernel's result columns on a block as an array (N, m): row i is state i's result."""
+    return np.stack(columns, axis=1)
+
+
 def central_difference_gradient(fun, x, eps=1e-6):
+    """Central differences of fun, which takes a state as a tuple of floats."""
     x = np.array(x, dtype=float)
     g = np.empty(len(x))
     for i in range(len(x)):
@@ -146,7 +153,7 @@ def central_difference_gradient(fun, x, eps=1e-6):
         xp[i] += eps
         xm = x.copy()
         xm[i] -= eps
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * eps)
+        g[i] = (fun(tuple(xp.tolist())) - fun(tuple(xm.tolist()))) / (2.0 * eps)
     return g
 
 

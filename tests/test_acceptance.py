@@ -147,9 +147,9 @@ def test_c4_gradient_correctness(rigid_sys, kepler_sys, pk_sys):
         spec = system.feedback_spec
         fun = lambda x: lyapunov_value(spec.gain_diag, spec.reference, system.integral_map.eval(x))
         for _ in range(1000):
-            s = np.array(system.sample_state(rng))
-            ga = system.gradient(s)
-            gg = generic_gradient(system.integral_map, system.feedback_spec, s)
+            s = system.sample_state(rng)
+            ga = np.array(system.gradient(s))
+            gg = np.array(generic_gradient(system.integral_map, system.feedback_spec, s))
             scale = 1.0 + float(np.linalg.norm(ga))
             worst_generic = max(worst_generic,
                                 float(np.linalg.norm(ga - gg)) / scale)
@@ -170,9 +170,9 @@ def test_c5_orthogonality_suites(rigid_sys, kepler_sys, pk_sys):
     for system in (rigid_sys, kepler_sys, pk_sys):
         rng = np.random.default_rng(101)
         for _ in range(10_000):
-            s = np.array(system.sample_state(rng))
-            g = system.gradient(s)
-            f = system.field(s)
+            s = system.sample_state(rng)
+            g = np.array(system.gradient(s))
+            f = np.array(system.field(s))
             bound = 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))
             worst = max(worst, abs(float(g @ f)) / bound)
     detail = f"worst residual at {worst:.3e} of the allowed bound (must be <= 1)"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, pack
+from conftest import central_difference_gradient, pack, stacked
 from lyapint.errors import DomainError
 from lyapint.feedback import FeedbackSpec, generic_gradient, lyapunov_value
 
@@ -33,13 +33,17 @@ def test_oracle_on_block_columns_equals_single_state_floats_bit_for_bit(system):
     for block in system.sample_blocks(np.random.default_rng(19), 1500, 1000):
         columns = tuple(block.T)
         values, rows = f.eval(columns), f.jacobian(columns)
-        oracle = generic_gradient(f, spec, block)
-        assert oracle.shape == block.shape and oracle.flags.c_contiguous
+        oracle = stacked(generic_gradient(f, spec, columns))
         for i, state in enumerate(block.tolist()):
             x = tuple(state)
-            assert np.array([v[i] for v in values]).tobytes() == np.array(f.eval(x)).tobytes()
+            single_values, single_rows = f.eval(x), f.jacobian(x)
+            assert len(single_values) == f.dim_values and len(single_rows) == f.dim_values
+            assert all(type(v) is float for v in single_values)
+            assert all(len(row) == f.dim_state and all(type(c) is float for c in row)
+                       for row in single_rows)
+            assert np.array([v[i] for v in values]).tobytes() == np.array(single_values).tobytes()
             entries = [[np.broadcast_to(c, len(block))[i] for c in row] for row in rows]
-            assert np.array(entries).tobytes() == np.array(f.jacobian(x)).tobytes()
+            assert np.array(entries).tobytes() == np.array(single_rows).tobytes()
             single = generic_gradient(f, spec, x)
             assert all(type(c) is float for c in single)
             assert np.array(single).tobytes() == oracle[i].tobytes()
@@ -56,8 +60,8 @@ def test_gradient_zero_at_reference_point(system):
 
 def test_rigid_body_generic_matches_analytic_at_scaled_identity(rigid_sys):
     s = pack(1.1 * np.eye(3), (1.0, 1.0, 1.0))
-    ga = rigid_sys.gradient(s)
-    gg = generic_gradient(rigid_sys.integral_map, rigid_sys.feedback_spec, s)
+    ga = np.array(rigid_sys.gradient(s))
+    gg = np.array(generic_gradient(rigid_sys.integral_map, rigid_sys.feedback_spec, s))
     assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
 
 
@@ -74,9 +78,9 @@ def test_rigid_body_lyapunov_hand_value(rigid_sys):
 def test_generic_matches_analytic_gradient(system):
     rng = np.random.default_rng(12)
     for _ in range(300):
-        x = np.array(system.sample_state(rng))
-        ga = system.gradient(x)
-        gg = generic_gradient(system.integral_map, system.feedback_spec, x)
+        x = system.sample_state(rng)
+        ga = np.array(system.gradient(x))
+        gg = np.array(generic_gradient(system.integral_map, system.feedback_spec, x))
         assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
 
 
@@ -84,7 +88,7 @@ def test_closed_form_gradient_matches_finite_differences_of_lyapunov(system):
     rng = np.random.default_rng(17)
     for _ in range(60):
         x = system.sample_state(rng)
-        ga = system.gradient(x)
+        ga = np.array(system.gradient(x))
         gfd = central_difference_gradient(system.lyapunov, x)
         assert np.linalg.norm(ga - gfd) <= 1e-5 * (1.0 + np.linalg.norm(ga))
 
@@ -95,13 +99,13 @@ def test_generic_matches_finite_differences(system):
     fun = lambda x: lyapunov_value(spec.gain_diag, spec.reference, system.integral_map.eval(x))
     for _ in range(60):
         x = system.sample_state(rng)
-        gg = generic_gradient(system.integral_map, system.feedback_spec, x)
+        gg = np.array(generic_gradient(system.integral_map, system.feedback_spec, x))
         gfd = central_difference_gradient(fun, x)
         assert np.linalg.norm(gg - gfd) <= 1e-5 * (1.0 + np.linalg.norm(gg))
 
 
 def test_gradient_rejects_domain_violations(kepler_sys, pk_sys):
-    origin = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    origin = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     for system in (kepler_sys, pk_sys):
         with pytest.raises(DomainError):
             generic_gradient(system.integral_map, system.feedback_spec, origin)
@@ -111,7 +115,7 @@ def test_gradient_rejects_domain_violations(kepler_sys, pk_sys):
         block = np.array([system.sample_state(np.random.default_rng(k)) for k in range(5)])
         block[3] = origin
         with pytest.raises(DomainError, match="batch state 3"):
-            generic_gradient(system.integral_map, system.feedback_spec, block)
+            generic_gradient(system.integral_map, system.feedback_spec, tuple(block.T))
 
 
 def test_lyapunov_value_nonnegative(system):
@@ -126,17 +130,18 @@ def test_gain_doubling_doubles_gradient(system):
     doubled = FeedbackSpec(reference=system.feedback_spec.reference,
                            gain_diag=2.0 * np.array(system.feedback_spec.gain_diag))
     for _ in range(50):
-        x = np.array(system.sample_state(rng))
-        g1 = generic_gradient(system.integral_map, system.feedback_spec, x)
-        g2 = generic_gradient(system.integral_map, doubled, x)
+        x = system.sample_state(rng)
+        g1 = np.array(generic_gradient(system.integral_map, system.feedback_spec, x))
+        g2 = np.array(generic_gradient(system.integral_map, doubled, x))
         assert np.array_equal(g2, 2.0 * g1)
 
 
 def test_modified_field_is_field_minus_gradient(system):
     rng = np.random.default_rng(16)
     for _ in range(20):
-        x = np.array(system.sample_state(rng))
-        assert np.array_equal(system.modified_field(x), system.field(x) - system.gradient(x))
+        x = system.sample_state(rng)
+        assert np.array_equal(system.modified_field(x),
+                              np.array(system.field(x)) - np.array(system.gradient(x)))
 
 
 def test_modified_field_coincides_with_field_on_level_set(system):
@@ -147,9 +152,9 @@ def test_modified_field_coincides_with_field_on_level_set(system):
 def test_orthogonality_of_gradient_and_field(system):
     rng = np.random.default_rng(18)
     for _ in range(2000):
-        x = np.array(system.sample_state(rng))
-        g = system.gradient(x)
-        f = system.field(x)
+        x = system.sample_state(rng)
+        g = np.array(system.gradient(x))
+        f = np.array(system.field(x))
         bound = 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))
         assert abs(float(g @ f)) <= bound
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import global_order_ratio
+from conftest import global_order_ratio, stacked
 from lyapint import kepler
 from lyapint.cli import (
     METHOD_NAMES,
@@ -35,54 +35,54 @@ from lyapint.systems import MODULES, SYSTEM_NAMES, make_system
 
 
 def test_euler_zero_field_keeps_state():
-    x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(euler_step(lambda s: np.zeros(3), x, 0.25), x)
+    x = (1.0, -2.0, 3.0)
+    assert euler_step(lambda s: (0.0, 0.0, 0.0), x, 0.25) == x
 
 
 def test_euler_constant_field_is_linear():
-    c = np.array([2.0, -4.0, 6.0])
-    x = np.zeros(3)
-    assert np.array_equal(euler_step(lambda s: c, x, 0.5), 0.5 * c)
+    c = (2.0, -4.0, 6.0)
+    x = (0.0, 0.0, 0.0)
+    assert euler_step(lambda s: c, x, 0.5) == (1.0, -2.0, 3.0)
 
 
 def test_euler_exponential_one_step():
-    x = np.array([1.0])
+    x = (1.0,)
     assert euler_step(lambda s: s, x, 0.1)[0] == 1.1
 
 
 def test_rk4_zero_field_keeps_state():
-    x = np.array([4.0, 5.0])
-    assert np.array_equal(rk4_step(lambda s: np.zeros(2), x, 1.0), x)
+    x = (4.0, 5.0)
+    assert rk4_step(lambda s: (0.0, 0.0), x, 1.0) == x
 
 
 def test_rk4_exponential_truncated_series():
     h = 0.1
     expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
-    out = rk4_step(lambda s: s, np.array([1.0]), h)[0]
+    out = rk4_step(lambda s: s, (1.0,), h)[0]
     assert out == pytest.approx(expected, abs=1e-16)
 
 
 def test_rk4_exact_time_quadrature():
     # augmented state (x, t); fields x' = t and x' = t^3 integrate exactly
     for power, gain in ((1, 0.5), (3, 0.25)):
-        field = lambda s, p=power: np.array([s[1] ** p, 1.0])
-        out = rk4_step(field, np.array([0.0, 0.0]), 1.0)
+        field = lambda s, p=power: (s[1] ** p, 1.0)
+        out = rk4_step(field, (0.0, 0.0), 1.0)
         assert out[0] == pytest.approx(gain, abs=1e-16)
         assert out[1] == 1.0
 
 
 def test_stormer_verlet_free_drift():
-    q = np.array([1.0, 2.0])
-    v = np.array([0.5, -0.5])
+    q = (1.0, 2.0)
+    v = (0.5, -0.5)
     for variant in "AB":
-        q1, v1 = stormer_verlet_step(lambda qq: np.zeros(2), q, v, 0.25, variant)
-        assert np.array_equal(q1, q + 0.25 * v)
-        assert np.array_equal(v1, v)
+        q1, v1 = stormer_verlet_step(lambda qq: (0.0, 0.0), q, v, 0.25, variant)
+        assert q1 == (1.125, 1.875)
+        assert v1 == v
 
 
 def test_stormer_verlet_unknown_variant():
     with pytest.raises(ValueError):
-        stormer_verlet_step(lambda q: -q, np.ones(1), np.zeros(1), 0.1, "C")
+        stormer_verlet_step(lambda q: (-q[0],), (1.0,), (0.0,), 0.1, "C")
 
 
 def test_stormer_verlet_harmonic_energy_bounded():
@@ -102,9 +102,9 @@ def test_stormer_verlet_harmonic_energy_bounded():
     assert last <= 2.0 * first
     assert last < 1e-4
 
-    x = np.array([1.0, 0.0])
+    x = (1.0, 0.0)
     for _ in range(n):
-        x = euler_step(lambda s: np.array([s[1], -s[0]]), x, h)
+        x = euler_step(lambda s: (s[1], -s[0]), x, h)
     euler_err = abs(0.5 * (x[0] ** 2 + x[1] ** 2) - 0.5)
     assert euler_err > 100.0 * last
 
@@ -148,8 +148,8 @@ def test_projection_returns_point_on_constraint_untouched(kepler_sys):
                            target=kepler_sys.feedback_spec.reference,
                            tol=0.005)
     x0 = kepler_sys.initial_state
-    out = projection_step(euler_step, cfg, lambda s: np.zeros(6), x0, 0.005)
-    assert np.array_equal(out, x0)
+    out = projection_step(euler_step, cfg, lambda s: (0.0,) * 6, x0, 0.005)
+    assert out == x0
 
 
 def test_projection_kepler_residual_within_tolerance(kepler_sys):
@@ -159,7 +159,7 @@ def test_projection_kepler_residual_within_tolerance(kepler_sys):
     x = kepler_sys.initial_state
     for _ in range(2000):
         x = projection_step(euler_step, cfg, kepler_sys.field, x, 0.005)
-        res = np.linalg.norm(kepler_sys.integral_map.eval(np.array(x)) - cfg.target)
+        res = np.linalg.norm(np.array(kepler_sys.integral_map.eval(x)) - cfg.target)
         assert res <= 0.005
 
 
@@ -170,7 +170,7 @@ def test_projection_rigid_residual_within_tolerance(rigid_sys):
     x = rigid_sys.initial_state
     for _ in range(500):
         x = projection_step(euler_step, cfg, rigid_sys.field, x, 1e-4)
-        res = np.linalg.norm(rigid_sys.integral_map.eval(np.array(x)) - cfg.target)
+        res = np.linalg.norm(np.array(rigid_sys.integral_map.eval(x)) - cfg.target)
         assert res <= 1e-4
 
 
@@ -186,7 +186,7 @@ def test_projection_perturbed_kepler_residual_within_tolerance(pk_sys):
     x = tuple((pk_sys.initial_state + rng.uniform(-1e-3, 1e-3, 6)).tolist())
     for _ in range(200):
         x = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
-        res = np.linalg.norm(pk_sys.integral_map.eval(np.array(x)) - cfg.target)
+        res = np.linalg.norm(np.array(pk_sys.integral_map.eval(x)) - cfg.target)
         assert res <= cfg.tol
 
 
@@ -208,7 +208,7 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
     system = make_system(name)
     rng = np.random.default_rng(49)
     for _ in range(200):
-        x = system.initial_state + rng.uniform(-0.1, 0.1, system.dim)
+        x = tuple((system.initial_state + rng.uniform(-0.1, 0.1, system.dim)).tolist())
         jac = np.asarray(system.integral_map.jacobian(x), dtype=float)
         expected = gram_pseudo_inverse(jac)
         assert np.linalg.matrix_rank(expected) == JACOBIAN_RANK[name]
@@ -219,18 +219,22 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
 
 def lagrange_multiplier_projection(cfg, field, x, h):
     """Reference: simplified Newton on lam for f(xt + J^T lam) = target, J frozen at xt."""
+
+    def residual(y):
+        return np.array(cfg.constraint.eval(tuple(y.tolist()))) - cfg.target
+
     xt = np.array(euler_step(field, tuple(x.tolist()), h))
-    res = cfg.constraint.eval(xt) - cfg.target
+    res = residual(xt)
     if np.linalg.norm(res) <= cfg.tol:
         return xt, 0
-    jac = np.asarray(cfg.constraint.jacobian(xt), dtype=float)
+    jac = np.asarray(cfg.constraint.jacobian(tuple(xt.tolist())), dtype=float)
     u, s, _ = np.linalg.svd(jac @ jac.T)
     inv = np.where(s > s[0] * 1e-14, 1.0 / s, 0.0)
     lam = np.zeros(len(res))
     for iteration in range(1, cfg.max_iter + 1):
         lam -= u @ (inv * (u.T @ res))
         y = xt + jac.T @ lam
-        res = cfg.constraint.eval(y) - cfg.target
+        res = residual(y)
         if np.linalg.norm(res) <= cfg.tol:
             return y, iteration
     raise AssertionError("reference projection did not converge")
@@ -258,7 +262,7 @@ def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name
         x = system.initial_state + rng.uniform(-1e-2, 1e-2, system.dim)
         expected, n_iter = lagrange_multiplier_projection(cfg, system.field, x, h)
         evals.clear()
-        got = projection_step(euler_step, counted, system.field, tuple(x.tolist()), h)
+        got = np.array(projection_step(euler_step, counted, system.field, tuple(x.tolist()), h))
         assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
         assert len(evals) - 1 == n_iter  # one eval per residual
         iterations.append(n_iter)
@@ -267,26 +271,36 @@ def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name
 
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_integral_map_on_a_tuple_equals_its_array_form_bit_for_bit(name):
+    # eval and jacobian on a state's floats against the same state as a
+    # block of one, columns (1,), and as row i of a 200-state block
     system = make_system(name)
     fim = system.integral_map
     rng = np.random.default_rng(50)
-    for _ in range(200):
-        xa = system.initial_state + rng.uniform(-0.1, 0.1, system.dim)
-        xt = tuple(xa.tolist())
-        values, rows = fim.eval(xt), fim.jacobian(xt)
-        assert len(values) == fim.dim_values and all(type(v) is float for v in values)
-        assert len(rows) == fim.dim_values
+    states = system.initial_state + rng.uniform(-0.1, 0.1, (200, system.dim))
+    columns = tuple(states.T)
+    values, rows = stacked(fim.eval(columns)), fim.jacobian(columns)
+    for i, state in enumerate(states.tolist()):
+        xt = tuple(state)
+        single_values, single_rows = fim.eval(xt), fim.jacobian(xt)
+        assert len(single_values) == fim.dim_values
+        assert all(type(v) is float for v in single_values)
+        assert len(single_rows) == fim.dim_values
         assert all(len(row) == fim.dim_state and all(type(c) is float for c in row)
-                   for row in rows)
-        assert np.array(values).tobytes() == fim.eval(xa).tobytes()
-        assert np.array(rows).tobytes() == fim.jacobian(xa).tobytes()
+                   for row in single_rows)
+        one = tuple(np.array([c]) for c in state)
+        assert stacked(fim.eval(one))[0].tobytes() == np.array(single_values).tobytes()
+        one_rows = [[np.broadcast_to(c, 1)[0] for c in row] for row in fim.jacobian(one)]
+        assert np.array(one_rows).tobytes() == np.array(single_rows).tobytes()
+        assert values[i].tobytes() == np.array(single_values).tobytes()
+        entries = [[np.broadcast_to(c, len(states))[i] for c in row] for row in rows]
+        assert np.array(entries).tobytes() == np.array(single_rows).tobytes()
 
 
 def test_projection_reports_nonconvergence(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
                            target=kepler_sys.feedback_spec.reference,
                            tol=1e-15, max_iter=1)
-    far = kepler_sys.initial_state + np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0])
+    far = tuple((kepler_sys.initial_state + np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0])).tolist())
     with pytest.raises(ProjectionError) as info:
         projection_step(euler_step, cfg, kepler_sys.field, far, 0.005)
     assert info.value.residual > 0.0
@@ -295,11 +309,11 @@ def test_projection_reports_nonconvergence(kepler_sys):
 def test_projection_rank_error_on_degenerate_constraint():
     flat = FirstIntegralMap(
         dim_state=2, dim_values=1,
-        eval=lambda x: np.array([1.0]),
-        jacobian=lambda x: np.zeros((1, 2)))
-    cfg = ProjectionConfig(constraint=flat, target=np.array([0.0]), tol=1e-10)
+        eval=lambda x: (1.0,),
+        jacobian=lambda x: ((0.0, 0.0),))
+    cfg = ProjectionConfig(constraint=flat, target=(0.0,), tol=1e-10)
     with pytest.raises(RankError):
-        projection_step(euler_step, cfg, lambda s: np.zeros(2), np.zeros(2), 0.1)
+        projection_step(euler_step, cfg, lambda s: (0.0, 0.0), (0.0, 0.0), 0.1)
 
 
 def test_projection_config_validation(kepler_sys):
@@ -336,7 +350,7 @@ def test_steps_for_handles_float_dust():
 
 
 def test_rollout_records_stride_and_final():
-    times, states = rollout(lambda x, h: x + h, np.zeros(1), 0.5, 5, stride=2)
+    times, states = rollout(lambda x, h: (x[0] + h,), (0.0,), 0.5, 5, stride=2)
     assert list(times) == [0.0, 1.0, 2.0, 2.5]
     assert states.shape == (4, 1)
 
@@ -351,23 +365,33 @@ def test_rollout_attaches_step_index_on_blowup():
 
 
 def test_integrate_observes_start_and_every_step_and_returns_final():
-    x0 = np.zeros(1)
     seen = []
-    final = integrate(lambda x, h: x + h, x0, 0.5, 3,
-                      lambda k, x: seen.append((k, float(x[0]))))
+    final = integrate(lambda x, h: (x[0] + h,), (0.0,), 0.5, 3,
+                      lambda k, x: seen.append((k, x[0])))
     assert seen == [(0, 0.0), (1, 0.5), (2, 1.0), (3, 1.5)]
-    assert final[0] == 1.5
-    assert x0[0] == 0.0  # the start state is never advanced in place
+    assert final == (1.5,)
+
+
+def test_integrate_rejects_a_start_state_that_is_not_a_tuple_of_floats():
+    # an array, or a tuple of numpy scalars, would be stepped on numpy
+    # scalars, where a float overflow gives inf and a RuntimeWarning
+    # instead of an IntegrationError; the check comes before the start state
+    # is observed
+    seen = []
+    for x0 in (np.zeros(3), tuple(np.zeros(3)), [0.0, 0.0, 0.0]):
+        with pytest.raises(TypeError, match="tuple of Python floats"):
+            integrate(lambda x, h: x, x0, 0.1, 5, lambda k, x: seen.append(k))
+    assert seen == []
 
 
 def test_integrate_turns_arithmetic_error_into_integration_error():
     def advance(x, h):
         if x[0] >= 2.0:
             raise ZeroDivisionError("float division by zero")
-        return x + h
+        return (x[0] + h,)
 
     with pytest.raises(IntegrationError) as info:
-        integrate(advance, np.zeros(1), 1.0, 10, lambda k, x: None)
+        integrate(advance, (0.0,), 1.0, 10, lambda k, x: None)
     assert info.value.step == 3
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
@@ -378,7 +402,7 @@ def test_integrate_numbers_a_failing_observation_as_its_step():
             raise OverflowError("math range error")
 
     with pytest.raises(IntegrationError) as info:
-        integrate(lambda x, h: x + h, np.zeros(1), 1.0, 10, observe)
+        integrate(lambda x, h: (x[0] + h,), (0.0,), 1.0, 10, observe)
     assert info.value.step == 4
     assert isinstance(info.value.__cause__, OverflowError)
 
@@ -387,17 +411,17 @@ def test_integrate_attaches_step_to_other_errors_unless_set():
     def leave_domain(x, h):
         if x[0] >= 1.0:
             raise DomainError("left the domain")
-        return x + h
+        return (x[0] + h,)
 
     with pytest.raises(DomainError) as info:
-        integrate(leave_domain, np.zeros(1), 1.0, 10, lambda k, x: None)
+        integrate(leave_domain, (0.0,), 1.0, 10, lambda k, x: None)
     assert info.value.step == 2
 
     def preset(x, h):
         raise IntegrationError("already numbered", step=99)
 
     with pytest.raises(IntegrationError) as info:
-        integrate(preset, np.zeros(1), 1.0, 10, lambda k, x: None)
+        integrate(preset, (0.0,), 1.0, 10, lambda k, x: None)
     assert info.value.step == 99
 
 
@@ -511,7 +535,7 @@ def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 1 + n // 3 + 1  # header, step 0, every third step, step n
     drift_cols = [c for c in system.drift_names if c != "V"]
-    for line, t, s in zip(lines[1:], times, states, strict=True):
+    for line, t, s in zip(lines[1:], times, states.tolist(), strict=True):
         m = system.drift_metrics(s)
         values = (t, *s, m["V"], *(m[c] for c in drift_cols))
         assert line.split(",") == [format(v, ".17g") for v in values]
@@ -541,7 +565,11 @@ def numpy_stormer_verlet(accel, q, v, h, variant):
 
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
-    # the componentwise schemes against the same formulas on numpy vectors
+    # the tuple schemes against the same formulas on numpy vectors, whose
+    # field is the same kernel on the vector's floats
+    def on_vectors(kernel):
+        return lambda y: np.array(kernel(tuple(y.tolist())))
+
     system = make_system(name)
     h = MODULES[name].BENCHMARK_STEP
     x0 = system.initial_state + np.random.default_rng(62).uniform(-1e-3, 1e-3, system.dim)
@@ -549,7 +577,7 @@ def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
         for field in (system.field, system.modified_field):
             x, y = tuple(x0.tolist()), x0
             for _ in range(200):
-                x, y = scheme(field, x, h), reference(field, y, h)
+                x, y = scheme(field, x, h), reference(on_vectors(field), y, h)
                 assert np.array(x).tobytes() == y.tobytes()
     if system.accel is None:
         return
@@ -558,5 +586,5 @@ def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
         p, w = x0[:3], x0[3:]
         for _ in range(200):
             q, v = stormer_verlet_step(system.accel, q, v, h, variant)
-            p, w = numpy_stormer_verlet(system.accel, p, w, h, variant)
+            p, w = numpy_stormer_verlet(on_vectors(system.accel), p, w, h, variant)
             assert np.array(q).tobytes() == p.tobytes() and np.array(v).tobytes() == w.tobytes()

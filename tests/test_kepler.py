@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient
+from conftest import central_difference_gradient, stacked
 from lyapint import kepler
 from lyapint.cli import ExperimentConfig, make_advance, run_experiment
 from lyapint.errors import DomainError
@@ -42,9 +42,9 @@ def test_field_benchmark_value(params, start):
 
 
 def test_field_circular_balance(params):
-    s = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    out = kepler.field(params, s)
-    speed_sq_over_r = float(s[3:] @ s[3:]) / 1.0
+    s = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    out = np.array(kepler.field(params, s))
+    speed_sq_over_r = float(np.dot(s[3:], s[3:])) / 1.0
     assert np.linalg.norm(out[3:]) == pytest.approx(speed_sq_over_r, rel=1e-15)
 
 
@@ -53,16 +53,16 @@ def test_field_inverse_square_scaling(params):
     lam = 2.0
     scaled = s.copy()
     scaled[:3] *= lam
-    a1 = kepler.field(params, s)[3:]
-    a2 = kepler.field(params, scaled)[3:]
+    a1 = np.array(kepler.field(params, tuple(s.tolist()))[3:])
+    a2 = np.array(kepler.field(params, tuple(scaled.tolist()))[3:])
     assert np.allclose(a2 * lam**2, a1, rtol=1e-14)
 
 
 def test_field_rejects_origin(params):
     with pytest.raises(DomainError):
-        kepler.field(params, np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+        kepler.field(params, (0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        kepler.accel(params, np.zeros(3))
+        kepler.accel(params, (0.0, 0.0, 0.0))
 
 
 def invariants(p, s):
@@ -91,7 +91,7 @@ def test_energy_relation_random_states(params):
         s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
         if np.linalg.norm(s[:3]) < 0.2:
             continue
-        L, A, E = invariants(params, s)
+        L, A, E = invariants(params, tuple(s.tolist()))
         lhs = float(A @ A)
         rhs = params.mu**2 + 2 * E * float(L @ L)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
@@ -103,7 +103,7 @@ def test_angular_momentum_orthogonal_to_lrl(params):
         s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
         if np.linalg.norm(s[:3]) < 0.2:
             continue
-        L, A, _ = invariants(params, s)
+        L, A, _ = invariants(params, tuple(s.tolist()))
         assert abs(float(L @ A)) <= 1e-12 * (1.0 + np.linalg.norm(L) * np.linalg.norm(A))
 
 
@@ -120,24 +120,25 @@ def test_modified_field_on_orbit_equals_field(params, start):
 
 
 def random_states(seed, n):
+    """n orbital states with |x| >= 0.2, as tuples of floats."""
     rng = np.random.default_rng(seed)
     states = []
     while len(states) < n:
         s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
         if np.linalg.norm(s[:3]) >= 0.2:
-            states.append(s)
+            states.append(tuple(s.tolist()))
     return states
 
 
 @pytest.mark.parametrize("mu, k1, k2, seed", [(1.0, 4.0, 2.0, 34), (2.5, 0.3, 7.0, 35)])
 def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
     # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
-    p = kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+    p = case_params(mu, k1, k2)
     fim, spec = kepler.integral_map(p), FeedbackSpec(p.f0, p.K)
     worst = 0.0
     for s in random_states(seed, 1000):
-        expected = kepler.field(p, s) - generic_gradient(fim, spec, s)
-        diff = np.linalg.norm(kepler.modified_field(p, s) - expected)
+        expected = np.array(kepler.field(p, s)) - np.array(generic_gradient(fim, spec, s))
+        diff = np.linalg.norm(np.array(kepler.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
@@ -148,7 +149,7 @@ KERNEL_CASES = [(1.0, 4.0, 2.0, 36), (2.5, 0.3, 7.0, 37)]
 
 
 def case_params(mu, k1, k2):
-    return kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+    return kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1, 0.1, 1.1, 0.3), k1, k2)
 
 
 @pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)
@@ -156,7 +157,7 @@ def test_jacobian_matches_finite_differences(mu, k1, k2, seed):
     # the float Jacobian against central differences of eval
     fim = kepler.integral_map(case_params(mu, k1, k2))
     for s in random_states(seed, 1000):
-        jac = fim.jacobian(s)
+        jac = np.array(fim.jacobian(s))
         assert jac.shape == (6, 6)
         scale = 1.0 + np.abs(jac).max()
         fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
@@ -166,20 +167,27 @@ def test_jacobian_matches_finite_differences(mu, k1, k2, seed):
 
 @pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)
 def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, k1, k2, seed):
+    # each kernel on a block's columns: entry i of every result column is
+    # the kernel's result at state i
     p = case_params(mu, k1, k2)
-    states = np.array(random_states(seed, 2000))
-    for kernel in (kepler.field, kepler.lyapunov_gradient):
-        batch = kernel(p, states)
-        assert batch.shape == states.shape
-        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+    states = random_states(seed, 2000)
+    columns = tuple(np.array(states).T)
+    for kernel in (kepler.field, kepler.lyapunov_gradient, kepler.modified_field):
+        single = np.array([kernel(p, s) for s in states])
+        assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
+    single = np.array([kepler.accel(p, s[:3]) for s in states])
+    assert stacked(kepler.accel(p, columns[:3])).tobytes() == single.tobytes()
 
 
 def test_batch_with_a_state_at_the_origin_raises(params):
     states = np.array(random_states(38, 10))
     states[7, :3] = 0.0
-    for kernel in (kepler.field, kepler.lyapunov_gradient):
+    columns = tuple(states.T)
+    for kernel in (kepler.field, kepler.lyapunov_gradient, kepler.modified_field):
         with pytest.raises(DomainError, match="batch state 7 "):
-            kernel(params, states)
+            kernel(params, columns)
+    with pytest.raises(DomainError, match="batch state 7 "):
+        kepler.accel(params, columns[:3])
 
 def test_drift_metrics_match_numpy_invariants(kepler_sys):
     p = kepler_sys.params
@@ -210,14 +218,14 @@ def test_strided_csv_rows_are_17_digit_values_of_the_trajectory(tmp_path, kepler
     assert len(lines) - 1 == 1 + n // 3 + 1
     times, states = rollout(make_advance(kepler_sys, "feedback_euler", cfg),
                             kepler_sys.initial_state, 0.005, n, stride=3)
-    for line, t, s in zip(lines[1:], times, states, strict=True):
+    for line, t, s in zip(lines[1:], times, states.tolist(), strict=True):
         m = kepler_sys.drift_metrics(s)
         values = (t, *s, m["V"], m["dL"], m["dA"], m["dE"])
         assert line.split(",") == [format(v, ".17g") for v in values]
 
 
 def test_euler_step_decreases_v_off_orbit(params, start):
-    s = start + np.array([0.02, -0.01, 0.0, 0.01, 0.02, 0.0])
+    s = tuple((start + np.array([0.02, -0.01, 0.0, 0.01, 0.02, 0.0])).tolist())
     v0 = kepler.lyapunov(params, s)
     s1 = euler_step(lambda x: kepler.modified_field(params, x), s, 0.005)
     assert kepler.lyapunov(params, s1) < v0
@@ -281,7 +289,7 @@ def test_no_spurious_critical_points_in_basin(params):
     for _ in range(5000):
         psi = rng.uniform(0.0, 2 * math.pi)
         s = kepler.state_at_eccentric_anomaly(params, psi)
-        s = s + rng.uniform(-0.05, 0.05, 6)
+        s = tuple((s + rng.uniform(-0.05, 0.05, 6)).tolist())
         v = kepler.lyapunov(params, s)
         if v > c:
             continue

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import stacked
 from lyapint.numerics import dot, norm
 from lyapint.systems import SYSTEM_NAMES, make_system
 
@@ -21,12 +22,15 @@ def test_norm_matches_euclidean():
 
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_batches_are_c_contiguous_and_reduce_rows_like_single_states(name):
-    # a reduction over a batch row rounds as the one over the single-state result
+    # a block's result columns, stacked as gradient_agreement_report stacks
+    # them, form a C-contiguous (N, dim) array; a reduction over one of its
+    # rows rounds as the one over the single-state result
     system = make_system(name)
     states = system.initial_state + np.random.default_rng(5).uniform(-0.1, 0.1, (999, system.dim))
+    columns = tuple(states.T)
     for kernel in (system.field, system.gradient):
-        batch = kernel(states)
+        batch = stacked(kernel(columns))
         assert batch.shape == states.shape and batch.flags.c_contiguous
-        for row, s in zip(batch, states):
-            single = kernel(s)
+        for row, s in zip(batch, states.tolist()):
+            single = np.array(kernel(tuple(s)))
             assert float(row @ row) == float(single @ single)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient
+from conftest import central_difference_gradient, stacked
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
 from lyapint.feedback import FeedbackSpec, generic_gradient
@@ -49,11 +49,11 @@ def test_potential_derivative_matches_finite_differences(params):
 
 def test_zero_delta_reduces_to_kepler(start):
     pot = pk.inverse_cube_perturbed(1.0, 0.0)
-    pp = pk.PerturbedKeplerParams.from_initial(pot, start[:3], start[3:], 2.0, 3.0)
-    kp = kepler.KeplerParams.from_initial(1.0, start[:3], start[3:], 4.0, 2.0)
+    pp = pk.PerturbedKeplerParams.from_initial(pot, start, 2.0, 3.0)
+    kp = kepler.KeplerParams.from_initial(1.0, start, 4.0, 2.0)
     rng = np.random.default_rng(40)
     for _ in range(100):
-        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
+        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
         if np.linalg.norm(s[:3]) < 0.25:
             continue
         assert np.allclose(pk.field(pp, s), kepler.field(kp, s),
@@ -67,7 +67,7 @@ def test_zero_delta_reduces_to_kepler(start):
 
 
 def test_field_benchmark_value(params):
-    s = np.array([0.4, 0.0, 0.0, 0.0, 2.0, 0.0])
+    s = (0.4, 0.0, 0.0, 0.0, 2.0, 0.0)
     out = pk.field(params, s)
     # U'(0.4) = 1/0.16 + 3 * 0.0025 / 0.4^4 = 6.54296875
     assert np.array_equal(out[:3], s[3:])
@@ -78,17 +78,17 @@ def test_field_benchmark_value(params):
 def test_force_is_central(params):
     rng = np.random.default_rng(41)
     for _ in range(200):
-        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
+        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
         if np.linalg.norm(s[:3]) < 0.25:
             continue
-        a = pk.field(params, s)[3:]
+        a = np.array(pk.field(params, s)[3:])
         torque = np.cross(s[:3], a)
         assert np.linalg.norm(torque) <= 1e-13 * (1.0 + np.linalg.norm(a))
 
 
 def test_field_rejects_origin(params):
     with pytest.raises(DomainError):
-        pk.field(params, np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
+        pk.field(params, (0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
 
 
 def invariants(p, s):
@@ -104,7 +104,7 @@ def test_invariants_benchmark_values(params, start):
 
 
 def test_invariants_zero_velocity(params):
-    s = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+    s = (0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
     E, L = invariants(params, s)
     assert E == params.potential.u(0.5)
     assert np.array_equal(L, np.zeros(3))
@@ -115,11 +115,11 @@ def test_invariants_rotation_property(params):
 
     rng = np.random.default_rng(42)
     s = np.array([0.7, -0.3, 0.4, 0.2, 1.1, -0.5])
-    E_ref, L_ref = invariants(params, s)
+    E_ref, L_ref = invariants(params, tuple(s.tolist()))
     for _ in range(20):
         Q = random_rotation(rng)
         rotated = np.concatenate((Q @ s[:3], Q @ s[3:]))
-        E, L = invariants(params, rotated)
+        E, L = invariants(params, tuple(rotated.tolist()))
         assert E == pytest.approx(E_ref, rel=1e-13)
         assert np.allclose(L, Q @ L_ref, atol=1e-13)
 
@@ -131,11 +131,12 @@ KERNEL_CASES = [(1.0, 0.0025, 2.0, 3.0, 44), (2.5, 0.04, 0.5, 7.0, 45)]
 
 def case_params(mu, delta, k1, k2):
     return pk.PerturbedKeplerParams.from_initial(
-        pk.inverse_cube_perturbed(mu, delta), (1.0, 0.2, -0.1), (0.1, 1.1, 0.3), k1, k2)
+        pk.inverse_cube_perturbed(mu, delta), (1.0, 0.2, -0.1, 0.1, 1.1, 0.3), k1, k2)
 
 
 def numpy_invariants(potential, s):
     """E = 0.5 v.v + U(|x|) and L = x cross v, evaluated with numpy."""
+    s = np.array(s)
     x, v = s[:3], s[3:]
     return 0.5 * float(v @ v) + potential.u(float(np.linalg.norm(x))), np.cross(x, v)
 
@@ -146,7 +147,7 @@ def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed)
     evaluate = pk.integral_map(p).eval
     for s in random_states(seed, 1000):
         E, L = numpy_invariants(p.potential, s)
-        got = evaluate(s)
+        got = np.array(evaluate(s))
         assert got.shape == (4,)
         assert abs(got[0] - E) <= 1e-14 * (1.0 + abs(E))
         assert np.abs(got[1:] - L).max() <= 1e-15 * (1.0 + np.linalg.norm(L))
@@ -157,7 +158,7 @@ def test_jacobian_matches_finite_differences(mu, delta, k1, k2, seed):
     # the float Jacobian against central differences of eval
     fim = pk.integral_map(case_params(mu, delta, k1, k2))
     for s in random_states(seed, 1000):
-        jac = fim.jacobian(s)
+        jac = np.array(fim.jacobian(s))
         assert jac.shape == (4, 6)
         scale = 1.0 + np.abs(jac).max()
         fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
@@ -173,20 +174,24 @@ def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, see
     fim, spec = pk.integral_map(p), FeedbackSpec(p.f0, p.K)
     worst = 0.0
     for s in random_states(seed, 1000):
-        expected = pk.field(p, s) - generic_gradient(fim, spec, s)
-        diff = np.linalg.norm(pk.modified_field(p, s) - expected)
+        expected = np.array(pk.field(p, s)) - np.array(generic_gradient(fim, spec, s))
+        diff = np.linalg.norm(np.array(pk.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, delta, k1, k2, seed):
+    # each kernel on a block's columns: entry i of every result column is
+    # the kernel's result at state i
     p = case_params(mu, delta, k1, k2)
-    states = np.array(random_states(seed, 2000))
-    for kernel in (pk.field, pk.lyapunov_gradient):
-        batch = kernel(p, states)
-        assert batch.shape == states.shape
-        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+    states = random_states(seed, 2000)
+    columns = tuple(np.array(states).T)
+    for kernel in (pk.field, pk.lyapunov_gradient, pk.modified_field):
+        single = np.array([kernel(p, s) for s in states])
+        assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
+    single = np.array([pk.accel(p, s[:3]) for s in states])
+    assert stacked(pk.accel(p, columns[:3])).tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
@@ -194,15 +199,18 @@ def test_modified_field_is_field_minus_gradient_bit_for_bit(mu, delta, k1, k2, s
     p = case_params(mu, delta, k1, k2)
     for s in random_states(seed, 2000):
         assert np.array_equal(pk.modified_field(p, s),
-                              pk.field(p, s) - pk.lyapunov_gradient(p, s))
+                              np.array(pk.field(p, s)) - np.array(pk.lyapunov_gradient(p, s)))
 
 
 def test_batch_with_a_state_at_the_origin_raises(params):
     states = np.array(random_states(46, 10))
     states[3, :3] = 0.0
-    for kernel in (pk.field, pk.lyapunov_gradient):
+    columns = tuple(states.T)
+    for kernel in (pk.field, pk.lyapunov_gradient, pk.modified_field):
         with pytest.raises(DomainError, match="batch state 3 "):
-            kernel(params, states)
+            kernel(params, columns)
+    with pytest.raises(DomainError, match="batch state 3 "):
+        pk.accel(params, columns[:3])
 
 
 def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params):
@@ -237,18 +245,18 @@ def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
 def test_gradient_vanishes_on_level_set(params, start, pk_runs):
     # states along the high-accuracy reference trajectory stay on the level set
     for s in pk_runs["reference"].states[:: len(pk_runs["reference"].states) // 8]:
-        g = pk.lyapunov_gradient(params, s)
+        g = pk.lyapunov_gradient(params, tuple(s.tolist()))
         assert np.linalg.norm(g) <= 1e-10
 
 
 def test_orthogonality_identity(params):
     rng = np.random.default_rng(43)
     for _ in range(2000):
-        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
+        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
         if np.linalg.norm(s[:3]) < 0.25:
             continue
-        g = pk.lyapunov_gradient(params, s)
-        f = pk.field(params, s)
+        g = np.array(pk.lyapunov_gradient(params, s))
+        f = np.array(pk.field(params, s))
         assert abs(float(g @ f)) <= 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))
 
 
@@ -259,7 +267,7 @@ def test_modified_field_on_level_set(params, start):
 
 def test_euler_step_decreases_v_away_from_perihelion(params):
     # apoapsis-region state slightly off the level set, benchmark step size
-    s = np.array([1.35, 0.1, 0.0, -0.05, 0.62, 0.0])
+    s = (1.35, 0.1, 0.0, -0.05, 0.62, 0.0)
     v0 = pk.lyapunov(params, s)
     s1 = euler_step(lambda x: pk.modified_field(params, x), s, 0.03)
     assert pk.lyapunov(params, s1) < v0

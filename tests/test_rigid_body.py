@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, global_order_ratio, pack, unpack
+from conftest import central_difference_gradient, global_order_ratio, pack, stacked, unpack
 from lyapint import rigid_body
 from lyapint.feedback import FeedbackSpec, generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
@@ -81,7 +81,7 @@ def test_params_validation():
 
 def test_field_benchmark_value(params):
     s = pack(np.eye(3), (1.0, 1.0, 1.0))
-    out = rigid_body.field(params, s)
+    out = np.array(rigid_body.field(params, s))
     # (3,2,1) x (1,1,1) = (1,-2,1), then divide by the principal moments
     assert np.allclose(out[9:], [1 / 3, -1.0, 1.0], rtol=1e-15)
     assert np.array_equal(out[:9].reshape(3, 3), hat((1.0, 1.0, 1.0)))
@@ -140,7 +140,8 @@ def test_modified_field_equals_field_minus_gradient(params):
     for _ in range(20):
         R = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
         s = pack(R, rng.uniform(-2, 2, 3))
-        expected = rigid_body.field(params, s) - rigid_body.lyapunov_gradient(params, s)
+        expected = (np.array(rigid_body.field(params, s))
+                    - np.array(rigid_body.lyapunov_gradient(params, s)))
         assert np.array_equal(rigid_body.modified_field(params, s), expected)
 
 
@@ -162,7 +163,7 @@ def test_modified_field_against_independent_transcription(params):
     for _ in range(20):
         R = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
         W = rng.uniform(-2, 2, 3)
-        out = rigid_body.modified_field(params, pack(R, W))
+        out = np.array(rigid_body.modified_field(params, pack(R, W)))
         Rdot, Wdot = transcription(R, W)
         assert np.allclose(out[:9].reshape(3, 3), Rdot, rtol=1e-13, atol=1e-13)
         assert np.allclose(out[9:], Wdot, rtol=1e-13, atol=1e-13)
@@ -193,8 +194,8 @@ def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
     for s in random_states(seed, 1000):
         R, W = unpack(s)
         numpy_field = np.concatenate(((R @ hat(W)).ravel(), np.cross(p.inertia * W, W) / p.inertia))
-        expected = numpy_field - generic_gradient(fim, spec, s)
-        diff = np.linalg.norm(rigid_body.modified_field(p, s) - expected)
+        expected = numpy_field - np.array(generic_gradient(fim, spec, s))
+        diff = np.linalg.norm(np.array(rigid_body.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
 
@@ -232,10 +233,10 @@ def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, 
     fim = rigid_body.integral_map(p)
     for s in random_states(seed, 300):
         values, rows = numpy_integral_map(p, s)
-        jac = fim.jacobian(s)
+        jac = np.array(fim.jacobian(s))
         assert jac.shape == (13, 12)
         assert np.array_equal(jac, rows)
-        assert np.abs(fim.eval(s) - values).max() <= 1e-14 * (1.0 + np.abs(values).max())
+        assert np.abs(np.array(fim.eval(s)) - values).max() <= 1e-14 * (1.0 + np.abs(values).max())
         scale = 1.0 + np.abs(jac).max()
         fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
                        for i in range(13)])
@@ -249,11 +250,13 @@ def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, 
 def test_batched_kernels_equal_single_state_results_bit_for_bit(inertia, gains, seed):
     p = rigid_body.RigidBodyParams.from_initial(
         inertia, pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9)), *gains)
-    states = np.array(random_states(seed, 2000))
-    for kernel in (rigid_body.field, rigid_body.lyapunov_gradient):
-        batch = kernel(p, states)
-        assert batch.shape == states.shape
-        assert np.array_equal(batch, np.array([kernel(p, s) for s in states]))
+    # each kernel on a block's columns: entry i of every result column is
+    # the kernel's result at state i
+    states = random_states(seed, 2000)
+    columns = tuple(np.array(states).T)
+    for kernel in (rigid_body.field, rigid_body.lyapunov_gradient, rigid_body.modified_field):
+        single = np.array([kernel(p, s) for s in states])
+        assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
 
 
 def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
@@ -300,7 +303,7 @@ def test_drift_metrics_match_numpy_integrals(rigid_sys):
 
 
 def test_euler_step_pulls_back_toward_rotation_group(params):
-    s = tuple(pack(1.05 * np.eye(3), (1.0, 1.0, 1.0)).tolist())
+    s = pack(1.05 * np.eye(3), (1.0, 1.0, 1.0))
     before = so3_deviation(s)
     s1 = euler_step(lambda x: rigid_body.modified_field(params, x), s, 1e-4)
     assert so3_deviation(s1) < before
@@ -339,16 +342,16 @@ def test_splitting_step_matches_numpy_rotation_composition(inertia, h):
     # differently, by at most 1e-15 relative per step (measured: 3.1e-16)
     p, s0 = rigid_body.setup(None, rigid_body.BENCHMARK_GAINS, inertia=inertia)
     rng = np.random.default_rng(31)
-    starts = ([np.array(s0)] + random_states(30, 100)
+    starts = ([s0] + random_states(30, 100)
               + [pack(random_rotation(rng), rng.uniform(-2, 2, 3)) for _ in range(100)])
     for s in starts:
-        got = np.array(rigid_body.splitting_step(p, tuple(s.tolist()), h))
-        expected = numpy_splitting_step(p, s, h)
+        got = np.array(rigid_body.splitting_step(p, s, h))
+        expected = np.array(numpy_splitting_step(p, s, h))
         assert np.abs(got - expected).max() <= 1e-15 * (1.0 + np.abs(expected).max())
 
 
 def test_splitting_single_axis_is_exact_rotation(params):
-    s = tuple(pack(np.eye(3), (2.0, 0.0, 0.0)).tolist())
+    s = pack(np.eye(3), (2.0, 0.0, 0.0))
     E0, *pi0, _ = rigid_body.invariant_components(params.inertia, s)
     x = s
     h = 0.05
@@ -362,7 +365,7 @@ def test_splitting_single_axis_is_exact_rotation(params):
 
 
 def test_splitting_preserves_rotation_group(params):
-    x = tuple(pack(np.eye(3), (1.0, 1.0, 1.0)).tolist())
+    x = pack(np.eye(3), (1.0, 1.0, 1.0))
     worst_dev = 0.0
     worst_dpi = 0.0
     _, *pi0, _ = rigid_body.invariant_components(params.inertia, x)
