@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import kepler, perturbed_kepler
 from .diagnostics import (
     ORTHOGONALITY_BLOCK,
@@ -439,6 +437,8 @@ def _print_check(name: str, passed: bool, detail: str) -> bool:
 
 def check_system(name: str) -> int:
     """Validator suite for one system; returns the process exit code."""
+    import numpy as np
+
     if name not in SYSTEM_NAMES:
         raise ConfigError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     system = make_system(name)

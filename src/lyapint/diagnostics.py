@@ -7,13 +7,16 @@ singular values of the stacked integral map's Jacobian over sample states.
 ``attractor_step_study`` measures, per step size, the level at which the
 stabilizing function V plateaus when a one-step scheme integrates the
 feedback field; the plateau shrinks as the step size decreases.
+
+Each function imports numpy when it runs, so that importing this module (as
+the CLI does) loads no numpy.
 """
+
+from __future__ import annotations  # np.ndarray names numpy without importing it
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BasinViolationError
 from .feedback import FirstIntegralMap
@@ -21,9 +24,14 @@ from .integrators import integrate, steps_for
 from .numerics import column_dot
 from .systems import SystemModel
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Descending singular values of a (LAPACK through numpy)."""
+    import numpy as np
+
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -51,6 +59,8 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
     deficient by construction and report a near-zero value; callers gate on
     the spectrum entry matching the rank they actually rely on.
     """
+    import numpy as np
+
     spectra = []
     for s in samples:
         jac = np.asarray(f.jacobian(s), dtype=float)
@@ -76,6 +86,8 @@ def state_with_lyapunov(system: SystemModel, v_target: float, seed: int = 0) -> 
         return system.initial_state
     if v_target < 0.0:
         raise ValueError("v_target must be nonnegative")
+    import numpy as np
+
     x0 = np.array(system.initial_state)
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(system.dim)
@@ -114,6 +126,8 @@ def attractor_step_study(system: SystemModel, scheme: Callable,
     samples. Escaping the sublevel set V <= gain bound raises
     BasinViolationError; a step that overflows raises IntegrationError.
     """
+    import numpy as np
+
     steps = tuple(float(h) for h in step_sizes)
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("step sizes must be strictly decreasing")
@@ -170,6 +184,8 @@ def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
     call on the block's columns; the inner products are summed over the
     result columns, with no (N, dim) result formed.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
@@ -206,6 +222,8 @@ def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
     C-contiguous (N, dim) arrays, whose rows equal the single-state results
     bit for bit, and the difference is measured row by row.
     """
+    import numpy as np
+
     from .feedback import generic_gradient
 
     rng = np.random.default_rng(seed)

@@ -7,12 +7,14 @@ repeated application, and the one place where a failing step is numbered and
 turned into IntegrationError. Projection wraps any base scheme and pulls the
 result back onto a target level set of a first-integral map with a
 simplified Newton iteration.
+
+numpy is imported only where arrays are made: by a projection step whose
+Newton loop runs, and by ``rollout``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap
@@ -89,11 +91,14 @@ class ProjectionConfig:
             raise ValueError("projection tolerance must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        shape = np.shape(self.target)
-        if shape != (self.constraint.dim_values,):
-            raise ValueError(f"projection target must hold {self.constraint.dim_values} "
-                             f"values, got shape {shape}")
-        object.__setattr__(self, "target", tuple(map(float, self.target)))
+        n = self.constraint.dim_values
+        try:
+            values = tuple(self.target)
+        except TypeError:  # a scalar
+            values = ()
+        if len(values) != n or not all(isinstance(v, numbers.Real) for v in values):
+            raise ValueError(f"projection target must hold {n} values, got {self.target!r}")
+        object.__setattr__(self, "target", tuple(map(float, values)))
 
 
 def _pseudo_inverse(jac):
@@ -104,6 +109,8 @@ def _pseudo_inverse(jac):
     its usable spectrum. C has shape (n, m) for an (m, n) Jacobian J. The sum
     of the squared entries of J is the trace of G, finite exactly when G is.
     """
+    import numpy as np
+
     if not math.isfinite(float(np.vdot(jac, jac))):
         raise IntegrationError("non-finite constraint Jacobian Gram matrix")
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
@@ -131,8 +138,9 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
 
     ``base`` steps the tuple, and ``cfg.constraint``'s ``eval`` and
     ``jacobian`` take tuples: each residual and its norm are Python floats.
-    An array y is built from xt only when the Newton loop runs, for the
-    update ``C @ residual``.
+    Only when the Newton loop runs is numpy imported and an array y built
+    from xt, for the update ``C @ residual``; a step that lands within
+    cfg.tol needs no numpy.
     """
     f, target = cfg.constraint, cfg.target
     xt = base(field, x, h)
@@ -140,6 +148,8 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
     rnorm = math.hypot(*res)
     if rnorm <= cfg.tol:
         return xt
+    import numpy as np
+
     correction = _pseudo_inverse(np.asarray(f.jacobian(xt), dtype=float))
     y = np.array(xt)
     for _ in range(cfg.max_iter):
@@ -196,6 +206,8 @@ def rollout(advance, x0, h, n_steps, stride=1):
 
     Step 0 and the final step are always recorded.
     """
+    import numpy as np
+
     times, states = [], []
 
     def record(k, x):

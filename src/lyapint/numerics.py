@@ -3,12 +3,11 @@
 ``dot`` and ``norm`` work on 3-vectors of Python floats, the form of the
 systems' parameter vectors. ``column_dot`` and ``radius`` serve the system
 kernels and their callers, which are written over state components: Python
-floats for one state, shape-(N,) columns for a block.
+floats for one state, shape-(N,) columns for a block. The module does not
+import numpy: ``radius`` tests for a float and imports it only for a column.
 """
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -45,11 +44,13 @@ def radius(r2):
     ``r2`` is a float (one state) or a column of shape (N,) (a block); a block
     with any radius below ORIGIN_RADIUS is rejected as a whole.
     """
-    if not isinstance(r2, np.ndarray):
+    if isinstance(r2, float):
         r = math.sqrt(r2)
         if r < ORIGIN_RADIUS:
             raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
         return r
+    import numpy as np
+
     r = np.sqrt(r2)
     inside = r < ORIGIN_RADIUS
     if inside.any():

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 from .feedback import FirstIntegralMap, lyapunov_value
 from .numerics import dot, norm, radius
@@ -133,9 +131,11 @@ def _radial(fn, r):
     block calls the same function at each of its radii, so its entries equal
     the single-state values bit for bit.
     """
-    if isinstance(r, np.ndarray):
-        return np.fromiter(map(fn, r.tolist()), float, len(r))
-    return fn(r)
+    if isinstance(r, float):
+        return fn(r)
+    import numpy as np
+
+    return np.fromiter(map(fn, r.tolist()), float, len(r))
 
 
 def field(p: PerturbedKeplerParams, v) -> tuple:
@@ -161,17 +161,19 @@ def invariant_components(potential: RadialPotential, s) -> tuple:
     kinetic = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
     # one type test per call: the single-state path, which every projection
     # residual takes, calls U directly
-    if isinstance(r, np.ndarray):
+    if isinstance(r, float):
+        E = kinetic + potential.u(r)
+        if not math.isfinite(E):
+            raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
+    else:
+        import numpy as np
+
         E = kinetic + _radial(potential.u, r)
         finite = np.isfinite(E)
         if not finite.all():
             i = int(finite.argmin())
             raise DomainError(
                 f"potential evaluation not finite at r = {r[i]:.3e} of batch state {i}")
-    else:
-        E = kinetic + potential.u(r)
-        if not math.isfinite(E):
-            raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
     return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
@@ -338,6 +340,8 @@ def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
         raise ValueError("need 0 < r_min < r_max")
     if n_grid < 2:
         raise ValueError("need n_grid >= 2")
+    import numpy as np
+
     l0sq = dot(p.L0, p.L0)
 
     def g(r):

@@ -7,16 +7,17 @@ initial state, and a sampler for randomized property checks. ``make_system``
 builds one from the system's module in ``MODULES``.
 """
 
-from __future__ import annotations  # np.random.Generator would load numpy.random
+from __future__ import annotations  # np.random.Generator names numpy without importing it
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FeedbackSpec, FirstIntegralMap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Each module states its system once: ``setup``, whose params carry the gain
 # diagonal ``K`` and the targets ``f0``, the kernels, ``drift_metrics``,
@@ -80,6 +81,8 @@ class SystemModel:
         Yields arrays of ``block`` rows (fewer in the last), one at a time;
         the uniforms come from one buffer that ``_buffered_draw`` refills.
         """
+        import numpy as np
+
         draw = _buffered_draw(rng)
         for start in range(0, n_samples, block):
             yield np.array([self.sampler(draw) for _ in range(min(block, n_samples - start))])

@@ -553,6 +553,58 @@ def test_importing_the_cli_does_not_load_numpy_random():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+FLOAT_METHODS = ("feedback_euler", "feedback_rk4", "euler", "rk4", "splitting",
+                 "stormer_verlet_a", "stormer_verlet_b")
+
+
+def _run_python(code, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+
+
+def test_float_methods_run_without_numpy(tmp_path):
+    # sys.modules["numpy"] = None makes every numpy import raise ImportError:
+    # the import of the CLI and a `run` of each float method must need none
+    code = f"""if True:
+        import sys
+        sys.modules["numpy"] = None
+        import lyapint, lyapint.cli
+        from lyapint.systems import MODULES
+        for system, module in MODULES.items():
+            for method in {FLOAT_METHODS!r}:
+                try:
+                    lyapint.cli.ExperimentConfig(system, method, t_end=1.0).validated()
+                except lyapint.ConfigError:
+                    continue  # a method this system does not define
+                h = module.BENCHMARK_STEP
+                argv = ["run", "--system", system, "--method", method, "--h", repr(h),
+                        "--t-end", repr(5.5 * h), "--out", f"{{system}}_{{method}}.csv"]
+                if lyapint.cli.main(argv) != 0:
+                    sys.exit(f"{{system}} {{method}} failed")
+                print(system, method, file=sys.stderr)
+        """
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    cells = proc.stderr.split("\n")[:-1]
+    assert len(cells) == 17 and "rigid_body splitting" in cells
+    assert "kepler stormer_verlet_b" in cells and "rigid_body stormer_verlet_a" not in cells
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--system", "perturbed_kepler", "--method", "projection_euler",
+     "--t-end", "0.1", "--out", "proj.csv"],
+    ["check", "--system", "kepler"],
+])
+def test_projection_and_check_load_numpy(tmp_path, argv):
+    # positive controls for the test above: these commands build arrays
+    code = (f"import sys, lyapint.cli; code = lyapint.cli.main({argv!r}); "
+            "sys.exit(code or 'numpy' not in sys.modules)")
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
     # R[0][0] = 1e200 squares to inf in the Gram matrix of the constraint Jacobian

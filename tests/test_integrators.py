@@ -327,9 +327,12 @@ def test_projection_config_validation(kepler_sys):
         # rnorm <= inf holds at every step: projection would be plain Euler
         with pytest.raises(ValueError, match="positive and finite"):
             ProjectionConfig(constraint=kepler_sys.integral_map, target=np.zeros(6), tol=tol)
-    for target in (np.zeros(5), np.zeros(7), np.zeros((6, 1))):
+    for target in (np.zeros(5), np.zeros(7), np.zeros((6, 1)),
+                   (0.0,) * 5, [0.0] * 7, ((0.0,),) * 6):
         with pytest.raises(ValueError, match="must hold 6 values"):
             ProjectionConfig(constraint=kepler_sys.integral_map, target=target, tol=1e-6)
+    cfg = ProjectionConfig(constraint=kepler_sys.integral_map, target=[1.5] * 6, tol=1e-6)
+    assert cfg.target == (1.5,) * 6 and all(type(v) is float for v in cfg.target)
 
 
 def test_schemes_are_deterministic(rigid_sys):
