@@ -17,7 +17,7 @@ from .errors import (
     ProjectionError,
     RankError,
 )
-from .feedback import FeedbackSpec, FirstIntegralMap, generic_gradient, lyapunov_value
+from .feedback import FirstIntegralMap, generic_gradient, lyapunov_value
 from .integrators import (
     ProjectionConfig,
     euler_step,
@@ -33,7 +33,7 @@ from .systems import SystemModel, make_system
 __all__ = [
     "BasinViolationError", "ConfigError", "DomainError", "IntegrationError",
     "ProjectionError", "RankError",
-    "FeedbackSpec", "FirstIntegralMap", "generic_gradient", "lyapunov_value",
+    "FirstIntegralMap", "generic_gradient", "lyapunov_value",
     "ProjectionConfig", "euler_step", "integrate", "projection_step", "rk4_step",
     "rollout", "steps_for", "stormer_verlet_step",
     "SystemModel", "make_system",

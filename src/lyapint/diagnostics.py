@@ -231,8 +231,8 @@ def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
     for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
         columns = tuple(block.T)
         analytic = np.stack(system.gradient(columns), axis=1)
-        oracle = np.stack(
-            generic_gradient(system.integral_map, system.feedback_spec, columns), axis=1)
+        oracle = np.stack(generic_gradient(
+            system.integral_map, system.params.K, system.params.f0, columns), axis=1)
         for ga, gg in zip(analytic, oracle):
             diff = math.sqrt(float((ga - gg) @ (ga - gg)))
             scale = 1.0 + math.sqrt(float(ga @ ga))

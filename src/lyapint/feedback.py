@@ -11,7 +11,10 @@ vanishes exactly on the invariant set through x0, and its gradient is
     grad V(x) = Df(x)^T K (f(x) - f0).
 
 Integrating the corrected field X - grad V with any ordinary one-step scheme
-keeps the numerical trajectory near that invariant set. The shipped systems
+keeps the numerical trajectory near that invariant set. Each system's params
+state K's diagonal and f0 once, as ``params.K`` and ``params.f0`` in the
+map's order, and check them with ``check_gains_and_targets``; the functions
+below take them as they are. The shipped systems
 provide closed-form gradients as the production path; ``generic_gradient``
 below evaluates the Jacobian-transpose formula from the map's own ``eval``
 and ``jacobian`` kernels, a derivation independent of the closed forms, and
@@ -45,26 +48,6 @@ class FirstIntegralMap:
     jacobian_transpose_apply: Optional[Callable] = None
 
 
-@dataclass(frozen=True)
-class FeedbackSpec:
-    """Reference values f(x0) and the diagonal of the gain matrix K, as tuples of floats."""
-
-    reference: tuple
-    gain_diag: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "reference", tuple(map(float, self.reference)))
-        object.__setattr__(self, "gain_diag", tuple(map(float, self.gain_diag)))
-        if len(self.reference) != len(self.gain_diag):
-            raise ValueError("reference and gain diagonal must have equal length")
-        if not all(k > 0.0 for k in self.gain_diag):
-            raise ValueError("all gains must be positive")
-        if not all(map(math.isfinite, self.gain_diag)):
-            raise ValueError("non-finite gains")
-        if not all(map(math.isfinite, self.reference)):
-            raise ValueError("non-finite reference values")
-
-
 def lyapunov_value(gains, target, values) -> float:
     """V = 0.5 * sum_i K_i (f_i - f0_i)^2 for the gains K, the targets f0 and
     the integral map's values f, in the map's order; values past the last
@@ -79,17 +62,30 @@ def lyapunov_value(gains, target, values) -> float:
     return 0.5 * total
 
 
-def generic_gradient(f: FirstIntegralMap, spec: FeedbackSpec, x):
+def check_gains_and_targets(gains: dict, target) -> None:
+    """Raise ValueError unless each named gain is positive and finite and
+    each target value is finite; each system's params call it on their
+    gains and f0."""
+    for name, k in gains.items():
+        if not 0.0 < k < math.inf:  # false for nan too
+            raise ValueError(f"gain {name} must be positive and finite, got {k!r}")
+    if not all(map(math.isfinite, target)):
+        raise ValueError(f"non-finite target values f(x0) = {tuple(target)}")
+
+
+def generic_gradient(f: FirstIntegralMap, gains, target, x):
     """grad V via the Jacobian-transpose formula Df(x)^T K (f(x) - f0).
 
-    Built from ``f.eval`` and ``f.jacobian`` alone: entry j is the sum over
-    the values i, in order, of jacobian[i][j] * K_i (f_i - f0_i). x is a
+    ``gains`` and ``target`` are K's diagonal and f0, the params' ``K`` and
+    ``f0``, as for ``lyapunov_value``. Built from ``f.eval`` and
+    ``f.jacobian`` alone: entry j is the sum over the values i, in order, of
+    jacobian[i][j] * K_i (f_i - f0_i). x is a
     state's components: floats for one state, giving dim_state floats, or a
     block's columns, giving dim_state columns with no (N, dim_values,
     dim_state) Jacobian formed, entry i of each equal to the gradient at
     state i bit for bit.
     """
-    w = [k * (fi - ri) for k, fi, ri in zip(spec.gain_diag, f.eval(x), spec.reference)]
+    w = [k * (fi - ri) for k, fi, ri in zip(gains, f.eval(x), target)]
     rows = f.jacobian(x)
     grad = [d * w[0] for d in rows[0]]
     for row, wi in zip(rows[1:], w[1:]):

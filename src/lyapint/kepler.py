@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-from .feedback import FirstIntegralMap, lyapunov_value
+from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
 from .numerics import dot, norm, radius
 
 DIM = 6
@@ -52,8 +52,7 @@ class KeplerParams:
         object.__setattr__(self, "f0", self.L0 + self.A0)
         if self.mu <= 0.0:
             raise ValueError("gravitational parameter must be positive")
-        if min(self.k1, self.k2) <= 0.0:
-            raise ValueError("gains must be positive")
+        check_gains_and_targets({"k1": self.k1, "k2": self.k2}, self.f0)
         lnorm = norm(self.L0)
         anorm = norm(self.A0)
         if lnorm == 0.0:
@@ -63,20 +62,16 @@ class KeplerParams:
         if abs(dot(self.L0, self.A0)) > 1e-12 * lnorm * max(anorm, 1.0):
             raise ValueError("target L0 and A0 must be orthogonal")
 
-    @classmethod
-    def from_initial(cls, mu, s0, k1, k2) -> "KeplerParams":
-        """Build params with (L0, A0) evaluated at the start state s0."""
-        l0, l1, l2, a0, a1, a2, _ = invariant_components(float(mu), s0)
-        return cls(mu=float(mu), k1=float(k1), k2=float(k2),
-                   L0=(l0, l1, l2), A0=(a0, a1, a2))
-
 
 def setup(initial_state, gains, mu=BENCHMARK_MU):
     """Params (gains (k1, k2), targets (L0, A0) from the start) and the start
     state; None starts at the benchmark perihelion (1,0,0), speed sqrt(1.8)."""
     s0 = ((*BENCHMARK_X0, *BENCHMARK_V0) if initial_state is None
           else tuple(map(float, initial_state)))
-    return KeplerParams.from_initial(mu, s0, *gains), s0
+    l0, l1, l2, a0, a1, a2, _ = invariant_components(float(mu), s0)
+    k1, k2 = gains
+    return KeplerParams(mu=float(mu), k1=float(k1), k2=float(k2),
+                        L0=(l0, l1, l2), A0=(a0, a1, a2)), s0
 
 
 def field(p: KeplerParams, v) -> tuple:

@@ -1,9 +1,11 @@
 """Rotationally symmetric perturbed Kepler problem.
 
 Flat state layout matches the Kepler module: position then velocity. The
-dynamics x' = v, v' = -U'(|x|) x / |x| derive from a radial potential U and
-conserve the energy E = 0.5 |v|^2 + U(|x|) and the angular momentum
-L = x cross v. The stabilizing function is
+dynamics x' = v, v' = -U'(|x|) x / |x| derive from the radial potential
+U(r) = -mu/r - delta/r^3 (``u`` and ``u_prime`` below, functions of the
+params, which hold mu and delta) and conserve the energy
+E = 0.5 |v|^2 + U(|x|) and the angular momentum L = x cross v; delta = 0 is
+the Kepler problem. The stabilizing function is
 V = k1/2 (E - E0)^2 + k2/2 |L - L0|^2, the quadratic form of
 ``feedback.lyapunov_value`` with K = (k1, k2, k2, k2).
 
@@ -18,12 +20,11 @@ potential. ``check_hypothesis`` tests this numerically on a bracket.
 
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
-from typing import Callable
 
 from .errors import DomainError
-from .feedback import FirstIntegralMap, lyapunov_value
+from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
 from .numerics import dot, norm, radius
 
 DIM = 6
@@ -48,36 +49,11 @@ DEFAULT_BRACKET = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
-class RadialPotential:
-    """Radial potential r -> U(r) together with its analytic derivative.
-
-    Both take and return Python floats; a block of states evaluates them at
-    each radius in turn (see ``_radial``).
-    """
-
-    u: Callable[[float], float]
-    u_prime: Callable[[float], float]
-
-
-def inverse_cube_perturbed(mu: float, delta: float) -> RadialPotential:
-    """U(r) = -mu/r - delta/r^3; delta = 0 reduces to the plain Kepler potential."""
-    if mu <= 0.0 or delta < 0.0:
-        raise ValueError("need mu > 0 and delta >= 0")
-
-    def u(r):
-        return -mu / r - delta / r**3
-
-    def u_prime(r):
-        return mu / r**2 + 3.0 * delta / r**4
-
-    return RadialPotential(u=u, u_prime=u_prime)
-
-
-@dataclass(frozen=True)
 class PerturbedKeplerParams:
-    """Potential, gains, and target (E0, L0) values; L0 is a 3-tuple of floats."""
+    """Potential constants, gains, and target (E0, L0) values; L0 is a 3-tuple of floats."""
 
-    potential: RadialPotential
+    mu: float
+    delta: float
     k1: float
     k2: float
     E0: float
@@ -91,16 +67,22 @@ class PerturbedKeplerParams:
         object.__setattr__(self, "L0", tuple(map(float, self.L0)))
         object.__setattr__(self, "K", (self.k1, self.k2, self.k2, self.k2))
         object.__setattr__(self, "f0", (float(self.E0), *self.L0))
-        if min(self.k1, self.k2) <= 0.0:
-            raise ValueError("gains must be positive")
+        if not (self.mu > 0.0 and self.delta >= 0.0):
+            raise ValueError(f"need mu > 0 and delta >= 0, got mu = {self.mu!r}, "
+                             f"delta = {self.delta!r}")
+        check_gains_and_targets({"k1": self.k1, "k2": self.k2}, self.f0)
         if norm(self.L0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
 
-    @classmethod
-    def from_initial(cls, potential, s0, k1, k2) -> "PerturbedKeplerParams":
-        """Build params with (E0, L0) evaluated at the start state s0."""
-        E, l0, l1, l2 = invariant_components(potential, s0)
-        return cls(potential=potential, k1=float(k1), k2=float(k2), E0=E, L0=(l0, l1, l2))
+
+def u(p: PerturbedKeplerParams, r):
+    """U(r) = -mu/r - delta/r^3 at a float radius r."""
+    return -p.mu / r - p.delta / r**3
+
+
+def u_prime(p: PerturbedKeplerParams, r):
+    """U'(r) = mu/r^2 + 3 delta/r^4 at a float radius r."""
+    return p.mu / r**2 + 3.0 * p.delta / r**4
 
 
 def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentricity=None):
@@ -118,36 +100,41 @@ def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentri
                          "it cannot be given with an explicit initial state")
     else:
         s0 = tuple(map(float, initial_state))
-    potential = inverse_cube_perturbed(mu, delta)
-    return PerturbedKeplerParams.from_initial(potential, s0, *gains), s0
+    k1, k2 = gains
+    # the integrals read only mu and delta, so any valid targets serve until
+    # the start state's are known
+    p = PerturbedKeplerParams(mu=float(mu), delta=float(delta), k1=float(k1), k2=float(k2),
+                              E0=0.0, L0=(0.0, 0.0, 1.0))
+    E, l0, l1, l2 = invariant_components(p, s0)
+    return replace(p, E0=E, L0=(l0, l1, l2)), s0
 
 
-def _radial(fn, r):
-    """A potential function at a float radius, or at each radius of a column.
+def _radial(fn, p, r):
+    """``u`` or ``u_prime`` at a float radius, or at each radius of a column.
 
-    Potentials are written for floats: ``inverse_cube_perturbed`` uses
-    Python's ``**``, which raises OverflowError where a product would go on
-    with inf, and the trajectory driver reports that as the failing step. A
-    block calls the same function at each of its radii, so its entries equal
-    the single-state values bit for bit.
+    They are written for floats: Python's ``**`` raises OverflowError where
+    a product would go on with inf, and the trajectory driver reports that
+    as the failing step. A block calls the same function at each of its
+    radii, so its entries equal the single-state values bit for bit.
     """
     if isinstance(r, float):
-        return fn(r)
+        return fn(p, r)
     import numpy as np
 
-    return np.fromiter(map(fn, r.tolist()), float, len(r))
+    return np.fromiter(map(partial(fn, p), r.tolist()), float, len(r))
 
 
 def field(p: PerturbedKeplerParams, v) -> tuple:
     """Original dynamics (v, -U'(|x|) x / |x|) at the state components v, as 6 components."""
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = -_radial(p.potential.u_prime, r) / r
+    c = -_radial(u_prime, p, r) / r
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
-def invariant_components(potential: RadialPotential, s) -> tuple:
-    """(E, L) at s as four components: E, L0, L1, L2.
+def invariant_components(p: PerturbedKeplerParams, s) -> tuple:
+    """(E, L) at s as four components: E, L0, L1, L2, for the potential
+    constants of ``p``.
 
     ``s`` is a state, as a tuple of floats (giving Python floats), or a
     tuple of a block's columns (giving arrays (N,); a block
@@ -162,13 +149,13 @@ def invariant_components(potential: RadialPotential, s) -> tuple:
     # one type test per call: the single-state path, which every projection
     # residual takes, calls U directly
     if isinstance(r, float):
-        E = kinetic + potential.u(r)
+        E = kinetic + u(p, r)
         if not math.isfinite(E):
             raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
     else:
         import numpy as np
 
-        E = kinetic + _radial(potential.u, r)
+        E = kinetic + _radial(u, p, r)
         finite = np.isfinite(E)
         if not finite.all():
             i = int(finite.argmin())
@@ -179,17 +166,17 @@ def invariant_components(potential: RadialPotential, s) -> tuple:
 
 def lyapunov(p: PerturbedKeplerParams, s) -> float:
     """V at a state, from its integrals (E, L)."""
-    return lyapunov_value(p.K, p.f0, invariant_components(p.potential, s))
+    return lyapunov_value(p.K, p.f0, invariant_components(p, s))
 
 
 def drift_metrics(p: PerturbedKeplerParams, s0):
     """``drift(s)``: |E - E(s0)|, |L - L(s0)| and V at a state, from one
     ``invariant_components`` call on its floats."""
-    potential, K, f0 = p.potential, p.K, p.f0
-    E_start, L0x, L0y, L0z = invariant_components(potential, s0)
+    K, f0 = p.K, p.f0
+    E_start, L0x, L0y, L0z = invariant_components(p, s0)
 
     def drift(s):
-        integrals = invariant_components(potential, s)
+        integrals = invariant_components(p, s)
         E, l0, l1, l2 = integrals
         u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
         return {
@@ -202,10 +189,11 @@ def drift_metrics(p: PerturbedKeplerParams, s0):
 
 
 def period(p: PerturbedKeplerParams) -> float:
-    """Radial period estimate from the osculating Kepler ellipse (mu = 1) of
-    the start point, adequate for choosing desk-scale horizons."""
-    a = -1.0 / (2.0 * p.E0) if p.E0 < 0.0 else 1.0
-    return 2.0 * math.pi * math.sqrt(abs(a) ** 3)
+    """Radial period estimate from the osculating Kepler ellipse of energy
+    E0: a = -mu / (2 E0) and T = 2 pi sqrt(a^3 / mu), exact at delta = 0
+    and adequate for choosing desk-scale horizons (a = 1 if E0 >= 0)."""
+    a = -p.mu / (2.0 * p.E0) if p.E0 < 0.0 else 1.0
+    return 2.0 * math.pi * math.sqrt(a**3 / p.mu)
 
 
 def gain_bound(p: PerturbedKeplerParams) -> float:
@@ -227,8 +215,8 @@ def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     E0, t0, t1, t2 = p.f0
-    e = p.k1 * (0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(p.potential.u, r) - E0)
-    c = e * _radial(p.potential.u_prime, r) / r
+    e = p.k1 * (0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(u, p, r) - E0)
+    c = e * _radial(u_prime, p, r) / r
     d0 = x1 * v2 - x2 * v1 - t0
     d1 = x2 * v0 - x0 * v2 - t1
     d2 = x0 * v1 - x1 * v0 - t2
@@ -259,11 +247,6 @@ def accel(p: PerturbedKeplerParams, q) -> tuple:
     return _field(p, (*q, 0.0, 0.0, 0.0))[3:]
 
 
-def _integral_values(p: PerturbedKeplerParams, v) -> tuple:
-    """(E, L) at the state components v, as 4 components."""
-    return invariant_components(p.potential, v)
-
-
 def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     """Jacobian of (E, L) at the state components v, as 4 rows of 6 components:
 
@@ -271,7 +254,7 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = _radial(p.potential.u_prime, r) / r
+    c = _radial(u_prime, p, r) / r
     return (
         (c * x0, c * x1, c * x2, v0, v1, v2),
         (0.0, v2, -v1, 0.0, -x2, x1),
@@ -284,7 +267,7 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
     """Stacked map (E, L) of dimension 4."""
     return FirstIntegralMap(
         dim_state=DIM, dim_values=4,
-        eval=partial(_integral_values, p),
+        eval=partial(invariant_components, p),
         jacobian=partial(_jacobian_rows, p),
     )
 
@@ -345,7 +328,7 @@ def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
     l0sq = dot(p.L0, p.L0)
 
     def g(r):
-        value = r**3 * p.potential.u_prime(r) - l0sq
+        value = r**3 * u_prime(p, r) - l0sq
         if not math.isfinite(value):
             raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
         return value
@@ -364,7 +347,7 @@ def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
 
     residuals = []
     for r in roots:
-        energy_at_root = 0.5 * r * p.potential.u_prime(r) + p.potential.u(r)
+        energy_at_root = 0.5 * r * u_prime(p, r) + u(p, r)
         residuals.append(abs(p.E0 - energy_at_root))
     satisfied = all(res > HYPOTHESIS_RESIDUAL_TOL for res in residuals)
     return HypothesisReport(

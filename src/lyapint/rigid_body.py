@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
-from .feedback import FirstIntegralMap, lyapunov_value
+from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
 from .numerics import dot
 
 DIM = 12
@@ -64,30 +64,25 @@ class RigidBodyParams:
     def __post_init__(self):
         object.__setattr__(self, "inertia", tuple(map(float, self.inertia)))
         object.__setattr__(self, "pi0", tuple(map(float, self.pi0)))
+        object.__setattr__(self, "K", (0.5 * self.k0,) * 9 + (self.k1,) + (self.k2,) * 3)
+        object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0))
         if len(self.inertia) != 3 or not all(i > 0.0 for i in self.inertia):
             raise ValueError("inertia must be three positive principal moments")
-        if min(self.k0, self.k1, self.k2) <= 0.0:
-            raise ValueError("gains must be positive")
+        check_gains_and_targets({"k0": self.k0, "k1": self.k1, "k2": self.k2}, self.f0)
         if self.E0 <= 0.0:
             raise ValueError("target energy must be positive")
         if dot(self.pi0, self.pi0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
-        object.__setattr__(self, "K", (0.5 * self.k0,) * 9 + (self.k1,) + (self.k2,) * 3)
-        object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0))
-
-    @classmethod
-    def from_initial(cls, inertia, s0, k0, k1, k2) -> "RigidBodyParams":
-        """Build params with (E0, pi0) evaluated at the start state s0."""
-        E0, q0, q1, q2, _ = invariant_components(inertia, s0)
-        return cls(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
-                   E0=E0, pi0=(q0, q1, q2))
 
 
 def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     """Params (gains (k0, k1, k2), targets (E0, pi0) from the start) and the
     start state; None starts at R = identity, Omega = (1,1,1)."""
     s0 = BENCHMARK_START if initial_state is None else tuple(map(float, initial_state))
-    return RigidBodyParams.from_initial(inertia, s0, *gains), s0
+    E0, q0, q1, q2, _ = invariant_components(inertia, s0)
+    k0, k1, k2 = gains
+    return RigidBodyParams(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
+                           E0=E0, pi0=(q0, q1, q2)), s0
 
 
 def _integral_values(inertia: tuple, v) -> tuple:

@@ -2,9 +2,10 @@
 
 A ``SystemModel`` bundles everything the drift diagnostics, validators and
 the experiment runner need: the original and feedback vector fields, the
-stacked integral map with its gain spec, drift metrics relative to a run's
-initial state, and a sampler for randomized property checks. ``make_system``
-builds one from the system's module in ``MODULES``.
+stacked integral map, the params (constants, gains ``K``, targets ``f0``),
+drift metrics relative to a run's initial state, and a sampler for
+randomized property checks. ``make_system`` builds one from the system's
+module in ``MODULES``.
 """
 
 from __future__ import annotations  # np.random.Generator names numpy without importing it
@@ -14,14 +15,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import kepler, perturbed_kepler, rigid_body
-from .feedback import FeedbackSpec, FirstIntegralMap
+from .feedback import FirstIntegralMap
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Each module states its system once: ``setup``, whose params carry the gain
-# diagonal ``K`` and the targets ``f0``, the kernels, ``drift_metrics``,
-# ``period``, ``gain_bound`` and the constants that ``make_system`` reads.
+# Each module states its system once: ``setup``, whose params hold and check
+# the constants, the gain diagonal ``K`` and the targets ``f0``, the kernels,
+# ``drift_metrics``, ``period``, ``gain_bound`` and the names ``make_system`` reads.
 MODULES = {"rigid_body": rigid_body, "kepler": kepler, "perturbed_kepler": perturbed_kepler}
 SYSTEM_NAMES = tuple(MODULES)
 
@@ -41,6 +42,9 @@ class SystemModel:
     integral map also take a block's columns, a tuple of arrays (N,), and
     give columns.
 
+    ``params`` states the system's constants, gain diagonal ``params.K`` and
+    targets ``params.f0 = f(x0)`` once; V, the oracle and the projection read them.
+
     ``sampler(draw)`` is the system's one sampler kernel. It returns a state
     as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard
     uniforms in ``[0, 1)`` as Python floats. ``sample_state(rng)`` draws
@@ -59,7 +63,6 @@ class SystemModel:
     gradient: Callable[[tuple], tuple]
     lyapunov: Callable[[tuple], float]
     integral_map: FirstIntegralMap
-    feedback_spec: FeedbackSpec
     initial_state: tuple
     state_names: tuple
     drift_names: tuple
@@ -154,16 +157,19 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
     ``gains`` maps gain names (the module's ``GAIN_NAMES``) to values and
     ``constants`` are the module's ``CONSTANTS``; what is not given takes
     the benchmark value. The targets f(x0) are the start state's integrals.
+    A name the system does not take is a ValueError here; the params check
+    the values.
     """
     try:
         m = MODULES[name]
     except KeyError:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}") from None
     gains = gains or {}
-    unknown = [k for k in gains if k not in m.GAIN_NAMES]
-    if unknown:
-        raise ValueError(f"unknown gains {unknown} for system {name!r}; "
-                         f"choose from {m.GAIN_NAMES}")
+    for kind, given, names in (("gain", gains, m.GAIN_NAMES),
+                               ("constant", constants, m.CONSTANTS)):
+        for key in given:
+            if key not in names:
+                raise ValueError(f"unknown {kind} {key!r} for system {name!r}; it takes {names}")
     p, s0 = m.setup(initial_state,
                     tuple(gains.get(k, d) for k, d in zip(m.GAIN_NAMES, m.BENCHMARK_GAINS)),
                     **constants)
@@ -178,7 +184,6 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
         gradient=lambda s: m.lyapunov_gradient(p, s),
         lyapunov=lambda s: m.lyapunov(p, s),
         integral_map=m.integral_map(p),
-        feedback_spec=FeedbackSpec(reference=p.f0, gain_diag=p.K),
         initial_state=s0,
         state_names=m.STATE_NAMES,
         drift_names=m.DRIFT_NAMES,

@@ -144,12 +144,12 @@ def test_c4_gradient_correctness(rigid_sys, kepler_sys, pk_sys):
     worst_generic = worst_fd = 0.0
     for system in (rigid_sys, kepler_sys, pk_sys):
         rng = np.random.default_rng(100)
-        spec = system.feedback_spec
-        fun = lambda x: lyapunov_value(spec.gain_diag, spec.reference, system.integral_map.eval(x))
+        p = system.params
+        fun = lambda x: lyapunov_value(p.K, p.f0, system.integral_map.eval(x))
         for _ in range(1000):
             s = system.sample_state(rng)
             ga = np.array(system.gradient(s))
-            gg = np.array(generic_gradient(system.integral_map, system.feedback_spec, s))
+            gg = np.array(generic_gradient(system.integral_map, p.K, p.f0, s))
             scale = 1.0 + float(np.linalg.norm(ga))
             worst_generic = max(worst_generic,
                                 float(np.linalg.norm(ga - gg)) / scale)
@@ -216,8 +216,7 @@ def test_c8_hypothesis_checker():
 
     rc = 0.9
     circular = perturbed_kepler.PerturbedKeplerParams(
-        potential=perturbed_kepler.inverse_cube_perturbed(1.0, 0.0),
-        k1=1.0, k2=1.0, E0=-1.0 / (2 * rc), L0=(0.0, 0.0, math.sqrt(rc)))
+        mu=1.0, delta=0.0, k1=1.0, k2=1.0, E0=-1.0 / (2 * rc), L0=(0.0, 0.0, math.sqrt(rc)))
     violated = perturbed_kepler.check_hypothesis(circular)
     ok = ok and not violated.satisfied
 

@@ -25,7 +25,7 @@ from lyapint.cli import (
 )
 from lyapint.errors import ConfigError, IntegrationError
 from lyapint.integrators import rollout, steps_for
-from lyapint.systems import MODULES, SYSTEM_NAMES
+from lyapint.systems import MODULES, SYSTEM_NAMES, make_system
 
 SAMPLE_CONFIG = """\
 [experiment]
@@ -233,20 +233,25 @@ def test_parse_config_defaults():
     assert cfg.h == 0.005  # paper step size filled in
 
 
-def test_validation_rejects_bad_combinations():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(system="kepler", method="splitting", t_end=1.0).validated()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(system="rigid_body", method="stormer_verlet_a",
-                         t_end=1.0).validated()
+def test_validation_rejects_bad_combinations(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(system="nope", method="euler", t_end=1.0).validated()
     with pytest.raises(ConfigError):
         ExperimentConfig(system="kepler", method="euler", h=0.5,
                          t_end=0.1).validated()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(system="kepler", method="euler", t_end=1.0,
-                         gains={"k9": 1.0}).validated()
+    # a method the system does not have and a gain it does not take are
+    # checked where the system is built and stepped, before any output
+    out = tmp_path / "never.csv"
+    for system, method, gains in (("kepler", "splitting", {}),
+                                  ("rigid_body", "stormer_verlet_a", {}),
+                                  ("kepler", "euler", {"k9": 1.0})):
+        with pytest.raises(ConfigError):
+            run_experiment(ExperimentConfig(system=system, method=method, t_end=1.0,
+                                            gains=gains, output_path=str(out)))
+        assert not out.exists()
+    for system, method in (("kepler", "splitting"), ("rigid_body", "stormer_verlet_b")):
+        with pytest.raises(ConfigError, match=f"system '{system}'"):
+            make_advance(make_system(system), method, ExperimentConfig())
 
 
 def test_run_experiment_writes_csv_and_summary(tmp_path, kepler_sys):
@@ -451,7 +456,7 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     (VALID_EXPERIMENT + "[projection]\ntol = inf\n", None),
     (VALID_EXPERIMENT + "strid = 5\n", None),
     (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
-    # non-finite constants give non-finite targets, which FeedbackSpec rejects
+    # non-finite constants give non-finite targets, which the system's params reject
     (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None),
     (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None),
     ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
@@ -497,6 +502,16 @@ def test_main_benchmark_eccentricity_outside_0_1_exits_2(tmp_path, capsys, eccen
 
 
 PK_START = "x0 = 0.4\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 2\nv2 = 0\n"
+
+
+@pytest.mark.parametrize("system, key, value", [
+    ("kepler", "delta", 0.5), ("kepler", "inertia", (3.0, 2.0, 1.0)),
+    ("rigid_body", "mu", 2.0), ("perturbed_kepler", "inertia", (3.0, 2.0, 1.0)),
+])
+def test_make_system_rejects_a_constant_the_system_does_not_take(system, key, value):
+    with pytest.raises(ValueError, match=f"unknown constant '{key}' for system '{system}'; "
+                                         "it takes"):
+        make_system(system, **{key: value})
 
 
 @pytest.mark.parametrize("system, sections, key", [
@@ -575,7 +590,8 @@ def test_float_methods_run_without_numpy(tmp_path):
         for system, module in MODULES.items():
             for method in {FLOAT_METHODS!r}:
                 try:
-                    lyapint.cli.ExperimentConfig(system, method, t_end=1.0).validated()
+                    lyapint.cli.make_advance(lyapint.make_system(system), method,
+                                             lyapint.cli.ExperimentConfig())
                 except lyapint.ConfigError:
                     continue  # a method this system does not define
                 h = module.BENCHMARK_STEP

@@ -231,7 +231,7 @@ def per_state_worst_gradient_difference(system, n_samples, seed):
     for _ in range(n_samples):
         s = system.sample_state(rng)
         ga = np.array(system.gradient(s))
-        gg = np.array(generic_gradient(system.integral_map, system.feedback_spec, s))
+        gg = np.array(generic_gradient(system.integral_map, system.params.K, system.params.f0, s))
         diff = math.sqrt(float((ga - gg) @ (ga - gg)))
         worst = max(worst, diff / (1.0 + math.sqrt(float(ga @ ga))))
     return worst

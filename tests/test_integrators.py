@@ -145,7 +145,7 @@ def test_order_stormer_verlet():
 
 def test_projection_returns_point_on_constraint_untouched(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
-                           target=kepler_sys.feedback_spec.reference,
+                           target=kepler_sys.params.f0,
                            tol=0.005)
     x0 = kepler_sys.initial_state
     out = projection_step(euler_step, cfg, lambda s: (0.0,) * 6, x0, 0.005)
@@ -154,7 +154,7 @@ def test_projection_returns_point_on_constraint_untouched(kepler_sys):
 
 def test_projection_kepler_residual_within_tolerance(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
-                           target=kepler_sys.feedback_spec.reference,
+                           target=kepler_sys.params.f0,
                            tol=0.005)
     x = kepler_sys.initial_state
     for _ in range(2000):
@@ -165,7 +165,7 @@ def test_projection_kepler_residual_within_tolerance(kepler_sys):
 
 def test_projection_rigid_residual_within_tolerance(rigid_sys):
     cfg = ProjectionConfig(constraint=rigid_sys.integral_map,
-                           target=rigid_sys.feedback_spec.reference,
+                           target=rigid_sys.params.f0,
                            tol=1e-4)
     x = rigid_sys.initial_state
     for _ in range(500):
@@ -176,7 +176,7 @@ def test_projection_rigid_residual_within_tolerance(rigid_sys):
 
 def pk_projection_config(pk_sys):
     return ProjectionConfig(constraint=pk_sys.integral_map,
-                            target=pk_sys.feedback_spec.reference,
+                            target=pk_sys.params.f0,
                             tol=pk_sys.projection_tol)
 
 
@@ -246,7 +246,7 @@ def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name
     h = MODULES[name].BENCHMARK_STEP
     # perturbed Kepler's tolerance, tight enough that every system iterates
     cfg = ProjectionConfig(constraint=system.integral_map,
-                           target=system.feedback_spec.reference, tol=1e-8)
+                           target=system.params.f0, tol=1e-8)
     evals = []
 
     def counted_eval(s):
@@ -298,7 +298,7 @@ def test_integral_map_on_a_tuple_equals_its_array_form_bit_for_bit(name):
 
 def test_projection_reports_nonconvergence(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
-                           target=kepler_sys.feedback_spec.reference,
+                           target=kepler_sys.params.f0,
                            tol=1e-15, max_iter=1)
     far = tuple((kepler_sys.initial_state + np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0])).tolist())
     with pytest.raises(ProjectionError) as info:
@@ -441,7 +441,7 @@ def test_rollout_turns_float_overflow_into_integration_error(pk_sys):
 
 def _is_valid(name, method):
     try:
-        ExperimentConfig(system=name, method=method, t_end=1.0).validated()
+        make_advance(make_system(name), method, ExperimentConfig())
     except ConfigError:
         return False
     return True
@@ -464,7 +464,7 @@ def scheme_advance(system, method):
         return lambda x, h: rk4_step(field, x, h)
     if method == "projection_euler":
         cfg = ProjectionConfig(constraint=system.integral_map,
-                               target=system.feedback_spec.reference,
+                               target=system.params.f0,
                                tol=system.projection_tol)
         return lambda x, h: projection_step(euler_step, cfg, field, x, h)
     if method == "splitting":
@@ -516,8 +516,7 @@ def test_a_single_state_and_every_parameter_vector_are_tuples_of_floats(name):
         states.append(system.splitting_step(x, h))
     for s in states:
         assert is_float_tuple(s) and len(s) == system.dim
-    spec = system.feedback_spec
-    for vector in (spec.reference, spec.gain_diag, system.params.K, system.params.f0):
+    for vector in (system.params.K, system.params.f0):
         assert is_float_tuple(vector)
     for f in dataclasses.fields(system.params):
         value = getattr(system.params, f.name)

@@ -7,7 +7,7 @@ from conftest import central_difference_gradient, stacked
 from lyapint import kepler
 from lyapint.cli import ExperimentConfig, make_advance, run_experiment
 from lyapint.errors import DomainError
-from lyapint.feedback import FeedbackSpec, generic_gradient
+from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rollout, steps_for
 from lyapint.systems import make_system
 
@@ -134,10 +134,10 @@ def random_states(seed, n):
 def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
     # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
     p = case_params(mu, k1, k2)
-    fim, spec = kepler.integral_map(p), FeedbackSpec(p.f0, p.K)
+    fim = kepler.integral_map(p)
     worst = 0.0
     for s in random_states(seed, 1000):
-        expected = np.array(kepler.field(p, s)) - np.array(generic_gradient(fim, spec, s))
+        expected = np.array(kepler.field(p, s)) - np.array(generic_gradient(fim, p.K, p.f0, s))
         diff = np.linalg.norm(np.array(kepler.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
@@ -149,7 +149,7 @@ KERNEL_CASES = [(1.0, 4.0, 2.0, 36), (2.5, 0.3, 7.0, 37)]
 
 
 def case_params(mu, k1, k2):
-    return kepler.KeplerParams.from_initial(mu, (1.0, 0.2, -0.1, 0.1, 1.1, 0.3), k1, k2)
+    return kepler.setup((1.0, 0.2, -0.1, 0.1, 1.1, 0.3), (k1, k2), mu=mu)[0]
 
 
 @pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)

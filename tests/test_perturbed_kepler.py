@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import central_difference_gradient, stacked
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
-from lyapint.feedback import FeedbackSpec, generic_gradient
+from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.systems import make_system
 from test_kepler import random_states
@@ -25,32 +26,43 @@ def start():
 
 
 def test_potential_rejects_bad_constants():
-    with pytest.raises(ValueError):
-        pk.inverse_cube_perturbed(-1.0, 0.1)
-    with pytest.raises(ValueError):
-        pk.inverse_cube_perturbed(1.0, -0.1)
+    for mu, delta in ((-1.0, 0.1), (0.0, 0.1), (math.nan, 0.1), (1.0, -0.1), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="need mu > 0 and delta >= 0"):
+            pk.PerturbedKeplerParams(mu=mu, delta=delta, k1=2, k2=3, E0=-0.5, L0=(0, 0, 1))
+        with pytest.raises(ValueError, match="need mu > 0 and delta >= 0"):
+            make_system("perturbed_kepler", mu=mu, delta=delta)
 
 
 def test_params_validation():
-    pot = pk.inverse_cube_perturbed(1.0, 0.0025)
     with pytest.raises(ValueError):
-        pk.PerturbedKeplerParams(potential=pot, k1=2, k2=3, E0=-0.5, L0=(0, 0, 0))
+        pk.PerturbedKeplerParams(mu=1.0, delta=0.0025, k1=2, k2=3, E0=-0.5, L0=(0, 0, 0))
     with pytest.raises(ValueError):
-        pk.PerturbedKeplerParams(potential=pot, k1=0, k2=3, E0=-0.5, L0=(0, 0, 1))
+        pk.PerturbedKeplerParams(mu=1.0, delta=0.0025, k1=0, k2=3, E0=-0.5, L0=(0, 0, 1))
 
 
 def test_potential_derivative_matches_finite_differences(params):
-    pot = params.potential
     for r in np.geomspace(0.05, 50.0, 40):
         eps = 1e-6 * r
-        fd = (pot.u(r + eps) - pot.u(r - eps)) / (2 * eps)
-        assert pot.u_prime(r) == pytest.approx(fd, rel=1e-6)
+        fd = (pk.u(params, r + eps) - pk.u(params, r - eps)) / (2 * eps)
+        assert pk.u_prime(params, r) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("mu, s0", [
+    (1.0, (1.0, 0.0, 0.0, 0.0, 1.2, 0.0)),
+    (2.5, (0.7, -0.2, 0.1, 0.3, 1.9, -0.4)),
+    (0.4, (1.5, 0.5, 0.0, -0.1, 0.3, 0.2)),
+])
+def test_period_at_zero_delta_is_the_kepler_period(mu, s0):
+    # at delta = 0 the osculating ellipse is the orbit: both periods are
+    # 2 pi sqrt(a^3 / mu), from E0 here and from (L0, A0) in kepler
+    period = make_system("perturbed_kepler", initial_state=s0, mu=mu, delta=0.0).period
+    _, _, expected = kepler.orbit_geometry(kepler.setup(s0, (4.0, 2.0), mu=mu)[0])
+    assert period == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_delta_reduces_to_kepler(start):
-    pot = pk.inverse_cube_perturbed(1.0, 0.0)
-    pp = pk.PerturbedKeplerParams.from_initial(pot, start, 2.0, 3.0)
-    kp = kepler.KeplerParams.from_initial(1.0, start, 4.0, 2.0)
+    pp, _ = pk.setup(start, (2.0, 3.0), mu=1.0, delta=0.0)
+    kp, _ = kepler.setup(start, (4.0, 2.0), mu=1.0)
     rng = np.random.default_rng(40)
     for _ in range(100):
         s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
@@ -60,7 +72,7 @@ def test_zero_delta_reduces_to_kepler(start):
                            rtol=1e-14, atol=1e-14)
         assert np.allclose(pk.accel(pp, s[:3]), kepler.accel(kp, s[:3]),
                            rtol=1e-14, atol=1e-14)
-        E, *L = pk.invariant_components(pp.potential, s)
+        E, *L = pk.invariant_components(pp, s)
         *Lk, _, _, _, Ek = kepler.invariant_components(kp.mu, s)
         assert E == pytest.approx(Ek, rel=1e-14, abs=1e-14)
         assert L == Lk
@@ -93,7 +105,7 @@ def test_field_rejects_origin(params):
 
 def invariants(p, s):
     """(E, L) at s, with L as an array, from ``perturbed_kepler.invariant_components``."""
-    E, l0, l1, l2 = pk.invariant_components(p.potential, s)
+    E, l0, l1, l2 = pk.invariant_components(p, s)
     return E, np.array((l0, l1, l2))
 
 
@@ -106,7 +118,7 @@ def test_invariants_benchmark_values(params, start):
 def test_invariants_zero_velocity(params):
     s = (0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
     E, L = invariants(params, s)
-    assert E == params.potential.u(0.5)
+    assert E == pk.u(params, 0.5)
     assert np.array_equal(L, np.zeros(3))
 
 
@@ -130,15 +142,14 @@ KERNEL_CASES = [(1.0, 0.0025, 2.0, 3.0, 44), (2.5, 0.04, 0.5, 7.0, 45)]
 
 
 def case_params(mu, delta, k1, k2):
-    return pk.PerturbedKeplerParams.from_initial(
-        pk.inverse_cube_perturbed(mu, delta), (1.0, 0.2, -0.1, 0.1, 1.1, 0.3), k1, k2)
+    return pk.setup((1.0, 0.2, -0.1, 0.1, 1.1, 0.3), (k1, k2), mu=mu, delta=delta)[0]
 
 
-def numpy_invariants(potential, s):
+def numpy_invariants(p, s):
     """E = 0.5 v.v + U(|x|) and L = x cross v, evaluated with numpy."""
     s = np.array(s)
     x, v = s[:3], s[3:]
-    return 0.5 * float(v @ v) + potential.u(float(np.linalg.norm(x))), np.cross(x, v)
+    return 0.5 * float(v @ v) + pk.u(p, float(np.linalg.norm(x))), np.cross(x, v)
 
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
@@ -146,7 +157,7 @@ def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed)
     p = case_params(mu, delta, k1, k2)
     evaluate = pk.integral_map(p).eval
     for s in random_states(seed, 1000):
-        E, L = numpy_invariants(p.potential, s)
+        E, L = numpy_invariants(p, s)
         got = np.array(evaluate(s))
         assert got.shape == (4,)
         assert abs(got[0] - E) <= 1e-14 * (1.0 + abs(E))
@@ -171,10 +182,10 @@ def test_jacobian_matches_finite_differences(mu, delta, k1, k2, seed):
 def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, seed):
     # the float gradient kernel against field - Df^T K (f - f0) built from eval and jacobian
     p = case_params(mu, delta, k1, k2)
-    fim, spec = pk.integral_map(p), FeedbackSpec(p.f0, p.K)
+    fim = pk.integral_map(p)
     worst = 0.0
     for s in random_states(seed, 1000):
-        expected = np.array(pk.field(p, s)) - np.array(generic_gradient(fim, spec, s))
+        expected = np.array(pk.field(p, s)) - np.array(generic_gradient(fim, p.K, p.f0, s))
         diff = np.linalg.norm(np.array(pk.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
@@ -218,9 +229,9 @@ def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params):
     states = np.array(random_states(47, 4))
     states[2, 3] = 1e200
     with pytest.raises(DomainError, match="not finite"):
-        pk.invariant_components(params.potential, tuple(states[2].tolist()))
+        pk.invariant_components(params, tuple(states[2].tolist()))
     with pytest.raises(DomainError, match="batch state 2"), np.errstate(over="ignore"):
-        pk.invariant_components(params.potential, tuple(states.T))
+        pk.invariant_components(params, tuple(states.T))
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
@@ -228,9 +239,9 @@ def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
     system = make_system("perturbed_kepler", initial_state=s0, gains={"k1": k1, "k2": k2},
                          mu=mu, delta=delta)
     p = system.params
-    E0, L0 = numpy_invariants(p.potential, s0)
+    E0, L0 = numpy_invariants(p, s0)
     for s in random_states(seed, 1000):
-        E, L = numpy_invariants(p.potential, s)
+        E, L = numpy_invariants(p, s)
         expected = {
             "dE": abs(E - E0),
             "dL": np.linalg.norm(L - L0),
@@ -311,8 +322,7 @@ def test_hypothesis_benchmark_satisfied(params):
 
 def test_hypothesis_violated_for_circular_orbit_data():
     rc = 0.9
-    pot = pk.inverse_cube_perturbed(1.0, 0.0)
-    p = pk.PerturbedKeplerParams(potential=pot, k1=1.0, k2=1.0,
+    p = pk.PerturbedKeplerParams(mu=1.0, delta=0.0, k1=1.0, k2=1.0,
                                  E0=-1.0 / (2 * rc), L0=(0.0, 0.0, math.sqrt(rc)))
     report = pk.check_hypothesis(p)
     assert not report.satisfied
@@ -320,8 +330,7 @@ def test_hypothesis_violated_for_circular_orbit_data():
 
 
 def test_hypothesis_vacuous_when_no_roots(params):
-    p = pk.PerturbedKeplerParams(potential=params.potential, k1=1.0, k2=1.0,
-                                 E0=-0.5, L0=(0.0, 0.0, 10.0))
+    p = dataclasses.replace(params, k1=1.0, k2=1.0, E0=-0.5, L0=(0.0, 0.0, 10.0))
     report = pk.check_hypothesis(p, r_min=0.1, r_max=1.0)
     assert report.satisfied and report.vacuous
     assert report.bracket == (0.1, 1.0)
@@ -339,7 +348,7 @@ def test_root_finding_against_dense_scan(params):
     def dense_roots(p):
         l0_sq = float(np.dot(p.L0, p.L0))
         grid = np.geomspace(*pk.DEFAULT_BRACKET, 1_000_000)
-        vals = grid**3 * p.potential.u_prime(grid) - l0_sq
+        vals = grid**3 * pk.u_prime(p, grid) - l0_sq
         hits = []
         for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
             hits.append(0.5 * (grid[i] + grid[i + 1]))
@@ -347,8 +356,7 @@ def test_root_finding_against_dense_scan(params):
 
     rc = 0.9
     circular = pk.PerturbedKeplerParams(
-        potential=pk.inverse_cube_perturbed(1.0, 0.0), k1=1.0, k2=1.0,
-        E0=-1.0 / (2 * rc), L0=(0.0, 0.0, math.sqrt(rc)))
+        mu=1.0, delta=0.0, k1=1.0, k2=1.0, E0=-1.0 / (2 * rc), L0=(0.0, 0.0, math.sqrt(rc)))
     for p in (params, circular):
         scan = sorted(dense_roots(p))
         found = sorted(pk.check_hypothesis(p).roots)

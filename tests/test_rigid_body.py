@@ -5,7 +5,7 @@ import pytest
 
 from conftest import central_difference_gradient, global_order_ratio, pack, stacked, unpack
 from lyapint import rigid_body
-from lyapint.feedback import FeedbackSpec, generic_gradient
+from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.systems import make_system
 
@@ -130,7 +130,7 @@ def test_gradient_vanishes_on_level_set_of_rotated_start():
         W0 = rng.uniform(-2, 2, 3)
         if np.linalg.norm(W0) < 0.1:
             continue
-        p = rigid_body.RigidBodyParams.from_initial((3, 2, 1), pack(R0, W0), 50, 100, 50)
+        p, _ = rigid_body.setup(pack(R0, W0), (50, 100, 50), inertia=(3, 2, 1))
         g = rigid_body.lyapunov_gradient(p, pack(R0, W0))
         assert np.linalg.norm(g) <= 1e-12
 
@@ -187,14 +187,14 @@ def random_states(seed, n):
 ])
 def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
     # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
-    p = rigid_body.RigidBodyParams.from_initial(
-        inertia, pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9)), *gains)
-    fim, spec = rigid_body.integral_map(p), FeedbackSpec(p.f0, p.K)
+    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
+    p, _ = rigid_body.setup(start, gains, inertia=inertia)
+    fim = rigid_body.integral_map(p)
     worst = 0.0
     for s in random_states(seed, 1000):
         R, W = unpack(s)
         numpy_field = np.concatenate(((R @ hat(W)).ravel(), np.cross(p.inertia * W, W) / p.inertia))
-        expected = numpy_field - np.array(generic_gradient(fim, spec, s))
+        expected = numpy_field - np.array(generic_gradient(fim, p.K, p.f0, s))
         diff = np.linalg.norm(np.array(rigid_body.modified_field(p, s)) - expected)
         worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
     assert worst <= 1e-12
@@ -228,8 +228,8 @@ def numpy_integral_map(p, s):
 def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, seed):
     # the float eval and Jacobian against their numpy forms, and the
     # Jacobian against central differences of eval
-    p = rigid_body.RigidBodyParams.from_initial(
-        inertia, pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9)), *gains)
+    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
+    p, _ = rigid_body.setup(start, gains, inertia=inertia)
     fim = rigid_body.integral_map(p)
     for s in random_states(seed, 300):
         values, rows = numpy_integral_map(p, s)
@@ -248,8 +248,8 @@ def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, 
     ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 27),
 ])
 def test_batched_kernels_equal_single_state_results_bit_for_bit(inertia, gains, seed):
-    p = rigid_body.RigidBodyParams.from_initial(
-        inertia, pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9)), *gains)
+    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
+    p, _ = rigid_body.setup(start, gains, inertia=inertia)
     # each kernel on a block's columns: entry i of every result column is
     # the kernel's result at state i
     states = random_states(seed, 2000)
