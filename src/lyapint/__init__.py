@@ -6,17 +6,12 @@ first-integral errors, so that any ordinary one-step scheme (Euler, RK4, ...)
 keeps trajectories near the invariant set of the initial condition. Shipped
 systems: the free rigid body, the Kepler problem, and a rotationally
 symmetric perturbed Kepler problem, plus projection / splitting /
-Stormer-Verlet baselines and an experiment CLI.
+Stormer-Verlet baselines and an experiment CLI. The validators in
+``diagnostics`` check the paper's premises. The errors below are the
+library's own: bad input, and a run that fails mid-trajectory.
 """
 
-from .errors import (
-    BasinViolationError,
-    ConfigError,
-    DomainError,
-    IntegrationError,
-    ProjectionError,
-    RankError,
-)
+from .errors import ConfigError, DomainError, IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap, generic_gradient, lyapunov_value
 from .integrators import (
     ProjectionConfig,
@@ -31,8 +26,7 @@ from .integrators import (
 from .systems import SystemModel, make_system
 
 __all__ = [
-    "BasinViolationError", "ConfigError", "DomainError", "IntegrationError",
-    "ProjectionError", "RankError",
+    "ConfigError", "DomainError", "IntegrationError", "ProjectionError", "RankError",
     "FirstIntegralMap", "generic_gradient", "lyapunov_value",
     "ProjectionConfig", "euler_step", "integrate", "projection_step", "rk4_step",
     "rollout", "steps_for", "stormer_verlet_step",

@@ -11,12 +11,13 @@ Subcommands:
 CSV schema per system: ``t, <state components...>, V, <drift metrics...>``
 with one header row, '.' decimal separator and 17 significant digits so the
 doubles round-trip exactly. Exit codes: 0 success, 2 configuration error,
-3 domain violation, scheme failure or arithmetic overflow mid-run,
-4 validator failure.
+3 domain violation, scheme failure or arithmetic overflow mid-run, or a
+failed CSV write, 4 validator failure.
 """
 
 import argparse
 import configparser
+import contextlib
 import io
 import math
 import os
@@ -74,8 +75,8 @@ class ExperimentConfig:
 
     def validated(self) -> "ExperimentConfig":
         """Check what needs no system, and fill in h. Gain and constant names are
-        checked by ``make_system``, their values by the params, and the method by
-        ``make_advance``."""
+        checked by ``make_system``, their values by the params, the method by
+        ``make_advance`` and the projection settings by ``ProjectionConfig``."""
         if self.system not in SYSTEM_NAMES:
             raise ConfigError(f"unknown system {self.system!r}; choose from {SYSTEM_NAMES}")
         if self.method not in METHOD_NAMES:
@@ -96,11 +97,6 @@ class ExperimentConfig:
             raise ConfigError(f"step count t_end / h = {self.t_end!r} / {self.h!r} is not finite")
         if self.sample_stride < 1:
             raise ConfigError("sample stride must be a positive integer")
-        tol = self.projection_tol
-        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-            raise ConfigError(f"projection tol must be positive and finite, got {tol!r}")
-        if self.projection_max_iter < 1:
-            raise ConfigError("projection max_iter must be at least 1")
         return self
 
     def constants(self) -> dict:
@@ -249,7 +245,17 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
 
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
-    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats."""
+    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats.
+
+    The projection settings are checked whatever the method, so a bad ``tol``
+    or ``max_iter`` is a ConfigError before any output with every method.
+    """
+    tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
+    try:
+        pcfg = ProjectionConfig(constraint=system.integral_map, target=system.params.f0,
+                                tol=tol, max_iter=cfg.projection_max_iter)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if method == "feedback_euler":
         return lambda x, h: euler_step(system.modified_field, x, h)
     if method == "feedback_rk4":
@@ -259,13 +265,6 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
     if method == "rk4":
         return lambda x, h: rk4_step(system.field, x, h)
     if method == "projection_euler":
-        tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
-        pcfg = ProjectionConfig(
-            constraint=system.integral_map,
-            target=system.params.f0,
-            tol=tol,
-            max_iter=cfg.projection_max_iter,
-        )
         return lambda x, h: projection_step(euler_step, pcfg, system.field, x, h)
     if method == "splitting":
         if system.splitting_step is None:
@@ -301,7 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     stride; only the rows that are written are formatted. A mid-run failure
     (``integrate`` numbers the step and turns float overflow or division by
     zero into IntegrationError) flushes the partial CSV before the error
-    propagates with a partial summary attached.
+    propagates with a partial summary attached. An OSError of the CSV handle
+    (a write, or the flush at close) propagates with the step being written:
+    0 for the header and the start row, the number of steps for the close.
     """
     cfg = cfg.validated()
     system = build_system(cfg)
@@ -322,33 +323,43 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         handle = open(cfg.output_path, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output_path!r}: {exc}") from exc
-    with handle:
+
+    def observe(k, x):
+        nonlocal final_metrics
+        final_metrics = metrics = system.drift_metrics(x)
+        for key, value in metrics.items():
+            if maxima.get(key, -1.0) < value:
+                maxima[key] = value
+        if k % stride == 0 or k == n_steps:
+            handle.write(row_format % (k * cfg.h, *x, *[metrics[c] for c in metric_cols]))
+
+    def summary(steps_taken):
+        return RunSummary(
+            max_drift=dict(maxima),
+            final_v=final_metrics["V"],
+            wall_time=time.perf_counter() - started,
+            steps_taken=steps_taken,
+            output_path=cfg.output_path,
+        )
+
+    step = 0  # numbers an OSError of the handle that integrate has not numbered
+    try:
         handle.write(",".join(header) + "\n")
-
-        def observe(k, x):
-            nonlocal final_metrics
-            final_metrics = metrics = system.drift_metrics(x)
-            for key, value in metrics.items():
-                if maxima.get(key, -1.0) < value:
-                    maxima[key] = value
-            if k % stride == 0 or k == n_steps:
-                handle.write(row_format % (k * cfg.h, *x, *[metrics[c] for c in metric_cols]))
-
-        def summary(steps_taken):
-            return RunSummary(
-                max_drift=dict(maxima),
-                final_v=final_metrics["V"],
-                wall_time=time.perf_counter() - started,
-                steps_taken=steps_taken,
-                output_path=cfg.output_path,
-            )
-
         try:
             integrate(advance, system.initial_state, cfg.h, n_steps, observe)
         except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
-            handle.flush()
             exc.partial_summary = summary(exc.step - 1)
+            step = exc.step
+            handle.close()  # flushes the partial CSV
             raise
+        step = n_steps
+        handle.close()
+    except OSError as exc:
+        if getattr(exc, "step", None) is None:
+            exc.step = step
+        with contextlib.suppress(OSError):  # its flush fails again; the file still closes
+            handle.close()
+        raise
     return summary(n_steps)
 
 
@@ -572,7 +583,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
+    except (DomainError, IntegrationError, ProjectionError, RankError, OSError) as exc:
         step = getattr(exc, "step", None)
         where = f" at step {step}" if step is not None else ""
         print(f"run aborted{where}: {exc}", file=sys.stderr)

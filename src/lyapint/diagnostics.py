@@ -1,12 +1,9 @@
-"""Hypothesis validators and the step-size attractor study.
+"""Hypothesis validators.
 
 ``orthogonality_report`` and ``gradient_agreement_report`` check the paper's
 premises at seeded random states, drawn in blocks by
 ``SystemModel.sample_blocks``. ``check_rank_condition`` estimates the smallest
 singular values of the stacked integral map's Jacobian over sample states.
-``attractor_step_study`` measures, per step size, the level at which the
-stabilizing function V plateaus when a one-step scheme integrates the
-feedback field; the plateau shrinks as the step size decreases.
 
 Each function imports numpy when it runs, so that importing this module (as
 the CLI does) loads no numpy.
@@ -16,11 +13,9 @@ from __future__ import annotations  # np.ndarray names numpy without importing i
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import BasinViolationError
 from .feedback import FirstIntegralMap
-from .integrators import integrate, steps_for
 from .numerics import column_dot
 from .systems import SystemModel
 
@@ -68,90 +63,6 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
     smallest = min(spec[-1] for spec in spectra)
     return RankReport(min_singular_value=float(smallest), spectra=tuple(spectra),
                       threshold=threshold)
-
-
-@dataclass(frozen=True)
-class AttractorStudyResult:
-    step_sizes: tuple
-    plateau_values: tuple
-
-
-def state_with_lyapunov(system: SystemModel, v_target: float, seed: int = 0) -> tuple:
-    """Deterministic state with V equal to v_target, as a tuple of floats.
-
-    Moves from the system's reference initial state along a fixed random
-    direction and bisects the scaling until V matches to 1e-12 relative.
-    """
-    if v_target == 0.0:
-        return system.initial_state
-    if v_target < 0.0:
-        raise ValueError("v_target must be nonnegative")
-    import numpy as np
-
-    x0 = np.array(system.initial_state)
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(system.dim)
-    direction /= math.sqrt(float(direction @ direction))
-
-    def state(scale):
-        return tuple((x0 + scale * direction).tolist())
-
-    def value(scale):
-        return system.lyapunov(state(scale))
-
-    hi = 1e-6
-    while value(hi) < v_target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("failed to bracket the requested V level")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if value(mid) < v_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return state(hi)
-
-
-def attractor_step_study(system: SystemModel, scheme: Callable,
-                         step_sizes: Sequence[float], v_init: float,
-                         horizon: float) -> AttractorStudyResult:
-    """Plateau level of V per step size when `scheme` integrates the feedback field.
-
-    For each h the trajectory starts at a state with V = v_init and runs to
-    the horizon; the plateau is the median of V over the final tenth of the
-    samples. Escaping the sublevel set V <= gain bound raises
-    BasinViolationError; a step that overflows raises IntegrationError.
-    """
-    import numpy as np
-
-    steps = tuple(float(h) for h in step_sizes)
-    if any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
-    if v_init >= system.gain_bound:
-        raise ValueError(
-            f"v_init {v_init:g} is not below the gain bound {system.gain_bound:g}")
-    x0 = state_with_lyapunov(system, v_init)
-    plateaus = []
-    for h in steps:
-        n = steps_for(horizon, h)
-        values = np.empty(n + 1)
-
-        def observe(k, x):
-            v = system.lyapunov(x)
-            if v > system.gain_bound:
-                raise BasinViolationError(
-                    f"V = {v:.3e} escaped the basin bound {system.gain_bound:.3e}",
-                    h=h, step=k, value=v)
-            values[k] = v
-
-        integrate(lambda x, dt: scheme(system.modified_field, x, dt), x0, h, n, observe)
-        tail = values[-max(1, (n + 1) // 10):]
-        plateaus.append(float(np.median(tail)))
-    return AttractorStudyResult(step_sizes=steps, plateau_values=tuple(plateaus))
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,5 @@ class RankError(RuntimeError):
     """Constraint Jacobian is numerically rank-zero; projection is undefined."""
 
 
-class BasinViolationError(RuntimeError):
-    """A feedback trajectory escaped the configured sublevel set V <= c."""
-
-    def __init__(self, message, h, step, value):
-        super().__init__(message)
-        self.h = h
-        self.step = step
-        self.value = value
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad method/system pairing, etc.)."""

@@ -88,9 +88,9 @@ class ProjectionConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError("projection tolerance must be positive and finite")
+            raise ValueError(f"projection tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ValueError(f"projection max_iter must be at least 1, got {self.max_iter!r}")
         n = self.constraint.dim_values
         try:
             values = tuple(self.target)

@@ -18,7 +18,7 @@ R^T R - I (gain k0/2 each, target 0), E and pi.
 
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 
 from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
@@ -79,10 +79,12 @@ def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     """Params (gains (k0, k1, k2), targets (E0, pi0) from the start) and the
     start state; None starts at R = identity, Omega = (1,1,1)."""
     s0 = BENCHMARK_START if initial_state is None else tuple(map(float, initial_state))
-    E0, q0, q1, q2, _ = invariant_components(inertia, s0)
     k0, k1, k2 = gains
-    return RigidBodyParams(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
-                           E0=E0, pi0=(q0, q1, q2)), s0
+    # stand-in targets, so that the params check the moments before the integrals read them
+    p = RigidBodyParams(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
+                        E0=1.0, pi0=(1.0, 0.0, 0.0))
+    E0, q0, q1, q2, _ = invariant_components(p.inertia, s0)
+    return replace(p, E0=E0, pi0=(q0, q1, q2)), s0
 
 
 def _integral_values(inertia: tuple, v) -> tuple:

@@ -22,14 +22,16 @@ DECREASE_TAU = 1e-9
 
 
 def run_with_metrics(system, advance, h, t_end, state_stride=0,
-                     v_windows=(), series_stride=0, series_metric=None):
-    """Advance a trajectory from the system's start, tracking drift maxima at full resolution.
+                     v_windows=(), series_stride=0, series_metric=None, x0=None):
+    """Advance a trajectory from x0 (default: the system's start), tracking
+    drift maxima at full resolution.
 
     Optionally records subsampled states, windowed V maxima (max V over
-    t <= cutoff for each cutoff in ``v_windows``), a coarse series of one
-    metric, and the worst per-step rise of V beyond the truncation allowance.
+    t <= cutoff for each cutoff in ``v_windows``), one metric at every
+    ``series_stride``-th step of 1..n, and the worst per-step rise of V beyond
+    the truncation allowance.
     """
-    s0 = system.initial_state
+    s0 = system.initial_state if x0 is None else x0
     n = steps_for(t_end, h)
     maxima = {}
     times, states = [0.0], [s0]
@@ -72,6 +74,53 @@ def run_with_metrics(system, advance, h, t_end, state_stride=0,
         n_steps=n,
         wall_time=time.perf_counter() - started,
     )
+
+
+def state_with_lyapunov(system, v_target: float, seed: int = 0) -> tuple:
+    """Deterministic state with V equal to v_target, as a tuple of floats.
+
+    Moves from the system's reference initial state along a fixed random
+    direction and bisects the scaling until V matches to 1e-12 relative.
+    """
+    if v_target == 0.0:
+        return system.initial_state
+    if v_target < 0.0:
+        raise ValueError("v_target must be nonnegative")
+    x0 = np.array(system.initial_state)
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(system.dim)
+    direction /= math.sqrt(float(direction @ direction))
+
+    def state(scale):
+        return tuple((x0 + scale * direction).tolist())
+
+    def value(scale):
+        return system.lyapunov(state(scale))
+
+    hi = 1e-6
+    while value(hi) < v_target:
+        hi *= 2.0
+        if hi > 1e9:
+            raise RuntimeError("failed to bracket the requested V level")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if value(mid) < v_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return state(hi)
+
+
+def v_plateau(system, scheme, h, x0, horizon):
+    """Median of V over the final tenth of the steps when ``scheme`` integrates
+    the feedback field from x0; V must stay within the basin bound on the way."""
+    run = run_with_metrics(system, lambda x, dt: scheme(system.modified_field, x, dt),
+                           h, horizon, series_stride=1, series_metric="V", x0=x0)
+    assert run.maxima["V"] <= system.gain_bound
+    return float(np.median(run.series[-max(1, (run.n_steps + 1) // 10):]))
 
 
 def global_order_ratio(step, field, x0, t_end, h, exact):
@@ -241,11 +290,9 @@ def pk_runs(pk_sys):
 
 @pytest.fixture(scope="session")
 def rigid_plateaus(rigid_sys):
-    """Attractor study data: Euler plateaus for halving steps, plus RK4 at 1e-4."""
-    from lyapint.diagnostics import attractor_step_study
-
-    euler_res = attractor_step_study(
-        rigid_sys, euler_step, (4e-4, 2e-4, 1e-4), v_init=1.0, horizon=20.0)
-    rk4_res = attractor_step_study(
-        rigid_sys, rk4_step, (1e-4,), v_init=1.0, horizon=20.0)
-    return SimpleNamespace(euler=euler_res, rk4=rk4_res)
+    """V plateaus from V = 1 over t in [0, 20]: Euler for h = 4e-4, 2e-4 and
+    1e-4 (a tuple), and RK4 at h = 1e-4."""
+    x0 = state_with_lyapunov(rigid_sys, 1.0)
+    return SimpleNamespace(
+        euler=tuple(v_plateau(rigid_sys, euler_step, h, x0, 20.0) for h in (4e-4, 2e-4, 1e-4)),
+        rk4=v_plateau(rigid_sys, rk4_step, 1e-4, x0, 20.0))

@@ -192,7 +192,7 @@ def test_c6_level_set_invariance(rigid_feedback_50):
 # -- criterion 7: attractor shrinkage under step halving ---------------------
 
 def test_c7_attractor_shrinkage(rigid_plateaus):
-    values = rigid_plateaus.euler.plateau_values
+    values = rigid_plateaus.euler
     detail = ("Euler plateaus for h in (4e-4, 2e-4, 1e-4): "
               + ", ".join(f"{v:.3e}" for v in values))
     ok = all(a >= b for a, b in zip(values, values[1:])) \

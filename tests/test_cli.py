@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -441,33 +442,43 @@ def test_run_experiment_wraps_overflow_with_step_and_partial_summary(tmp_path):
 VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_end = 1.0\n"
 
 
-@pytest.mark.parametrize("config, out_dir", [
-    (VALID_EXPERIMENT + "stride = abc\n", None),
-    (VALID_EXPERIMENT + "[gains]\nk1 = abc\n", None),
-    (VALID_EXPERIMENT + "[gains]\nk1 = inf\n", None),
-    (VALID_EXPERIMENT + "[gains]\nk1 = nan\n", None),
-    (VALID_EXPERIMENT + "[initial]\nx0 = abc\n", None),
-    (VALID_EXPERIMENT + "[initial]\ncondition = paper_default\nx0 = 1.5\n", None),
+# Each row: the config text, the --out directory, and a part of the message.
+@pytest.mark.parametrize("config, out_dir, message", [
+    (VALID_EXPERIMENT + "stride = abc\n", None, "config error"),
+    (VALID_EXPERIMENT + "[gains]\nk1 = abc\n", None, "config error"),
+    (VALID_EXPERIMENT + "[gains]\nk1 = inf\n", None, "config error"),
+    (VALID_EXPERIMENT + "[gains]\nk1 = nan\n", None, "config error"),
+    (VALID_EXPERIMENT + "[initial]\nx0 = abc\n", None, "config error"),
+    (VALID_EXPERIMENT + "[initial]\ncondition = paper_default\nx0 = 1.5\n", None,
+     "config error"),
     (VALID_EXPERIMENT + "[initial]\ncondition = circular\n"
-     "x0 = 1\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 1\nv2 = 0\n", None),
-    (VALID_EXPERIMENT + "[projection]\nmax_iter = 0\n", None),
-    (VALID_EXPERIMENT + "[projection]\ntol = 0\n", None),
-    (VALID_EXPERIMENT + "[projection]\ntol = -1e-8\n", None),
-    (VALID_EXPERIMENT + "[projection]\ntol = inf\n", None),
-    (VALID_EXPERIMENT + "strid = 5\n", None),
-    (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None),
+     "x0 = 1\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 1\nv2 = 0\n", None, "config error"),
+    (VALID_EXPERIMENT + "[projection]\nmax_iter = 0\n", None,
+     "config error: projection max_iter must be at least 1, got 0"),
+    (VALID_EXPERIMENT + "[projection]\ntol = 0\n", None,
+     "config error: projection tol must be positive and finite, got 0.0"),
+    (VALID_EXPERIMENT + "[projection]\ntol = -1e-8\n", None,
+     "config error: projection tol must be positive and finite, got -1e-08"),
+    (VALID_EXPERIMENT + "[projection]\ntol = inf\n", None,
+     "config error: projection tol must be positive and finite, got inf"),
+    (VALID_EXPERIMENT + "strid = 5\n", None, "config error"),
+    (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None, "config error"),
     # non-finite constants give non-finite targets, which the system's params reject
-    (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None),
-    (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None),
+    (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None, "config error"),
+    (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None, "config error"),
     ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
-     "[constants]\ninertia = inf,2,1\n", None),
-    (None, None),  # the --config file does not exist
-    (VALID_EXPERIMENT, "missing"),  # --out inside a directory that does not exist
+     "[constants]\ninertia = inf,2,1\n", None, "config error"),
+    # the params check the moments before the start's integrals unpack them
+    ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
+     "[constants]\ninertia = 1,2\n", None,
+     "config error: inertia must be three positive principal moments"),
+    (None, None, "config error"),  # the --config file does not exist
+    (VALID_EXPERIMENT, "missing", "config error"),  # --out inside a directory that does not exist
 ], ids=["stride", "gain", "gain_inf", "gain_nan", "initial",
         "initial_beside_paper_default", "initial_unknown_condition", "max_iter", "tol_zero", "tol_negative", "tol_inf",
-        "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf",
+        "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf", "inertia_short",
         "missing_config", "missing_out_dir"])
-def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir):
+def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir, message):
     config_path = tmp_path / "exp.ini"
     if config is not None:
         config_path.write_text(config)
@@ -475,7 +486,98 @@ def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out
     code = main(["run", "--config", str(config_path), "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("tol = 0", "projection tol must be positive and finite, got 0.0"),
+    ("tol = nan", "projection tol must be positive and finite, got nan"),
+    ("max_iter = 0", "projection max_iter must be at least 1, got 0"),
+], ids=["tol_zero", "tol_nan", "max_iter"])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_main_bad_projection_setting_exits_2_with_every_method(tmp_path, capsys, method,
+                                                               setting, message):
+    # ProjectionConfig states the rules; make_advance builds it whatever the method
+    system = "kepler" if method.startswith("stormer_verlet") else "rigid_body"
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\nsystem = {system}\nmethod = {method}\nt_end = 1.0\n"
+                      f"[projection]\n{setting}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class FailingCSV:
+    """A CSV handle that raises ENOSPC, as a full disk does, at write number
+    ``fail_at`` (0 is the header) or, for ``fail_at = "close"``, at close."""
+
+    def __init__(self, path, fail_at):
+        self._file = open(path, "w", newline="")
+        self._fail_at = fail_at
+        self._writes = 0
+
+    def write(self, text):
+        if self._writes == self._fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._writes += 1
+        return self._file.write(text)
+
+    def close(self):
+        self._file.close()
+        if self._fail_at == "close":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _run_into_failing_csv(monkeypatch, capsys, out, fail_at, argv):
+    monkeypatch.setattr("lyapint.cli.open", lambda path, *a, **kw: FailingCSV(path, fail_at),
+                        raising=False)
+    code = main(["run", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and "flushed" not in err
+    return err
+
+
+# Kepler RK4 at h = 0.005 to t = 1 writes the header, then the rows of steps 0..200.
+@pytest.mark.parametrize("fail_at, step", [(0, 0), (1, 0), (51, 50), ("close", 200)],
+                         ids=["header", "first_row", "mid_run_row", "close"])
+def test_main_csv_write_failure_exits_3_with_the_step(tmp_path, monkeypatch, capsys,
+                                                       fail_at, step):
+    out = tmp_path / "full.csv"
+    err = _run_into_failing_csv(monkeypatch, capsys, out, fail_at,
+                                ["--system", "kepler", "--method", "rk4", "--t-end", "1"])
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert f"run aborted at step {step}: {full}\n" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_main_close_failure_after_an_overflow_exits_3_unflushed(tmp_path, monkeypatch, capsys):
+    # the drift of step 7 overflows (`run` exits 3 at step 7, 6 steps flushed);
+    # here the partial CSV then fails to flush
+    out = tmp_path / "full.csv"
+    err = _run_into_failing_csv(monkeypatch, capsys, out, "close",
+                                ["--system", "perturbed_kepler", "--method", "feedback_euler",
+                                 "--h", "0.3", "--t-end", "400"])
+    assert "run aborted at step 7: " in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+@pytest.mark.parametrize("target", ["csv", "stdout"])
+def test_main_run_into_dev_full_exits_3_without_a_traceback(tmp_path, target):
+    # the CSV fails at the write that flushes its first buffer; stdout at the
+    # first summary line, after the run, so that message has no step
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    out = "/dev/full" if target == "csv" else str(tmp_path / "run.csv")
+    with open("/dev/full" if target == "stdout" else os.devnull, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "lyapint.cli", "run", "--system", "kepler",
+                               "--method", "rk4", "--t-end", "1", "--out", out],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "flushed" not in proc.stderr
+    where = r" at step \d+" if target == "csv" else ""
+    assert re.fullmatch(rf"run aborted{where}: \[Errno \d+\] [^\n]+\n", proc.stderr)
 
 
 @pytest.mark.parametrize("system", ["kepler", "perturbed_kepler"])

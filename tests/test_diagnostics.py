@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perihelion_passages, precession_rate
+from conftest import perihelion_passages, precession_rate, state_with_lyapunov
 from lyapint import systems
 from lyapint.diagnostics import (
-    attractor_step_study,
     check_rank_condition,
     gradient_agreement_report,
     orthogonality_report,
     singular_values,
-    state_with_lyapunov,
 )
-from lyapint.errors import BasinViolationError, DomainError, IntegrationError
+from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient
-from lyapint.integrators import euler_step
 from lyapint.kepler import state_at_eccentric_anomaly
 from lyapint.systems import SYSTEM_NAMES, make_system
 
@@ -110,22 +107,14 @@ def test_rank_condition_permutation_invariant(pk_sys, pk_runs):
     assert a.passed == b.passed
 
 
-def test_state_with_lyapunov_hits_target(rigid_sys, kepler_sys):
-    for system, target in ((rigid_sys, 1.0), (kepler_sys, 0.02)):
-        x = state_with_lyapunov(system, target)
-        assert system.lyapunov(x) == pytest.approx(target, rel=1e-8)
-    assert np.array_equal(state_with_lyapunov(rigid_sys, 0.0),
-                          rigid_sys.initial_state)
-
-
 def test_attractor_plateaus_shrink_with_step(rigid_plateaus):
-    values = rigid_plateaus.euler.plateau_values
+    values = rigid_plateaus.euler
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] <= values[0] / 4.0
 
 
 def test_attractor_rk4_plateau_below_euler(rigid_plateaus):
-    assert rigid_plateaus.rk4.plateau_values[0] <= rigid_plateaus.euler.plateau_values[2]
+    assert rigid_plateaus.rk4 <= rigid_plateaus.euler[2]
 
 
 @pytest.mark.xfail(
@@ -134,30 +123,6 @@ def test_attractor_rk4_plateau_below_euler(rigid_plateaus):
     strict=False)
 def test_attractor_zero_start_stays_at_truncation_floor(rigid_feedback_50):
     assert rigid_feedback_50.v_window_max[20.0] <= 1e-10
-
-
-def test_attractor_study_validation(rigid_sys):
-    with pytest.raises(ValueError):
-        attractor_step_study(rigid_sys, euler_step, (1e-4, 2e-4), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        attractor_step_study(rigid_sys, euler_step, (2e-4, 1e-4), 100.0, 1.0)
-
-
-def test_attractor_study_reports_basin_escape(rigid_sys):
-    # far beyond the Euler stability limit the trajectory leaves the basin
-    with pytest.raises(BasinViolationError) as info:
-        attractor_step_study(rigid_sys, euler_step, (0.05,), 1.0, 5.0)
-    assert info.value.h == 0.05
-    assert info.value.value > rigid_sys.gain_bound
-
-
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_attractor_study_numbers_a_float_overflow(pk_sys):
-    # perturbed Kepler has no basin bound; far beyond its stability limit the
-    # float kernels overflow, which must surface with the failing step
-    with pytest.raises(IntegrationError) as info:
-        attractor_step_study(pk_sys, euler_step, (0.3,), 0.0, 300.0)
-    assert info.value.step is not None and info.value.step >= 1
 
 
 def test_orthogonality_report_passes(rigid_sys, kepler_sys, pk_sys):
@@ -253,6 +218,8 @@ def test_gradient_agreement_report_passes(rigid_sys, kepler_sys, pk_sys):
         assert report.passed, report
 
 
+# -- the test suite's helpers in conftest ------------------------------------
+
 def test_perihelion_passages_on_synthetic_ellipse(kepler_sys):
     # sample the closed benchmark orbit over three periods; passages must
     # come out near multiples of the period with a fixed apse angle
@@ -273,3 +240,12 @@ def test_perihelion_passages_on_synthetic_ellipse(kepler_sys):
         assert t == pytest.approx((i + 1) * kepler_sys.period, abs=0.05)
     rate = precession_rate(np.array(times), np.array(states))
     assert abs(rate) <= 1e-3
+
+
+
+def test_state_with_lyapunov_hits_target(rigid_sys, kepler_sys):
+    for system, target in ((rigid_sys, 1.0), (kepler_sys, 0.02)):
+        x = state_with_lyapunov(system, target)
+        assert system.lyapunov(x) == pytest.approx(target, rel=1e-8)
+    assert np.array_equal(state_with_lyapunov(rigid_sys, 0.0),
+                          rigid_sys.initial_state)

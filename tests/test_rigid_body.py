@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, global_order_ratio, pack, stacked, unpack
+from conftest import (central_difference_gradient, global_order_ratio, pack, stacked,
+                      state_with_lyapunov, unpack)
 from lyapint import rigid_body
 from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
@@ -411,8 +412,6 @@ def test_reference_flow_conserves_integrals(rigid_ref_period):
 
 
 def test_feedback_attracts_from_unit_level(rigid_sys):
-    from lyapint.diagnostics import state_with_lyapunov
-
     x = state_with_lyapunov(rigid_sys, 1.0)
     assert rigid_sys.lyapunov(x) == pytest.approx(1.0, abs=1e-9)
     reached = None
