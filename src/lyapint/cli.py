@@ -245,11 +245,8 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
 
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
-    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats.
-
-    The projection settings are checked whatever the method, so a bad ``tol``
-    or ``max_iter`` is a ConfigError before any output with every method.
-    """
+    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats."""
+    # ProjectionConfig checks tol and max_iter with every method, before any output
     tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
     try:
         pcfg = ProjectionConfig(constraint=system.integral_map, target=system.params.f0,
@@ -355,11 +352,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         step = n_steps
         handle.close()
     except OSError as exc:
-        if getattr(exc, "step", None) is None:
-            exc.step = step
-        with contextlib.suppress(OSError):  # its flush fails again; the file still closes
-            handle.close()
+        exc.step = getattr(exc, "step", step)
         raise
+    finally:  # closes the CSV on every exit; after a failed write, its flush fails again
+        with contextlib.suppress(OSError):
+            handle.close()
     return summary(n_steps)
 
 
@@ -585,6 +582,8 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, IntegrationError, ProjectionError, RankError, OSError) as exc:
         step = getattr(exc, "step", None)
+        if step is None and isinstance(exc, OSError):
+            raise  # not the run's CSV (stdout, say): no exit code is chosen for it yet
         where = f" at step {step}" if step is not None else ""
         print(f"run aborted{where}: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial_summary", None)

@@ -562,22 +562,39 @@ def test_main_close_failure_after_an_overflow_exits_3_unflushed(tmp_path, monkey
     assert "run aborted at step 7: " in err
 
 
+def test_run_experiment_closes_the_csv_on_any_exception(tmp_path, monkeypatch):
+    # an exception that is neither a run failure nor an OSError still closes the file
+    handles = []
+
+    def open_and_keep(path, *args, **kwargs):
+        handles.append(open(path, *args, **kwargs))
+        return handles[-1]
+
+    def interrupt(advance, x0, h, n_steps, observe):
+        observe(0, x0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("lyapint.cli.open", open_and_keep, raising=False)
+    monkeypatch.setattr("lyapint.cli.integrate", interrupt)
+    out = tmp_path / "interrupted.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(ExperimentConfig(system="kepler", method="rk4", t_end=1.0,
+                                        output_path=str(out)))
+    assert handles[0].closed
+    assert len(out.read_text().splitlines()) == 2  # the header and the start row
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
-@pytest.mark.parametrize("target", ["csv", "stdout"])
-def test_main_run_into_dev_full_exits_3_without_a_traceback(tmp_path, target):
-    # the CSV fails at the write that flushes its first buffer; stdout at the
-    # first summary line, after the run, so that message has no step
+def test_main_run_into_dev_full_exits_3_without_a_traceback():
+    # the CSV fails at the write that flushes its first buffer
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    out = "/dev/full" if target == "csv" else str(tmp_path / "run.csv")
-    with open("/dev/full" if target == "stdout" else os.devnull, "w") as stdout:
-        proc = subprocess.run([sys.executable, "-m", "lyapint.cli", "run", "--system", "kepler",
-                               "--method", "rk4", "--t-end", "1", "--out", out],
-                              env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
-                              stderr=subprocess.PIPE, text=True)
+    proc = subprocess.run([sys.executable, "-m", "lyapint.cli", "run", "--system", "kepler",
+                           "--method", "rk4", "--t-end", "1", "--out", "/dev/full"],
+                          env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr and "flushed" not in proc.stderr
-    where = r" at step \d+" if target == "csv" else ""
-    assert re.fullmatch(rf"run aborted{where}: \[Errno \d+\] [^\n]+\n", proc.stderr)
+    assert re.fullmatch(r"run aborted at step \d+: \[Errno \d+\] [^\n]+\n", proc.stderr)
 
 
 @pytest.mark.parametrize("system", ["kepler", "perturbed_kepler"])
