@@ -12,7 +12,7 @@ CSV schema per system: ``t, <state components...>, V, <drift metrics...>``
 with one header row, '.' decimal separator and 17 significant digits so the
 doubles round-trip exactly. Exit codes: 0 success, 2 configuration error,
 3 domain violation, scheme failure or arithmetic overflow mid-run, or a
-failed CSV write, 4 validator failure.
+failed write of the CSV or of stdout, 4 validator failure.
 """
 
 import argparse
@@ -244,8 +244,44 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         raise ConfigError(f"{type(exc).__name__} at the initial state: {exc}") from exc
 
 
-def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
-    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats."""
+class FirstStage:
+    """A run's feedback field at the state its next step starts from.
+
+    ``evaluate(x)`` gives x's drift row from ``system.field_and_drift`` and
+    keeps the field. If that evaluation overflows, divides by zero or leaves
+    the domain, it gives None and keeps nothing, so that ``drift_metrics``
+    and ``modified_field`` raise the failure where they would. ``field``,
+    the field a feedback method steps (``make_advance`` sets ``used``),
+    gives the kept field at the kept state and ``modified_field`` elsewhere.
+    """
+
+    __slots__ = ("system", "state", "value", "used")
+
+    def __init__(self, system: SystemModel):
+        self.system = system
+        self.state = self.value = None
+        self.used = False
+
+    def evaluate(self, x):
+        try:
+            self.value, row = self.system.field_and_drift(x)
+        except (ArithmeticError, DomainError):
+            self.state = None
+            return None
+        self.state = x
+        return row
+
+    def field(self, y):
+        return self.value if y is self.state else self.system.modified_field(y)
+
+
+def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
+                 first_stage: Optional[FirstStage] = None):
+    """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats.
+
+    The feedback methods step ``first_stage.field`` if a ``FirstStage`` is
+    given, and mark it used; otherwise ``system.modified_field``.
+    """
     # ProjectionConfig checks tol and max_iter with every method, before any output
     tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
     try:
@@ -253,10 +289,13 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig):
                                 tol=tol, max_iter=cfg.projection_max_iter)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if method == "feedback_euler":
-        return lambda x, h: euler_step(system.modified_field, x, h)
-    if method == "feedback_rk4":
-        return lambda x, h: rk4_step(system.modified_field, x, h)
+    if method in ("feedback_euler", "feedback_rk4"):
+        scheme = euler_step if method == "feedback_euler" else rk4_step
+        feedback_field = system.modified_field
+        if first_stage is not None:
+            first_stage.used = True
+            feedback_field = first_stage.field
+        return lambda x, h: scheme(feedback_field, x, h)
     if method == "euler":
         return lambda x, h: euler_step(system.field, x, h)
     if method == "rk4":
@@ -294,25 +333,34 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Integrate one configured cell, stream the CSV trace, return the summary.
 
     Drift maxima are tracked at full step resolution regardless of the output
-    stride; only the rows that are written are formatted. A mid-run failure
-    (``integrate`` numbers the step and turns float overflow or division by
-    zero into IntegrationError) flushes the partial CSV before the error
-    propagates with a partial summary attached. An OSError of the CSV handle
+    stride; only the rows that are written are formatted. A feedback
+    method's state x_k gets its drift row from the evaluation of its field
+    that starts step k + 1 (``FirstStage``), and the final state from one
+    ``drift_metrics`` call; the other methods call ``drift_metrics`` at
+    every state. If that evaluation raises, x_k takes the other methods'
+    path: ``drift_metrics(x_k)`` fails as step k, and a field that fails
+    fails in step k + 1, as they would without it.
+
+    A mid-run failure (``integrate`` numbers the step and turns float
+    overflow or division by zero into IntegrationError) flushes the partial
+    CSV before the error propagates with a partial summary attached. An OSError of the CSV handle
     (a write, or the flush at close) propagates with the step being written:
     0 for the header and the start row, the number of steps for the close.
     """
     cfg = cfg.validated()
     system = build_system(cfg)
-    advance = make_advance(system, cfg.method, cfg)
+    first_stage = FirstStage(system)
+    advance = make_advance(system, cfg.method, cfg, first_stage)
     n_steps = steps_for(cfg.t_end, cfg.h)
     stride = cfg.sample_stride
 
-    maxima: dict = {}
-    final_metrics: dict = {}
+    names = system.drift_names
+    # -1.0 until a column's first value; a NaN sets nothing, as the
+    # comparison with it is false
+    maxima = [-1.0] * len(names)
+    last_row = ()
     started = time.perf_counter()
-    drift_cols = [name for name in system.drift_names if name != "V"]
-    header = ["t", *system.state_names, "V", *drift_cols]
-    metric_cols = ("V", *drift_cols)
+    header = ["t", *system.state_names, *names]
     # one %-operation per row; "%.17g" writes the same text as format(v, ".17g")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
@@ -321,19 +369,28 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output_path!r}: {exc}") from exc
 
+    fused, evaluate, drift_metrics = first_stage.used, first_stage.evaluate, system.drift_metrics
+
     def observe(k, x):
-        nonlocal final_metrics
-        final_metrics = metrics = system.drift_metrics(x)
-        for key, value in metrics.items():
-            if maxima.get(key, -1.0) < value:
-                maxima[key] = value
+        nonlocal last_row
+        row = evaluate(x) if fused and k < n_steps else None
+        if row is None:
+            row = drift_metrics(x)
+        last_row = row
+        i = 0
+        for value in row:
+            if maxima[i] < value:
+                maxima[i] = value
+            i += 1
         if k % stride == 0 or k == n_steps:
-            handle.write(row_format % (k * cfg.h, *x, *[metrics[c] for c in metric_cols]))
+            handle.write(row_format % (k * cfg.h, *x, *row))
 
     def summary(steps_taken):
+        # V is the CSV's first drift column and the summary's last
         return RunSummary(
-            max_drift=dict(maxima),
-            final_v=final_metrics["V"],
+            max_drift={names[i]: maxima[i] for i in (*range(1, len(names)), 0)
+                       if maxima[i] != -1.0},
+            final_v=last_row[0],
             wall_time=time.perf_counter() - started,
             steps_taken=steps_taken,
             output_path=cfg.output_path,
@@ -569,21 +626,27 @@ def main(argv=None) -> int:
                 print(f"max_{key} = {value:.17g}")
             print(f"wall_time_s = {summary.wall_time:.3f}")
             print(f"csv = {summary.output_path}")
-            return 0
-        if args.command == "figure":
+            code = 0
+        elif args.command == "figure":
             paths = replicate_figure(args.id, args.scale, args.out_dir)
             for method, path in paths.items():
                 print(f"{method}: {path}")
-            return 0
-        if args.command == "check":
-            return check_system(args.system)
+            code = 0
+        else:
+            code = check_system(args.system)
+        sys.stdout.flush()  # a stdout that cannot be written fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, IntegrationError, ProjectionError, RankError, OSError) as exc:
         step = getattr(exc, "step", None)
         if step is None and isinstance(exc, OSError):
-            raise  # not the run's CSV (stdout, say): no exit code is chosen for it yet
+            # the CSV's OSErrors carry the step being written, and an unreadable
+            # config is a ConfigError: this one is stdout's
+            print(f"cannot write stdout: {exc}", file=sys.stderr)
+            sys.stdout = None  # what it still buffers would fail again at exit
+            return 3
         where = f" at step {step}" if step is not None else ""
         print(f"run aborted{where}: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial_summary", None)
@@ -591,7 +654,6 @@ def main(argv=None) -> int:
             print(f"partial CSV flushed to {partial.output_path} "
                   f"({partial.steps_taken} completed steps)", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

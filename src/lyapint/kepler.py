@@ -27,7 +27,7 @@ BENCHMARK_STEP = 0.005
 
 GAIN_NAMES = ("k1", "k2")
 CONSTANTS = ("mu",)
-DRIFT_NAMES = ("dL", "dA", "dE", "V")
+DRIFT_NAMES = ("V", "dL", "dA", "dE")
 PROJECTION_TOL = 0.005
 
 
@@ -118,30 +118,36 @@ def lyapunov(p: KeplerParams, s) -> float:
     return lyapunov_value(p.K, p.f0, invariant_components(p.mu, s))
 
 
-def drift_metrics(p: KeplerParams, s0):
-    """``drift(s)``: |L - L(s0)|, |A - A(s0)|, |E - E(s0)| and V at a state,
-    from one ``invariant_components`` call on its floats."""
-    mu, K, f0 = p.mu, p.K, p.f0
-    L0x, L0y, L0z, A0x, A0y, A0z, E0 = invariant_components(mu, s0)
+def drift_from_values(p: KeplerParams, s0):
+    """``drift(values)``: V, |L - L(s0)|, |A - A(s0)| and |E - E(s0)|, the
+    ``DRIFT_NAMES`` columns, from the integrals (L, A, E) at a state as
+    ``invariant_components`` gives them."""
+    K, f0 = p.K, p.f0
+    L0x, L0y, L0z, A0x, A0y, A0z, E0 = invariant_components(p.mu, s0)
 
-    def drift(s):
-        integrals = invariant_components(mu, s)
-        l0, l1, l2, a0, a1, a2, E = integrals
+    def drift(values):
+        l0, l1, l2, a0, a1, a2, E = values
         u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
         w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
-        return {
-            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "dA": math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
-            "dE": abs(E - E0),
-            "V": lyapunov_value(K, f0, integrals),
-        }
+        return (lyapunov_value(K, f0, values),
+                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+                math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
+                abs(E - E0))
 
     return drift
 
 
-def _field_and_gradient(p: KeplerParams, v) -> tuple:
-    """State, the factor c = -mu/|x|^3 of the field, and grad V at the state
-    components v, as 13 components.
+def drift_metrics(p: KeplerParams, s0):
+    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
+    its ``invariant_components``."""
+    drift, mu = drift_from_values(p, s0), p.mu
+    return lambda s: drift(invariant_components(mu, s))
+
+
+def _feedback(p: KeplerParams, v) -> tuple:
+    """The feedback field X - grad V and grad V at the state components v,
+    as 6 components each, and the integrals (L, A, E) there, as
+    ``invariant_components`` gives them.
 
     With dL = L - L0 and dA = A - A0, the closed form of grad V is
 
@@ -150,10 +156,11 @@ def _field_and_gradient(p: KeplerParams, v) -> tuple:
 
     where v x (dA x v) and x x (v x dA) are expanded by the BAC-CAB rule.
     ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. L and A repeat
+    and ``jacobian``, is the oracle it is checked against. L, A and E repeat
     the expressions of ``invariant_components`` inline (a shared helper
     returning them made this kernel about 1.5 us, some 40%, slower per
-    call), so dL and dA are exactly zero at the state the targets came from.
+    call), so they are its values bit for bit, and dL and dA are exactly
+    zero at the state the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r2 = x0 * x0 + x1 * x1 + x2 * x2
@@ -163,11 +170,12 @@ def _field_and_gradient(p: KeplerParams, v) -> tuple:
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
+    a0 = v1 * l2 - v2 * l1 - m * x0
+    a1 = v2 * l0 - v0 * l2 - m * x1
+    a2 = v0 * l1 - v1 * l0 - m * x2
     t = p.f0
     d0, d1, d2 = l0 - t[0], l1 - t[1], l2 - t[2]
-    e0 = v1 * l2 - v2 * l1 - m * x0 - t[3]
-    e1 = v2 * l0 - v0 * l2 - m * x1 - t[4]
-    e2 = v0 * l1 - v1 * l0 - m * x2 - t[5]
+    e0, e1, e2 = a0 - t[3], a1 - t[4], a2 - t[5]
     k1, k2 = p.k1, p.k2
     vv = v0 * v0 + v1 * v1 + v2 * v2
     xe = x0 * e0 + x1 * e1 + x2 * e2
@@ -175,26 +183,34 @@ def _field_and_gradient(p: KeplerParams, v) -> tuple:
     xv = x0 * v0 + x1 * v1 + x2 * v2
     a = vv - m
     q = m3 * xe
-    return (
-        x0, x1, x2, v0, v1, v2, -m3,
-        k1 * (v1 * d2 - v2 * d1) + k2 * (a * e0 - ve * v0 + q * x0),
-        k1 * (v2 * d0 - v0 * d2) + k2 * (a * e1 - ve * v1 + q * x1),
-        k1 * (v0 * d1 - v1 * d0) + k2 * (a * e2 - ve * v2 + q * x2),
-        k1 * (d1 * x2 - d2 * x1) + k2 * (l1 * e2 - l2 * e1 + xe * v0 - xv * e0),
-        k1 * (d2 * x0 - d0 * x2) + k2 * (l2 * e0 - l0 * e2 + xe * v1 - xv * e1),
-        k1 * (d0 * x1 - d1 * x0) + k2 * (l0 * e1 - l1 * e0 + xe * v2 - xv * e2),
-    )
+    g0 = k1 * (v1 * d2 - v2 * d1) + k2 * (a * e0 - ve * v0 + q * x0)
+    g1 = k1 * (v2 * d0 - v0 * d2) + k2 * (a * e1 - ve * v1 + q * x1)
+    g2 = k1 * (v0 * d1 - v1 * d0) + k2 * (a * e2 - ve * v2 + q * x2)
+    g3 = k1 * (d1 * x2 - d2 * x1) + k2 * (l1 * e2 - l2 * e1 + xe * v0 - xv * e0)
+    g4 = k1 * (d2 * x0 - d0 * x2) + k2 * (l2 * e0 - l0 * e2 + xe * v1 - xv * e1)
+    g5 = k1 * (d0 * x1 - d1 * x0) + k2 * (l0 * e1 - l1 * e0 + xe * v2 - xv * e2)
+    c = -m3  # the field's factor, as in ``field``: v' = c x
+    return ((v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5),
+            (g0, g1, g2, g3, g4, g5),
+            (l0, l1, l2, a0, a1, a2, 0.5 * vv - m))
 
 
 def lyapunov_gradient(p: KeplerParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_field_and_gradient``)."""
-    return _field_and_gradient(p, v)[7:]
+    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
+    return _feedback(p, v)[1]
+
+
+def modified_field_and_values(p: KeplerParams, v) -> tuple:
+    """The feedback field at the state components v and the integrals
+    (L, A, E) there, ``modified_field`` and ``invariant_components`` bit for
+    bit from one evaluation."""
+    field, _, values = _feedback(p, v)
+    return field, values
 
 
 def modified_field(p: KeplerParams, v) -> tuple:
     """Feedback dynamics: original field minus the Lyapunov gradient."""
-    x0, x1, x2, v0, v1, v2, c, g0, g1, g2, g3, g4, g5 = _field_and_gradient(p, v)
-    return v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5
+    return _feedback(p, v)[0]
 
 
 def gain_bound(p: KeplerParams) -> float:

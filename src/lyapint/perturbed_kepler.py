@@ -39,7 +39,7 @@ BENCHMARK_STEP = 0.03
 
 GAIN_NAMES = ("k1", "k2")
 CONSTANTS = ("mu", "delta", "eccentricity")
-DRIFT_NAMES = ("dE", "dL", "V")
+DRIFT_NAMES = ("V", "dE", "dL")
 PROJECTION_TOL = 1e-8
 
 # Residual threshold for declaring the circular-orbit equations incompatible,
@@ -169,23 +169,28 @@ def lyapunov(p: PerturbedKeplerParams, s) -> float:
     return lyapunov_value(p.K, p.f0, invariant_components(p, s))
 
 
-def drift_metrics(p: PerturbedKeplerParams, s0):
-    """``drift(s)``: |E - E(s0)|, |L - L(s0)| and V at a state, from one
-    ``invariant_components`` call on its floats."""
+def drift_from_values(p: PerturbedKeplerParams, s0):
+    """``drift(values)``: V, |E - E(s0)| and |L - L(s0)|, the
+    ``DRIFT_NAMES`` columns, from the integrals (E, L) at a state as
+    ``invariant_components`` gives them."""
     K, f0 = p.K, p.f0
     E_start, L0x, L0y, L0z = invariant_components(p, s0)
 
-    def drift(s):
-        integrals = invariant_components(p, s)
-        E, l0, l1, l2 = integrals
+    def drift(values):
+        E, l0, l1, l2 = values
         u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
-        return {
-            "dE": abs(E - E_start),
-            "dL": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "V": lyapunov_value(K, f0, integrals),
-        }
+        return (lyapunov_value(K, f0, values),
+                abs(E - E_start),
+                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2))
 
     return drift
+
+
+def drift_metrics(p: PerturbedKeplerParams, s0):
+    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
+    its ``invariant_components``."""
+    drift = drift_from_values(p, s0)
+    return lambda s: drift(invariant_components(p, s))
 
 
 def period(p: PerturbedKeplerParams) -> float:
@@ -201,25 +206,29 @@ def gain_bound(p: PerturbedKeplerParams) -> float:
     return math.inf
 
 
-def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v, as 6 components:
+def _gradient_and_values(p: PerturbedKeplerParams, v) -> tuple:
+    """grad V at the state components v, as 6 components, and the integrals
+    (E, L) there:
 
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
     grad_v = k1 dE v + k2 dL x x
 
     ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
     and ``jacobian``, is the oracle it is checked against. E and L repeat
-    the expressions of ``invariant_components`` inline, so the gradient is
-    exactly zero at the state the targets came from.
+    the expressions of ``invariant_components`` inline, so they are its
+    values bit for bit where E is finite (this kernel does not check it),
+    and the gradient is exactly zero at the state the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     E0, t0, t1, t2 = p.f0
-    e = p.k1 * (0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(u, p, r) - E0)
+    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(u, p, r)
+    l0 = x1 * v2 - x2 * v1
+    l1 = x2 * v0 - x0 * v2
+    l2 = x0 * v1 - x1 * v0
+    e = p.k1 * (E - E0)
     c = e * _radial(u_prime, p, r) / r
-    d0 = x1 * v2 - x2 * v1 - t0
-    d1 = x2 * v0 - x0 * v2 - t1
-    d2 = x0 * v1 - x1 * v0 - t2
+    d0, d1, d2 = l0 - t0, l1 - t1, l2 - t2
     k2 = p.k2
     return (
         c * x0 + k2 * (v1 * d2 - v2 * d1),
@@ -228,18 +237,33 @@ def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
         e * v0 + k2 * (d1 * x2 - d2 * x1),
         e * v1 + k2 * (d2 * x0 - d0 * x2),
         e * v2 + k2 * (d0 * x1 - d1 * x0),
-    )
+    ), (E, l0, l1, l2)
 
 
-# accel and modified_field call the kernels by these names, so that wrapping
-# the public ones in place (as perfbench/tracer.py does) counts only outside calls
-_field, _gradient = field, lyapunov_gradient
+def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
+    """Closed-form gradient of V at the state components v (see ``_gradient_and_values``)."""
+    return _gradient_and_values(p, v)[0]
+
+
+# accel and the feedback kernels call field by this name, so that wrapping
+# the public one in place (as perfbench/tracer.py does) counts only outside calls
+_field = field
+
+
+def modified_field_and_values(p: PerturbedKeplerParams, v) -> tuple:
+    """The feedback field at a state's floats v and the integrals (E, L)
+    there, ``modified_field`` and ``invariant_components`` bit for bit from
+    one evaluation of them; raises where either raises."""
+    gradient, values = _gradient_and_values(p, v)
+    if not math.isfinite(values[0]):
+        values = invariant_components(p, v)  # raises its DomainError
+    return tuple(map(operator.sub, _field(p, v), gradient)), values
 
 
 def modified_field(p: PerturbedKeplerParams, v) -> tuple:
     """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
     to the difference of ``field`` and ``lyapunov_gradient``."""
-    return tuple(map(operator.sub, _field(p, v), _gradient(p, v)))
+    return tuple(map(operator.sub, _field(p, v), _gradient_and_values(p, v)[0]))
 
 
 def accel(p: PerturbedKeplerParams, q) -> tuple:

@@ -41,7 +41,7 @@ BENCHMARK_STEP = 1e-4
 
 GAIN_NAMES = ("k0", "k1", "k2")
 CONSTANTS = ("inertia",)
-DRIFT_NAMES = ("dE", "dPi", "so3dev", "V")
+DRIFT_NAMES = ("V", "dE", "dPi", "so3dev")
 PROJECTION_TOL = 1e-4
 
 
@@ -142,16 +142,18 @@ def field(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v, as 12 components:
+def _gradient_and_values(p: RigidBodyParams, v) -> tuple:
+    """grad V at the state components v, as 12 components, and the 13
+    ``_integral_values`` there:
 
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
     grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
 
     ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. E, pi and the
-    defect repeat the expressions of ``invariant_components`` inline, so the
-    gradient is exactly zero at the state the targets came from.
+    and ``jacobian``, is the oracle it is checked against. The defect, E
+    and pi repeat the expressions of ``_integral_values`` inline, so they are
+    its values bit for bit, and the gradient is exactly zero at the state the
+    targets came from.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
     i0, i1, i2 = p.inertia
@@ -163,11 +165,15 @@ def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
     d01 = r00 * r01 + r10 * r11 + r20 * r21
     d02 = r00 * r02 + r10 * r12 + r20 * r22
     d12 = r01 * r02 + r11 * r12 + r21 * r22
+    E = 0.5 * (w0 * m0 + w1 * m1 + w2 * m2)
+    pi0 = r00 * m0 + r01 * m1 + r02 * m2
+    pi1 = r10 * m0 + r11 * m1 + r12 * m2
+    pi2 = r20 * m0 + r21 * m1 + r22 * m2
     k0, k2 = p.k0, p.k2
-    e = p.k1 * (0.5 * (w0 * m0 + w1 * m1 + w2 * m2) - E0)
-    q0 = k2 * (r00 * m0 + r01 * m1 + r02 * m2 - t0)
-    q1 = k2 * (r10 * m0 + r11 * m1 + r12 * m2 - t1)
-    q2 = k2 * (r20 * m0 + r21 * m1 + r22 * m2 - t2)
+    e = p.k1 * (E - E0)
+    q0 = k2 * (pi0 - t0)
+    q1 = k2 * (pi1 - t1)
+    q2 = k2 * (pi2 - t2)
     return (
         k0 * (r00 * d00 + r01 * d01 + r02 * d02) + q0 * m0,
         k0 * (r00 * d01 + r01 * d11 + r02 * d12) + q0 * m1,
@@ -181,7 +187,12 @@ def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
         e * m0 + i0 * (r00 * q0 + r10 * q1 + r20 * q2),
         e * m1 + i1 * (r01 * q0 + r11 * q1 + r21 * q2),
         e * m2 + i2 * (r02 * q0 + r12 * q1 + r22 * q2),
-    )
+    ), (d00, d01, d02, d01, d11, d12, d02, d12, d22, E, pi0, pi1, pi2)
+
+
+def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
+    """Closed-form gradient of V at the state components v (see ``_gradient_and_values``)."""
+    return _gradient_and_values(p, v)[0]
 
 
 def lyapunov(p: RigidBodyParams, s) -> float:
@@ -189,35 +200,47 @@ def lyapunov(p: RigidBodyParams, s) -> float:
     return lyapunov_value(p.K, p.f0, _integral_values(p.inertia, s))
 
 
-def drift_metrics(p: RigidBodyParams, s0):
-    """``drift(s)``: |E - E(s0)|, |pi - pi(s0)|, ||R^T R - I|| and V at a
-    state, from one ``_integral_values`` call on its floats."""
-    inertia, K, f0 = p.inertia, p.K, p.f0
-    E_start, p0, p1, p2, _ = invariant_components(inertia, s0)
+def drift_from_values(p: RigidBodyParams, s0):
+    """``drift(values)``: V, |E - E(s0)|, |pi - pi(s0)| and ||R^T R - I||,
+    the ``DRIFT_NAMES`` columns, from the 13 ``_integral_values`` at a state."""
+    K, f0 = p.K, p.f0
+    E_start, p0, p1, p2, _ = invariant_components(p.inertia, s0)
 
-    def drift(s):
-        values = _integral_values(inertia, s)
+    def drift(values):
         E, q0, q1, q2, defect_sq = _integrals_of(values)
         u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
-        return {
-            "dE": abs(E - E_start),
-            "dPi": math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-            "so3dev": math.sqrt(defect_sq),
-            "V": lyapunov_value(K, f0, values),
-        }
+        return (lyapunov_value(K, f0, values),
+                abs(E - E_start),
+                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+                math.sqrt(defect_sq))
 
     return drift
 
 
-# modified_field calls the kernels by these names, so that wrapping the
-# public ones in place (as perfbench/tracer.py does) counts only outside calls
-_field, _gradient = field, lyapunov_gradient
+def drift_metrics(p: RigidBodyParams, s0):
+    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
+    its ``_integral_values``."""
+    drift, inertia = drift_from_values(p, s0), p.inertia
+    return lambda s: drift(_integral_values(inertia, s))
+
+
+# the kernels below call field by this name, so that wrapping the public one
+# in place (as perfbench/tracer.py does) counts only outside calls
+_field = field
+
+
+def modified_field_and_values(p: RigidBodyParams, v) -> tuple:
+    """The feedback field at the state components v and the 13
+    ``_integral_values`` there, from one evaluation of them; the field is
+    bit-identical to the difference of ``field`` and ``lyapunov_gradient``."""
+    gradient, values = _gradient_and_values(p, v)
+    return tuple(map(operator.sub, _field(p, v), gradient)), values
 
 
 def modified_field(p: RigidBodyParams, v) -> tuple:
     """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
     to the difference of ``field`` and ``lyapunov_gradient``."""
-    return tuple(map(operator.sub, _field(p, v), _gradient(p, v)))
+    return tuple(map(operator.sub, _field(p, v), _gradient_and_values(p, v)[0]))
 
 
 def gain_bound(p: RigidBodyParams) -> float:

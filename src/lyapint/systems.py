@@ -22,7 +22,8 @@ if TYPE_CHECKING:
 
 # Each module states its system once: ``setup``, whose params hold and check
 # the constants, the gain diagonal ``K`` and the targets ``f0``, the kernels,
-# ``drift_metrics``, ``period``, ``gain_bound`` and the names ``make_system`` reads.
+# ``drift_from_values`` and ``drift_metrics``, ``period``, ``gain_bound`` and
+# the names ``make_system`` reads.
 MODULES = {"rigid_body": rigid_body, "kepler": kepler, "perturbed_kepler": perturbed_kepler}
 SYSTEM_NAMES = tuple(MODULES)
 
@@ -45,6 +46,14 @@ class SystemModel:
     ``params`` states the system's constants, gain diagonal ``params.K`` and
     targets ``params.f0 = f(x0)`` once; V, the oracle and the projection read them.
 
+    ``drift_metrics(s)`` gives the drift columns at a state, a tuple of
+    floats named by ``drift_names`` (V first, as in the CSV), against the
+    integrals of ``initial_state``. ``field_and_drift(s)`` gives
+    ``(modified_field(s), drift_metrics(s))`` bit for bit from one
+    evaluation of the state's integrals, or raises where either raises;
+    a run's feedback step takes its first stage from it (see
+    ``cli.run_experiment``).
+
     ``sampler(draw)`` is the system's one sampler kernel. It returns a state
     as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard
     uniforms in ``[0, 1)`` as Python floats. ``sample_state(rng)`` draws
@@ -66,7 +75,8 @@ class SystemModel:
     initial_state: tuple
     state_names: tuple
     drift_names: tuple
-    drift_metrics: Callable[[tuple], dict]
+    drift_metrics: Callable[[tuple], tuple]
+    field_and_drift: Callable[[tuple], tuple]
     sampler: Callable[[Callable[[int], list]], tuple]
     gain_bound: float
     period: float
@@ -173,6 +183,12 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
     p, s0 = m.setup(initial_state,
                     tuple(gains.get(k, d) for k, d in zip(m.GAIN_NAMES, m.BENCHMARK_GAINS)),
                     **constants)
+    drift = m.drift_from_values(p, s0)
+
+    def field_and_drift(s):
+        field, values = m.modified_field_and_values(p, s)
+        return field, drift(values)
+
     # each call looks up the module function, so wrapping it in place
     # (as perfbench/tracer.py does) sees every call
     return SystemModel(
@@ -188,6 +204,7 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
         state_names=m.STATE_NAMES,
         drift_names=m.DRIFT_NAMES,
         drift_metrics=m.drift_metrics(p, s0),
+        field_and_drift=field_and_drift,
         sampler=_SAMPLERS[name],
         gain_bound=m.gain_bound(p),
         period=m.period(p),

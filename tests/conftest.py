@@ -44,7 +44,7 @@ def run_with_metrics(system, advance, h, t_end, state_stride=0,
         nonlocal v_prev, worst_rise
         if k == 0:  # the start state is recorded above; maxima cover steps 1..n
             return
-        m = system.drift_metrics(x)
+        m = drift_by_name(system, x)
         for key, value in m.items():
             if maxima.get(key, -1.0) < value:
                 maxima[key] = value
@@ -74,6 +74,11 @@ def run_with_metrics(system, advance, h, t_end, state_stride=0,
         n_steps=n,
         wall_time=time.perf_counter() - started,
     )
+
+
+def drift_by_name(system, x) -> dict:
+    """``system.drift_metrics(x)`` keyed by the column names."""
+    return dict(zip(system.drift_names, system.drift_metrics(x), strict=True))
 
 
 def state_with_lyapunov(system, v_target: float, seed: int = 0) -> tuple:

@@ -597,6 +597,93 @@ def test_main_run_into_dev_full_exits_3_without_a_traceback():
     assert re.fullmatch(r"run aborted at step \d+: \[Errno \d+\] [^\n]+\n", proc.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["run", "--system", "kepler", "--method", "rk4", "--t-end", "1", "--out", "run.csv"],
+    ["check", "--system", "perturbed_kepler"],
+], ids=["run", "check"])
+def test_main_stdout_into_dev_full_exits_3_without_a_traceback(tmp_path, argv):
+    # stdout block-buffered, as in a shell: the summary fits in its buffer, so
+    # the write fails at main's flush; the interpreter's own flush must not fail again
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lyapint.cli", *argv], env=env,
+                              cwd=tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 3
+    assert re.fullmatch(r"cannot write stdout: \[Errno \d+\] [^\n]+\n", proc.stderr)
+    if argv[0] == "run":  # the CSV is whole: the header and the rows of steps 0..200
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 202
+
+
+@pytest.mark.parametrize("method", ["feedback_euler", "feedback_rk4"])
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_feedback_rows_are_the_drift_metrics_of_their_states(tmp_path, capsys, name, method):
+    # a feedback run takes each state's drift row from the evaluation of the
+    # field that steps it; drift_metrics, the composition of the system's
+    # values and drift functions, is the oracle, bit for bit
+    out = tmp_path / "fused.csv"
+    h = MODULES[name].BENCHMARK_STEP
+    assert main(["run", "--system", name, "--method", method, "--h", repr(h),
+                 "--t-end", repr(40.5 * h), "--out", str(out)]) == 0
+    system = make_system(name)
+    header, rows = read_csv(out)
+    first = 1 + system.dim  # t and the state come first
+    assert header[first:] == list(system.drift_names)
+    assert len(rows) == 41
+    for row in rows:
+        state = tuple(map(float, row[1:first]))
+        assert row[first:] == ["%.17g" % v for v in system.drift_metrics(state)]
+    printed = dict(re.findall(r"^max_(\w+) = (\S+)$", capsys.readouterr().out, re.M))
+    assert list(printed) == [*system.drift_names[1:], "V"]  # V is the summary's last
+    for i, column in enumerate(system.drift_names, start=first):
+        assert float(printed[column]) == max(float(row[i]) for row in rows)
+
+
+@pytest.mark.parametrize("method, per_step", [("feedback_euler", 1), ("feedback_rk4", 4),
+                                              ("euler", 1)])
+def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, monkeypatch, method, per_step):
+    # Kepler's integrals are evaluated by _feedback (the feedback field) and
+    # invariant_components (the drift row alone): a feedback step's first
+    # stage also gives its start state's row, so n more steps cost n more
+    # evaluations per stage, and no drift row of their own
+    from lyapint import kepler
+
+    calls = []
+    for name in ("_feedback", "invariant_components"):
+        fn = getattr(kepler, name)
+        monkeypatch.setattr(kepler, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+
+    def evaluations(n):
+        calls.clear()
+        run_experiment(ExperimentConfig(system="kepler", method=method, h=0.005,
+                                        t_end=(n + 0.5) * 0.005,
+                                        output_path=str(tmp_path / "count.csv")))
+        return len(calls)
+
+    assert evaluations(40) - evaluations(20) == 20 * per_step
+
+
+# At x = 1e80, U'(r)'s r**4 overflows and U(r)'s r**3 does not: the start's
+# drift row is written, then the field of step 1 fails.
+FAR_PK_START = "x0 = 1e80\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 1\nv2 = 0\n"
+
+
+@pytest.mark.parametrize("method", ["feedback_euler", "feedback_rk4"])
+def test_main_field_overflow_at_the_start_fails_step_1(tmp_path, capsys, method):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\nsystem = perturbed_kepler\nmethod = {method}\n"
+                      f"h = 0.03\nt_end = 1\n[initial]\n{FAR_PK_START}")
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert re.fullmatch(r"run aborted at step 1: OverflowError [^\n]+\n"
+                        r"partial CSV flushed to \S+ \(0 completed steps\)\n",
+                        capsys.readouterr().err)
+    assert out.read_text().splitlines() == ["t,x0,x1,x2,v0,v1,v2,V,dE,dL",
+                                            "0,1e+80,0,0,0,1,0,0,0,0"]
+
+
 @pytest.mark.parametrize("system", ["kepler", "perturbed_kepler"])
 def test_main_rejects_a_gain_the_system_does_not_have(tmp_path, capsys, system):
     out = tmp_path / "never.csv"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perihelion_passages, precession_rate, state_with_lyapunov
+from conftest import drift_by_name, perihelion_passages, precession_rate, state_with_lyapunov
 from lyapint import systems
 from lyapint.diagnostics import (
     check_rank_condition,
@@ -19,7 +19,7 @@ from lyapint.systems import SYSTEM_NAMES, make_system
 
 
 def test_drift_metrics_zero_at_start(rigid_sys):
-    metrics = rigid_sys.drift_metrics(rigid_sys.initial_state)
+    metrics = drift_by_name(rigid_sys, rigid_sys.initial_state)
     assert metrics["dE"] == 0.0
     assert metrics["dPi"] == 0.0
     assert metrics["V"] == 0.0
@@ -41,11 +41,34 @@ def test_drift_v_is_the_lyapunov_value_and_the_start_drifts_nothing(name, start)
     # V is stated once per system, so the drift column is lyapunov bit for bit;
     # the targets are the start's integrals, so every column is 0.0 there
     system = make_system(name, initial_state=start)
-    assert set(system.drift_metrics(system.initial_state).values()) == {0.0}
+    assert set(system.drift_metrics(system.initial_state)) == {0.0}
     for block in system.sample_blocks(np.random.default_rng(11), 600, 200):
         for s in block.tolist():
             x = tuple(s)
-            assert system.drift_metrics(x)["V"].hex() == system.lyapunov(x).hex()
+            assert drift_by_name(system, x)["V"].hex() == system.lyapunov(x).hex()
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_field_and_drift_is_the_field_and_the_drift_row_bit_for_bit(name):
+    # one evaluation of the integrals gives both; a run's feedback step relies on it
+    system = make_system(name)
+    for s in next(system.sample_blocks(np.random.default_rng(12), 300, 300)).tolist():
+        x = tuple(s)
+        field, row = system.field_and_drift(x)
+        assert [v.hex() for v in field] == [v.hex() for v in system.modified_field(x)]
+        assert [v.hex() for v in row] == [v.hex() for v in system.drift_metrics(x)]
+
+
+def test_field_and_drift_raises_where_the_drift_does():
+    # |v|^2 overflows: the energy is not finite, so the drift row raises,
+    # while the field alone goes on with inf
+    system = make_system("perturbed_kepler")
+    x = (1.0, 0.0, 0.0, 0.0, 1e155, 0.0)
+    assert not all(map(math.isfinite, system.modified_field(x)))
+    with pytest.raises(DomainError, match="potential evaluation not finite"):
+        system.drift_metrics(x)
+    with pytest.raises(DomainError, match="potential evaluation not finite"):
+        system.field_and_drift(x)
 
 
 def test_plain_euler_energy_drift_grows(rigid_plain_euler_50):
