@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
-from . import kepler, perturbed_kepler
 from .diagnostics import (
     ORTHOGONALITY_BLOCK,
     check_rank_condition,
@@ -44,9 +43,8 @@ from .integrators import (
     steps_for,
     stormer_verlet_step,
 )
-from .kepler import state_at_eccentric_anomaly
 from .numerics import column_dot
-from .systems import MODULES, SYSTEM_NAMES, SystemModel, make_system
+from .systems import SYSTEM_NAMES, SystemModel, make_system, module
 
 METHOD_NAMES = (
     "feedback_euler", "feedback_rk4", "euler", "rk4",
@@ -82,7 +80,7 @@ class ExperimentConfig:
         if self.method not in METHOD_NAMES:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHOD_NAMES}")
         if self.h is None:
-            self.h = MODULES[self.system].BENCHMARK_STEP
+            self.h = module(self.system).BENCHMARK_STEP
         if not math.isfinite(self.h):
             raise ConfigError(f"step size h must be finite, got {self.h!r}")
         if self.h <= 0.0:
@@ -227,7 +225,7 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
     """Instantiate the configured system with gains, constants and start state."""
     initial = None
     if cfg.initial_condition != "paper_default":
-        names = MODULES[cfg.system].STATE_NAMES
+        names = module(cfg.system).STATE_NAMES
         missing = [n for n in names if n not in cfg.initial_condition]
         if missing:
             raise ConfigError(f"initial condition missing components {missing}")
@@ -487,11 +485,12 @@ def _print_check(name: str, passed: bool, detail: str) -> bool:
 
 def check_system(name: str) -> int:
     """Validator suite for one system; returns the process exit code."""
-    import numpy as np
-
     if name not in SYSTEM_NAMES:
         raise ConfigError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
+    # the system module compiles here, before numpy adds to the heap
     system = make_system(name)
+    import numpy as np
+
     ok = True
 
     rep = orthogonality_report(system, n_samples=10_000, seed=1)
@@ -522,6 +521,8 @@ def check_system(name: str) -> int:
             f"max V {worst:.3e} over t in [0, 2] starting on the level set (tol 1e-7)")
 
     if name == "kepler":
+        from . import kepler
+
         rng = np.random.default_rng(3)
         mu = system.params.mu
         worst = 0.0
@@ -538,7 +539,7 @@ def check_system(name: str) -> int:
             worst <= 1e-12,
             f"max scaled residual of |A|^2 = mu^2 + 2E|L|^2 and L . A = 0: {worst:.3e}")
 
-        orbit_samples = [state_at_eccentric_anomaly(system.params, psi)
+        orbit_samples = [kepler.state_at_eccentric_anomaly(system.params, psi)
                          for psi in np.linspace(0.0, 2.0 * np.pi, 7)[:-1]]
         rank = check_rank_condition(system.integral_map, orbit_samples)
         usable = min(spectrum[4] for spectrum in rank.spectra)
@@ -549,11 +550,12 @@ def check_system(name: str) -> int:
             f"vanishes along the flow direction (min {rank.min_singular_value:.3e})")
 
     if name == "perturbed_kepler":
-        _, states = rollout(
-            make_advance(system, "rk4", ExperimentConfig()),
-            system.initial_state, 1e-3, steps_for(system.period, 1e-3),
-            stride=max(1, steps_for(system.period, 1e-3) // 6))
-        rank = check_rank_condition(system.integral_map, states.tolist())
+        from . import perturbed_kepler
+
+        # states in closed form across the band of the start radius, from
+        # one turning point to the other
+        states = perturbed_kepler.level_set_states(system.params, system.initial_state)
+        rank = check_rank_condition(system.integral_map, states)
         ok &= _print_check(
             "perturbed_kepler.integral_map_rank",
             rank.passed,

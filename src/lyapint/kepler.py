@@ -240,8 +240,9 @@ def orbit_geometry(p: KeplerParams):
     return a, e, period
 
 
-def period(p: KeplerParams) -> float:
-    """Period of the target orbit (see ``orbit_geometry``)."""
+def period(p: KeplerParams, s0) -> float:
+    """Period of the target orbit (see ``orbit_geometry``); the targets
+    (L0, A0) are s0's, so s0 adds nothing."""
     return orbit_geometry(p)[2]
 
 

@@ -16,6 +16,10 @@ long as no radius r > 0 simultaneously solves
 
 i.e. as long as (E0, L0) is not the data of a circular orbit of the
 potential. ``check_hypothesis`` tests this numerically on a bracket.
+``radial_band`` finds the turning points that bound the start's radial
+motion with the same bisection; ``level_set_states`` builds states of the
+level set across that band in closed form, and ``period`` integrates over
+it.
 """
 
 import math
@@ -46,6 +50,13 @@ PROJECTION_TOL = 1e-8
 # and the default radius bracket searched for candidate roots.
 HYPOTHESIS_RESIDUAL_TOL = 1e-9
 DEFAULT_BRACKET = (1e-3, 1e3)
+
+# ``radial_band`` tries radii this ratio apart, at most BAND_STEPS of them on
+# each side of the start radius (a factor of 2^100); ``period`` sums on
+# BAND_NODES Gauss-Chebyshev nodes.
+BAND_STEP = 2.0 ** 0.25
+BAND_STEPS = 400
+BAND_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -193,12 +204,121 @@ def drift_metrics(p: PerturbedKeplerParams, s0):
     return lambda s: drift(invariant_components(p, s))
 
 
-def period(p: PerturbedKeplerParams) -> float:
-    """Radial period estimate from the osculating Kepler ellipse of energy
-    E0: a = -mu / (2 E0) and T = 2 pi sqrt(a^3 / mu), exact at delta = 0
-    and adequate for choosing desk-scale horizons (a = 1 if E0 >= 0)."""
-    a = -p.mu / (2.0 * p.E0) if p.E0 < 0.0 else 1.0
-    return 2.0 * math.pi * math.sqrt(a**3 / p.mu)
+def radial_band(p: PerturbedKeplerParams, r0: float):
+    """The turning points ``(r_in, r_out)`` that bound the band of radii
+    holding r0 on the level set {E = E0, L = L0}, or None where the radial
+    motion has no such band.
+
+    The band is where g(r) = 2 r^2 (E0 - U(r)) - |L0|^2, which is
+    r^2 v_r^2 on the level set, is nonnegative (Landau and Lifshitz,
+    *Mechanics*, section 14). Radii r0 * BAND_STEP^k are tried outward from
+    r0 on each side until g is negative; ``_bisect`` then refines each turning
+    point to a few ulps. None means: E0 >= 0, so that there is no outer
+    turning point; no inner one within BAND_STEP^BAND_STEPS of r0, as for an
+    orbit that falls into the centre; or radii beyond float range. A
+    forbidden gap narrower than one step can be stepped over.
+    """
+    if not p.E0 < 0.0:
+        return None
+    E0, l0sq = p.E0, dot(p.L0, p.L0)
+
+    def gap(r):
+        return 2.0 * r * r * (E0 - u(p, r)) - l0sq
+
+    def turning_point(ratio):
+        inside = r0  # g(r0) = (x0 . v0)^2 >= 0, however it rounds
+        for _ in range(BAND_STEPS):
+            r = inside * ratio
+            if gap(r) < 0.0:
+                return _bisect(gap, r, inside, tol=1e-15 * inside)
+            inside = r
+        return None
+
+    try:
+        r_in = turning_point(1.0 / BAND_STEP)
+        r_out = turning_point(BAND_STEP) if r_in is not None else None
+    except ArithmeticError:
+        return None
+    return None if r_out is None else (r_in, r_out)
+
+
+def _band_geometry(p: PerturbedKeplerParams, r0: float):
+    """(c, d, 2 |E0|, r_core) for the band of r0: r = c - d cos(theta) runs
+    over it as theta runs over [0, pi].
+
+    r g(r) = 2 E0 r^3 + 2 mu r^2 - |L0|^2 r + 2 delta is a cubic with roots
+    r_in, r_out and r_core = delta / (|E0| r_in r_out) < r_in, so
+    v_r^2 = 2 |E0| (r - r_in) (r_out - r) (r - r_core) / r^3, and
+    (r - r_in) (r_out - r) = d^2 sin(theta)^2. Then
+    |v_r| = d sin(theta) sqrt(2 |E0| (r - r_core) / r^3), and dr / |v_r| is
+    sqrt(r^3 / (2 |E0| (r - r_core))) d theta, smooth up to both turning
+    points. None where ``radial_band`` is None, or where r_core reaches
+    r_in: the orbit on the separatrix of an unstable circular orbit.
+    """
+    band = radial_band(p, r0)
+    if band is None:
+        return None
+    r_in, r_out = band
+    two_e = -2.0 * p.E0
+    r_core = 2.0 * p.delta / (two_e * r_in * r_out)
+    if not r_core < r_in:
+        return None
+    # c from the sum of the cubic's roots, mu / |E0|, which its coefficients
+    # give exactly: bisection finds the double root of a circular orbit only
+    # to the square root of the rounding error
+    c = 0.5 * (2.0 * p.mu / two_e - r_core)
+    return c, 0.5 * (r_out - r_in), two_e, r_core
+
+
+def period(p: PerturbedKeplerParams, s0) -> float:
+    """Radial period T_r = 2 * the integral of dr / |v_r| across the band of
+    s0's radius (see ``radial_band``), on BAND_NODES Gauss-Chebyshev nodes
+    in theta (see ``_band_geometry``); 2 pi sqrt(a^3 / mu) at delta = 0,
+    and inf where the band or its geometry is None, as for an unbound start."""
+    geometry = _band_geometry(p, norm(s0[:3]))
+    if geometry is None:
+        return math.inf
+    c, d, two_e, r_core = geometry
+    total = 0.0
+    for k in range(BAND_NODES):
+        r = c - d * math.cos((k + 0.5) * math.pi / BAND_NODES)
+        total += math.sqrt(r**3 / (two_e * (r - r_core)))
+    return 2.0 * math.pi / BAND_NODES * total
+
+
+def level_set_states(p: PerturbedKeplerParams, s0) -> list:
+    """7 states of the level set {E = E0, L = L0}, in closed form, at the
+    radii r = c - d cos(pi k / 6), k = 0 .. 6, across the band of s0's
+    radius from one turning point to the other:
+
+        x = r u,    v = v_r u + (|L0| / r) (w x u),
+
+    with w = L0 / |L0|, u the unit vector along s0's position normal to w,
+    and v_r = +sqrt(2 (E0 - U(r)) - |L0|^2 / r^2), which is 0 at both ends.
+    A ValueError where the band or its geometry is None.
+    """
+    geometry = _band_geometry(p, norm(s0[:3]))
+    if geometry is None:
+        raise ValueError("the start's radial motion has no band between two turning points")
+    c, d, two_e, r_core = geometry
+    l0 = norm(p.L0)
+    w = tuple(x / l0 for x in p.L0)
+    along = dot(s0[:3], w)
+    u0, u1, u2 = (x - along * wi for x, wi in zip(s0[:3], w))
+    scale = norm((u0, u1, u2))
+    u0, u1, u2 = u0 / scale, u1 / scale, u2 / scale
+    w0, w1, w2 = w
+    n0, n1, n2 = w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0
+    states = []
+    for k in range(7):
+        cos_t = math.cos(math.pi * k / 6)
+        r = c - d * cos_t
+        # sin(theta) as sqrt(1 - cos^2) is 0 at both ends
+        v_r = d * math.sqrt((1.0 - cos_t * cos_t) * two_e * (r - r_core) / r**3)
+        v_t = l0 / r
+        states.append((r * u0, r * u1, r * u2,
+                       v_r * u0 + v_t * n0, v_r * u1 + v_t * n1, v_r * u2 + v_t * n2))
+    return states
 
 
 def gain_bound(p: PerturbedKeplerParams) -> float:
@@ -319,10 +439,17 @@ class HypothesisReport:
 
 
 def _bisect(g, lo, hi, tol=1e-12, max_iter=200):
+    """A root of g between lo and hi, to within tol: the one radial root
+    finder of ``check_hypothesis`` and ``radial_band``.
+
+    g changes sign between the two ends. Only g(lo) is evaluated, so the
+    sign of g at hi is taken to be the other one; hi may lie on either side
+    of lo.
+    """
     glo = g(lo)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if abs(hi - lo) <= tol:
             return mid
         gm = g(mid)
         if gm == 0.0:

@@ -35,14 +35,16 @@ STATE_NAMES = (
 BENCHMARK_INERTIA = (3.0, 2.0, 1.0)
 BENCHMARK_START = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
 BENCHMARK_GAINS = (50.0, 100.0, 50.0)
-# Approximate period of the body angular velocity for the benchmark setup.
-BENCHMARK_OMEGA_PERIOD = 6.4227
 BENCHMARK_STEP = 1e-4
 
 GAIN_NAMES = ("k0", "k1", "k2")
 CONSTANTS = ("inertia",)
 DRIFT_NAMES = ("V", "dE", "dPi", "so3dev")
 PROJECTION_TOL = 1e-4
+
+# Arithmetic-geometric mean steps for K(k) in ``period``: 13 take
+# AGM(1, 5e-324), the smallest double, to roundoff.
+AGM_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -255,9 +257,39 @@ def gain_bound(p: RigidBodyParams) -> float:
     )
 
 
-def period(p: RigidBodyParams) -> float:
-    """The benchmark's angular-velocity period, whatever the parameters."""
-    return BENCHMARK_OMEGA_PERIOD
+def period(p: RigidBodyParams, s0) -> float:
+    """Period of the body angular velocity Omega from s0, by the elliptic
+    solution of Euler's equations (Landau and Lifshitz, *Mechanics*,
+    section 37):
+
+        T = 4 K(k) sqrt(I1 I2 I3 / ((I3 - I2) (M^2 - 2 E I1))),
+        k^2 = (I2 - I1) (2 E I3 - M^2) / ((I3 - I2) (M^2 - 2 E I1)),
+
+    with the moments in ascending order, I1 and I3 swapped when
+    M^2 < 2 E I2, and E and M^2 = |I Omega|^2 those of s0's Omega, which
+    the flow of Omega keeps whatever R is. A rotation about the largest or
+    smallest axis gives k = 0, the limit of small oscillations about it;
+    two equal moments give k = 0 and the precession period. Where k reaches
+    1 (the separatrix, a rotation about the middle axis, three equal
+    moments) or the formula has no value (Omega in the plane of two equal
+    moments, overflow), T is inf.
+    """
+    w = s0[9:]
+    two_e = sum(i * x * x for i, x in zip(p.inertia, w))
+    m_sq = sum((i * x) ** 2 for i, x in zip(p.inertia, w))
+    i1, i2, i3 = sorted(p.inertia)
+    if m_sq < two_e * i2:
+        i1, i3 = i3, i1
+    scale = (i3 - i2) * (m_sq - two_e * i1)
+    k_sq = max(0.0, (i2 - i1) * (two_e * i3 - m_sq) / scale) if scale > 0.0 else math.nan
+    if not k_sq < 1.0:
+        return math.inf
+    # K(k) = pi / (2 AGM(1, k')) (Abramowitz and Stegun, 17.6), with a
+    # fixed number of steps: a loop until a == b can cycle in the last ulp
+    a, b = 1.0, math.sqrt(1.0 - k_sq)
+    for _ in range(AGM_STEPS):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 2.0 * math.pi / a * math.sqrt(i1 * i2 * i3 / scale)
 
 
 # Symmetric factor ordering (McLachlan 1993): half steps on axes 0 and 1

@@ -5,27 +5,39 @@ the experiment runner need: the original and feedback vector fields, the
 stacked integral map, the params (constants, gains ``K``, targets ``f0``),
 drift metrics relative to a run's initial state, and a sampler for
 randomized property checks. ``make_system`` builds one from the system's
-module in ``MODULES``.
+module, which ``module`` imports on first use: a process loads only the
+systems it builds.
 """
 
 from __future__ import annotations  # np.random.Generator names numpy without importing it
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
-from . import kepler, perturbed_kepler, rigid_body
 from .feedback import FirstIntegralMap
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Each module states its system once: ``setup``, whose params hold and check
-# the constants, the gain diagonal ``K`` and the targets ``f0``, the kernels,
-# ``drift_from_values`` and ``drift_metrics``, ``period``, ``gain_bound`` and
-# the names ``make_system`` reads.
-MODULES = {"rigid_body": rigid_body, "kepler": kepler, "perturbed_kepler": perturbed_kepler}
-SYSTEM_NAMES = tuple(MODULES)
+# The shipped systems, each stated once by the module ``lyapint.<name>``:
+# ``setup``, whose params hold and check the constants, the gain diagonal
+# ``K`` and the targets ``f0``, the kernels, ``drift_from_values`` and
+# ``drift_metrics``, ``period``, ``gain_bound`` and the names ``make_system``
+# reads.
+SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
+
+
+def module(name: str):
+    """The module of the system ``name``, imported on first use; a
+    ValueError for a name not in SYSTEM_NAMES."""
+    if name not in SYSTEM_NAMES:
+        raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
+    # the import statement's own machinery, which -X importtime reports
+    # (importlib.import_module bypasses it)
+    return __import__(f"{__package__}.{name}", fromlist=("setup",))
+
 
 # Uniforms per generator call in SystemModel.sample_blocks: a few blocks of
 # states' worth, so that numpy's per-call cost vanishes next to the kernel.
@@ -45,6 +57,9 @@ class SystemModel:
 
     ``params`` states the system's constants, gain diagonal ``params.K`` and
     targets ``params.f0 = f(x0)`` once; V, the oracle and the projection read them.
+    ``period`` is ``period_of()``, the module's ``period(params,
+    initial_state)``: the period of the start's motion, inf where it has
+    none. It is computed when first read, and a ``run`` never reads it.
 
     ``drift_metrics(s)`` gives the drift columns at a state, a tuple of
     floats named by ``drift_names`` (V first, as in the CSV), against the
@@ -79,10 +94,14 @@ class SystemModel:
     field_and_drift: Callable[[tuple], tuple]
     sampler: Callable[[Callable[[int], list]], tuple]
     gain_bound: float
-    period: float
+    period_of: Callable[[], float]
     projection_tol: float
     accel: Optional[Callable[[tuple], tuple]] = None
     splitting_step: Optional[Callable[[tuple, float], tuple]] = None
+
+    @cached_property
+    def period(self) -> float:
+        return self.period_of()
 
     def sample_state(self, rng: np.random.Generator) -> tuple:
         """One random state, drawing one ``rng.random(k)`` per kernel request."""
@@ -170,10 +189,7 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
     A name the system does not take is a ValueError here; the params check
     the values.
     """
-    try:
-        m = MODULES[name]
-    except KeyError:
-        raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}") from None
+    m = module(name)
     gains = gains or {}
     for kind, given, names in (("gain", gains, m.GAIN_NAMES),
                                ("constant", constants, m.CONSTANTS)):
@@ -207,7 +223,7 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
         field_and_drift=field_and_drift,
         sampler=_SAMPLERS[name],
         gain_bound=m.gain_bound(p),
-        period=m.period(p),
+        period_of=lambda: m.period(p, s0),
         projection_tol=m.PROJECTION_TOL,
         accel=(lambda q: m.accel(p, q)) if hasattr(m, "accel") else None,
         splitting_step=((lambda s, h: m.splitting_step(p, s, h))

@@ -26,7 +26,7 @@ from lyapint.cli import (
 )
 from lyapint.errors import ConfigError, IntegrationError
 from lyapint.integrators import rollout, steps_for
-from lyapint.systems import MODULES, SYSTEM_NAMES, make_system
+from lyapint.systems import SYSTEM_NAMES, make_system, module
 
 SAMPLE_CONFIG = """\
 [experiment]
@@ -74,13 +74,13 @@ _POSITIVE = st.floats(min_value=1e-300, allow_infinity=False)
 def experiment_configs(draw):
     system = draw(st.sampled_from(SYSTEM_NAMES))
     initial = draw(st.just("paper_default")
-                   | st.dictionaries(st.sampled_from(MODULES[system].STATE_NAMES), _FLOATS))
+                   | st.dictionaries(st.sampled_from(module(system).STATE_NAMES), _FLOATS))
     return ExperimentConfig(
         system=system,
         method=draw(st.sampled_from(METHOD_NAMES)),
         h=draw(st.none() | _POSITIVE),
         t_end=draw(st.none() | _POSITIVE),
-        gains=draw(st.dictionaries(st.sampled_from(MODULES[system].GAIN_NAMES), _POSITIVE)),
+        gains=draw(st.dictionaries(st.sampled_from(module(system).GAIN_NAMES), _POSITIVE)),
         initial_condition=initial,
         # no edge whitespace (stripped)
         output_path=draw(st.text("abcxyz019_-./%", min_size=1, max_size=20)),
@@ -136,6 +136,11 @@ _SECTIONS = {"constants": ("mu", "delta", "eccentricity", "inertia"),
              "projection": ("tol", "max_iter")}
 
 
+def _module_of(name):
+    """The module of the system ``name``, or None for a name that is not one."""
+    return module(name) if name in SYSTEM_NAMES else None
+
+
 @st.composite
 def run_invocations(draw):
     """(config text or None, `run` flags) over valid and invalid settings.
@@ -154,7 +159,7 @@ def run_invocations(draw):
     system, method = value("system"), value("method")
     h = value("h") if "h" in given_keys else None
     try:
-        step = getattr(MODULES.get(system), "BENCHMARK_STEP", None) if h is None else float(h)
+        step = getattr(_module_of(system), "BENCHMARK_STEP", None) if h is None else float(h)
     except ValueError:
         step = None
     if step is not None and 0.0 < step < math.inf and "t_end" not in odd:
@@ -165,7 +170,7 @@ def run_invocations(draw):
                   "stride": value("stride") if "stride" in given_keys else None}
     gains = {}
     if "gains" in given_keys:
-        names = getattr(MODULES.get(system), "GAIN_NAMES", ()) + (("k9",) if "gains" in odd else ())
+        names = getattr(_module_of(system), "GAIN_NAMES", ()) + (("k9",) if "gains" in odd else ())
         gains = {name: value("gains") for name in draw(st.sets(st.sampled_from(names or ("k9",))))}
 
     flags, lines = [], ["[experiment]"]
@@ -184,14 +189,15 @@ def run_invocations(draw):
         if entries:
             lines += [f"[{section}]", *entries]
     lines.append("[initial]")
-    module = MODULES.get(system)
-    if module is None or "initial" not in given_keys:
+    system_module = _module_of(system)
+    if system_module is None or "initial" not in given_keys:
         lines.append("condition = paper_default")
     else:
         # out of domain: one component missing, one too many, or one odd value
-        components = {n: draw(st.sampled_from(_USUAL["initial"])) for n in module.STATE_NAMES}
+        components = {n: draw(st.sampled_from(_USUAL["initial"]))
+                      for n in system_module.STATE_NAMES}
         if "initial" in odd:
-            name = draw(st.sampled_from(module.STATE_NAMES))
+            name = draw(st.sampled_from(system_module.STATE_NAMES))
             fault = draw(st.sampled_from(("missing", "extra", "value")))
             if fault == "missing":
                 del components[name]
@@ -624,7 +630,7 @@ def test_feedback_rows_are_the_drift_metrics_of_their_states(tmp_path, capsys, n
     # field that steps it; drift_metrics, the composition of the system's
     # values and drift functions, is the oracle, bit for bit
     out = tmp_path / "fused.csv"
-    h = MODULES[name].BENCHMARK_STEP
+    h = module(name).BENCHMARK_STEP
     assert main(["run", "--system", name, "--method", method, "--h", repr(h),
                  "--t-end", repr(40.5 * h), "--out", str(out)]) == 0
     system = make_system(name)
@@ -737,7 +743,7 @@ def test_main_constant_the_run_does_not_use_exits_2(tmp_path, capsys, system, se
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     if key != "eccentricity":  # eccentricity is a constant of the system, but not of this start
-        assert str(MODULES[system].CONSTANTS) in err
+        assert str(module(system).CONSTANTS) in err
     assert not out.exists()
 
 
@@ -792,15 +798,15 @@ def test_float_methods_run_without_numpy(tmp_path):
         import sys
         sys.modules["numpy"] = None
         import lyapint, lyapint.cli
-        from lyapint.systems import MODULES
-        for system, module in MODULES.items():
+        from lyapint.systems import SYSTEM_NAMES, module
+        for system in SYSTEM_NAMES:
             for method in {FLOAT_METHODS!r}:
                 try:
                     lyapint.cli.make_advance(lyapint.make_system(system), method,
                                              lyapint.cli.ExperimentConfig())
                 except lyapint.ConfigError:
                     continue  # a method this system does not define
-                h = module.BENCHMARK_STEP
+                h = module(system).BENCHMARK_STEP
                 argv = ["run", "--system", system, "--method", method, "--h", repr(h),
                         "--t-end", repr(5.5 * h), "--out", f"{{system}}_{{method}}.csv"]
                 if lyapint.cli.main(argv) != 0:
@@ -812,6 +818,31 @@ def test_float_methods_run_without_numpy(tmp_path):
     cells = proc.stderr.split("\n")[:-1]
     assert len(cells) == 17 and "rigid_body splitting" in cells
     assert "kepler stormer_verlet_b" in cells and "rigid_body stormer_verlet_a" not in cells
+
+
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
+def test_run_and_check_load_only_their_system_module(tmp_path, system):
+    # each system module is imported on first use: a one-step `run` and a
+    # `check` of one system leave the other two unloaded
+    h = module(system).BENCHMARK_STEP
+    run = ["run", "--system", system, "--method", "feedback_euler", "--h", repr(h),
+           "--t-end", repr(1.5 * h), "--out", "one.csv"]
+    code = f"""if True:
+        import contextlib, io, sys
+        import lyapint.cli
+
+        def loaded():
+            return [name for name in {SYSTEM_NAMES!r} if "lyapint." + name in sys.modules]
+
+        print(loaded())
+        for argv in ({run!r}, ["check", "--system", {system!r}]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = lyapint.cli.main(argv)
+            print(code, loaded())
+        """
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", f"0 [{system!r}]", f"0 [{system!r}]"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -830,7 +861,7 @@ def test_projection_and_check_load_numpy(tmp_path, argv):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
     # R[0][0] = 1e200 squares to inf in the Gram matrix of the constraint Jacobian
-    components = dict.fromkeys(MODULES["rigid_body"].STATE_NAMES, 0.0)
+    components = dict.fromkeys(module("rigid_body").STATE_NAMES, 0.0)
     components.update(r00=1e200, r11=1.0, r22=1.0, w0=1.0, w1=1.0, w2=1.0)
     config = tmp_path / "exp.ini"
     config.write_text("[experiment]\nsystem = rigid_body\nmethod = projection_euler\n"

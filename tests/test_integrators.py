@@ -31,7 +31,7 @@ from lyapint.integrators import (
     steps_for,
     stormer_verlet_step,
 )
-from lyapint.systems import MODULES, SYSTEM_NAMES, make_system
+from lyapint.systems import SYSTEM_NAMES, make_system, module
 
 
 def test_euler_zero_field_keeps_state():
@@ -243,7 +243,7 @@ def lagrange_multiplier_projection(cfg, field, x, h):
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name):
     system = make_system(name)
-    h = MODULES[name].BENCHMARK_STEP
+    h = module(name).BENCHMARK_STEP
     # perturbed Kepler's tolerance, tight enough that every system iterates
     cfg = ProjectionConfig(constraint=system.integral_map,
                            target=system.params.f0, tol=1e-8)
@@ -481,7 +481,7 @@ def scheme_advance(system, method):
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
 def test_make_advance_steps_are_the_public_schemes_bit_for_bit(name, method):
     system = make_system(name)
-    h = MODULES[name].BENCHMARK_STEP
+    h = module(name).BENCHMARK_STEP
     # off the level set, so the feedback acts and projection's Newton loop runs
     xt = tuple((system.initial_state
                 + np.random.default_rng(61).uniform(-1e-3, 1e-3, system.dim)).tolist())
@@ -509,7 +509,7 @@ def test_a_single_state_and_every_parameter_vector_are_tuples_of_floats(name):
     # off the level set, so the feedback acts and projection's Newton loop runs
     x = tuple((np.array(system.initial_state)
                + np.random.default_rng(64).uniform(-1e-3, 1e-3, system.dim)).tolist())
-    h = MODULES[name].BENCHMARK_STEP
+    h = module(name).BENCHMARK_STEP
     states += [make_advance(system, method, ExperimentConfig())(x, h)
                for system_name, method in VALID_PAIRS if system_name == name]
     if system.splitting_step is not None:
@@ -528,7 +528,7 @@ def test_a_single_state_and_every_parameter_vector_are_tuples_of_floats(name):
 @pytest.mark.parametrize("name, method", VALID_PAIRS)
 def test_strided_csv_is_the_array_rollout_to_17_digits(tmp_path, name, method):
     out = tmp_path / "stride3.csv"
-    h, n = MODULES[name].BENCHMARK_STEP, 20
+    h, n = module(name).BENCHMARK_STEP, 20
     run_experiment(ExperimentConfig(system=name, method=method, h=h, t_end=(n + 0.5) * h,
                                     output_path=str(out), sample_stride=3))
     system = make_system(name)
@@ -571,7 +571,7 @@ def test_schemes_do_the_arithmetic_of_numpy_vectors(name):
         return lambda y: np.array(kernel(tuple(y.tolist())))
 
     system = make_system(name)
-    h = MODULES[name].BENCHMARK_STEP
+    h = module(name).BENCHMARK_STEP
     x0 = system.initial_state + np.random.default_rng(62).uniform(-1e-3, 1e-3, system.dim)
     for scheme, reference in ((euler_step, numpy_euler), (rk4_step, numpy_rk4)):
         for field in (system.field, system.modified_field):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, drift_by_name, stacked
+from conftest import (central_difference_gradient, drift_by_name, perihelion_passages,
+                      precession_rate, stacked)
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient
@@ -51,10 +52,13 @@ def test_potential_derivative_matches_finite_differences(params):
     (1.0, (1.0, 0.0, 0.0, 0.0, 1.2, 0.0)),
     (2.5, (0.7, -0.2, 0.1, 0.3, 1.9, -0.4)),
     (0.4, (1.5, 0.5, 0.0, -0.1, 0.3, 0.2)),
+    (1.0, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)),  # circular: the band is one radius
+    (3.0, (0.1, 0.0, 0.0, 0.0, math.sqrt(3.0 * 1.9 / 0.1), 0.0)),  # e = 0.9, at perihelion
+    (0.7, (0.0, -2.0, 0.5, 0.05, 0.0, 0.1)),
 ])
 def test_period_at_zero_delta_is_the_kepler_period(mu, s0):
-    # at delta = 0 the osculating ellipse is the orbit: both periods are
-    # 2 pi sqrt(a^3 / mu), from E0 here and from (L0, A0) in kepler
+    # at delta = 0 the quadrature over the band is Kepler's 2 pi sqrt(a^3 / mu),
+    # which kepler computes from (L0, A0)
     period = make_system("perturbed_kepler", initial_state=s0, mu=mu, delta=0.0).period
     _, _, expected = kepler.orbit_geometry(kepler.setup(s0, (4.0, 2.0), mu=mu)[0])
     assert period == pytest.approx(expected, rel=1e-12)
@@ -364,3 +368,137 @@ def test_root_finding_against_dense_scan(params):
         for refined, coarse in zip(found, scan):
             # dense-grid midpoints are accurate to half a (log) grid cell
             assert abs(refined - coarse) <= coarse * 2e-5 + 1e-12
+
+
+def radial_gap(p, r):
+    """2 r^2 (E0 - U(r)) - |L0|^2, r^2 v_r^2 on the level set."""
+    return 2.0 * r * r * (p.E0 - pk.u(p, r)) - float(np.dot(p.L0, p.L0))
+
+
+@pytest.mark.parametrize("mu, delta, s0", [
+    (1.0, 0.0025, None),
+    (1.5, 0.01, None),
+    (1.0, 0.0, (0.0, -2.0, 0.5, 0.05, 0.0, 0.1)),
+    (0.8, 0.02, (0.3, 0.9, -0.4, -0.7, 0.2, 0.5)),
+])
+def test_band_ends_are_the_turning_points_of_the_cubic(mu, delta, s0):
+    p, s0 = pk.setup(s0, pk.BENCHMARK_GAINS, mu=mu, delta=delta)
+    r0 = float(np.linalg.norm(s0[:3]))
+    r_in, r_out = pk.radial_band(p, r0)
+    assert r_in <= r0 * (1.0 + 1e-15) and r0 <= r_out * (1.0 + 1e-15)
+    # r g(r) = 2 E0 r^3 + 2 mu r^2 - |L0|^2 r + 2 delta; numpy's eigenvalue roots are the oracle
+    roots = np.roots((2.0 * p.E0, 2.0 * mu, -float(np.dot(p.L0, p.L0)), 2.0 * delta))
+    real = sorted(r.real for r in roots if abs(r.imag) <= 1e-12 and r.real > 0.0)
+    assert real[-2:] == pytest.approx([r_in, r_out], rel=1e-12)
+    for r in (r_in, r_out):
+        assert abs(radial_gap(p, r)) <= 1e-13 * float(np.dot(p.L0, p.L0))
+
+
+@pytest.mark.parametrize("mu, delta, s0", [
+    (1.0, 0.0025, None),
+    (1.5, 0.01, None),
+    (0.8, 0.02, (0.3, 0.9, -0.4, -0.7, 0.2, 0.5)),
+])
+def test_level_set_states_are_on_the_level_set(mu, delta, s0):
+    p, s0 = pk.setup(s0, pk.BENCHMARK_GAINS, mu=mu, delta=delta)
+    r_in, r_out = pk.radial_band(p, float(np.linalg.norm(s0[:3])))
+    states = pk.level_set_states(p, s0)
+    assert len(states) == 7
+    radii = [float(np.linalg.norm(s[:3])) for s in states]
+    assert radii == sorted(radii)
+    assert radii[0] == pytest.approx(r_in, rel=1e-15)
+    assert radii[-1] == pytest.approx(r_out, rel=1e-15)
+    for s in states:
+        E, *L = pk.invariant_components(p, s)
+        assert E == pytest.approx(p.E0, rel=1e-12)
+        assert np.linalg.norm(np.subtract(L, p.L0)) <= 1e-12 * np.linalg.norm(p.L0)
+    # v_r = x . v / |x| vanishes at both turning points, and only there
+    v_r = [float(np.dot(s[:3], s[3:])) / r for s, r in zip(states, radii)]
+    speed = max(float(np.linalg.norm(s[3:])) for s in states)
+    assert abs(v_r[0]) <= 1e-15 * speed and abs(v_r[-1]) <= 1e-15 * speed
+    assert min(v_r[1:-1]) > 1e-3 * speed
+
+
+def test_check_hypothesis_roots_are_those_of_the_shared_bisection(params):
+    # check_hypothesis's roots bit for bit: the band's use of _bisect does not move them
+    assert pk.check_hypothesis(params).roots == (0.011941563985309815, 0.6280584360146977)
+
+    def g(r):
+        return r**3 * pk.u_prime(params, r) - 0.64
+
+    outer = pk._bisect(g, 0.6, 0.7)  # the bracket may be given either way round
+    assert outer == pk._bisect(g, 0.7, 0.6) == pytest.approx(0.6280584360146977, abs=1e-12)
+
+
+def rk4_radial_return_time(system, h, t_guess):
+    """The RK4 time, at step h, in [0.75, 1.25] t_guess at which the radius
+    comes closest to its start value, from a start at a turning point."""
+    x = system.initial_state
+    r0 = float(np.linalg.norm(x[:3]))
+    best = (math.inf, 0.0)
+    for k in range(1, steps_for(1.25 * t_guess, h) + 1):
+        x = rk4_step(system.field, x, h)
+        if k * h >= 0.75 * t_guess:
+            best = min(best, (abs(float(np.linalg.norm(x[:3])) - r0), k * h))
+    return best[1]
+
+
+@pytest.mark.parametrize("constants, expected", [
+    ({}, 5.612950), ({"mu": 1.5, "delta": 0.01}, 1.271034), ({"mu": 2.5, "delta": 0.0}, 0.633857)])
+def test_period_by_quadrature_is_the_rk4_return_time(constants, expected):
+    system = make_system("perturbed_kepler", **constants)  # starts at perihelion
+    assert system.period == pytest.approx(expected, abs=1e-6)
+    h = 1e-3
+    assert abs(rk4_radial_return_time(system, h, system.period) - system.period) <= 2.0 * h
+
+
+def test_period_is_inf_without_a_band():
+    # unbound: E0 > 0
+    assert make_system("perturbed_kepler", initial_state=(1.0, 0.0, 0.0, 0.0, 1.5, 0.0)).period \
+        == math.inf
+    # inside the repulsive core's band, which reaches r = 0: the orbit falls into the centre
+    falling = (0.05, 0.0, 0.0, 0.0, 0.5, 0.0)
+    p, s0 = pk.setup(falling, pk.BENCHMARK_GAINS)
+    assert pk.radial_band(p, 0.05) is None
+    assert make_system("perturbed_kepler", initial_state=falling).period == math.inf
+    with pytest.raises(ValueError, match="no band"):
+        pk.level_set_states(p, s0)
+
+
+def band_quadrature(p, s0, weight, nodes=20_000):
+    """2 * the integral of weight(r) dr / sqrt(2 (E0 - U(r)) - |L0|^2 / r^2)
+    across the band of s0's radius, with r = c - d cos(theta) on midpoint
+    nodes in theta: the integrand as written, an oracle for the module's
+    factored cubic."""
+    r_in, r_out = pk.radial_band(p, float(np.linalg.norm(s0[:3])))
+    c, d = 0.5 * (r_in + r_out), 0.5 * (r_out - r_in)
+    theta = (np.arange(nodes) + 0.5) * np.pi / nodes
+    r = c - d * np.cos(theta)
+    v_r_sq = 2.0 * (p.E0 - pk.u(p, r)) - float(np.dot(p.L0, p.L0)) / r**2
+    return 2.0 * np.pi / nodes * float(np.sum(weight(r) * d * np.sin(theta) / np.sqrt(v_r_sq)))
+
+
+@pytest.mark.parametrize("mu, delta, s0", [
+    (1.0, 0.0025, None),
+    (1.5, 0.01, None),
+    (0.8, 0.02, (0.3, 0.9, -0.4, -0.7, 0.2, 0.5)),
+])
+def test_period_is_the_quadrature_of_the_radial_speed(mu, delta, s0):
+    p, s0 = pk.setup(s0, pk.BENCHMARK_GAINS, mu=mu, delta=delta)
+    assert pk.period(p, s0) == pytest.approx(band_quadrature(p, s0, np.ones_like), rel=1e-9)
+
+
+def test_apse_advance_is_the_reference_precession(pk_sys, pk_runs):
+    # the apse advance per radial period, 2 * the integral of |L0| / r^2 dr / |v_r|
+    # minus 2 pi (Landau and Lifshitz, section 15). Measured: 0.120946219
+    # by quadrature, 0.120946225 rad from the RK4 reference, 5.8e-9 rad apart;
+    # the bound leaves room for the perihelion fit's sampling error
+    l0 = float(np.linalg.norm(pk_sys.params.L0))
+    advance = band_quadrature(pk_sys.params, pk_sys.initial_state,
+                              lambda r: l0 / r**2) - 2.0 * np.pi
+    reference = pk_runs["reference"]
+    assert abs(advance - precession_rate(reference.times, reference.states)) <= 1e-6
+    # and the period is the mean time between the reference's perihelion
+    # passages (measured 4.5e-10 apart)
+    t_peri, _ = perihelion_passages(reference.times, reference.states)
+    assert (t_peri[-1] - t_peri[0]) / (len(t_peri) - 1) == pytest.approx(pk_sys.period, abs=1e-6)

@@ -421,3 +421,64 @@ def test_feedback_attracts_from_unit_level(rigid_sys):
             reached = (k + 1) * 1e-4
             break
     assert reached is not None and reached <= 5.0
+
+
+def rk4_return_time(system, h, t_guess):
+    """The RK4 time, at step h, in [0.75, 1.25] t_guess at which Omega comes
+    closest to its start, and that distance over |Omega(0)|."""
+    x = system.initial_state
+    w0 = np.array(x[9:])
+    best = (math.inf, 0.0)
+    for k in range(1, steps_for(1.25 * t_guess, h) + 1):
+        x = rk4_step(system.field, x, h)
+        if k * h >= 0.75 * t_guess:
+            best = min(best, (float(np.linalg.norm(np.array(x[9:]) - w0)), k * h))
+    return best[1], best[0] / float(np.linalg.norm(w0))
+
+
+@pytest.mark.parametrize("inertia, expected", [
+    ((3.0, 2.0, 1.0), 6.422703), ((5.0, 2.0, 1.0), 2.547204), ((2.5, 1.5, 0.75), 5.052194)])
+def test_period_from_the_moments_is_the_rk4_return_time(inertia, expected):
+    system = make_system("rigid_body", inertia=inertia)
+    assert system.period == pytest.approx(expected, abs=1e-6)
+    h = 1e-3
+    t_return, miss = rk4_return_time(system, h, system.period)
+    assert abs(t_return - system.period) <= 2.0 * h
+    assert miss <= 1e-2
+
+
+def test_period_limits_at_principal_axes_and_equal_moments():
+    def period(inertia, w):
+        return make_system("rigid_body", inertia=inertia,
+                           initial_state=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, *w)).period
+
+    # K(k) at k^2 = 1/2 (Abramowitz and Stegun, table 17.1): T = 4 K sqrt(3/4)
+    assert period((3.0, 2.0, 1.0), (1.0, 1.0, 1.0)) == pytest.approx(
+        4.0 * 1.8540746773013719 * math.sqrt(0.75), rel=1e-15)
+    # rotation about the largest or the smallest axis: the period of small
+    # oscillations about it, 2 pi / (w sqrt((I - Ia) (I - Ib) / (Ia Ib)))
+    assert period((3.0, 2.0, 1.0), (0.5, 0.0, 0.0)) == pytest.approx(
+        2.0 * math.pi / (0.5 * math.sqrt(2.0 * 1.0 / (1.0 * 2.0))), rel=1e-14)
+    assert period((3.0, 2.0, 1.0), (0.0, 0.0, 2.0)) == pytest.approx(
+        2.0 * math.pi / (2.0 * math.sqrt(2.0 * 1.0 / (3.0 * 2.0))), rel=1e-14)
+    # a symmetric top precesses at (I3 - I1) w3 / I1 about its axis
+    assert period((2.0, 2.0, 1.0), (1.0, 1.0, 1.0)) == pytest.approx(
+        2.0 * math.pi * 2.0 / (2.0 - 1.0), rel=1e-14)
+    assert period((2.0, 1.0, 1.0), (1.0, 0.3, -0.2)) == pytest.approx(
+        2.0 * math.pi * 1.0 / (2.0 - 1.0), rel=1e-14)
+    # the middle axis, the separatrix through it and three equal moments
+    # have no period
+    assert period((3.0, 2.0, 1.0), (0.0, 1.0, 0.0)) == math.inf
+    assert period((9.0, 5.0, 1.0), (1.0, 0.0, 3.0)) == math.inf  # M^2 = 2 E I2 = 90
+    assert period((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)) == math.inf
+
+
+def test_run_with_equal_moments_exits_0(tmp_path, capsys):
+    from lyapint.cli import main
+
+    # the period is inf, and nothing in a run reads it
+    out = tmp_path / "equal.csv"
+    config = tmp_path / "equal.ini"
+    config.write_text("[experiment]\nsystem = rigid_body\nmethod = feedback_euler\n"
+                      "t_end = 0.001\n[constants]\ninertia = 1,1,1\n")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0

@@ -12,7 +12,7 @@ import pytest
 
 from lyapint import cli, diagnostics, feedback, perturbed_kepler
 from lyapint.feedback import FirstIntegralMap
-from lyapint.systems import MODULES, SystemModel
+from lyapint.systems import SystemModel, module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,7 +36,7 @@ def test_each_cli_layer_exists(name):
 @pytest.mark.parametrize("system", tracer.SYSTEMS)
 def test_each_system_module_has_the_kernels(system):
     for kernel in tracer.SYSTEM_KERNELS:
-        assert callable(getattr(MODULES[system], kernel)), f"{system}.{kernel}"
+        assert callable(getattr(module(system), kernel)), f"{system}.{kernel}"
 
 
 def test_the_module_functions_exist():
