@@ -31,6 +31,7 @@ from .diagnostics import (
     check_rank_condition,
     gradient_agreement_report,
     orthogonality_report,
+    worst_of,
 )
 from .errors import ConfigError, DomainError, IntegrationError, ProjectionError, RankError
 from .integrators import (
@@ -248,9 +249,9 @@ class FirstStage:
     ``evaluate(x)`` gives x's drift row from ``system.field_and_drift`` and
     keeps the field. If that evaluation overflows, divides by zero or leaves
     the domain, it gives None and keeps nothing, so that ``drift_metrics``
-    and ``modified_field`` raise the failure where they would. ``field``,
-    the field a feedback method steps (``make_advance`` sets ``used``),
-    gives the kept field at the kept state and ``modified_field`` elsewhere.
+    and ``modified_field`` raise the failure where they would. A feedback
+    method's step (``make_advance`` sets ``used``) passes the kept field to
+    its scheme as the first stage at the kept state, and None elsewhere.
     """
 
     __slots__ = ("system", "state", "value", "used")
@@ -269,16 +270,14 @@ class FirstStage:
         self.state = x
         return row
 
-    def field(self, y):
-        return self.value if y is self.state else self.system.modified_field(y)
-
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
                  first_stage: Optional[FirstStage] = None):
     """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats.
 
-    The feedback methods step ``first_stage.field`` if a ``FirstStage`` is
-    given, and mark it used; otherwise ``system.modified_field``.
+    The feedback methods step ``system.modified_field``; given a
+    ``FirstStage``, they mark it used and take its kept field as the first
+    stage at the state it was kept for.
     """
     # ProjectionConfig checks tol and max_iter with every method, before any output
     tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
@@ -289,11 +288,16 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
         raise ConfigError(str(exc)) from exc
     if method in ("feedback_euler", "feedback_rk4"):
         scheme = euler_step if method == "feedback_euler" else rk4_step
-        feedback_field = system.modified_field
-        if first_stage is not None:
-            first_stage.used = True
-            feedback_field = first_stage.field
-        return lambda x, h: scheme(feedback_field, x, h)
+        modified_field = system.modified_field
+        if first_stage is None:
+            return lambda x, h: scheme(modified_field, x, h)
+        first_stage.used = True
+
+        def advance(x, h):
+            return scheme(modified_field, x, h,
+                          first_stage.value if x is first_stage.state else None)
+
+        return advance
     if method == "euler":
         return lambda x, h: euler_step(system.field, x, h)
     if method == "rk4":
@@ -533,7 +537,7 @@ def check_system(name: str) -> int:
             relation = np.abs(AA - mu**2 - 2.0 * E * LL)
             ortho = np.abs(column_dot(L, A)) / (1.0 + np.sqrt(LL) * np.sqrt(AA))
             scale = 1.0 + np.abs(AA) + 2.0 * np.abs(E) * LL
-            worst = max(worst, float((relation / scale).max()), float(ortho.max()))
+            worst = worst_of(worst_of(worst, relation / scale), ortho)
         ok &= _print_check(
             "kepler.vector_identities",
             worst <= 1e-12,

@@ -2,7 +2,7 @@
 
 Each scheme ``(field, x, h) -> x_next`` steps a state x given as a tuple of
 Python floats, with a field mapping such tuples to float sequences, and
-returns a tuple. ``integrate`` is the one loop that advances a trajectory by
+returns a tuple; Euler and RK4 also take a known first stage field(x). ``integrate`` is the one loop that advances a trajectory by
 repeated application, and the one place where a failing step is numbered and
 turned into IntegrationError. Projection wraps any base scheme and pulls the
 result back onto a target level set of a first-integral map with a
@@ -40,14 +40,18 @@ def _finite(y: tuple, scheme: str) -> tuple:
     return y
 
 
-def euler_step(field, x, h):
-    """Forward Euler: x + h * field(x)."""
-    return _finite(_axpy(x, h, field(x)), "Euler")
+def euler_step(field, x, h, k1=None):
+    """Forward Euler: x + h * field(x); ``k1``, if given, is field(x)."""
+    if k1 is None:
+        k1 = field(x)
+    return _finite(_axpy(x, h, k1), "Euler")
 
 
-def rk4_step(field, x, h):
-    """Classical four-stage Runge-Kutta step."""
-    k1 = field(x)
+def rk4_step(field, x, h, k1=None):
+    """Classical four-stage Runge-Kutta step; ``k1``, if given, is the first
+    stage field(x), and only stages 2-4 call field."""
+    if k1 is None:
+        k1 = field(x)
     k2 = field(_axpy(x, 0.5 * h, k1))
     k3 = field(_axpy(x, 0.5 * h, k2))
     k4 = field(_axpy(x, h, k3))

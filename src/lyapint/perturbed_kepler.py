@@ -17,13 +17,12 @@ long as no radius r > 0 simultaneously solves
 i.e. as long as (E0, L0) is not the data of a circular orbit of the
 potential. ``check_hypothesis`` tests this numerically on a bracket.
 ``radial_band`` finds the turning points that bound the start's radial
-motion with the same bisection; ``level_set_states`` builds states of the
-level set across that band in closed form, and ``period`` integrates over
-it.
+motion with the same bisection, each bracketed on a monotone piece of the
+cubic r g(r); ``level_set_states`` builds states of the level set across
+that band in closed form, and ``period`` integrates over it.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 
@@ -51,11 +50,7 @@ PROJECTION_TOL = 1e-8
 HYPOTHESIS_RESIDUAL_TOL = 1e-9
 DEFAULT_BRACKET = (1e-3, 1e3)
 
-# ``radial_band`` tries radii this ratio apart, at most BAND_STEPS of them on
-# each side of the start radius (a factor of 2^100); ``period`` sums on
-# BAND_NODES Gauss-Chebyshev nodes.
-BAND_STEP = 2.0 ** 0.25
-BAND_STEPS = 400
+# ``period`` sums on BAND_NODES Gauss-Chebyshev nodes.
 BAND_NODES = 64
 
 
@@ -211,12 +206,17 @@ def radial_band(p: PerturbedKeplerParams, r0: float):
 
     The band is where g(r) = 2 r^2 (E0 - U(r)) - |L0|^2, which is
     r^2 v_r^2 on the level set, is nonnegative (Landau and Lifshitz,
-    *Mechanics*, section 14). Radii r0 * BAND_STEP^k are tried outward from
-    r0 on each side until g is negative; ``_bisect`` then refines each turning
-    point to a few ulps. None means: E0 >= 0, so that there is no outer
-    turning point; no inner one within BAND_STEP^BAND_STEPS of r0, as for an
-    orbit that falls into the centre; or radii beyond float range. A
-    forbidden gap narrower than one step can be stepped over.
+    *Mechanics*, section 14). For E0 < 0, r g(r) = 2 E0 r^3 + 2 mu r^2 -
+    |L0|^2 r + 2 delta is a cubic falling on (0, s1), rising on (s1, s2) and
+    falling beyond, where s1 < s2 are the roots of its derivative, both
+    positive; each turning point is its one root on a piece. r_in lies in
+    (s1, min(r0, s2)) and r_out in (max(r0, s2), mu / |E0|): the cubic's
+    three roots sum to mu / |E0| and the smallest is not negative (its value
+    at 0 is 2 delta >= 0). ``_bisect`` refines each to a few ulps, with r0
+    taken to be in the band (g(r0) = (x0 . v0)^2 >= 0, however it rounds).
+    None means: E0 >= 0, so that there is no outer turning point; s1 and s2
+    not real, or g(s1) >= 0, or r0 <= s1, so that the motion holding r0
+    reaches the centre; or radii beyond float range.
     """
     if not p.E0 < 0.0:
         return None
@@ -225,21 +225,23 @@ def radial_band(p: PerturbedKeplerParams, r0: float):
     def gap(r):
         return 2.0 * r * r * (E0 - u(p, r)) - l0sq
 
-    def turning_point(ratio):
-        inside = r0  # g(r0) = (x0 . v0)^2 >= 0, however it rounds
-        for _ in range(BAND_STEPS):
-            r = inside * ratio
-            if gap(r) < 0.0:
-                return _bisect(gap, r, inside, tol=1e-15 * inside)
-            inside = r
-        return None
-
     try:
-        r_in = turning_point(1.0 / BAND_STEP)
-        r_out = turning_point(BAND_STEP) if r_in is not None else None
+        # the derivative's roots, 6 |E0| s^2 - 4 mu s + |L0|^2 = 0, the
+        # smaller one from their product |L0|^2 / (6 |E0|)
+        disc = 16.0 * p.mu * p.mu + 24.0 * E0 * l0sq
+        if not disc > 0.0:
+            return None
+        s2 = (4.0 * p.mu + math.sqrt(disc)) / (-12.0 * E0)
+        s1 = l0sq / (-6.0 * E0 * s2)
+        if not (s1 < r0 and gap(s1) < 0.0):
+            return None
+        hi = min(r0, s2)
+        r_in = _bisect(gap, s1, hi, tol=1e-15 * hi)
+        lo = max(r0, s2)
+        r_out = _bisect(gap, p.mu / -E0, lo, tol=1e-15 * lo)
     except ArithmeticError:
         return None
-    return None if r_out is None else (r_in, r_out)
+    return r_in, r_out
 
 
 def _band_geometry(p: PerturbedKeplerParams, r0: float):
@@ -326,18 +328,22 @@ def gain_bound(p: PerturbedKeplerParams) -> float:
     return math.inf
 
 
-def _gradient_and_values(p: PerturbedKeplerParams, v) -> tuple:
-    """grad V at the state components v, as 6 components, and the integrals
-    (E, L) there:
+def _feedback(p: PerturbedKeplerParams, v) -> tuple:
+    """The feedback field X - grad V and grad V at the state components v,
+    as 6 components each, and the integrals (E, L) there. The closed form
+    of grad V is
 
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
-    grad_v = k1 dE v + k2 dL x x
+    grad_v = k1 dE v + k2 dL x x.
 
     ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. E and L repeat
-    the expressions of ``invariant_components`` inline, so they are its
-    values bit for bit where E is finite (this kernel does not check it),
-    and the gradient is exactly zero at the state the targets came from.
+    and ``jacobian``, is the oracle it is checked against. The field repeats
+    the expressions of ``field``, with one evaluation of U'(|x|) for both,
+    and E and L those of ``invariant_components``, inline: the feedback
+    field is the difference of ``field`` and ``lyapunov_gradient`` bit for
+    bit, the values are ``invariant_components``' where E is finite (this
+    kernel does not check it), and the gradient is exactly zero at the state
+    the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
@@ -347,26 +353,29 @@ def _gradient_and_values(p: PerturbedKeplerParams, v) -> tuple:
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
     e = p.k1 * (E - E0)
-    c = e * _radial(u_prime, p, r) / r
+    force = _radial(u_prime, p, r)
+    c = -force / r  # the field's factor, as in ``field``: v' = c x
+    b = e * force / r
     d0, d1, d2 = l0 - t0, l1 - t1, l2 - t2
     k2 = p.k2
-    return (
-        c * x0 + k2 * (v1 * d2 - v2 * d1),
-        c * x1 + k2 * (v2 * d0 - v0 * d2),
-        c * x2 + k2 * (v0 * d1 - v1 * d0),
-        e * v0 + k2 * (d1 * x2 - d2 * x1),
-        e * v1 + k2 * (d2 * x0 - d0 * x2),
-        e * v2 + k2 * (d0 * x1 - d1 * x0),
-    ), (E, l0, l1, l2)
+    g0 = b * x0 + k2 * (v1 * d2 - v2 * d1)
+    g1 = b * x1 + k2 * (v2 * d0 - v0 * d2)
+    g2 = b * x2 + k2 * (v0 * d1 - v1 * d0)
+    g3 = e * v0 + k2 * (d1 * x2 - d2 * x1)
+    g4 = e * v1 + k2 * (d2 * x0 - d0 * x2)
+    g5 = e * v2 + k2 * (d0 * x1 - d1 * x0)
+    return ((v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5),
+            (g0, g1, g2, g3, g4, g5),
+            (E, l0, l1, l2))
 
 
 def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_gradient_and_values``)."""
-    return _gradient_and_values(p, v)[0]
+    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
+    return _feedback(p, v)[1]
 
 
-# accel and the feedback kernels call field by this name, so that wrapping
-# the public one in place (as perfbench/tracer.py does) counts only outside calls
+# accel calls field by this name, so that wrapping the public one in place
+# (as perfbench/tracer.py does) counts only outside calls
 _field = field
 
 
@@ -374,16 +383,16 @@ def modified_field_and_values(p: PerturbedKeplerParams, v) -> tuple:
     """The feedback field at a state's floats v and the integrals (E, L)
     there, ``modified_field`` and ``invariant_components`` bit for bit from
     one evaluation of them; raises where either raises."""
-    gradient, values = _gradient_and_values(p, v)
+    field, _, values = _feedback(p, v)
     if not math.isfinite(values[0]):
         values = invariant_components(p, v)  # raises its DomainError
-    return tuple(map(operator.sub, _field(p, v), gradient)), values
+    return field, values
 
 
 def modified_field(p: PerturbedKeplerParams, v) -> tuple:
     """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
     to the difference of ``field`` and ``lyapunov_gradient``."""
-    return tuple(map(operator.sub, _field(p, v), _gradient_and_values(p, v)[0]))
+    return _feedback(p, v)[0]
 
 
 def accel(p: PerturbedKeplerParams, q) -> tuple:

@@ -17,7 +17,6 @@ R^T R - I (gain k0/2 each, target 0), E and pi.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
 
@@ -144,17 +143,20 @@ def field(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def _gradient_and_values(p: RigidBodyParams, v) -> tuple:
-    """grad V at the state components v, as 12 components, and the 13
-    ``_integral_values`` there:
+def _feedback(p: RigidBodyParams, v) -> tuple:
+    """The feedback field X - grad V and grad V at the state components v,
+    as 12 components each, and the 13 ``_integral_values`` there. The
+    closed form of grad V is
 
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
-    grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0)
+    grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0).
 
     ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. The defect, E
-    and pi repeat the expressions of ``_integral_values`` inline, so they are
-    its values bit for bit, and the gradient is exactly zero at the state the
+    and ``jacobian``, is the oracle it is checked against. The field repeats
+    the expressions of ``field``, and the defect, E and pi those of
+    ``_integral_values``, inline: the feedback field is the difference of
+    ``field`` and ``lyapunov_gradient`` bit for bit, the values are
+    ``_integral_values``', and the gradient is exactly zero at the state the
     targets came from.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
@@ -176,25 +178,32 @@ def _gradient_and_values(p: RigidBodyParams, v) -> tuple:
     q0 = k2 * (pi0 - t0)
     q1 = k2 * (pi1 - t1)
     q2 = k2 * (pi2 - t2)
+    g00 = k0 * (r00 * d00 + r01 * d01 + r02 * d02) + q0 * m0
+    g01 = k0 * (r00 * d01 + r01 * d11 + r02 * d12) + q0 * m1
+    g02 = k0 * (r00 * d02 + r01 * d12 + r02 * d22) + q0 * m2
+    g10 = k0 * (r10 * d00 + r11 * d01 + r12 * d02) + q1 * m0
+    g11 = k0 * (r10 * d01 + r11 * d11 + r12 * d12) + q1 * m1
+    g12 = k0 * (r10 * d02 + r11 * d12 + r12 * d22) + q1 * m2
+    g20 = k0 * (r20 * d00 + r21 * d01 + r22 * d02) + q2 * m0
+    g21 = k0 * (r20 * d01 + r21 * d11 + r22 * d12) + q2 * m1
+    g22 = k0 * (r20 * d02 + r21 * d12 + r22 * d22) + q2 * m2
+    h0 = e * m0 + i0 * (r00 * q0 + r10 * q1 + r20 * q2)
+    h1 = e * m1 + i1 * (r01 * q0 + r11 * q1 + r21 * q2)
+    h2 = e * m2 + i2 * (r02 * q0 + r12 * q1 + r22 * q2)
     return (
-        k0 * (r00 * d00 + r01 * d01 + r02 * d02) + q0 * m0,
-        k0 * (r00 * d01 + r01 * d11 + r02 * d12) + q0 * m1,
-        k0 * (r00 * d02 + r01 * d12 + r02 * d22) + q0 * m2,
-        k0 * (r10 * d00 + r11 * d01 + r12 * d02) + q1 * m0,
-        k0 * (r10 * d01 + r11 * d11 + r12 * d12) + q1 * m1,
-        k0 * (r10 * d02 + r11 * d12 + r12 * d22) + q1 * m2,
-        k0 * (r20 * d00 + r21 * d01 + r22 * d02) + q2 * m0,
-        k0 * (r20 * d01 + r21 * d11 + r22 * d12) + q2 * m1,
-        k0 * (r20 * d02 + r21 * d12 + r22 * d22) + q2 * m2,
-        e * m0 + i0 * (r00 * q0 + r10 * q1 + r20 * q2),
-        e * m1 + i1 * (r01 * q0 + r11 * q1 + r21 * q2),
-        e * m2 + i2 * (r02 * q0 + r12 * q1 + r22 * q2),
-    ), (d00, d01, d02, d01, d11, d12, d02, d12, d22, E, pi0, pi1, pi2)
+        (r01 * w2 - r02 * w1 - g00, r02 * w0 - r00 * w2 - g01, r00 * w1 - r01 * w0 - g02,
+         r11 * w2 - r12 * w1 - g10, r12 * w0 - r10 * w2 - g11, r10 * w1 - r11 * w0 - g12,
+         r21 * w2 - r22 * w1 - g20, r22 * w0 - r20 * w2 - g21, r20 * w1 - r21 * w0 - g22,
+         (m1 * w2 - m2 * w1) / i0 - h0, (m2 * w0 - m0 * w2) / i1 - h1,
+         (m0 * w1 - m1 * w0) / i2 - h2),
+        (g00, g01, g02, g10, g11, g12, g20, g21, g22, h0, h1, h2),
+        (d00, d01, d02, d01, d11, d12, d02, d12, d22, E, pi0, pi1, pi2),
+    )
 
 
 def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_gradient_and_values``)."""
-    return _gradient_and_values(p, v)[0]
+    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
+    return _feedback(p, v)[1]
 
 
 def lyapunov(p: RigidBodyParams, s) -> float:
@@ -226,23 +235,17 @@ def drift_metrics(p: RigidBodyParams, s0):
     return lambda s: drift(_integral_values(inertia, s))
 
 
-# the kernels below call field by this name, so that wrapping the public one
-# in place (as perfbench/tracer.py does) counts only outside calls
-_field = field
-
-
 def modified_field_and_values(p: RigidBodyParams, v) -> tuple:
     """The feedback field at the state components v and the 13
-    ``_integral_values`` there, from one evaluation of them; the field is
-    bit-identical to the difference of ``field`` and ``lyapunov_gradient``."""
-    gradient, values = _gradient_and_values(p, v)
-    return tuple(map(operator.sub, _field(p, v), gradient)), values
+    ``_integral_values`` there, from one evaluation of them (see ``_feedback``)."""
+    field, _, values = _feedback(p, v)
+    return field, values
 
 
 def modified_field(p: RigidBodyParams, v) -> tuple:
     """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
     to the difference of ``field`` and ``lyapunov_gradient``."""
-    return tuple(map(operator.sub, _field(p, v), _gradient_and_values(p, v)[0]))
+    return _feedback(p, v)[0]
 
 
 def gain_bound(p: RigidBodyParams) -> float:

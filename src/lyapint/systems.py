@@ -3,10 +3,12 @@
 A ``SystemModel`` bundles everything the drift diagnostics, validators and
 the experiment runner need: the original and feedback vector fields, the
 stacked integral map, the params (constants, gains ``K``, targets ``f0``),
-drift metrics relative to a run's initial state, and a sampler for
-randomized property checks. ``make_system`` builds one from the system's
-module, which ``module`` imports on first use: a process loads only the
-systems it builds.
+drift metrics relative to a run's initial state, and a ``SamplingRule``
+for randomized property checks, stated once over components and applied
+to one state's floats (``sample_state``) or to blocks of columns
+(``sample_blocks``) with the same states bit for bit. ``make_system``
+builds one from the system's module, which ``module`` imports on first
+use: a process loads only the systems it builds.
 """
 
 from __future__ import annotations  # np.random.Generator names numpy without importing it
@@ -14,7 +16,7 @@ from __future__ import annotations  # np.random.Generator names numpy without im
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .feedback import FirstIntegralMap
 
@@ -39,9 +41,30 @@ def module(name: str):
     return __import__(f"{__package__}.{name}", fromlist=("setup",))
 
 
-# Uniforms per generator call in SystemModel.sample_blocks: a few blocks of
-# states' worth, so that numpy's per-call cost vanishes next to the kernel.
+# Uniforms per generator call in SystemModel.sample_blocks: a few hundred
+# states' worth, so that numpy's per-call cost is small next to the block's
+# and its temporaries stay small.
 SAMPLE_REFILL = 4096
+
+
+@dataclass(frozen=True)
+class SamplingRule:
+    """How a system draws one random state from standard uniforms in [0, 1).
+
+    A try takes ``tried`` uniforms, ``u``. ``test(u)`` gives
+    ``(draw_tail, accept)``: whether ``tail`` more uniforms, ``w``, are drawn
+    after the try, and whether the try then gives the state ``state(u, w)``.
+    A try that is not accepted is drawn again from the start, with the next
+    uniforms. Both functions are written over components, as the kernels
+    are: Python floats for one try, or (N,) columns for N tries, giving
+    masks and state columns whose entry i is the single-try result bit for
+    bit.
+    """
+
+    tried: int
+    tail: int
+    test: Callable[[Sequence], tuple]
+    state: Callable[[Sequence, Sequence], tuple]
 
 
 @dataclass(frozen=True)
@@ -69,14 +92,14 @@ class SystemModel:
     a run's feedback step takes its first stage from it (see
     ``cli.run_experiment``).
 
-    ``sampler(draw)`` is the system's one sampler kernel. It returns a state
-    as a tuple of floats, where ``draw(k)`` gives the next ``k`` standard
-    uniforms in ``[0, 1)`` as Python floats. ``sample_state(rng)`` draws
-    exactly the uniforms its state uses, so its states and the generator
-    state after each call are those of the same sampler on ``rng.uniform``.
-    ``sample_blocks(rng, n, block)`` yields the same ``n`` states in the same
-    order, as a generator's uniforms form one stream however they are
-    requested, but may leave the generator past the last of them.
+    ``sampler`` is the system's ``SamplingRule``, stated once over
+    components. ``sample_state(rng)`` applies it to floats and draws exactly
+    the uniforms it uses, so its states and the generator state after each
+    call are those of the same rule on ``rng.uniform``.
+    ``sample_blocks(rng, n, block)`` applies it to columns and yields the
+    same ``n`` states in the same order, as a generator's uniforms form one
+    stream however they are requested, but may leave the generator past the
+    last of them.
     """
 
     name: str
@@ -92,7 +115,7 @@ class SystemModel:
     drift_names: tuple
     drift_metrics: Callable[[tuple], tuple]
     field_and_drift: Callable[[tuple], tuple]
-    sampler: Callable[[Callable[[int], list]], tuple]
+    sampler: SamplingRule
     gain_bound: float
     period_of: Callable[[], float]
     projection_tol: float
@@ -104,79 +127,142 @@ class SystemModel:
         return self.period_of()
 
     def sample_state(self, rng: np.random.Generator) -> tuple:
-        """One random state, drawing one ``rng.random(k)`` per kernel request."""
-        return self.sampler(lambda k: rng.random(k).tolist())
+        """One random state: the rule on floats, one ``rng.random(k)`` per part of a try."""
+        rule = self.sampler
+        while True:
+            tried = rng.random(rule.tried).tolist()
+            draw_tail, accept = rule.test(tried)
+            if draw_tail:
+                tail = rng.random(rule.tail).tolist()
+                if accept:
+                    return rule.state(tried, tail)
 
     def sample_blocks(self, rng: np.random.Generator, n_samples: int, block: int):
         """The first n_samples states of ``sample_state`` on rng, in blocks.
 
-        Yields arrays of ``block`` rows (fewer in the last), one at a time;
-        the uniforms come from one buffer that ``_buffered_draw`` refills.
+        Yields C-contiguous arrays of ``block`` rows (fewer in the last), one
+        at a time. The uniforms come from one stream, extended by one
+        ``rng.random(SAMPLE_REFILL)`` call at a time. The rule's test runs on
+        columns cut from the stream at every offset where a try and its tail
+        fit, and ``_accepted_tries`` walks the masks as ``sample_state``
+        would step through the stream. The states come from the columns at
+        the tries it picks; the uniforms from the first try it did not reach
+        carry over to the next draw.
         """
         import numpy as np
 
-        draw = _buffered_draw(rng)
+        rule = self.sampler
+        width = rule.tried + rule.tail
+        stream = np.empty(0)
         for start in range(0, n_samples, block):
-            yield np.array([self.sampler(draw) for _ in range(min(block, n_samples - start))])
+            wanted = min(block, n_samples - start)
+            parts = []
+            while True:
+                n = len(stream) - width + 1  # offsets where a try and its tail fit
+                if n > 0:
+                    draw_tail, accept = rule.test([stream[j:n + j] for j in range(rule.tried)])
+                    offsets, used = _accepted_tries(draw_tail, accept, rule.tried, width, wanted)
+                    columns = [stream[offsets + j] for j in range(width)]
+                    parts.append(np.stack(rule.state(columns[:rule.tried], columns[rule.tried:]),
+                                          axis=1))
+                    wanted -= len(offsets)
+                    stream = stream[used:]
+                if not wanted:
+                    break
+                stream = np.concatenate((stream, rng.random(SAMPLE_REFILL)))
+            yield np.concatenate(parts)
 
 
-def _buffered_draw(rng: np.random.Generator) -> Callable[[int], list]:
-    # draw(k) served from one list of uniforms, refilled by one
-    # rng.random(SAMPLE_REFILL) call once fewer than k are left
-    buffer, pos = [], 0
+def _accepted_tries(draw_tail, accept, tried: int, width: int, wanted: int):
+    """(offsets, end): the offsets of the first ``wanted`` accepted tries that
+    a sequential sampler meets from offset 0, and the offset of the first
+    uniform it has not used, given the rule's masks at every offset.
 
-    def draw(k):
-        nonlocal buffer, pos
-        end = pos + k
-        while end > len(buffer):
-            buffer = buffer[pos:] + rng.random(SAMPLE_REFILL).tolist()
-            end -= pos
-            pos = 0
-        out = buffer[pos:end]
-        pos = end
-        return out
+    A try passing both tests takes ``width`` uniforms, so from an offset the
+    sampler steps along every ``width``-th offset until one fails; only
+    there does it look at the masks one try at a time, stepping ``tried``
+    or ``width`` uniforms. The walk stops at the end of the masks.
+    """
+    import numpy as np
 
-    return draw
-
-
-# The sampler kernels map a standard uniform u to [low, high) as
-# low + (high - low) * u, the arithmetic of numpy's Generator.uniform, with
-# high - low written out; the states are those of rng.uniform draws.
-def _rigid_sampler(draw) -> tuple:
-    # Attitudes I + U, U uniform in [-0.5, 0.5]^(3x3), near (but not on) the
-    # rotation group with positive determinant, then angular velocities
-    # uniform in [-2, 2]^3. (high - low = 1 for U, so the product is exact.)
-    while True:
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = draw(9)
-        u01, u02, u10 = -0.5 + r01, -0.5 + r02, -0.5 + r10
-        u12, u20, u21 = -0.5 + r12, -0.5 + r20, -0.5 + r21
-        a00, a11, a22 = 1.0 + (-0.5 + r00), 1.0 + (-0.5 + r11), 1.0 + (-0.5 + r22)
-        det = (a00 * (a11 * a22 - u12 * u21) - u01 * (u10 * a22 - u12 * u20)
-               + u02 * (u10 * u21 - a11 * u20))
-        if det > 1e-3:
-            break
-    w0, w1, w2 = draw(3)
-    return (a00, u01, u02, u10, a11, u12, u20, u21, a22,
-            -2.0 + 4.0 * w0, -2.0 + 4.0 * w1, -2.0 + 4.0 * w2)
+    n = len(draw_tail)
+    taken = draw_tail & accept
+    runs = []
+    pos = found = 0
+    while found < wanted and pos < n:
+        run = taken[pos::width]
+        stop = int(run.argmin())  # the first failing try, or 0 if none fails
+        if run[stop]:
+            stop = len(run)
+        stop = min(stop, wanted - found)
+        runs.append(np.arange(pos, pos + stop * width, width))
+        found += stop
+        pos += stop * width
+        if found < wanted and pos < n:  # a try that fails
+            pos += width if draw_tail[pos] else tried
+    return np.concatenate(runs), pos
 
 
-def _orbital_sampler(draw, r_min: float = 0.2) -> tuple:
-    # Positions uniform in [-2, 2]^3 with |x| >= 0.2, then velocities uniform
-    # in [-1.5, 1.5]^3; a state with |x| < r_min is drawn again from the start.
-    while True:
-        u0, u1, u2 = draw(3)
-        x0, x1, x2 = -2.0 + 4.0 * u0, -2.0 + 4.0 * u1, -2.0 + 4.0 * u2
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if r >= 0.2:
-            u0, u1, u2 = draw(3)
-            if r >= r_min:
-                return (x0, x1, x2, -1.5 + 3.0 * u0, -1.5 + 3.0 * u1, -1.5 + 3.0 * u2)
+def _sqrt(x):
+    # math.sqrt of a float, np.sqrt of a column: both correctly rounded
+    if isinstance(x, float):
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
+
+
+# The rules map a standard uniform u to [low, high) as low + (high - low) * u,
+# the arithmetic of numpy's Generator.uniform, with high - low written out;
+# the states are those of rng.uniform draws.
+def _rigid_attitude(u) -> tuple:
+    # I + U, U uniform in [-0.5, 0.5]^(3x3): high - low = 1, so the product is exact
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = u
+    return (1.0 + (-0.5 + r00), -0.5 + r01, -0.5 + r02,
+            -0.5 + r10, 1.0 + (-0.5 + r11), -0.5 + r12,
+            -0.5 + r20, -0.5 + r21, 1.0 + (-0.5 + r22))
+
+
+def _rigid_test(u) -> tuple:
+    # an attitude near (but not on) the rotation group with positive determinant
+    a00, u01, u02, u10, a11, u12, u20, u21, a22 = _rigid_attitude(u)
+    det = (a00 * (a11 * a22 - u12 * u21) - u01 * (u10 * a22 - u12 * u20)
+           + u02 * (u10 * u21 - a11 * u20))
+    ok = det > 1e-3
+    return ok, ok
+
+
+def _rigid_state(u, w) -> tuple:
+    # then angular velocities uniform in [-2, 2]^3
+    w0, w1, w2 = w
+    return (*_rigid_attitude(u), -2.0 + 4.0 * w0, -2.0 + 4.0 * w1, -2.0 + 4.0 * w2)
+
+
+def _position(u) -> tuple:
+    # positions uniform in [-2, 2]^3
+    u0, u1, u2 = u
+    return -2.0 + 4.0 * u0, -2.0 + 4.0 * u1, -2.0 + 4.0 * u2
+
+
+def _orbital_rule(r_min: float) -> SamplingRule:
+    # A position with |x| >= 0.2 draws a velocity uniform in [-1.5, 1.5]^3;
+    # the state is kept if also |x| >= r_min.
+    def test(u):
+        x0, x1, x2 = _position(u)
+        r = _sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        return r >= 0.2, r >= r_min
+
+    def state(u, w):
+        w0, w1, w2 = w
+        return (*_position(u), -1.5 + 3.0 * w0, -1.5 + 3.0 * w1, -1.5 + 3.0 * w2)
+
+    return SamplingRule(tried=3, tail=3, test=test, state=state)
 
 
 _SAMPLERS = {
-    "rigid_body": _rigid_sampler,
-    "kepler": _orbital_sampler,
-    "perturbed_kepler": lambda draw: _orbital_sampler(draw, r_min=0.25),  # off the repulsive core
+    "rigid_body": SamplingRule(tried=9, tail=3, test=_rigid_test, state=_rigid_state),
+    "kepler": _orbital_rule(0.2),
+    "perturbed_kepler": _orbital_rule(0.25),  # off the repulsive core
 }
 
 

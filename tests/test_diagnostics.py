@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import drift_by_name, perihelion_passages, precession_rate, state_with_lyapunov
 from lyapint import systems
@@ -182,17 +183,55 @@ def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
     # state has the largest residual, some 1e-10 above the one before it
     drawn = []
 
-    def growing(draw):
-        drawn.append(None)
-        return (1.0, 0.0, 0.0, 0.0, float(len(drawn)), 0.0)
+    def growing(u, w):
+        if isinstance(w[0], float):
+            drawn.append(float(len(drawn) + 1))
+            return (1.0, 0.0, 0.0, 0.0, drawn[-1], 0.0)
+        n = len(w[0])
+        k = np.arange(len(drawn) + 1, len(drawn) + n + 1, dtype=float)
+        drawn.extend(k.tolist())
+        one, zero = np.ones(n), np.zeros(n)
+        return (one, zero, zero, zero, k, zero)
 
-    probe = dataclasses.replace(kepler_sys, sampler=growing, gradient=kepler_sys.field)
+    rule = dataclasses.replace(kepler_sys.sampler, state=growing)
+    probe = dataclasses.replace(kepler_sys, sampler=rule, gradient=kepler_sys.field)
     report = orthogonality_report(probe, n_samples=n_samples, seed=6)
-    assert len(drawn) == n_samples
+    assert drawn == list(range(1, n_samples + 1))
     drawn.clear()
     expected = per_state_worst_residual(probe, n_samples, 6)
     assert abs(report.max_scaled_residual - expected) <= 1e-15
     assert report.max_scaled_residual > 0.5
+
+
+def with_a_nan_gradient(system, at):
+    """system, its gradient NaN in every component at the sampled state
+    whose first component is ``at``, and only there."""
+    gradient = system.gradient
+
+    def poisoned(x):
+        g = gradient(x)
+        if isinstance(x[0], float):
+            return tuple(math.nan for _ in g) if x[0] == at else g
+        hit = x[0] == at
+        return tuple(np.where(hit, math.nan, gi) for gi in g)
+
+    return dataclasses.replace(system, gradient=poisoned)
+
+
+@pytest.mark.parametrize("report", [orthogonality_report, gradient_agreement_report])
+def test_a_nan_residual_fails_the_report(kepler_sys, report):
+    # one NaN among the states of the second 1,000-state block: Python's
+    # max(worst, nan) would keep worst, and the report would pass
+    states = np.concatenate(list(kepler_sys.sample_blocks(np.random.default_rng(7), 2500, 1000)))
+    probe = with_a_nan_gradient(kepler_sys, float(states[1234, 0]))
+    clean = report(kepler_sys, n_samples=2500, seed=7)
+    assert clean.passed
+    poisoned = report(probe, n_samples=2500, seed=7)
+    worst = getattr(poisoned, "max_scaled_residual", None)
+    if worst is None:
+        worst = poisoned.max_scaled_difference
+    assert math.isnan(worst)
+    assert not poisoned.passed
 
 
 @pytest.mark.parametrize("refill", [7, systems.SAMPLE_REFILL])
@@ -210,6 +249,24 @@ def test_sample_blocks_draw_the_states_of_sample_state(monkeypatch, name, seed, 
     assert [len(b) for b in blocks] == [777] * 12 + [676]
     rng = np.random.default_rng(seed)
     single = np.array([system.sample_state(rng) for _ in range(10_000)])
+    assert np.concatenate(blocks).tobytes() == single.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SYSTEM_NAMES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 1500), block=st.integers(1, 700),
+       refill=st.sampled_from((1, 2, 5, 7, 11, 13, 64, 4096)))
+def test_sample_blocks_are_n_calls_of_sample_state(name, seed, n, block, refill):
+    # refills of 1-13 uniforms split the tries (3 or 9 uniforms) and their
+    # tails (3) across generator calls, and carry unused uniforms over
+    system = make_system(name)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(systems, "SAMPLE_REFILL", refill)
+        blocks = list(system.sample_blocks(np.random.default_rng(seed), n, block))
+    assert [len(b) for b in blocks] == [block] * (n // block) + ([n % block] if n % block else [])
+    assert all(b.flags.c_contiguous for b in blocks)
+    rng = np.random.default_rng(seed)
+    single = np.array([system.sample_state(rng) for _ in range(n)])
     assert np.concatenate(blocks).tobytes() == single.tobytes()
 
 

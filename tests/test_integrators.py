@@ -71,6 +71,23 @@ def test_rk4_exact_time_quadrature():
         assert out[1] == 1.0
 
 
+@pytest.mark.parametrize("scheme, stages", [(euler_step, 1), (rk4_step, 4)])
+def test_a_known_first_stage_is_not_evaluated_again(kepler_sys, scheme, stages):
+    # given k1 = field(x), the step is the same bits with one field call fewer
+    calls = []
+
+    def field(s):
+        calls.append(s)
+        return kepler_sys.modified_field(s)
+
+    x = (1.0, 0.1, -0.2, 0.05, 1.3, 0.1)
+    plain = scheme(field, x, 0.01)
+    assert len(calls) == stages and calls[0] is x
+    calls.clear()
+    assert scheme(field, x, 0.01, kepler_sys.modified_field(x)) == plain
+    assert len(calls) == stages - 1 and x not in calls
+
+
 def test_stormer_verlet_free_drift():
     q = (1.0, 2.0)
     v = (0.5, -0.5)

@@ -488,6 +488,28 @@ def test_period_is_the_quadrature_of_the_radial_speed(mu, delta, s0):
     assert pk.period(p, s0) == pytest.approx(band_quadrature(p, s0, np.ones_like), rel=1e-9)
 
 
+def narrow_gap_start(r0):
+    """At mu = 1, delta = 0.05: a start at radius r0 with |L0|^2 = 0.85 and
+    E0 = -0.41, 0.01 below the energy of the unstable circular orbit at
+    r = 0.25; the forbidden gap between the core root 0.2363 of r g(r) and
+    the band's inner end 0.2665 is 1.128 wide in ratio."""
+    v_t = math.sqrt(0.85) / r0
+    v_r = math.sqrt(2.0 * (-0.41 + 1.0 / r0 + 0.05 / r0**3) - v_t * v_t)
+    return pk.setup((r0, 0.0, 0.0, v_r, v_t, 0.0), pk.BENCHMARK_GAINS, mu=1.0, delta=0.05)
+
+
+@pytest.mark.parametrize("r0", [0.28, 1.0])
+def test_a_gap_narrower_than_a_step_of_2_to_the_quarter_is_not_stepped_over(r0):
+    # from r0 = 0.28, radii 2^(1/4) apart step from 0.28 to 0.2355, over the gap
+    p, s0 = narrow_gap_start(r0)
+    assert (p.E0, float(np.dot(p.L0, p.L0))) == pytest.approx((-0.41, 0.85), rel=1e-14)
+    r_in, r_out = pk.radial_band(p, r0)
+    assert (r_in, r_out) == pytest.approx((0.2665240162460508, 1.9361782003479955), rel=1e-12)
+    period = pk.period(p, s0)
+    assert math.isfinite(period)
+    assert period == pytest.approx(band_quadrature(p, s0, np.ones_like), rel=1e-9)
+
+
 def test_apse_advance_is_the_reference_precession(pk_sys, pk_runs):
     # the apse advance per radial period, 2 * the integral of |L0| / r^2 dr / |v_r|
     # minus 2 pi (Landau and Lifshitz, section 15). Measured: 0.120946219

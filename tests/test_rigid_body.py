@@ -260,6 +260,23 @@ def test_batched_kernels_equal_single_state_results_bit_for_bit(inertia, gains, 
         assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("inertia, gains, seed", [
+    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 28),
+    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 29),
+])
+def test_feedback_kernel_is_field_minus_gradient_and_the_integral_values_bit_for_bit(
+        inertia, gains, seed):
+    # the one fused kernel against the separate field and integral-value expressions
+    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
+    p, _ = rigid_body.setup(start, gains, inertia=inertia)
+    for s in random_states(seed, 2000):
+        field, values = rigid_body.modified_field_and_values(p, s)
+        expected = np.array(rigid_body.field(p, s)) - np.array(rigid_body.lyapunov_gradient(p, s))
+        assert np.array(rigid_body.modified_field(p, s)).tobytes() == expected.tobytes()
+        assert np.array(field).tobytes() == expected.tobytes()
+        assert values == rigid_body._integral_values(p.inertia, s)
+
+
 def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
     # the float triple-product determinant against np.linalg.det, same draws
     def numpy_sampler(rng):
