@@ -9,13 +9,12 @@ estimates the smallest singular values of the stacked integral map's
 Jacobian over sample states.
 
 Each function imports numpy when it runs, so that importing this module (as
-the CLI does) loads no numpy.
+a `check` does) loads no numpy.
 """
 
 from __future__ import annotations  # np.ndarray names numpy without importing it
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .feedback import FirstIntegralMap
 from .numerics import column_dot
@@ -41,8 +40,7 @@ def worst_of(worst: float, residuals) -> float:
     return float(np.maximum(worst, residuals.max()))
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Smallest singular value of Df over the samples, with full spectra."""
 
     min_singular_value: float
@@ -76,8 +74,7 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
                       threshold=threshold)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Worst scaled residual of <grad V, X> over random states."""
 
     max_scaled_residual: float
@@ -120,8 +117,7 @@ def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
                                tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class GradientAgreementReport:
+class GradientAgreementReport(NamedTuple):
     """Worst scaled difference between the analytic gradient and Df^T K (f - f0)."""
 
     max_scaled_difference: float

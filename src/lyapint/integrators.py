@@ -14,7 +14,6 @@ Newton loop runs, and by ``rollout``.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from .errors import IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap
@@ -81,28 +80,27 @@ def stormer_verlet_step(accel, q, v, h, variant="A"):
     return q1, v1
 
 
-@dataclass(frozen=True)
 class ProjectionConfig:
     """Constraint map, target values (a tuple of floats), and Newton termination settings."""
 
-    constraint: FirstIntegralMap
-    target: tuple
-    tol: float
-    max_iter: int = 25
+    __slots__ = ("constraint", "target", "tol", "max_iter")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"projection tol must be positive and finite, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"projection max_iter must be at least 1, got {self.max_iter!r}")
-        n = self.constraint.dim_values
+    def __init__(self, constraint: FirstIntegralMap, target, tol: float, max_iter: int = 25):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"projection tol must be positive and finite, got {tol!r}")
+        if max_iter < 1:
+            raise ValueError(f"projection max_iter must be at least 1, got {max_iter!r}")
+        n = constraint.dim_values
         try:
-            values = tuple(self.target)
+            values = tuple(target)
         except TypeError:  # a scalar
             values = ()
         if len(values) != n or not all(isinstance(v, numbers.Real) for v in values):
-            raise ValueError(f"projection target must hold {n} values, got {self.target!r}")
-        object.__setattr__(self, "target", tuple(map(float, values)))
+            raise ValueError(f"projection target must hold {n} values, got {target!r}")
+        self.constraint = constraint
+        self.target = tuple(map(float, values))
+        self.tol = tol
+        self.max_iter = max_iter
 
 
 def _pseudo_inverse(jac):

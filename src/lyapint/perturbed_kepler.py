@@ -25,6 +25,7 @@ that band in closed form, and ``period`` integrates over it.
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import partial
+from typing import NamedTuple
 
 from .errors import DomainError
 from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
@@ -426,8 +427,7 @@ def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
 
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of the circular-orbit incompatibility check.
 
     ``roots`` are the radii solving |L0|^2 = r^3 U'(r) inside the bracket;

@@ -16,7 +16,7 @@ from __future__ import annotations  # np.random.Generator names numpy without im
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .feedback import FirstIntegralMap
 
@@ -47,8 +47,7 @@ def module(name: str):
 SAMPLE_REFILL = 4096
 
 
-@dataclass(frozen=True)
-class SamplingRule:
+class SamplingRule(NamedTuple):
     """How a system draws one random state from standard uniforms in [0, 1).
 
     A try takes ``tried`` uniforms, ``u``. ``test(u)`` gives

@@ -820,19 +820,25 @@ def test_float_methods_run_without_numpy(tmp_path):
     assert "kepler stormer_verlet_b" in cells and "rigid_body stormer_verlet_a" not in cells
 
 
+def _one_step_run(system):
+    h = module(system).BENCHMARK_STEP
+    return ["run", "--system", system, "--method", "feedback_euler", "--h", repr(h),
+            "--t-end", repr(1.5 * h), "--out", "one.csv"]
+
+
 @pytest.mark.parametrize("system", SYSTEM_NAMES)
 def test_run_and_check_load_only_their_system_module(tmp_path, system):
-    # each system module is imported on first use: a one-step `run` and a
-    # `check` of one system leave the other two unloaded
-    h = module(system).BENCHMARK_STEP
-    run = ["run", "--system", system, "--method", "feedback_euler", "--h", repr(h),
-           "--t-end", repr(1.5 * h), "--out", "one.csv"]
+    # each system module, and diagnostics, is imported on first use: a
+    # one-step `run` loads its system alone, and a `check` of one system
+    # adds diagnostics and leaves the other two systems unloaded
+    run = _one_step_run(system)
     code = f"""if True:
         import contextlib, io, sys
         import lyapint.cli
 
         def loaded():
-            return [name for name in {SYSTEM_NAMES!r} if "lyapint." + name in sys.modules]
+            return [name for name in ({SYSTEM_NAMES!r} + ("diagnostics",))
+                    if "lyapint." + name in sys.modules]
 
         print(loaded())
         for argv in ({run!r}, ["check", "--system", {system!r}]):
@@ -842,7 +848,33 @@ def test_run_and_check_load_only_their_system_module(tmp_path, system):
         """
     proc = _run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", f"0 [{system!r}]", f"0 [{system!r}]"]
+    assert proc.stdout.splitlines() == [
+        "[]", f"0 [{system!r}]", f"0 [{system!r}, 'diagnostics']"]
+
+
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
+def test_a_run_defines_four_dataclasses(tmp_path, system):
+    # @dataclass compiles its methods in every process; the plain records
+    # are NamedTuples, and only the types that need dataclasses.replace,
+    # fields, __post_init__ or mutability stay dataclasses
+    run = _one_step_run(system)
+    code = f"""if True:
+        import contextlib, dataclasses, io, sys
+        import lyapint.cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert lyapint.cli.main({run!r}) == 0
+        print(sorted(name for module, m in list(sys.modules.items())
+                     if module.startswith("lyapint")
+                     for name, value in vars(m).items()
+                     if isinstance(value, type) and value.__module__ == module
+                     and dataclasses.is_dataclass(value)))
+        """
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    params = type(make_system(system).params).__name__
+    expected = sorted(["ExperimentConfig", "FirstIntegralMap", "SystemModel", params])
+    assert proc.stdout.splitlines() == [repr(expected)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -876,6 +908,19 @@ def test_main_bad_gains_string():
     code = main(["run", "--system", "kepler", "--method", "euler",
                  "--t-end", "1.0", "--gains", "k1:4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("gains", ["k1=1,k1=2", "k1=1, k1 = 1"])
+def test_main_repeated_gain_exits_2(tmp_path, capsys, gains):
+    # a config file's [gains] refuses a repeated key; the flag names it too
+    # instead of keeping the last value
+    out = tmp_path / "never.csv"
+    code = main(["run", "--system", "kepler", "--method", "feedback_euler",
+                 "--t-end", "1.0", "--gains", gains, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: gain 'k1' given more than once in {gains!r}"]
+    assert not out.exists()
 
 
 def test_figure_unknown_id(tmp_path):
@@ -937,16 +982,60 @@ def test_check_command_passes_for_shipped_systems(capsys):
         assert "PASS" in printed and "FAIL" not in printed
 
 
-def test_check_command_exit_code_on_failure(monkeypatch, capsys):
-    from lyapint.diagnostics import OrthogonalityReport
+# A failing result of each report that `check --system perturbed_kepler` calls.
+FAILING_REPORTS = {
+    "orthogonality_report": lambda d: d.OrthogonalityReport(
+        max_scaled_residual=1.0, n_samples=1, tolerance=1e-12),
+    "gradient_agreement_report": lambda d: d.GradientAgreementReport(
+        max_scaled_difference=1.0, n_samples=1, tolerance=1e-12),
+    "check_rank_condition": lambda d: d.RankReport(
+        min_singular_value=0.0, spectra=((1.0, 1.0, 1.0, 0.0),), threshold=1e-8),
+}
 
-    def failing(system, n_samples=10_000, seed=0, tolerance=1e-12):
-        return OrthogonalityReport(max_scaled_residual=1.0, n_samples=1,
-                                   tolerance=tolerance)
 
-    monkeypatch.setattr("lyapint.cli.orthogonality_report", failing)
+@pytest.mark.parametrize("name", sorted(FAILING_REPORTS))
+def test_check_command_exit_code_on_failure(monkeypatch, capsys, name):
+    # the function set on lyapint.cli.<name> is the one check_system calls
+    from lyapint import diagnostics
+
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(name)
+        return FAILING_REPORTS[name](diagnostics)
+
+    monkeypatch.setattr(f"lyapint.cli.{name}", failing)
     assert check_system("perturbed_kepler") == 4
-    assert "FAIL" in capsys.readouterr().out
+    assert calls == [name]
+    assert capsys.readouterr().out.count("FAIL") == 1
+
+
+def test_reports_set_on_the_cli_before_diagnostics_loads_are_kept(tmp_path):
+    # check_system imports diagnostics on first use and keeps what is
+    # already set on lyapint.cli, as perfbench's tracer sets its wrappers
+    code = f"""if True:
+        import contextlib, io, sys
+        import lyapint.cli
+
+        calls = []
+
+        def spy(name):
+            def report(*args, **kwargs):
+                calls.append(name)
+                from lyapint import diagnostics
+                return getattr(diagnostics, name)(*args, **kwargs)
+            return report
+
+        for name in {sorted(FAILING_REPORTS)!r}:
+            setattr(lyapint.cli, name, spy(name))
+        assert "lyapint.diagnostics" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = lyapint.cli.main(["check", "--system", "perturbed_kepler"])
+        print(code, sorted(calls))
+        """
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {sorted(FAILING_REPORTS)!r}"]
 
 
 def test_main_check_subcommand(capsys):

@@ -193,7 +193,7 @@ def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
         one, zero = np.ones(n), np.zeros(n)
         return (one, zero, zero, zero, k, zero)
 
-    rule = dataclasses.replace(kepler_sys.sampler, state=growing)
+    rule = kepler_sys.sampler._replace(state=growing)
     probe = dataclasses.replace(kepler_sys, sampler=rule, gradient=kepler_sys.field)
     report = orthogonality_report(probe, n_samples=n_samples, seed=6)
     assert drawn == list(range(1, n_samples + 1))
