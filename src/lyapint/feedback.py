@@ -18,11 +18,14 @@ below take them as they are. The shipped systems
 provide closed-form gradients as the production path; ``generic_gradient``
 below evaluates the Jacobian-transpose formula from the map's own ``eval``
 and ``jacobian`` kernels, a derivation independent of the closed forms, and
-serves as the oracle they are checked against.
+serves as the oracle they are checked against. ``derive_system`` composes
+the rest of a system from its kernels: each system module states its
+physics once and binds what it returns to its own names.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 
@@ -91,3 +94,55 @@ def generic_gradient(f: FirstIntegralMap, gains, target, x):
     for row, wi in zip(rows[1:], w[1:]):
         grad = [g + d * wi for g, d in zip(grad, row)]
     return tuple(grad)
+
+
+def derive_system(feedback, values, map_values, jacobian_rows, drift_row, dim, dim_values):
+    """The functions a system's kernels determine, each taking the params
+    first: ``(modified_field, lyapunov_gradient, modified_field_and_values,
+    lyapunov, drift_from_values, drift_metrics, integral_map)``.
+
+    The kernels take the params and a state's components.
+    ``feedback(p, s) -> (field, gradient, values)`` is the fused kernel: the
+    feedback field X - grad V, grad V and the integral values, which
+    ``values(p, s)`` gives alone, bit for bit; V is ``lyapunov_value`` of
+    them. ``map_values`` and ``jacobian_rows`` give the dim_values values of
+    the stacked map f and its Jacobian rows. ``drift_row(start, values, V)``
+    gives the drift row, V first, from the values at a state and at the
+    start s0 and the V of the state: ``drift_from_values(p, s0)`` gives
+    ``drift(values)``, that row, and ``drift_metrics(p, s0)`` gives
+    ``drift(s)``, the row of the values at s. Each function calls the
+    kernels it was given, so a wrapper set on a module's name in place (as
+    perfbench/tracer.py sets) counts only the calls made through that name.
+    """
+
+    def modified_field(p, v):
+        return feedback(p, v)[0]
+
+    def lyapunov_gradient(p, v):
+        return feedback(p, v)[1]
+
+    def modified_field_and_values(p, v):
+        field, _, vals = feedback(p, v)
+        return field, vals
+
+    def lyapunov(p, s):
+        return lyapunov_value(p.K, p.f0, values(p, s))
+
+    def drift_from_values(p, s0):
+        K, f0, start = p.K, p.f0, values(p, s0)
+
+        def drift(vals):
+            return drift_row(start, vals, lyapunov_value(K, f0, vals))
+
+        return drift
+
+    def drift_metrics(p, s0):
+        drift = drift_from_values(p, s0)
+        return lambda s: drift(values(p, s))
+
+    def integral_map(p):
+        return FirstIntegralMap(dim_state=dim, dim_values=dim_values,
+                                eval=partial(map_values, p), jacobian=partial(jacobian_rows, p))
+
+    return (modified_field, lyapunov_gradient, modified_field_and_values, lyapunov,
+            drift_from_values, drift_metrics, integral_map)

@@ -86,8 +86,10 @@ class ProjectionConfig:
     __slots__ = ("constraint", "target", "tol", "max_iter")
 
     def __init__(self, constraint: FirstIntegralMap, target, tol: float, max_iter: int = 25):
-        if not (math.isfinite(tol) and tol > 0.0):
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"projection tol must be positive and finite, got {tol!r}")
+        if not isinstance(max_iter, numbers.Integral):
+            raise ValueError(f"projection max_iter must be an integer, got {max_iter!r}")
         if max_iter < 1:
             raise ValueError(f"projection max_iter must be at least 1, got {max_iter!r}")
         n = constraint.dim_values

@@ -10,10 +10,9 @@ function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2, the quadratic form of
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
-from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
-from .numerics import dot, norm, radius
+from .feedback import check_gains_and_targets, derive_system
+from .numerics import dot, norm, position_acceleration, radius
 
 DIM = 6
 
@@ -82,14 +81,7 @@ def field(p: KeplerParams, v) -> tuple:
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
-# accel calls the field kernel by this name, so that wrapping the public one
-# in place (as perfbench/tracer.py does) counts only outside calls
-_field = field
-
-
-def accel(p: KeplerParams, q) -> tuple:
-    """Position-only acceleration -mu q / |q|^3 (for Stormer-Verlet stepping)."""
-    return _field(p, (*q, 0.0, 0.0, 0.0))[3:]
+accel = position_acceleration(field)  # -mu q / |q|^3
 
 
 def invariant_components(mu: float, s) -> tuple:
@@ -98,7 +90,7 @@ def invariant_components(mu: float, s) -> tuple:
     ``s`` is a state, as a tuple of floats (giving Python floats), or a
     tuple of a block's columns (giving arrays (N,)). The one
     source of the Kepler integrals: the kernels below, the target values
-    (L0, A0), the drift metrics and the ``check`` vector identities all
+    (L0, A0), V, the drift metrics and the ``check`` vector identities all
     evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s
@@ -113,35 +105,21 @@ def invariant_components(mu: float, s) -> tuple:
             0.5 * (v0 * v0 + v1 * v1 + v2 * v2) - m)
 
 
-def lyapunov(p: KeplerParams, s) -> float:
-    """V at a state, from its integrals (L, A); E carries no gain."""
-    return lyapunov_value(p.K, p.f0, invariant_components(p.mu, s))
+def _values(p: KeplerParams, v) -> tuple:
+    """(L, A, E) at the state components v, ``invariant_components`` for
+    p's mu; V reads (L, A), as E carries no gain."""
+    return invariant_components(p.mu, v)
 
 
-def drift_from_values(p: KeplerParams, s0):
-    """``drift(values)``: V, |L - L(s0)|, |A - A(s0)| and |E - E(s0)|, the
-    ``DRIFT_NAMES`` columns, from the integrals (L, A, E) at a state as
-    ``invariant_components`` gives them."""
-    K, f0 = p.K, p.f0
-    L0x, L0y, L0z, A0x, A0y, A0z, E0 = invariant_components(p.mu, s0)
-
-    def drift(values):
-        l0, l1, l2, a0, a1, a2, E = values
-        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
-        w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
-        return (lyapunov_value(K, f0, values),
-                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-                math.sqrt(w0 * w0 + w1 * w1 + w2 * w2),
-                abs(E - E0))
-
-    return drift
-
-
-def drift_metrics(p: KeplerParams, s0):
-    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
-    its ``invariant_components``."""
-    drift, mu = drift_from_values(p, s0), p.mu
-    return lambda s: drift(invariant_components(mu, s))
+def _drift_row(start, values, V) -> tuple:
+    """The ``DRIFT_NAMES`` row V, |L - L(s0)|, |A - A(s0)| and |E - E(s0)|,
+    from the integrals (L, A, E) at a state and at the start s0 and V."""
+    l0, l1, l2, a0, a1, a2, E = values
+    L0x, L0y, L0z, A0x, A0y, A0z, E0 = start
+    u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+    w0, w1, w2 = a0 - A0x, a1 - A0y, a2 - A0z
+    return (V, math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
+            math.sqrt(w0 * w0 + w1 * w1 + w2 * w2), abs(E - E0))
 
 
 def _feedback(p: KeplerParams, v) -> tuple:
@@ -193,24 +171,6 @@ def _feedback(p: KeplerParams, v) -> tuple:
     return ((v0 - g0, v1 - g1, v2 - g2, c * x0 - g3, c * x1 - g4, c * x2 - g5),
             (g0, g1, g2, g3, g4, g5),
             (l0, l1, l2, a0, a1, a2, 0.5 * vv - m))
-
-
-def lyapunov_gradient(p: KeplerParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
-    return _feedback(p, v)[1]
-
-
-def modified_field_and_values(p: KeplerParams, v) -> tuple:
-    """The feedback field at the state components v and the integrals
-    (L, A, E) there, ``modified_field`` and ``invariant_components`` bit for
-    bit from one evaluation."""
-    field, _, values = _feedback(p, v)
-    return field, values
-
-
-def modified_field(p: KeplerParams, v) -> tuple:
-    """Feedback dynamics: original field minus the Lyapunov gradient."""
-    return _feedback(p, v)[0]
 
 
 def gain_bound(p: KeplerParams) -> float:
@@ -313,11 +273,8 @@ def _jacobian_rows(p: KeplerParams, v) -> tuple:
     )
 
 
-def integral_map(p: KeplerParams) -> FirstIntegralMap:
-    """Stacked map (L, A) of dimension 6."""
-    return FirstIntegralMap(
-        dim_state=DIM, dim_values=6,
-        eval=partial(_integral_values, p),
-        jacobian=partial(_jacobian_rows, p),
-    )
+# the stacked map is (L, A), of dimension 6
+(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
+ drift_metrics, integral_map) = derive_system(
+    _feedback, _values, _integral_values, _jacobian_rows, _drift_row, DIM, 6)
 

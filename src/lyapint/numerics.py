@@ -5,6 +5,7 @@ systems' parameter vectors. ``column_dot`` and ``radius`` serve the system
 kernels and their callers, which are written over state components: Python
 floats for one state, shape-(N,) columns for a block. The module does not
 import numpy: ``radius`` tests for a float and imports it only for a column.
+``position_acceleration`` gives the central-force systems their ``accel``.
 """
 
 import math
@@ -58,3 +59,16 @@ def radius(r2):
         raise DomainError(
             f"position radius {r[i]:.3e} of batch state {i} below {ORIGIN_RADIUS:.0e}")
     return r
+
+
+def position_acceleration(field):
+    """``accel(p, q)``: the velocity part of ``field(p, s)`` at the position
+    components q and zero velocity, the acceleration of a central force
+    (for Stormer-Verlet stepping). It calls the ``field`` it was given, so
+    a wrapper set on a module's ``field`` in place (as perfbench/tracer.py
+    sets) counts only outside calls."""
+
+    def accel(p, q):
+        return field(p, (*q, 0.0, 0.0, 0.0))[3:]
+
+    return accel

@@ -28,8 +28,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError
-from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
-from .numerics import dot, norm, radius
+from .feedback import check_gains_and_targets, derive_system
+from .numerics import dot, norm, position_acceleration, radius
 
 DIM = 6
 
@@ -139,6 +139,9 @@ def field(p: PerturbedKeplerParams, v) -> tuple:
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
+accel = position_acceleration(field)  # -U'(|q|) q / |q|
+
+
 def invariant_components(p: PerturbedKeplerParams, s) -> tuple:
     """(E, L) at s as four components: E, L0, L1, L2, for the potential
     constants of ``p``.
@@ -171,33 +174,17 @@ def invariant_components(p: PerturbedKeplerParams, s) -> tuple:
     return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
-def lyapunov(p: PerturbedKeplerParams, s) -> float:
-    """V at a state, from its integrals (E, L)."""
-    return lyapunov_value(p.K, p.f0, invariant_components(p, s))
-
-
-def drift_from_values(p: PerturbedKeplerParams, s0):
-    """``drift(values)``: V, |E - E(s0)| and |L - L(s0)|, the
-    ``DRIFT_NAMES`` columns, from the integrals (E, L) at a state as
-    ``invariant_components`` gives them."""
-    K, f0 = p.K, p.f0
-    E_start, L0x, L0y, L0z = invariant_components(p, s0)
-
-    def drift(values):
-        E, l0, l1, l2 = values
-        u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
-        return (lyapunov_value(K, f0, values),
-                abs(E - E_start),
-                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2))
-
-    return drift
-
-
-def drift_metrics(p: PerturbedKeplerParams, s0):
-    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
-    its ``invariant_components``."""
-    drift = drift_from_values(p, s0)
-    return lambda s: drift(invariant_components(p, s))
+def _drift_row(start, values, V) -> tuple:
+    """The ``DRIFT_NAMES`` row V, |E - E(s0)| and |L - L(s0)|, from the
+    integrals (E, L) at a state and at the start s0 and V. A non-finite E,
+    which ``_feedback`` does not check, is a DomainError, as in
+    ``invariant_components``."""
+    E, l0, l1, l2 = values
+    if not math.isfinite(E):
+        raise DomainError(f"potential evaluation not finite: E = {E!r}")
+    E_start, L0x, L0y, L0z = start
+    u0, u1, u2 = l0 - L0x, l1 - L0y, l2 - L0z
+    return V, abs(E - E_start), math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
 
 
 def radial_band(p: PerturbedKeplerParams, r0: float):
@@ -343,8 +330,8 @@ def _feedback(p: PerturbedKeplerParams, v) -> tuple:
     and E and L those of ``invariant_components``, inline: the feedback
     field is the difference of ``field`` and ``lyapunov_gradient`` bit for
     bit, the values are ``invariant_components``' where E is finite (this
-    kernel does not check it), and the gradient is exactly zero at the state
-    the targets came from.
+    kernel does not check it; ``_drift_row`` does), and the gradient is
+    exactly zero at the state the targets came from.
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
@@ -370,37 +357,6 @@ def _feedback(p: PerturbedKeplerParams, v) -> tuple:
             (E, l0, l1, l2))
 
 
-def lyapunov_gradient(p: PerturbedKeplerParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
-    return _feedback(p, v)[1]
-
-
-# accel calls field by this name, so that wrapping the public one in place
-# (as perfbench/tracer.py does) counts only outside calls
-_field = field
-
-
-def modified_field_and_values(p: PerturbedKeplerParams, v) -> tuple:
-    """The feedback field at a state's floats v and the integrals (E, L)
-    there, ``modified_field`` and ``invariant_components`` bit for bit from
-    one evaluation of them; raises where either raises."""
-    field, _, values = _feedback(p, v)
-    if not math.isfinite(values[0]):
-        values = invariant_components(p, v)  # raises its DomainError
-    return field, values
-
-
-def modified_field(p: PerturbedKeplerParams, v) -> tuple:
-    """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
-    to the difference of ``field`` and ``lyapunov_gradient``."""
-    return _feedback(p, v)[0]
-
-
-def accel(p: PerturbedKeplerParams, q) -> tuple:
-    """Position-only acceleration -U'(|q|) q / |q|."""
-    return _field(p, (*q, 0.0, 0.0, 0.0))[3:]
-
-
 def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     """Jacobian of (E, L) at the state components v, as 4 rows of 6 components:
 
@@ -417,14 +373,11 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     )
 
 
-def integral_map(p: PerturbedKeplerParams) -> FirstIntegralMap:
-    """Stacked map (E, L) of dimension 4."""
-    return FirstIntegralMap(
-        dim_state=DIM, dim_values=4,
-        eval=partial(invariant_components, p),
-        jacobian=partial(_jacobian_rows, p),
-    )
-
+# the stacked map is (E, L), of dimension 4
+(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
+ drift_metrics, integral_map) = derive_system(
+    _feedback, invariant_components, invariant_components, _jacobian_rows, _drift_row,
+    DIM, 4)
 
 
 class HypothesisReport(NamedTuple):

@@ -18,9 +18,8 @@ R^T R - I (gain k0/2 each, target 0), E and pi.
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import partial
 
-from .feedback import FirstIntegralMap, check_gains_and_targets, lyapunov_value
+from .feedback import check_gains_and_targets, derive_system
 from .numerics import dot
 
 DIM = 12
@@ -84,16 +83,16 @@ def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     # stand-in targets, so that the params check the moments before the integrals read them
     p = RigidBodyParams(inertia=inertia, k0=float(k0), k1=float(k1), k2=float(k2),
                         E0=1.0, pi0=(1.0, 0.0, 0.0))
-    E0, q0, q1, q2, _ = invariant_components(p.inertia, s0)
+    E0, q0, q1, q2, _ = invariant_components(p, s0)
     return replace(p, E0=E0, pi0=(q0, q1, q2)), s0
 
 
-def _integral_values(inertia: tuple, v) -> tuple:
+def _integral_values(p: RigidBodyParams, v) -> tuple:
     """(vec(R^T R - I), E, pi) at the state components v, as 13 components,
-    for the principal moments ``inertia``; R^T R - I is symmetric, so its
+    for the principal moments ``p.inertia``; R^T R - I is symmetric, so its
     entries d01, d02 and d12 appear twice."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
-    i0, i1, i2 = inertia
+    i0, i1, i2 = p.inertia
     m0, m1, m2 = i0 * w0, i1 * w1, i2 * w2
     d01 = r00 * r01 + r10 * r11 + r20 * r21
     d02 = r00 * r02 + r10 * r12 + r20 * r22
@@ -115,15 +114,14 @@ def _integrals_of(values) -> tuple:
             + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
 
 
-def invariant_components(inertia: tuple, s) -> tuple:
+def invariant_components(p: RigidBodyParams, s) -> tuple:
     """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
 
-    ``inertia`` is the three principal moments as floats. With
-    ``_integral_values`` the one source of the rigid-body integrals: the
-    kernels below, the integral map, the target values (E0, pi0), ``V`` and
-    the drift metrics all evaluate these expressions.
+    With ``_integral_values`` the one source of the rigid-body integrals:
+    the kernels below, the integral map, the target values (E0, pi0), ``V``
+    and the drift metrics all evaluate these expressions.
     """
-    return _integrals_of(_integral_values(inertia, s))
+    return _integrals_of(_integral_values(p, s))
 
 
 def field(p: RigidBodyParams, v) -> tuple:
@@ -201,51 +199,14 @@ def _feedback(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def lyapunov_gradient(p: RigidBodyParams, v) -> tuple:
-    """Closed-form gradient of V at the state components v (see ``_feedback``)."""
-    return _feedback(p, v)[1]
-
-
-def lyapunov(p: RigidBodyParams, s) -> float:
-    """V at a state, from its 13 integral-map values."""
-    return lyapunov_value(p.K, p.f0, _integral_values(p.inertia, s))
-
-
-def drift_from_values(p: RigidBodyParams, s0):
-    """``drift(values)``: V, |E - E(s0)|, |pi - pi(s0)| and ||R^T R - I||,
-    the ``DRIFT_NAMES`` columns, from the 13 ``_integral_values`` at a state."""
-    K, f0 = p.K, p.f0
-    E_start, p0, p1, p2, _ = invariant_components(p.inertia, s0)
-
-    def drift(values):
-        E, q0, q1, q2, defect_sq = _integrals_of(values)
-        u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
-        return (lyapunov_value(K, f0, values),
-                abs(E - E_start),
-                math.sqrt(u0 * u0 + u1 * u1 + u2 * u2),
-                math.sqrt(defect_sq))
-
-    return drift
-
-
-def drift_metrics(p: RigidBodyParams, s0):
-    """``drift(s)``: the drift columns at a state, ``drift_from_values`` of
-    its ``_integral_values``."""
-    drift, inertia = drift_from_values(p, s0), p.inertia
-    return lambda s: drift(_integral_values(inertia, s))
-
-
-def modified_field_and_values(p: RigidBodyParams, v) -> tuple:
-    """The feedback field at the state components v and the 13
-    ``_integral_values`` there, from one evaluation of them (see ``_feedback``)."""
-    field, _, values = _feedback(p, v)
-    return field, values
-
-
-def modified_field(p: RigidBodyParams, v) -> tuple:
-    """Feedback dynamics: original field minus the Lyapunov gradient, bit-identical
-    to the difference of ``field`` and ``lyapunov_gradient``."""
-    return _feedback(p, v)[0]
+def _drift_row(start, values, V) -> tuple:
+    """The ``DRIFT_NAMES`` row V, |E - E(s0)|, |pi - pi(s0)| and
+    ||R^T R - I||, from the 13 ``_integral_values`` at a state and at the
+    start s0 and V."""
+    E, q0, q1, q2, defect_sq = _integrals_of(values)
+    E_start, p0, p1, p2 = start[9:]
+    u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
+    return V, abs(E - E_start), math.sqrt(u0 * u0 + u1 * u1 + u2 * u2), math.sqrt(defect_sq)
 
 
 def gain_bound(p: RigidBodyParams) -> float:
@@ -353,11 +314,8 @@ def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
     )
 
 
-def integral_map(p: RigidBodyParams) -> FirstIntegralMap:
-    """Stacked map (vec(R^T R - I), E, pi) of dimension 13."""
-    return FirstIntegralMap(
-        dim_state=DIM, dim_values=13,
-        eval=partial(_integral_values, p.inertia),
-        jacobian=partial(_jacobian_rows, p),
-    )
+# the stacked map is (vec(R^T R - I), E, pi), of dimension 13
+(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
+ drift_metrics, integral_map) = derive_system(
+    _feedback, _integral_values, _integral_values, _jacobian_rows, _drift_row, DIM, 13)
 

@@ -25,9 +25,9 @@ if TYPE_CHECKING:
 
 # The shipped systems, each stated once by the module ``lyapint.<name>``:
 # ``setup``, whose params hold and check the constants, the gain diagonal
-# ``K`` and the targets ``f0``, the kernels, ``drift_from_values`` and
-# ``drift_metrics``, ``period``, ``gain_bound`` and the names ``make_system``
-# reads.
+# ``K`` and the targets ``f0``, the kernels, ``period``, ``gain_bound`` and
+# the names ``make_system`` reads; ``feedback.derive_system`` composes the
+# rest from the kernels.
 SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
 
 

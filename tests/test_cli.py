@@ -647,25 +647,39 @@ def test_feedback_rows_are_the_drift_metrics_of_their_states(tmp_path, capsys, n
         assert float(printed[column]) == max(float(row[i]) for row in rows)
 
 
+# The function through which each system's drift reads its integrals; its
+# fused kernel, _feedback, evaluates them as well
+DRIFT_VALUES = {"rigid_body": "_integral_values", "kepler": "invariant_components",
+                "perturbed_kepler": "invariant_components"}
+
+
 @pytest.mark.parametrize("method, per_step", [("feedback_euler", 1), ("feedback_rk4", 4),
                                               ("euler", 1)])
-def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, monkeypatch, method, per_step):
-    # Kepler's integrals are evaluated by _feedback (the feedback field) and
-    # invariant_components (the drift row alone): a feedback step's first
-    # stage also gives its start state's row, so n more steps cost n more
-    # evaluations per stage, and no drift row of their own
-    from lyapint import kepler
-
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, name, method, per_step):
+    # A system's integrals are evaluated by _feedback (the feedback field)
+    # and by its drift's values function (the drift row alone): a feedback
+    # step's first stage also gives its start state's row, so n more steps
+    # cost n more evaluations per stage, and no drift row of their own. The
+    # derived functions hold the kernels themselves, not their module names,
+    # so the calls are counted by code object, through whatever name they go.
+    m = module(name)
+    counted = {m._feedback.__code__, getattr(m, DRIFT_VALUES[name]).__code__}
     calls = []
-    for name in ("_feedback", "invariant_components"):
-        fn = getattr(kepler, name)
-        monkeypatch.setattr(kepler, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls.append(1)
 
     def evaluations(n):
         calls.clear()
-        run_experiment(ExperimentConfig(system="kepler", method=method, h=0.005,
-                                        t_end=(n + 0.5) * 0.005,
-                                        output_path=str(tmp_path / "count.csv")))
+        sys.setprofile(profile)
+        try:
+            run_experiment(ExperimentConfig(system=name, method=method, h=m.BENCHMARK_STEP,
+                                            t_end=(n + 0.5) * m.BENCHMARK_STEP,
+                                            output_path=str(tmp_path / "count.csv")))
+        finally:
+            sys.setprofile(None)
         return len(calls)
 
     assert evaluations(40) - evaluations(20) == 20 * per_step

@@ -340,10 +340,15 @@ def test_projection_config_validation(kepler_sys):
     with pytest.raises(ValueError):
         ProjectionConfig(constraint=kepler_sys.integral_map,
                          target=np.zeros(6), tol=1e-6, max_iter=0)
-    for tol in (math.inf, math.nan):
+    for tol in (math.inf, math.nan, "1e-6"):
         # rnorm <= inf holds at every step: projection would be plain Euler
         with pytest.raises(ValueError, match="positive and finite"):
             ProjectionConfig(constraint=kepler_sys.integral_map, target=np.zeros(6), tol=tol)
+    for max_iter in (2.5, "3", None):
+        # a bare TypeError otherwise, from range() at the first step for 2.5
+        with pytest.raises(ValueError, match=f"must be an integer, got {max_iter!r}"):
+            ProjectionConfig(constraint=kepler_sys.integral_map, target=np.zeros(6), tol=1e-6,
+                             max_iter=max_iter)
     for target in (np.zeros(5), np.zeros(7), np.zeros((6, 1)),
                    (0.0,) * 5, [0.0] * 7, ((0.0,),) * 6):
         with pytest.raises(ValueError, match="must hold 6 values"):

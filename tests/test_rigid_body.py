@@ -96,25 +96,24 @@ def test_field_relative_equilibrium(params):
 
 def test_integrals_benchmark_values(params):
     s = pack(np.eye(3), (1.0, 1.0, 1.0))
-    E, *pi, _ = rigid_body.invariant_components(params.inertia, s)
+    E, *pi, _ = rigid_body.invariant_components(params, s)
     assert E == 3.0
     assert pi == [3.0, 2.0, 1.0]
 
 
 def test_integrals_zero_velocity(params):
     s = pack(np.eye(3), (0.0, 0.0, 0.0))
-    E, *pi, _ = rigid_body.invariant_components(params.inertia, s)
+    E, *pi, _ = rigid_body.invariant_components(params, s)
     assert E == 0.0 and pi == [0.0, 0.0, 0.0]
 
 
 def test_integrals_rotation_invariance(params):
     rng = np.random.default_rng(20)
     W = np.array([1.0, 1.0, 1.0])
-    E_ref, *pi_ref, _ = rigid_body.invariant_components(
-        params.inertia, pack(np.eye(3), W))
+    E_ref, *pi_ref, _ = rigid_body.invariant_components(params, pack(np.eye(3), W))
     for _ in range(20):
         R = random_rotation(rng)
-        E, *pi, _ = rigid_body.invariant_components(params.inertia, pack(R, W))
+        E, *pi, _ = rigid_body.invariant_components(params, pack(R, W))
         assert E == E_ref  # energy does not read R at all
         assert np.linalg.norm(pi) == pytest.approx(np.linalg.norm(pi_ref), rel=1e-12)
 
@@ -274,7 +273,7 @@ def test_feedback_kernel_is_field_minus_gradient_and_the_integral_values_bit_for
         expected = np.array(rigid_body.field(p, s)) - np.array(rigid_body.lyapunov_gradient(p, s))
         assert np.array(rigid_body.modified_field(p, s)).tobytes() == expected.tobytes()
         assert np.array(field).tobytes() == expected.tobytes()
-        assert values == rigid_body._integral_values(p.inertia, s)
+        assert values == rigid_body._integral_values(p, s)
 
 
 def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
@@ -370,12 +369,12 @@ def test_splitting_step_matches_numpy_rotation_composition(inertia, h):
 
 def test_splitting_single_axis_is_exact_rotation(params):
     s = pack(np.eye(3), (2.0, 0.0, 0.0))
-    E0, *pi0, _ = rigid_body.invariant_components(params.inertia, s)
+    E0, *pi0, _ = rigid_body.invariant_components(params, s)
     x = s
     h = 0.05
     for _ in range(200):
         x = rigid_body.splitting_step(params, x, h)
-    E, *pi, _ = rigid_body.invariant_components(params.inertia, x)
+    E, *pi, _ = rigid_body.invariant_components(params, x)
     assert E == pytest.approx(E0, rel=1e-13)
     assert np.allclose(pi, pi0, atol=1e-12)
     R, _ = unpack(x)
@@ -386,11 +385,11 @@ def test_splitting_preserves_rotation_group(params):
     x = pack(np.eye(3), (1.0, 1.0, 1.0))
     worst_dev = 0.0
     worst_dpi = 0.0
-    _, *pi0, _ = rigid_body.invariant_components(params.inertia, x)
+    _, *pi0, _ = rigid_body.invariant_components(params, x)
     for _ in range(100_000):
         x = rigid_body.splitting_step(params, x, 1e-3)
         worst_dev = max(worst_dev, so3_deviation(x))
-    _, *pi, _ = rigid_body.invariant_components(params.inertia, x)
+    _, *pi, _ = rigid_body.invariant_components(params, x)
     assert worst_dev <= 1e-12
     assert np.linalg.norm(np.subtract(pi, pi0)) <= 1e-11
 
