@@ -235,41 +235,65 @@ def build_system(cfg: ExperimentConfig) -> SystemModel:
         raise ConfigError(f"{type(exc).__name__} at the initial state: {exc}") from exc
 
 
-class FirstStage:
-    """A run's feedback field at the state its next step starts from.
+class DriftObserver:
+    """A run's drift rows and their running maxima, one state at a time.
 
-    ``evaluate(x)`` gives x's drift row from ``system.field_and_drift`` and
-    keeps the field. If that evaluation overflows, divides by zero or leaves
-    the domain, it gives None and keeps nothing, so that ``drift_metrics``
-    and ``modified_field`` raise the failure where they would. A feedback
-    method's step (``make_advance`` sets ``used``) passes the kept field to
-    its scheme as the first stage at the kept state, and None elsewhere.
+    ``observe(k, x)`` gives x_k's drift row, V first, keeps it as ``row``
+    and raises ``maxima`` by it, in column order (-1.0 until a column's
+    first value; a NaN raises nothing). The row comes from
+    ``system.drift_metrics``, except where ``make_advance`` has set
+    ``fused`` for a feedback method: then x_k with k < n_steps takes it from
+    ``system.field_and_drift`` and keeps the field as ``value``, the first
+    stage of the step from ``state``. If that evaluation overflows, divides
+    by zero or leaves the domain, nothing is kept and ``drift_metrics`` and
+    ``modified_field`` raise the failure where they would.
     """
 
-    __slots__ = ("system", "state", "value", "used")
+    __slots__ = ("names", "n_steps", "drift_metrics", "field_and_drift", "fused",
+                 "state", "value", "maxima", "row")
 
-    def __init__(self, system: SystemModel):
-        self.system = system
+    def __init__(self, system: SystemModel, n_steps: int):
+        self.names = system.drift_names
+        self.n_steps = n_steps
+        self.drift_metrics = system.drift_metrics
+        self.field_and_drift = system.field_and_drift
+        self.fused = False
         self.state = self.value = None
-        self.used = False
+        self.maxima = [-1.0] * len(self.names)
+        self.row = ()
 
-    def evaluate(self, x):
-        try:
-            self.value, row = self.system.field_and_drift(x)
-        except (ArithmeticError, DomainError):
-            self.state = None
-            return None
-        self.state = x
+    def observe(self, k, x):
+        row = None
+        if self.fused and k < self.n_steps:
+            try:
+                self.value, row = self.field_and_drift(x)
+                self.state = x
+            except (ArithmeticError, DomainError):
+                self.state = None
+        if row is None:
+            row = self.drift_metrics(x)
+        self.row = row
+        maxima = self.maxima
+        i = 0
+        for value in row:
+            if maxima[i] < value:
+                maxima[i] = value
+            i += 1
         return row
+
+    def max_drift(self) -> dict:
+        """The maxima by column name, V last as in the summary; columns with no value left out."""
+        names, maxima = self.names, self.maxima
+        return {names[i]: maxima[i] for i in (*range(1, len(names)), 0) if maxima[i] != -1.0}
 
 
 def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
-                 first_stage: Optional[FirstStage] = None):
+                 observer: Optional[DriftObserver] = None):
     """Bind a method name to an ``advance(x, h) -> x`` closure stepping a tuple of floats.
 
     The feedback methods step ``system.modified_field``; given a
-    ``FirstStage``, they mark it used and take its kept field as the first
-    stage at the state it was kept for.
+    ``DriftObserver``, they set its ``fused`` and take its kept field as the
+    first stage at the state it was kept for.
     """
     # ProjectionConfig checks tol and max_iter with every method, before any output
     tol = cfg.projection_tol if cfg.projection_tol is not None else system.projection_tol
@@ -281,13 +305,12 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
     if method in ("feedback_euler", "feedback_rk4"):
         scheme = euler_step if method == "feedback_euler" else rk4_step
         modified_field = system.modified_field
-        if first_stage is None:
+        if observer is None:
             return lambda x, h: scheme(modified_field, x, h)
-        first_stage.used = True
+        observer.fused = True
 
         def advance(x, h):
-            return scheme(modified_field, x, h,
-                          first_stage.value if x is first_stage.state else None)
+            return scheme(modified_field, x, h, observer.value if x is observer.state else None)
 
         return advance
     if method == "euler":
@@ -326,13 +349,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Integrate one configured cell, stream the CSV trace, return the summary.
 
     Drift maxima are tracked at full step resolution regardless of the output
-    stride; only the rows that are written are formatted. A feedback
-    method's state x_k gets its drift row from the evaluation of its field
-    that starts step k + 1 (``FirstStage``), and the final state from one
-    ``drift_metrics`` call; the other methods call ``drift_metrics`` at
-    every state. If that evaluation raises, x_k takes the other methods'
-    path: ``drift_metrics(x_k)`` fails as step k, and a field that fails
-    fails in step k + 1, as they would without it.
+    stride; only the rows that are written are formatted. The rows and
+    maxima come from a ``DriftObserver``: a feedback method's state x_k
+    gets its row from the evaluation of its field that starts step k + 1,
+    and the other methods and the final state from ``drift_metrics``.
 
     A mid-run failure (``integrate`` numbers the step and turns float
     overflow or division by zero into IntegrationError) flushes the partial
@@ -342,18 +362,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """
     cfg = cfg.validated()
     system = build_system(cfg)
-    first_stage = FirstStage(system)
-    advance = make_advance(system, cfg.method, cfg, first_stage)
     n_steps = steps_for(cfg.t_end, cfg.h)
+    observer = DriftObserver(system, n_steps)
+    advance = make_advance(system, cfg.method, cfg, observer)
     stride = cfg.sample_stride
-
-    names = system.drift_names
-    # -1.0 until a column's first value; a NaN sets nothing, as the
-    # comparison with it is false
-    maxima = [-1.0] * len(names)
-    last_row = ()
     started = time.perf_counter()
-    header = ["t", *system.state_names, *names]
+    header = ["t", *system.state_names, *system.drift_names]
     # one %-operation per row; "%.17g" writes the same text as format(v, ".17g")
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
@@ -362,28 +376,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output_path!r}: {exc}") from exc
 
-    fused, evaluate, drift_metrics = first_stage.used, first_stage.evaluate, system.drift_metrics
+    drift = observer.observe
 
     def observe(k, x):
-        nonlocal last_row
-        row = evaluate(x) if fused and k < n_steps else None
-        if row is None:
-            row = drift_metrics(x)
-        last_row = row
-        i = 0
-        for value in row:
-            if maxima[i] < value:
-                maxima[i] = value
-            i += 1
+        row = drift(k, x)
         if k % stride == 0 or k == n_steps:
             handle.write(row_format % (k * cfg.h, *x, *row))
 
     def summary(steps_taken):
-        # V is the CSV's first drift column and the summary's last
         return RunSummary(
-            max_drift={names[i]: maxima[i] for i in (*range(1, len(names)), 0)
-                       if maxima[i] != -1.0},
-            final_v=last_row[0],
+            max_drift=observer.max_drift(),
+            final_v=observer.row[0],
             wall_time=time.perf_counter() - started,
             steps_taken=steps_taken,
             output_path=cfg.output_path,
@@ -544,13 +547,13 @@ def check_system(name: str) -> int:
         from .diagnostics import ORTHOGONALITY_BLOCK, worst_of
 
         rng = np.random.default_rng(3)
-        mu = system.params.mu
+        p = system.params
         worst = 0.0
         for block in system.sample_blocks(rng, 2000, ORTHOGONALITY_BLOCK):
-            l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(mu, tuple(block.T))
+            l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(p, tuple(block.T))
             L, A = (l0, l1, l2), (a0, a1, a2)
             LL, AA = column_dot(L, L), column_dot(A, A)
-            relation = np.abs(AA - mu**2 - 2.0 * E * LL)
+            relation = np.abs(AA - p.mu**2 - 2.0 * E * LL)
             ortho = np.abs(column_dot(L, A)) / (1.0 + np.sqrt(LL) * np.sqrt(AA))
             scale = 1.0 + np.abs(AA) + 2.0 * np.abs(E) * LL
             worst = worst_of(worst_of(worst, relation / scale), ortho)

@@ -9,7 +9,7 @@ function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2, the quadratic form of
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from .feedback import check_gains_and_targets, derive_system
 from .numerics import dot, norm, position_acceleration, radius
@@ -67,10 +67,12 @@ def setup(initial_state, gains, mu=BENCHMARK_MU):
     state; None starts at the benchmark perihelion (1,0,0), speed sqrt(1.8)."""
     s0 = ((*BENCHMARK_X0, *BENCHMARK_V0) if initial_state is None
           else tuple(map(float, initial_state)))
-    l0, l1, l2, a0, a1, a2, _ = invariant_components(float(mu), s0)
     k1, k2 = gains
-    return KeplerParams(mu=float(mu), k1=float(k1), k2=float(k2),
-                        L0=(l0, l1, l2), A0=(a0, a1, a2)), s0
+    # stand-in targets, so that the params check mu and the gains before the integrals read them
+    p = KeplerParams(mu=float(mu), k1=float(k1), k2=float(k2),
+                     L0=(0.0, 0.0, 1.0), A0=(0.0, 0.0, 0.0))
+    l0, l1, l2, a0, a1, a2, _ = invariant_components(p, s0)
+    return replace(p, L0=(l0, l1, l2), A0=(a0, a1, a2)), s0
 
 
 def field(p: KeplerParams, v) -> tuple:
@@ -84,8 +86,9 @@ def field(p: KeplerParams, v) -> tuple:
 accel = position_acceleration(field)  # -mu q / |q|^3
 
 
-def invariant_components(mu: float, s) -> tuple:
-    """(L, A, E) at s as seven components: L0, L1, L2, A0, A1, A2, E.
+def invariant_components(p: KeplerParams, s) -> tuple:
+    """(L, A, E) at s as seven components: L0, L1, L2, A0, A1, A2, E, for
+    p's mu; V reads (L, A), as E carries no gain.
 
     ``s`` is a state, as a tuple of floats (giving Python floats), or a
     tuple of a block's columns (giving arrays (N,)). The one
@@ -94,7 +97,7 @@ def invariant_components(mu: float, s) -> tuple:
     evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s
-    m = mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
+    m = p.mu / radius(x0 * x0 + x1 * x1 + x2 * x2)
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
@@ -103,12 +106,6 @@ def invariant_components(mu: float, s) -> tuple:
             v2 * l0 - v0 * l2 - m * x1,
             v0 * l1 - v1 * l0 - m * x2,
             0.5 * (v0 * v0 + v1 * v1 + v2 * v2) - m)
-
-
-def _values(p: KeplerParams, v) -> tuple:
-    """(L, A, E) at the state components v, ``invariant_components`` for
-    p's mu; V reads (L, A), as E carries no gain."""
-    return invariant_components(p.mu, v)
 
 
 def _drift_row(start, values, V) -> tuple:
@@ -241,7 +238,7 @@ def state_at_eccentric_anomaly(p: KeplerParams, psi: float) -> tuple:
 
 def _integral_values(p: KeplerParams, v) -> tuple:
     """(L, A) at the state components v, as 6 components."""
-    return invariant_components(p.mu, v)[:6]
+    return invariant_components(p, v)[:6]
 
 
 def _jacobian_rows(p: KeplerParams, v) -> tuple:
@@ -276,5 +273,5 @@ def _jacobian_rows(p: KeplerParams, v) -> tuple:
 # the stacked map is (L, A), of dimension 6
 (modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
  drift_metrics, integral_map) = derive_system(
-    _feedback, _values, _integral_values, _jacobian_rows, _drift_row, DIM, 6)
+    _feedback, invariant_components, _integral_values, _jacobian_rows, _drift_row, DIM, 6)
 

@@ -89,7 +89,7 @@ class SystemModel:
     ``(modified_field(s), drift_metrics(s))`` bit for bit from one
     evaluation of the state's integrals, or raises where either raises;
     a run's feedback step takes its first stage from it (see
-    ``cli.run_experiment``).
+    ``cli.DriftObserver``).
 
     ``sampler`` is the system's ``SamplingRule``, stated once over
     components. ``sample_state(rng)`` applies it to floats and draws exactly

@@ -13,18 +13,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapint.cli import ExperimentConfig, make_advance
-from lyapint.integrators import euler_step, integrate, rk4_step, steps_for
+from lyapint.cli import DriftObserver, ExperimentConfig, make_advance
+from lyapint.integrators import integrate, steps_for
 from lyapint.systems import make_system
 
 # Per-step allowance for scheme truncation in the V-decrease property.
 DECREASE_TAU = 1e-9
 
 
-def run_with_metrics(system, advance, h, t_end, state_stride=0,
-                     v_windows=(), series_stride=0, series_metric=None, x0=None):
-    """Advance a trajectory from x0 (default: the system's start), tracking
-    drift maxima at full resolution.
+def run_with_metrics(system, method, h, t_end, state_stride=0, v_windows=(),
+                     series_stride=0, series_metric=None, x0=None, cfg=None):
+    """Integrate ``method`` from x0 (default: the system's start) as
+    ``lyapint run`` does: the advance from ``make_advance`` and the drift
+    rows and their maxima over steps 0..n from a ``DriftObserver``.
 
     Optionally records subsampled states, windowed V maxima (max V over
     t <= cutoff for each cutoff in ``v_windows``), one metric at every
@@ -33,23 +34,23 @@ def run_with_metrics(system, advance, h, t_end, state_stride=0,
     """
     s0 = system.initial_state if x0 is None else x0
     n = steps_for(t_end, h)
-    maxima = {}
-    times, states = [0.0], [s0]
-    series = []
-    v_prev = system.lyapunov(s0)
-    v_window_max = {cut: v_prev for cut in v_windows}
+    observer = DriftObserver(system, n)
+    advance = make_advance(system, method, cfg or ExperimentConfig(), observer)
+    drift = observer.observe
+    column = system.drift_names.index(series_metric) if series_stride else None
+    times, states, series = [], [], []
+    v_window_max = dict.fromkeys(v_windows, -math.inf)
+    v_prev = None
     worst_rise = -math.inf
 
     def observe(k, x):
         nonlocal v_prev, worst_rise
-        if k == 0:  # the start state is recorded above; maxima cover steps 1..n
-            return
-        m = drift_by_name(system, x)
-        for key, value in m.items():
-            if maxima.get(key, -1.0) < value:
-                maxima[key] = value
-        v = m["V"]
-        worst_rise = max(worst_rise, v - v_prev - DECREASE_TAU * (1.0 + v_prev))
+        row = drift(k, x)
+        v = row[0]
+        if k:
+            worst_rise = max(worst_rise, v - v_prev - DECREASE_TAU * (1.0 + v_prev))
+            if series_stride and k % series_stride == 0:
+                series.append(row[column])
         v_prev = v
         t = k * h
         for cut in v_windows:
@@ -58,16 +59,13 @@ def run_with_metrics(system, advance, h, t_end, state_stride=0,
         if state_stride and (k % state_stride == 0 or k == n):
             times.append(t)
             states.append(x)
-        if series_stride and k % series_stride == 0:
-            series.append(m[series_metric])
 
     started = time.perf_counter()
-    final = integrate(advance, s0, h, n, observe)
+    integrate(advance, s0, h, n, observe)
     return SimpleNamespace(
-        maxima=maxima,
+        maxima=observer.max_drift(),
         times=np.array(times),
         states=np.array(states),
-        final=np.array(final),
         worst_rise=worst_rise,
         v_window_max=v_window_max,
         series=np.array(series) if series else None,
@@ -119,11 +117,11 @@ def state_with_lyapunov(system, v_target: float, seed: int = 0) -> tuple:
     return state(hi)
 
 
-def v_plateau(system, scheme, h, x0, horizon):
-    """Median of V over the final tenth of the steps when ``scheme`` integrates
-    the feedback field from x0; V must stay within the basin bound on the way."""
-    run = run_with_metrics(system, lambda x, dt: scheme(system.modified_field, x, dt),
-                           h, horizon, series_stride=1, series_metric="V", x0=x0)
+def v_plateau(system, method, h, x0, horizon):
+    """Median of V over the final tenth of the steps when the feedback
+    ``method`` integrates from x0; V must stay within the basin bound on the way."""
+    run = run_with_metrics(system, method, h, horizon, series_stride=1, series_metric="V",
+                           x0=x0)
     assert run.maxima["V"] <= system.gain_bound
     return float(np.median(run.series[-max(1, (run.n_steps + 1) // 10):]))
 
@@ -229,67 +227,53 @@ def pk_sys():
 @pytest.fixture(scope="session")
 def rigid_feedback_50(rigid_sys):
     """Feedback-Euler benchmark run: h = 1e-4, t in [0, 50], start on the level set."""
-    return run_with_metrics(
-        rigid_sys, lambda x, h: euler_step(rigid_sys.modified_field, x, h),
-        h=1e-4, t_end=50.0, v_windows=(20.0,))
+    return run_with_metrics(rigid_sys, "feedback_euler", h=1e-4, t_end=50.0, v_windows=(20.0,))
 
 
 @pytest.fixture(scope="session")
 def rigid_plain_euler_50(rigid_sys):
     """Plain-Euler contrast run with a coarse |dE| series for trend checks."""
-    return run_with_metrics(
-        rigid_sys, lambda x, h: euler_step(rigid_sys.field, x, h),
-        h=1e-4, t_end=50.0, series_stride=1000, series_metric="dE")
+    return run_with_metrics(rigid_sys, "euler", h=1e-4, t_end=50.0,
+                            series_stride=1000, series_metric="dE")
 
 
 @pytest.fixture(scope="session")
 def rigid_ref_period(rigid_sys):
     """High-accuracy reference: RK4 at h = 1e-5 over one angular-velocity period."""
-    return run_with_metrics(
-        rigid_sys, lambda x, h: rk4_step(rigid_sys.field, x, h),
-        h=1e-5, t_end=rigid_sys.period, state_stride=5000)
+    return run_with_metrics(rigid_sys, "rk4", h=1e-5, t_end=rigid_sys.period,
+                            state_stride=5000)
 
 
 @pytest.fixture(scope="session")
 def kepler_feedback_10T(kepler_sys):
-    return run_with_metrics(
-        kepler_sys, lambda x, h: euler_step(kepler_sys.modified_field, x, h),
-        h=0.005, t_end=10.0 * kepler_sys.period)
+    return run_with_metrics(kepler_sys, "feedback_euler", h=0.005,
+                            t_end=10.0 * kepler_sys.period)
 
 
 @pytest.fixture(scope="session")
 def kepler_sva_10T(kepler_sys):
-    return run_with_metrics(
-        kepler_sys, make_advance(kepler_sys, "stormer_verlet_a", ExperimentConfig()),
-        h=0.005, t_end=10.0 * kepler_sys.period,
-        series_stride=1000, series_metric="dA")
+    return run_with_metrics(kepler_sys, "stormer_verlet_a", h=0.005,
+                            t_end=10.0 * kepler_sys.period,
+                            series_stride=1000, series_metric="dA")
 
 
 @pytest.fixture(scope="session")
 def kepler_ref_period(kepler_sys):
     """RK4 at h = 1e-4 over one orbital period."""
-    return run_with_metrics(
-        kepler_sys, lambda x, h: rk4_step(kepler_sys.field, x, h),
-        h=1e-4, t_end=kepler_sys.period)
+    return run_with_metrics(kepler_sys, "rk4", h=1e-4, t_end=kepler_sys.period)
 
 
 @pytest.fixture(scope="session")
 def pk_runs(pk_sys):
     """The four perturbed-Kepler benchmark trajectories over t in [0, 200]."""
     cfg = ExperimentConfig(system="perturbed_kepler", projection_tol=1e-8)
-    runs = {}
-    runs["feedback"] = run_with_metrics(
-        pk_sys, make_advance(pk_sys, "feedback_euler", cfg),
-        h=0.03, t_end=200.0, state_stride=1)
-    runs["stormer_verlet"] = run_with_metrics(
-        pk_sys, make_advance(pk_sys, "stormer_verlet_a", cfg),
-        h=0.03, t_end=200.0, state_stride=1)
-    runs["projection"] = run_with_metrics(
-        pk_sys, make_advance(pk_sys, "projection_euler", cfg),
-        h=0.03, t_end=200.0, state_stride=1)
-    runs["reference"] = run_with_metrics(
-        pk_sys, make_advance(pk_sys, "rk4", cfg),
-        h=1e-4, t_end=200.0, state_stride=100)
+    runs = {name: run_with_metrics(pk_sys, method, h=0.03, t_end=200.0, state_stride=1,
+                                   cfg=cfg)
+            for name, method in (("feedback", "feedback_euler"),
+                                 ("stormer_verlet", "stormer_verlet_a"),
+                                 ("projection", "projection_euler"))}
+    runs["reference"] = run_with_metrics(pk_sys, "rk4", h=1e-4, t_end=200.0, state_stride=100,
+                                         cfg=cfg)
     return runs
 
 
@@ -299,5 +283,6 @@ def rigid_plateaus(rigid_sys):
     1e-4 (a tuple), and RK4 at h = 1e-4."""
     x0 = state_with_lyapunov(rigid_sys, 1.0)
     return SimpleNamespace(
-        euler=tuple(v_plateau(rigid_sys, euler_step, h, x0, 20.0) for h in (4e-4, 2e-4, 1e-4)),
-        rk4=v_plateau(rigid_sys, rk4_step, 1e-4, x0, 20.0))
+        euler=tuple(v_plateau(rigid_sys, "feedback_euler", h, x0, 20.0)
+                    for h in (4e-4, 2e-4, 1e-4)),
+        rk4=v_plateau(rigid_sys, "feedback_rk4", 1e-4, x0, 20.0))

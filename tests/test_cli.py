@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import run_with_metrics
 from lyapint.cli import (
     ExperimentConfig,
     FIGURES,
@@ -478,12 +479,19 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
      "[constants]\ninertia = 1,2\n", None,
      "config error: inertia must be three positive principal moments"),
+    # so do both central-force systems with mu, whatever the start
+    *((f"[experiment]\nsystem = {system}\nmethod = euler\nt_end = 1.0\n[constants]\n"
+       "mu = -1\n[initial]\nx0 = 0\nx1 = 0\nx2 = 0\nv0 = 0\nv1 = 0\nv2 = 0\n", None,
+       f"config error: {text}")
+      for system, text in (("kepler", "gravitational parameter must be positive"),
+                           ("perturbed_kepler", "need mu > 0 and delta >= 0, got mu = -1.0"))),
     (None, None, "config error"),  # the --config file does not exist
     (VALID_EXPERIMENT, "missing", "config error"),  # --out inside a directory that does not exist
 ], ids=["stride", "gain", "gain_inf", "gain_nan", "initial",
         "initial_beside_paper_default", "initial_unknown_condition", "max_iter", "tol_zero", "tol_negative", "tol_inf",
         "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf", "inertia_short",
-        "missing_config", "missing_out_dir"])
+        "kepler_mu_at_origin", "perturbed_kepler_mu_at_origin", "missing_config",
+        "missing_out_dir"])
 def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir, message):
     config_path = tmp_path / "exp.ini"
     if config is not None:
@@ -653,16 +661,10 @@ DRIFT_VALUES = {"rigid_body": "_integral_values", "kepler": "invariant_component
                 "perturbed_kepler": "invariant_components"}
 
 
-@pytest.mark.parametrize("method, per_step", [("feedback_euler", 1), ("feedback_rk4", 4),
-                                              ("euler", 1)])
-@pytest.mark.parametrize("name", SYSTEM_NAMES)
-def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, name, method, per_step):
-    # A system's integrals are evaluated by _feedback (the feedback field)
-    # and by its drift's values function (the drift row alone): a feedback
-    # step's first stage also gives its start state's row, so n more steps
-    # cost n more evaluations per stage, and no drift row of their own. The
-    # derived functions hold the kernels themselves, not their module names,
-    # so the calls are counted by code object, through whatever name they go.
+def integral_evaluations(name, run) -> int:
+    """The calls of system ``name``'s ``_feedback`` and drift values function
+    in ``run()``, by code object: the derived functions hold the kernels
+    themselves, not their module names."""
     m = module(name)
     counted = {m._feedback.__code__, getattr(m, DRIFT_VALUES[name]).__code__}
     calls = []
@@ -671,18 +673,53 @@ def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, name, method, pe
         if event == "call" and frame.f_code in counted:
             calls.append(1)
 
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("method, per_step", [("feedback_euler", 1), ("feedback_rk4", 4),
+                                              ("euler", 1)])
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_a_run_evaluates_the_integrals_once_per_state(tmp_path, name, method, per_step):
+    # A system's integrals are evaluated by _feedback (the feedback field)
+    # and by its drift's values function (the drift row alone): a feedback
+    # step's first stage also gives its start state's row, so n more steps
+    # cost n more evaluations per stage, and no drift row of their own.
+    h = module(name).BENCHMARK_STEP
+
     def evaluations(n):
-        calls.clear()
-        sys.setprofile(profile)
-        try:
-            run_experiment(ExperimentConfig(system=name, method=method, h=m.BENCHMARK_STEP,
-                                            t_end=(n + 0.5) * m.BENCHMARK_STEP,
-                                            output_path=str(tmp_path / "count.csv")))
-        finally:
-            sys.setprofile(None)
-        return len(calls)
+        cfg = ExperimentConfig(system=name, method=method, h=h, t_end=(n + 0.5) * h,
+                               output_path=str(tmp_path / "count.csv"))
+        return integral_evaluations(name, lambda: run_experiment(cfg))
 
     assert evaluations(40) - evaluations(20) == 20 * per_step
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_the_harness_evaluates_the_integrals_once_per_state(name):
+    # the fixtures observe a feedback run as `lyapint run` does
+    system, h = make_system(name), module(name).BENCHMARK_STEP
+
+    def evaluations(n):
+        return integral_evaluations(
+            name, lambda: run_with_metrics(system, "feedback_euler", h, (n + 0.5) * h))
+
+    assert evaluations(40) - evaluations(20) == 20
+
+
+@pytest.mark.parametrize("name, method", [("kepler", "feedback_euler"),
+                                          ("perturbed_kepler", "projection_euler")])
+def test_the_harness_and_the_cli_report_the_same_maxima(tmp_path, name, method):
+    h = module(name).BENCHMARK_STEP
+    cfg = ExperimentConfig(system=name, method=method, h=h, t_end=200.5 * h,
+                           output_path=str(tmp_path / "cell.csv"))
+    cli = run_experiment(cfg).max_drift
+    harness = run_with_metrics(make_system(name), method, h, cfg.t_end, cfg=cfg).maxima
+    assert [(k, v.hex()) for k, v in harness.items()] == [(k, v.hex()) for k, v in cli.items()]
 
 
 # At x = 1e80, U'(r)'s r**4 overflows and U(r)'s r**3 does not: the start's

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drift_by_name, perihelion_passages, precession_rate, state_with_lyapunov
+from conftest import (drift_by_name, perihelion_passages, precession_rate, run_with_metrics,
+                      state_with_lyapunov)
 from lyapint import systems
 from lyapint.diagnostics import (
     check_rank_condition,
@@ -303,22 +304,12 @@ def test_gradient_agreement_report_passes(rigid_sys, kepler_sys, pk_sys):
 def test_perihelion_passages_on_synthetic_ellipse(kepler_sys):
     # sample the closed benchmark orbit over three periods; passages must
     # come out near multiples of the period with a fixed apse angle
-    from lyapint.integrators import rk4_step, steps_for
-
-    x = kepler_sys.initial_state
-    times = [0.0]
-    states = [x]
-    h = 0.01
-    for k in range(1, steps_for(3.2 * kepler_sys.period, h) + 1):
-        x = rk4_step(kepler_sys.field, x, h)
-        if k % 10 == 0:
-            times.append(k * h)
-            states.append(x)
-    t_peri, angles = perihelion_passages(np.array(times), np.array(states))
+    run = run_with_metrics(kepler_sys, "rk4", 0.01, 3.2 * kepler_sys.period, state_stride=10)
+    t_peri, angles = perihelion_passages(run.times, run.states)
     assert len(t_peri) == 3
     for i, t in enumerate(t_peri):
         assert t == pytest.approx((i + 1) * kepler_sys.period, abs=0.05)
-    rate = precession_rate(np.array(times), np.array(states))
+    rate = precession_rate(run.times, run.states)
     assert abs(rate) <= 1e-3
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import drift_by_name, global_order_ratio, stacked
+from conftest import global_order_ratio, run_with_metrics, stacked
 from lyapint import kepler
 from lyapint.cli import (
     METHOD_NAMES,
@@ -127,13 +127,8 @@ def test_stormer_verlet_harmonic_energy_bounded():
 
 
 def test_stormer_verlet_kepler_angular_momentum(kepler_sys):
-    x = kepler_sys.initial_state
-    worst = 0.0
-    for _ in range(steps_for(kepler_sys.period, 0.005)):
-        q, v = stormer_verlet_step(kepler_sys.accel, x[:3], x[3:], 0.005, "A")
-        x = (*q, *v)
-        worst = max(worst, drift_by_name(kepler_sys, x)["dL"])
-    assert worst <= 1e-10
+    run = run_with_metrics(kepler_sys, "stormer_verlet_a", 0.005, kepler_sys.period)
+    assert run.maxima["dL"] <= 1e-10
 
 
 def test_order_euler():

@@ -67,7 +67,7 @@ def test_field_rejects_origin(params):
 
 def invariants(p, s):
     """(L, A, E) at s, with L and A as arrays, from ``kepler.invariant_components``."""
-    l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(p.mu, s)
+    l0, l1, l2, a0, a1, a2, E = kepler.invariant_components(p, s)
     return np.array((l0, l1, l2)), np.array((a0, a1, a2)), E
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import (central_difference_gradient, drift_by_name, perihelion_passages,
-                      precession_rate, stacked)
+                      precession_rate, run_with_metrics, stacked)
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient
-from lyapint.integrators import euler_step, rk4_step, steps_for
+from lyapint.integrators import euler_step
 from lyapint.systems import make_system
 from test_kepler import random_states
 
@@ -77,7 +77,7 @@ def test_zero_delta_reduces_to_kepler(start):
         assert np.allclose(pk.accel(pp, s[:3]), kepler.accel(kp, s[:3]),
                            rtol=1e-14, atol=1e-14)
         E, *L = pk.invariant_components(pp, s)
-        *Lk, _, _, _, Ek = kepler.invariant_components(kp.mu, s)
+        *Lk, _, _, _, Ek = kepler.invariant_components(kp, s)
         assert E == pytest.approx(Ek, rel=1e-14, abs=1e-14)
         assert L == Lk
 
@@ -294,13 +294,9 @@ def test_reference_flow_conserves_integrals(pk_runs):
 
 
 def test_level_set_trajectory_is_bounded(pk_sys):
-    x = pk_sys.initial_state
-    rmax = vmax = 0.0
-    for _ in range(steps_for(pk_sys.period, 1e-3)):
-        x = rk4_step(pk_sys.field, x, 1e-3)
-        rmax = max(rmax, np.linalg.norm(x[:3]))
-        vmax = max(vmax, np.linalg.norm(x[3:]))
-    assert rmax <= 2.0 and vmax <= 3.0
+    states = run_with_metrics(pk_sys, "rk4", 1e-3, pk_sys.period, state_stride=1).states
+    assert np.linalg.norm(states[:, :3], axis=1).max() <= 2.0
+    assert np.linalg.norm(states[:, 3:], axis=1).max() <= 3.0
 
 
 def quadratic_root_oracle(mu, delta, l0_sq):
@@ -433,14 +429,9 @@ def test_check_hypothesis_roots_are_those_of_the_shared_bisection(params):
 def rk4_radial_return_time(system, h, t_guess):
     """The RK4 time, at step h, in [0.75, 1.25] t_guess at which the radius
     comes closest to its start value, from a start at a turning point."""
-    x = system.initial_state
-    r0 = float(np.linalg.norm(x[:3]))
-    best = (math.inf, 0.0)
-    for k in range(1, steps_for(1.25 * t_guess, h) + 1):
-        x = rk4_step(system.field, x, h)
-        if k * h >= 0.75 * t_guess:
-            best = min(best, (abs(float(np.linalg.norm(x[:3])) - r0), k * h))
-    return best[1]
+    run = run_with_metrics(system, "rk4", h, 1.25 * t_guess, state_stride=1)
+    r = np.linalg.norm(run.states[:, :3], axis=1)
+    return run.times[np.argmin(np.where(run.times >= 0.75 * t_guess, abs(r - r[0]), np.inf))]
 
 
 @pytest.mark.parametrize("constants, expected", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (central_difference_gradient, drift_by_name, global_order_ratio, pack,
-                      stacked, state_with_lyapunov, unpack)
+                      run_with_metrics, stacked, state_with_lyapunov, unpack)
 from lyapint import rigid_body
 from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
@@ -442,14 +442,11 @@ def test_feedback_attracts_from_unit_level(rigid_sys):
 def rk4_return_time(system, h, t_guess):
     """The RK4 time, at step h, in [0.75, 1.25] t_guess at which Omega comes
     closest to its start, and that distance over |Omega(0)|."""
-    x = system.initial_state
-    w0 = np.array(x[9:])
-    best = (math.inf, 0.0)
-    for k in range(1, steps_for(1.25 * t_guess, h) + 1):
-        x = rk4_step(system.field, x, h)
-        if k * h >= 0.75 * t_guess:
-            best = min(best, (float(np.linalg.norm(np.array(x[9:]) - w0)), k * h))
-    return best[1], best[0] / float(np.linalg.norm(w0))
+    run = run_with_metrics(system, "rk4", h, 1.25 * t_guess, state_stride=1)
+    w = run.states[:, 9:]
+    gap = np.where(run.times >= 0.75 * t_guess, np.linalg.norm(w - w[0], axis=1), np.inf)
+    k = int(np.argmin(gap))
+    return run.times[k], gap[k] / np.linalg.norm(w[0])
 
 
 @pytest.mark.parametrize("inertia, expected", [
