@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigError, DomainError, IntegrationError, ProjectionError, RankError
+from .errors import ConfigError, DomainError, IntegrationError
 from .integrators import (
     ProjectionConfig,
     euler_step,
@@ -397,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         handle.write(",".join(header) + "\n")
         try:
             integrate(advance, system.initial_state, cfg.h, n_steps, observe)
-        except (DomainError, IntegrationError, ProjectionError, RankError) as exc:
+        except (DomainError, IntegrationError) as exc:
             exc.partial_summary = summary(exc.step - 1)
             step = exc.step
             handle.close()  # flushes the partial CSV
@@ -667,7 +667,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IntegrationError, ProjectionError, RankError, OSError) as exc:
+    except (DomainError, IntegrationError, OSError) as exc:
         step = getattr(exc, "step", None)
         if step is None and isinstance(exc, OSError):
             # the CSV's OSErrors carry the step being written, and an unreadable

@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A scheme produced non-finite values.
+    """A scheme produced non-finite values, or (as a subclass) its
+    projection failed.
 
     The ``step`` attribute carries the 1-based step index once the failing
     step is known (attached by the trajectory driver).
@@ -17,7 +18,7 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-class ProjectionError(RuntimeError):
+class ProjectionError(IntegrationError):
     """Newton projection failed to reach its residual tolerance."""
 
     def __init__(self, message, residual):
@@ -25,7 +26,7 @@ class ProjectionError(RuntimeError):
         self.residual = residual
 
 
-class RankError(RuntimeError):
+class RankError(IntegrationError):
     """Constraint Jacobian is numerically rank-zero; projection is undefined."""
 
 

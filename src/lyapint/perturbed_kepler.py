@@ -15,11 +15,12 @@ long as no radius r > 0 simultaneously solves
     E0 = r U'(r) / 2 + U(r)    and    |L0|^2 = r^3 U'(r),
 
 i.e. as long as (E0, L0) is not the data of a circular orbit of the
-potential. ``check_hypothesis`` tests this numerically on a bracket.
-``radial_band`` finds the turning points that bound the start's radial
-motion with the same bisection, each bracketed on a monotone piece of the
-cubic r g(r); ``level_set_states`` builds states of the level set across
-that band in closed form, and ``period`` integrates over it.
+potential. ``check_hypothesis`` tests this on a bracket, with the candidate
+radii in closed form as the roots of a quadratic in r. ``radial_band``
+finds the turning points that bound the start's radial motion by
+bisection, each bracketed on a monotone piece of the cubic r g(r);
+``level_set_states`` builds states of the level set across that band in
+closed form, and ``period`` integrates over it.
 """
 
 import math
@@ -402,7 +403,7 @@ class HypothesisReport(NamedTuple):
 
 def _bisect(g, lo, hi, tol=1e-12, max_iter=200):
     """A root of g between lo and hi, to within tol: the one radial root
-    finder of ``check_hypothesis`` and ``radial_band``.
+    finder of ``radial_band``.
 
     g changes sign between the two ends. Only g(lo) is evaluated, so the
     sign of g at hi is taken to be the other one; hi may lie on either side
@@ -424,39 +425,24 @@ def _bisect(g, lo, hi, tol=1e-12, max_iter=200):
 
 
 def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
-                     r_max=DEFAULT_BRACKET[1], n_grid=4096) -> HypothesisReport:
+                     r_max=DEFAULT_BRACKET[1]) -> HypothesisReport:
     """Locate all radii with r^3 U'(r) = |L0|^2 in [r_min, r_max] and test
     whether any also satisfies the energy equation E0 = r U'(r)/2 + U(r).
 
-    Roots are bracketed by sign changes on a log-spaced grid (log spacing
-    resolves roots close to the inner endpoint) and refined by bisection to
-    1e-12. No roots means the hypothesis holds vacuously.
+    As r^3 U'(r) = mu r + 3 delta / r, the radii are the roots of
+    mu r^2 - |L0|^2 r + 3 delta = 0, taken without cancellation as q / mu
+    and 3 delta / q for q = (|L0|^2 + sqrt(disc)) / 2; a double root counts
+    once. No roots means the hypothesis holds vacuously.
     """
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    if n_grid < 2:
-        raise ValueError("need n_grid >= 2")
-    import numpy as np
-
     l0sq = dot(p.L0, p.L0)
-
-    def g(r):
-        value = r**3 * u_prime(p, r) - l0sq
-        if not math.isfinite(value):
-            raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
-        return value
-
-    grid = np.geomspace(r_min, r_max, n_grid)
-    values = np.array([g(r) for r in grid])
+    disc = l0sq * l0sq - 12.0 * p.mu * p.delta
     roots = []
-    for i in range(n_grid - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(_bisect(g, float(grid[i]), float(grid[i + 1])))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    if disc >= 0.0:
+        q = 0.5 * (l0sq + math.sqrt(disc))
+        candidates = (q / p.mu, 3.0 * p.delta / q) if disc > 0.0 else (q / p.mu,)
+        roots = sorted(r for r in candidates if r_min <= r <= r_max)
 
     residuals = []
     for r in roots:

@@ -13,7 +13,6 @@ use: a process loads only the systems it builds.
 
 from __future__ import annotations  # np.random.Generator names numpy without importing it
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
@@ -41,29 +40,20 @@ def module(name: str):
     return __import__(f"{__package__}.{name}", fromlist=("setup",))
 
 
-# Uniforms per generator call in SystemModel.sample_blocks: a few hundred
-# states' worth, so that numpy's per-call cost is small next to the block's
-# and its temporaries stay small.
-SAMPLE_REFILL = 4096
-
-
 class SamplingRule(NamedTuple):
     """How a system draws one random state from standard uniforms in [0, 1).
 
-    A try takes ``tried`` uniforms, ``u``. ``test(u)`` gives
-    ``(draw_tail, accept)``: whether ``tail`` more uniforms, ``w``, are drawn
-    after the try, and whether the try then gives the state ``state(u, w)``.
-    A try that is not accepted is drawn again from the start, with the next
-    uniforms. Both functions are written over components, as the kernels
-    are: Python floats for one try, or (N,) columns for N tries, giving
-    masks and state columns whose entry i is the single-try result bit for
-    bit.
+    A try takes ``width`` uniforms, ``u``: ``accept(u)`` says whether it
+    gives the state ``state(u)``. A try that is not accepted is drawn again
+    with the next ``width`` uniforms. Both functions are written over
+    components, as the kernels are: Python floats for one try, or (N,)
+    columns for N tries, giving a mask and state columns whose entry i is
+    the single-try result bit for bit.
     """
 
-    tried: int
-    tail: int
-    test: Callable[[Sequence], tuple]
-    state: Callable[[Sequence, Sequence], tuple]
+    width: int
+    accept: Callable[[Sequence], object]
+    state: Callable[[Sequence], tuple]
 
 
 @dataclass(frozen=True)
@@ -92,13 +82,11 @@ class SystemModel:
     ``cli.DriftObserver``).
 
     ``sampler`` is the system's ``SamplingRule``, stated once over
-    components. ``sample_state(rng)`` applies it to floats and draws exactly
-    the uniforms it uses, so its states and the generator state after each
-    call are those of the same rule on ``rng.uniform``.
-    ``sample_blocks(rng, n, block)`` applies it to columns and yields the
-    same ``n`` states in the same order, as a generator's uniforms form one
-    stream however they are requested, but may leave the generator past the
-    last of them.
+    components. ``sample_state(rng)`` applies it to floats, one
+    ``rng.random(width)`` call per try. ``sample_blocks(rng, n, block)``
+    applies it to columns, ``block`` tries per generator call, and yields
+    the same ``n`` states in the same order, but may leave the generator
+    past the last of them.
     """
 
     name: str
@@ -126,140 +114,83 @@ class SystemModel:
         return self.period_of()
 
     def sample_state(self, rng: np.random.Generator) -> tuple:
-        """One random state: the rule on floats, one ``rng.random(k)`` per part of a try."""
+        """One random state: the rule on floats, one ``rng.random(width)`` per try."""
         rule = self.sampler
         while True:
-            tried = rng.random(rule.tried).tolist()
-            draw_tail, accept = rule.test(tried)
-            if draw_tail:
-                tail = rng.random(rule.tail).tolist()
-                if accept:
-                    return rule.state(tried, tail)
+            u = rng.random(rule.width).tolist()
+            if rule.accept(u):
+                return rule.state(u)
 
     def sample_blocks(self, rng: np.random.Generator, n_samples: int, block: int):
         """The first n_samples states of ``sample_state`` on rng, in blocks.
 
         Yields C-contiguous arrays of ``block`` rows (fewer in the last), one
-        at a time. The uniforms come from one stream, extended by one
-        ``rng.random(SAMPLE_REFILL)`` call at a time. The rule's test runs on
-        columns cut from the stream at every offset where a try and its tail
-        fit, and ``_accepted_tries`` walks the masks as ``sample_state``
-        would step through the stream. The states come from the columns at
-        the tries it picks; the uniforms from the first try it did not reach
-        carry over to the next draw.
+        at a time. A refill is one ``rng.random((block, width))`` call, whose
+        rows are the uniforms of ``block`` successive ``rng.random(width)``
+        calls: the rule runs on its columns, and the states of the accepted
+        rows, in order, fill the block. Those beyond it carry over to the next.
         """
         import numpy as np
 
         rule = self.sampler
-        width = rule.tried + rule.tail
-        stream = np.empty(0)
+        states = np.empty((0, self.dim))
         for start in range(0, n_samples, block):
             wanted = min(block, n_samples - start)
-            parts = []
-            while True:
-                n = len(stream) - width + 1  # offsets where a try and its tail fit
-                if n > 0:
-                    draw_tail, accept = rule.test([stream[j:n + j] for j in range(rule.tried)])
-                    offsets, used = _accepted_tries(draw_tail, accept, rule.tried, width, wanted)
-                    columns = [stream[offsets + j] for j in range(width)]
-                    parts.append(np.stack(rule.state(columns[:rule.tried], columns[rule.tried:]),
-                                          axis=1))
-                    wanted -= len(offsets)
-                    stream = stream[used:]
-                if not wanted:
-                    break
-                stream = np.concatenate((stream, rng.random(SAMPLE_REFILL)))
-            yield np.concatenate(parts)
-
-
-def _accepted_tries(draw_tail, accept, tried: int, width: int, wanted: int):
-    """(offsets, end): the offsets of the first ``wanted`` accepted tries that
-    a sequential sampler meets from offset 0, and the offset of the first
-    uniform it has not used, given the rule's masks at every offset.
-
-    A try passing both tests takes ``width`` uniforms, so from an offset the
-    sampler steps along every ``width``-th offset until one fails; only
-    there does it look at the masks one try at a time, stepping ``tried``
-    or ``width`` uniforms. The walk stops at the end of the masks.
-    """
-    import numpy as np
-
-    n = len(draw_tail)
-    taken = draw_tail & accept
-    runs = []
-    pos = found = 0
-    while found < wanted and pos < n:
-        run = taken[pos::width]
-        stop = int(run.argmin())  # the first failing try, or 0 if none fails
-        if run[stop]:
-            stop = len(run)
-        stop = min(stop, wanted - found)
-        runs.append(np.arange(pos, pos + stop * width, width))
-        found += stop
-        pos += stop * width
-        if found < wanted and pos < n:  # a try that fails
-            pos += width if draw_tail[pos] else tried
-    return np.concatenate(runs), pos
-
-
-def _sqrt(x):
-    # math.sqrt of a float, np.sqrt of a column: both correctly rounded
-    if isinstance(x, float):
-        return math.sqrt(x)
-    import numpy as np
-
-    return np.sqrt(x)
+            while len(states) < wanted:
+                u = rng.random((block, rule.width)).T  # a try per column
+                kept = u[:, rule.accept(u)]
+                states = np.concatenate((states, np.stack(rule.state(kept), axis=1)))
+            yield states[:wanted]
+            states = states[wanted:]
 
 
 # The rules map a standard uniform u to [low, high) as low + (high - low) * u,
-# the arithmetic of numpy's Generator.uniform, with high - low written out;
-# the states are those of rng.uniform draws.
+# the arithmetic of numpy's Generator.uniform, with high - low written out.
 def _rigid_attitude(u) -> tuple:
     # I + U, U uniform in [-0.5, 0.5]^(3x3): high - low = 1, so the product is exact
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = u
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = u[:9]
     return (1.0 + (-0.5 + r00), -0.5 + r01, -0.5 + r02,
             -0.5 + r10, 1.0 + (-0.5 + r11), -0.5 + r12,
             -0.5 + r20, -0.5 + r21, 1.0 + (-0.5 + r22))
 
 
-def _rigid_test(u) -> tuple:
+def _rigid_accept(u):
     # an attitude near (but not on) the rotation group with positive determinant
     a00, u01, u02, u10, a11, u12, u20, u21, a22 = _rigid_attitude(u)
     det = (a00 * (a11 * a22 - u12 * u21) - u01 * (u10 * a22 - u12 * u20)
            + u02 * (u10 * u21 - a11 * u20))
-    ok = det > 1e-3
-    return ok, ok
+    return det > 1e-3
 
 
-def _rigid_state(u, w) -> tuple:
-    # then angular velocities uniform in [-2, 2]^3
-    w0, w1, w2 = w
+def _rigid_state(u) -> tuple:
+    # and angular velocities uniform in [-2, 2]^3
+    w0, w1, w2 = u[9:]
     return (*_rigid_attitude(u), -2.0 + 4.0 * w0, -2.0 + 4.0 * w1, -2.0 + 4.0 * w2)
 
 
 def _position(u) -> tuple:
     # positions uniform in [-2, 2]^3
-    u0, u1, u2 = u
+    u0, u1, u2 = u[:3]
     return -2.0 + 4.0 * u0, -2.0 + 4.0 * u1, -2.0 + 4.0 * u2
 
 
 def _orbital_rule(r_min: float) -> SamplingRule:
-    # A position with |x| >= 0.2 draws a velocity uniform in [-1.5, 1.5]^3;
-    # the state is kept if also |x| >= r_min.
-    def test(u):
-        x0, x1, x2 = _position(u)
-        r = _sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        return r >= 0.2, r >= r_min
+    # then a velocity uniform in [-1.5, 1.5]^3; a state is kept where |x|^2 >= r_min^2
+    r_min_sq = r_min * r_min
 
-    def state(u, w):
-        w0, w1, w2 = w
+    def accept(u):
+        x0, x1, x2 = _position(u)
+        return x0 * x0 + x1 * x1 + x2 * x2 >= r_min_sq
+
+    def state(u):
+        w0, w1, w2 = u[3:]
         return (*_position(u), -1.5 + 3.0 * w0, -1.5 + 3.0 * w1, -1.5 + 3.0 * w2)
 
-    return SamplingRule(tried=3, tail=3, test=test, state=state)
+    return SamplingRule(width=6, accept=accept, state=state)
 
 
 _SAMPLERS = {
-    "rigid_body": SamplingRule(tried=9, tail=3, test=_rigid_test, state=_rigid_state),
+    "rigid_body": SamplingRule(width=12, accept=_rigid_accept, state=_rigid_state),
     "kepler": _orbital_rule(0.2),
     "perturbed_kepler": _orbital_rule(0.25),  # off the repulsive core
 }

@@ -25,7 +25,7 @@ from lyapint.cli import (
     run_experiment,
     serialize_config,
 )
-from lyapint.errors import ConfigError, IntegrationError
+from lyapint.errors import ConfigError, IntegrationError, ProjectionError, RankError
 from lyapint.integrators import rollout, steps_for
 from lyapint.systems import SYSTEM_NAMES, make_system, module
 
@@ -954,6 +954,27 @@ def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 3
     assert "run aborted at step 1: non-finite constraint Jacobian" in capsys.readouterr().err
     assert len(read_csv(out)[1]) == 1
+
+
+def test_main_projection_stall_exits_3_with_the_start_row(tmp_path, capsys):
+    # README's stalling cell: the frozen-Jacobian Newton loop flips the energy
+    # residual's sign at every iteration and stops at max_iter
+    assert issubclass(ProjectionError, IntegrationError)
+    assert issubclass(RankError, IntegrationError)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nsystem = perturbed_kepler\nmethod = projection_euler\n"
+                      "h = 0.03\nt_end = 1\n[constants]\nmu = 1.5\ndelta = 0.01\n"
+                      "[initial]\nx0 = 0.4\nx1 = 0.01\nx2 = 0\nv0 = 0\nv1 = 2\nv2 = 0.01\n"
+                      "[projection]\ntol = 1e-8\n")
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "run aborted at step 1: projection residual 2.719e-03 above tolerance 1.000e-08 "
+        "after 25 iterations",
+        f"partial CSV flushed to {out} (0 completed steps)"]
+    assert out.read_text().splitlines() == ["t,x0,x1,x2,v0,v1,v2,V,dE,dL",
+                                            "0,0.40000000000000002,0.01,0,0,2,0.01,0,0,0"]
+
 
 def test_main_bad_gains_string():
     code = main(["run", "--system", "kepler", "--method", "euler",

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (drift_by_name, perihelion_passages, precession_rate, run_with_metrics,
                       state_with_lyapunov)
-from lyapint import systems
 from lyapint.diagnostics import (
     check_rank_condition,
     gradient_agreement_report,
@@ -184,11 +183,11 @@ def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
     # state has the largest residual, some 1e-10 above the one before it
     drawn = []
 
-    def growing(u, w):
-        if isinstance(w[0], float):
+    def growing(u):
+        if isinstance(u[0], float):
             drawn.append(float(len(drawn) + 1))
             return (1.0, 0.0, 0.0, 0.0, drawn[-1], 0.0)
-        n = len(w[0])
+        n = len(u[0])
         k = np.arange(len(drawn) + 1, len(drawn) + n + 1, dtype=float)
         drawn.extend(k.tolist())
         one, zero = np.ones(n), np.zeros(n)
@@ -197,7 +196,8 @@ def test_orthogonality_report_evaluates_every_sample(kepler_sys, n_samples):
     rule = kepler_sys.sampler._replace(state=growing)
     probe = dataclasses.replace(kepler_sys, sampler=rule, gradient=kepler_sys.field)
     report = orthogonality_report(probe, n_samples=n_samples, seed=6)
-    assert drawn == list(range(1, n_samples + 1))
+    # a refill's surplus is evaluated too: the blocks hold the first n_samples
+    assert drawn[:n_samples] == list(range(1, n_samples + 1))
     drawn.clear()
     expected = per_state_worst_residual(probe, n_samples, 6)
     assert abs(report.max_scaled_residual - expected) <= 1e-15
@@ -235,16 +235,12 @@ def test_a_nan_residual_fails_the_report(kepler_sys, report):
     assert not poisoned.passed
 
 
-@pytest.mark.parametrize("refill", [7, systems.SAMPLE_REFILL])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
-def test_sample_blocks_draw_the_states_of_sample_state(monkeypatch, name, seed, refill):
-    # 777-row blocks leave a partial last block of 10,000 states. A refill of
-    # 7 uniforms puts a refill boundary inside two 3-value draws in seven and
-    # inside every 9-value rigid-body attitude draw. Each of these runs
-    # rejects 3-12 states (the radius and determinant loops), and in each at
-    # least one rejected draw straddles a refill.
-    monkeypatch.setattr(systems, "SAMPLE_REFILL", refill)
+def test_sample_blocks_draw_the_states_of_sample_state(name, seed):
+    # 777-row blocks leave a partial last block of 10,000 states. Each of
+    # these runs rejects some tries (the radius and determinant tests), so
+    # accepted states carry over from one refill to the next block.
     system = make_system(name)
     blocks = list(system.sample_blocks(np.random.default_rng(seed), 10_000, 777))
     assert [len(b) for b in blocks] == [777] * 12 + [676]
@@ -255,20 +251,40 @@ def test_sample_blocks_draw_the_states_of_sample_state(monkeypatch, name, seed, 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(SYSTEM_NAMES), seed=st.integers(0, 2**32 - 1),
-       n=st.integers(1, 1500), block=st.integers(1, 700),
-       refill=st.sampled_from((1, 2, 5, 7, 11, 13, 64, 4096)))
-def test_sample_blocks_are_n_calls_of_sample_state(name, seed, n, block, refill):
-    # refills of 1-13 uniforms split the tries (3 or 9 uniforms) and their
-    # tails (3) across generator calls, and carry unused uniforms over
+       n=st.integers(1, 1500), block=st.integers(1, 700))
+def test_sample_blocks_are_n_calls_of_sample_state(name, seed, n, block):
     system = make_system(name)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(systems, "SAMPLE_REFILL", refill)
-        blocks = list(system.sample_blocks(np.random.default_rng(seed), n, block))
+    blocks = list(system.sample_blocks(np.random.default_rng(seed), n, block))
     assert [len(b) for b in blocks] == [block] * (n // block) + ([n % block] if n % block else [])
     assert all(b.flags.c_contiguous for b in blocks)
     rng = np.random.default_rng(seed)
     single = np.array([system.sample_state(rng) for _ in range(n)])
     assert np.concatenate(blocks).tobytes() == single.tobytes()
+
+
+def numpy_sampler(name, rng):
+    """A state of ``name`` from whole tries of rng.uniform, checked with
+    np.linalg.det or np.dot."""
+    while True:
+        if name == "rigid_body":
+            R = np.eye(3) + rng.uniform(-0.5, 0.5, size=(3, 3))
+            s = np.concatenate((R.ravel(), rng.uniform(-2.0, 2.0, size=3)))
+            if np.linalg.det(R) > 1e-3:
+                return s
+        else:
+            s = np.concatenate((rng.uniform(-2.0, 2.0, size=3), rng.uniform(-1.5, 1.5, size=3)))
+            r_min = 0.25 if name == "perturbed_kepler" else 0.2
+            if np.dot(s[:3], s[:3]) >= r_min * r_min:
+                return s
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_sample_state_draws_the_states_of_a_numpy_sampler(name):
+    # the component rules make the same generator draws, try for try
+    new, old = np.random.default_rng(1), np.random.default_rng(1)
+    drawn = np.array([make_system(name).sample_state(new) for _ in range(10_000)])
+    assert np.array_equal(drawn, np.array([numpy_sampler(name, old) for _ in range(10_000)]))
+    assert np.array_equal(new.random(4), old.random(4))
 
 
 def per_state_worst_gradient_difference(system, n_samples, seed):

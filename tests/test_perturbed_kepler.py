@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -339,8 +341,6 @@ def test_hypothesis_vacuous_when_no_roots(params):
 def test_hypothesis_bracket_validation(params):
     with pytest.raises(ValueError):
         pk.check_hypothesis(params, r_min=1.0, r_max=0.5)
-    with pytest.raises(ValueError):
-        pk.check_hypothesis(params, n_grid=1)
 
 
 def test_root_finding_against_dense_scan(params):
@@ -416,14 +416,23 @@ def test_level_set_states_are_on_the_level_set(mu, delta, s0):
 
 
 def test_check_hypothesis_roots_are_those_of_the_shared_bisection(params):
-    # check_hypothesis's roots bit for bit: the band's use of _bisect does not move them
-    assert pk.check_hypothesis(params).roots == (0.011941563985309815, 0.6280584360146977)
+    # the closed-form roots bit for bit, the quadratic oracle's at the params'
+    # |L0|^2 to its cancellation, and within 2 ulps of the roots to 40 digits
+    roots = pk.check_hypothesis(params).roots
+    assert roots == (0.011941563985012735, 0.6280584360149875)
+    l0_sq = pk.dot(params.L0, params.L0)
+    assert list(roots) == pytest.approx(quadratic_root_oracle(1.0, 0.0025, l0_sq), rel=1e-14)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        root_disc = (Decimal(l0_sq) ** 2 - 12 * Decimal(0.0025)).sqrt()
+        exact = ((Decimal(l0_sq) - root_disc) / 2, (Decimal(l0_sq) + root_disc) / 2)
+        assert all(abs(Decimal(r) - e) <= 2 * Decimal(math.ulp(r)) for r, e in zip(roots, exact))
 
     def g(r):
         return r**3 * pk.u_prime(params, r) - 0.64
 
     outer = pk._bisect(g, 0.6, 0.7)  # the bracket may be given either way round
-    assert outer == pk._bisect(g, 0.7, 0.6) == pytest.approx(0.6280584360146977, abs=1e-12)
+    assert outer == pk._bisect(g, 0.7, 0.6) == pytest.approx(roots[1], abs=1e-12)
 
 
 def rk4_radial_return_time(system, h, t_guess):
