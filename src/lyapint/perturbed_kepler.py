@@ -402,8 +402,8 @@ class HypothesisReport(NamedTuple):
 
 
 def _bisect(g, lo, hi, tol=1e-12, max_iter=200):
-    """A root of g between lo and hi, to within tol: the one radial root
-    finder of ``radial_band``.
+    """A root of g between lo and hi, to within tol: ``radial_band``'s root
+    finder.
 
     g changes sign between the two ends. Only g(lo) is evaluated, so the
     sign of g at hi is taken to be the other one; hi may lie on either side
