@@ -276,6 +276,22 @@ def test_feedback_kernel_is_field_minus_gradient_and_the_integral_values_bit_for
         assert values == rigid_body._integral_values(p, s)
 
 
+def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
+    # the float triple-product determinant against np.linalg.det, same draws
+    def numpy_sampler(rng):
+        while True:
+            R = np.eye(3) + rng.uniform(-0.5, 0.5, size=(3, 3))
+            w = rng.uniform(-2.0, 2.0, size=3)  # drawn with R: a try is 12 uniforms
+            if np.linalg.det(R) > 1e-3:
+                return pack(R, w)
+
+    sample = make_system("rigid_body").sample_state
+    new, old = np.random.default_rng(1), np.random.default_rng(1)
+    drawn = np.array([sample(new) for _ in range(10_000)])
+    assert np.array_equal(drawn, np.array([numpy_sampler(old) for _ in range(10_000)]))
+    assert np.array_equal(new.random(4), old.random(4))
+
+
 def test_drift_metrics_match_numpy_integrals(rigid_sys):
     p = rigid_sys.params
     s0 = rigid_sys.initial_state
