@@ -318,7 +318,7 @@ def make_advance(system: SystemModel, method: str, cfg: ExperimentConfig,
     if method == "rk4":
         return lambda x, h: rk4_step(system.field, x, h)
     if method == "projection_euler":
-        return lambda x, h: projection_step(euler_step, pcfg, system.field, x, h)
+        return lambda x, h: projection_step(pcfg, system.field, x, h)
     if method == "splitting":
         if system.splitting_step is None:
             raise ConfigError(f"the splitting method is not defined for system {system.name!r}")

@@ -13,19 +13,19 @@ vanishes exactly on the invariant set through x0, and its gradient is
 Integrating the corrected field X - grad V with any ordinary one-step scheme
 keeps the numerical trajectory near that invariant set. Each system's params
 state K's diagonal and f0 once, as ``params.K`` and ``params.f0`` in the
-map's order, and check them with ``check_gains_and_targets``; the functions
-below take them as they are. The shipped systems
-provide closed-form gradients as the production path; ``generic_gradient``
-below evaluates the Jacobian-transpose formula from the map's own ``eval``
-and ``jacobian`` kernels, a derivation independent of the closed forms, and
-serves as the oracle they are checked against. ``derive_system`` composes
-the rest of a system from its kernels: each system module states its
-physics once and binds what it returns to its own names.
+map's order, and check them and the constants with ``check_params``; the
+functions below take them as they are. The shipped systems provide
+closed-form gradients as the production path; ``generic_gradient`` below
+evaluates the Jacobian-transpose formula from the map's own ``eval`` and
+``jacobian`` kernels, a derivation independent of the closed forms, and
+serves as the oracle they are checked against. Each system module states
+its physics once, as kernels: ``derive_system`` gives it the three that
+the model calls through the module, and ``systems.make_system`` composes
+the rest.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 
@@ -65,10 +65,14 @@ def lyapunov_value(gains, target, values) -> float:
     return 0.5 * total
 
 
-def check_gains_and_targets(gains: dict, target) -> None:
-    """Raise ValueError unless each named gain is positive and finite and
-    each target value is finite; each system's params call it on their
-    gains and f0."""
+def check_params(constants: dict, gains: dict, target) -> None:
+    """Raise ValueError unless each named constant (a float or a tuple of
+    floats) is finite, each named gain is positive and finite and each
+    target value is finite; each system's params call it on their
+    constants, gains and f0."""
+    for name, c in constants.items():
+        if not all(map(math.isfinite, c if isinstance(c, tuple) else (c,))):
+            raise ValueError(f"constant {name} must be finite, got {c!r}")
     for name, k in gains.items():
         if not 0.0 < k < math.inf:  # false for nan too
             raise ValueError(f"gain {name} must be positive and finite, got {k!r}")
@@ -96,22 +100,15 @@ def generic_gradient(f: FirstIntegralMap, gains, target, x):
     return tuple(grad)
 
 
-def derive_system(feedback, values, map_values, jacobian_rows, drift_row, dim, dim_values):
-    """The functions a system's kernels determine, each taking the params
-    first: ``(modified_field, lyapunov_gradient, modified_field_and_values,
-    lyapunov, drift_from_values, drift_metrics, integral_map)``.
+def derive_system(feedback, values):
+    """The kernels a system's model calls through its module, each taking
+    the params first: ``(modified_field, lyapunov_gradient, lyapunov)``.
 
-    The kernels take the params and a state's components.
-    ``feedback(p, s) -> (field, gradient, values)`` is the fused kernel: the
-    feedback field X - grad V, grad V and the integral values, which
-    ``values(p, s)`` gives alone, bit for bit; V is ``lyapunov_value`` of
-    them. ``map_values`` and ``jacobian_rows`` give the dim_values values of
-    the stacked map f and its Jacobian rows. ``drift_row(start, values, V)``
-    gives the drift row, V first, from the values at a state and at the
-    start s0 and the V of the state: ``drift_from_values(p, s0)`` gives
-    ``drift(values)``, that row, and ``drift_metrics(p, s0)`` gives
-    ``drift(s)``, the row of the values at s. Each function calls the
-    kernels it was given, so a wrapper set on a module's name in place (as
+    ``feedback(p, s) -> (field, gradient, values)`` is the fused kernel:
+    the feedback field X - grad V, grad V and the integral values at the
+    state components s, which ``values(p, s)`` gives alone, bit for bit; V
+    is ``lyapunov_value`` of them. Each function calls the kernel it was
+    given, so a wrapper set on a module's name in place (as
     perfbench/tracer.py sets) counts only the calls made through that name.
     """
 
@@ -121,28 +118,7 @@ def derive_system(feedback, values, map_values, jacobian_rows, drift_row, dim, d
     def lyapunov_gradient(p, v):
         return feedback(p, v)[1]
 
-    def modified_field_and_values(p, v):
-        field, _, vals = feedback(p, v)
-        return field, vals
-
     def lyapunov(p, s):
         return lyapunov_value(p.K, p.f0, values(p, s))
 
-    def drift_from_values(p, s0):
-        K, f0, start = p.K, p.f0, values(p, s0)
-
-        def drift(vals):
-            return drift_row(start, vals, lyapunov_value(K, f0, vals))
-
-        return drift
-
-    def drift_metrics(p, s0):
-        drift = drift_from_values(p, s0)
-        return lambda s: drift(values(p, s))
-
-    def integral_map(p):
-        return FirstIntegralMap(dim_state=dim, dim_values=dim_values,
-                                eval=partial(map_values, p), jacobian=partial(jacobian_rows, p))
-
-    return (modified_field, lyapunov_gradient, modified_field_and_values, lyapunov,
-            drift_from_values, drift_metrics, integral_map)
+    return modified_field, lyapunov_gradient, lyapunov

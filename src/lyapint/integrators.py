@@ -4,7 +4,7 @@ Each scheme ``(field, x, h) -> x_next`` steps a state x given as a tuple of
 Python floats, with a field mapping such tuples to float sequences, and
 returns a tuple; Euler and RK4 also take a known first stage field(x). ``integrate`` is the one loop that advances a trajectory by
 repeated application, and the one place where a failing step is numbered and
-turned into IntegrationError. Projection wraps any base scheme and pulls the
+turned into IntegrationError. Projection takes an Euler step and pulls the
 result back onto a target level set of a first-integral map with a
 simplified Newton iteration.
 
@@ -129,10 +129,10 @@ def _residual(values, target) -> list:
     return [v - t for v, t in zip(values, target)]
 
 
-def projection_step(base, cfg: ProjectionConfig, field, x, h):
-    """Base step followed by pull-back onto the constraint level set.
+def projection_step(cfg: ProjectionConfig, field, x, h):
+    """Euler step followed by pull-back onto the constraint level set.
 
-    Computes xt = base(field, x, h), then solves f(xt + Df(xt)^T lam) = target
+    Computes xt = euler_step(field, x, h), then solves f(xt + Df(xt)^T lam) = target
     for lam by simplified Newton with Df frozen at xt. The iteration runs on
     the state itself: with the correction matrix C = Df(xt)^+, which is
     Df(xt)^T G^+ for G = Df Df^T, built once per step, each iteration is
@@ -140,14 +140,14 @@ def projection_step(base, cfg: ProjectionConfig, field, x, h):
     residual norm is within cfg.tol; raises ProjectionError with the final
     residual otherwise.
 
-    ``base`` steps the tuple, and ``cfg.constraint``'s ``eval`` and
+    The Euler step is on the tuple, and ``cfg.constraint``'s ``eval`` and
     ``jacobian`` take tuples: each residual and its norm are Python floats.
     Only when the Newton loop runs is numpy imported and an array y built
     from xt, for the update ``C @ residual``; a step that lands within
     cfg.tol needs no numpy.
     """
     f, target = cfg.constraint, cfg.target
-    xt = base(field, x, h)
+    xt = euler_step(field, x, h)
     res = _residual(f.eval(xt), target)
     rnorm = math.hypot(*res)
     if rnorm <= cfg.tol:

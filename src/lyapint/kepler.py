@@ -11,7 +11,7 @@ function is V = k1/2 |L - L0|^2 + k2/2 |A - A0|^2, the quadratic form of
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
-from .feedback import check_gains_and_targets, derive_system
+from .feedback import check_params, derive_system
 from .numerics import dot, norm, position_acceleration, radius
 
 DIM = 6
@@ -51,7 +51,7 @@ class KeplerParams:
         object.__setattr__(self, "f0", self.L0 + self.A0)
         if self.mu <= 0.0:
             raise ValueError("gravitational parameter must be positive")
-        check_gains_and_targets({"k1": self.k1, "k2": self.k2}, self.f0)
+        check_params({"mu": self.mu}, {"k1": self.k1, "k2": self.k2}, self.f0)
         lnorm = norm(self.L0)
         anorm = norm(self.A0)
         if lnorm == 0.0:
@@ -130,9 +130,9 @@ def _feedback(p: KeplerParams, v) -> tuple:
         grad_v = k1 dL x x + k2 (L x dA + (x . dA) v - (x . v) dA),
 
     where v x (dA x v) and x x (v x dA) are expanded by the BAC-CAB rule.
-    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. L, A and E repeat
-    the expressions of ``invariant_components`` inline (a shared helper
+    ``feedback.generic_gradient``, built from ``_map_values`` and
+    ``_jacobian_rows``, is the oracle it is checked against. L, A and E
+    repeat the expressions of ``invariant_components`` inline (a shared helper
     returning them made this kernel about 1.5 us, some 40%, slower per
     call), so they are its values bit for bit, and dL and dA are exactly
     zero at the state the targets came from.
@@ -236,8 +236,8 @@ def state_at_eccentric_anomaly(p: KeplerParams, psi: float) -> tuple:
             *((cv * ui + nv * ni) * rate for ui, ni in zip(u, n)))
 
 
-def _integral_values(p: KeplerParams, v) -> tuple:
-    """(L, A) at the state components v, as 6 components."""
+def _map_values(p: KeplerParams, v) -> tuple:
+    """(L, A) at the state components v, as 6 components: the stacked map's values."""
     return invariant_components(p, v)[:6]
 
 
@@ -270,8 +270,7 @@ def _jacobian_rows(p: KeplerParams, v) -> tuple:
     )
 
 
-# the stacked map is (L, A), of dimension 6
-(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
- drift_metrics, integral_map) = derive_system(
-    _feedback, invariant_components, _integral_values, _jacobian_rows, _drift_row, DIM, 6)
+# the integral values (L, A, E) that ``_feedback`` gives and the drift rows read
+_values = invariant_components
+modified_field, lyapunov_gradient, lyapunov = derive_system(_feedback, _values)
 

@@ -29,7 +29,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError
-from .feedback import check_gains_and_targets, derive_system
+from .feedback import check_params, derive_system
 from .numerics import dot, norm, position_acceleration, radius
 
 DIM = 6
@@ -78,7 +78,8 @@ class PerturbedKeplerParams:
         if not (self.mu > 0.0 and self.delta >= 0.0):
             raise ValueError(f"need mu > 0 and delta >= 0, got mu = {self.mu!r}, "
                              f"delta = {self.delta!r}")
-        check_gains_and_targets({"k1": self.k1, "k2": self.k2}, self.f0)
+        check_params({"mu": self.mu, "delta": self.delta}, {"k1": self.k1, "k2": self.k2},
+                     self.f0)
         if norm(self.L0) == 0.0:
             raise ValueError("target angular momentum must be nonzero")
 
@@ -325,8 +326,8 @@ def _feedback(p: PerturbedKeplerParams, v) -> tuple:
     grad_x = k1 dE U'(|x|) x/|x| + k2 v x dL
     grad_v = k1 dE v + k2 dL x x.
 
-    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. The field repeats
+    ``feedback.generic_gradient``, built from ``_map_values`` and
+    ``_jacobian_rows``, is the oracle it is checked against. The field repeats
     the expressions of ``field``, with one evaluation of U'(|x|) for both,
     and E and L those of ``invariant_components``, inline: the feedback
     field is the difference of ``field`` and ``lyapunov_gradient`` bit for
@@ -374,11 +375,9 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     )
 
 
-# the stacked map is (E, L), of dimension 4
-(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
- drift_metrics, integral_map) = derive_system(
-    _feedback, invariant_components, invariant_components, _jacobian_rows, _drift_row,
-    DIM, 4)
+# the integral values (E, L) are the stacked map's values too
+_values = _map_values = invariant_components
+modified_field, lyapunov_gradient, lyapunov = derive_system(_feedback, _values)
 
 
 class HypothesisReport(NamedTuple):

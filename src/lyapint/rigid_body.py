@@ -19,7 +19,7 @@ R^T R - I (gain k0/2 each, target 0), E and pi.
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
-from .feedback import check_gains_and_targets, derive_system
+from .feedback import check_params, derive_system
 from .numerics import dot
 
 DIM = 12
@@ -68,7 +68,8 @@ class RigidBodyParams:
         object.__setattr__(self, "f0", (0.0,) * 9 + (float(self.E0), *self.pi0))
         if len(self.inertia) != 3 or not all(i > 0.0 for i in self.inertia):
             raise ValueError("inertia must be three positive principal moments")
-        check_gains_and_targets({"k0": self.k0, "k1": self.k1, "k2": self.k2}, self.f0)
+        check_params({"inertia": self.inertia},
+                     {"k0": self.k0, "k1": self.k1, "k2": self.k2}, self.f0)
         if self.E0 <= 0.0:
             raise ValueError("target energy must be positive")
         if dot(self.pi0, self.pi0) == 0.0:
@@ -87,7 +88,7 @@ def setup(initial_state, gains, inertia=BENCHMARK_INERTIA):
     return replace(p, E0=E0, pi0=(q0, q1, q2)), s0
 
 
-def _integral_values(p: RigidBodyParams, v) -> tuple:
+def _values(p: RigidBodyParams, v) -> tuple:
     """(vec(R^T R - I), E, pi) at the state components v, as 13 components,
     for the principal moments ``p.inertia``; R^T R - I is symmetric, so its
     entries d01, d02 and d12 appear twice."""
@@ -107,7 +108,7 @@ def _integral_values(p: RigidBodyParams, v) -> tuple:
 
 
 def _integrals_of(values) -> tuple:
-    """(E, pi, ||R^T R - I||^2) from the 13 values of ``_integral_values``."""
+    """(E, pi, ||R^T R - I||^2) from the 13 values of ``_values``."""
     d00, d01, d02, _, d11, d12, _, _, d22, E, q0, q1, q2 = values
     return (E, q0, q1, q2,
             d00 * d00 + d11 * d11 + d22 * d22
@@ -117,11 +118,11 @@ def _integrals_of(values) -> tuple:
 def invariant_components(p: RigidBodyParams, s) -> tuple:
     """(E, pi, ||R^T R - I||^2) at s as five Python floats: E, pi0, pi1, pi2, defect_sq.
 
-    With ``_integral_values`` the one source of the rigid-body integrals:
-    the kernels below, the integral map, the target values (E0, pi0), ``V``
-    and the drift metrics all evaluate these expressions.
+    With ``_values`` the one source of the rigid-body integrals: the
+    kernels below, the integral map, the target values (E0, pi0), ``V`` and
+    the drift metrics all evaluate these expressions.
     """
-    return _integrals_of(_integral_values(p, s))
+    return _integrals_of(_values(p, s))
 
 
 def field(p: RigidBodyParams, v) -> tuple:
@@ -143,19 +144,18 @@ def field(p: RigidBodyParams, v) -> tuple:
 
 def _feedback(p: RigidBodyParams, v) -> tuple:
     """The feedback field X - grad V and grad V at the state components v,
-    as 12 components each, and the 13 ``_integral_values`` there. The
-    closed form of grad V is
+    as 12 components each, and the 13 ``_values`` there. The closed form
+    of grad V is
 
     grad_R = k0 R (R^T R - I) + k2 (pi - pi0) (I Omega)^T
     grad_Omega = k1 (E - E0) I Omega + k2 I R^T (pi - pi0).
 
-    ``feedback.generic_gradient``, built from ``integral_map``'s ``eval``
-    and ``jacobian``, is the oracle it is checked against. The field repeats
-    the expressions of ``field``, and the defect, E and pi those of
-    ``_integral_values``, inline: the feedback field is the difference of
-    ``field`` and ``lyapunov_gradient`` bit for bit, the values are
-    ``_integral_values``', and the gradient is exactly zero at the state the
-    targets came from.
+    ``feedback.generic_gradient``, built from ``_map_values`` and
+    ``_jacobian_rows``, is the oracle it is checked against. The field
+    repeats the expressions of ``field``, and the defect, E and pi those of
+    ``_values``, inline: the feedback field is the difference of ``field``
+    and ``lyapunov_gradient`` bit for bit, the values are ``_values``', and
+    the gradient is exactly zero at the state the targets came from.
     """
     r00, r01, r02, r10, r11, r12, r20, r21, r22, w0, w1, w2 = v
     i0, i1, i2 = p.inertia
@@ -201,8 +201,8 @@ def _feedback(p: RigidBodyParams, v) -> tuple:
 
 def _drift_row(start, values, V) -> tuple:
     """The ``DRIFT_NAMES`` row V, |E - E(s0)|, |pi - pi(s0)| and
-    ||R^T R - I||, from the 13 ``_integral_values`` at a state and at the
-    start s0 and V."""
+    ||R^T R - I||, from the 13 ``_values`` at a state and at the start s0
+    and V."""
     E, q0, q1, q2, defect_sq = _integrals_of(values)
     E_start, p0, p1, p2 = start[9:]
     u0, u1, u2 = q0 - p0, q1 - p1, q2 - p2
@@ -314,8 +314,7 @@ def _jacobian_rows(p: RigidBodyParams, v) -> tuple:
     )
 
 
-# the stacked map is (vec(R^T R - I), E, pi), of dimension 13
-(modified_field, lyapunov_gradient, modified_field_and_values, lyapunov, drift_from_values,
- drift_metrics, integral_map) = derive_system(
-    _feedback, _integral_values, _integral_values, _jacobian_rows, _drift_row, DIM, 13)
+# the integral values (vec(R^T R - I), E, pi) are the stacked map's values too
+_map_values = _values
+modified_field, lyapunov_gradient, lyapunov = derive_system(_feedback, _values)
 

@@ -14,10 +14,10 @@ use: a process loads only the systems it builds.
 from __future__ import annotations  # np.random.Generator names numpy without importing it
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .feedback import FirstIntegralMap
+from .feedback import FirstIntegralMap, lyapunov_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,8 +25,9 @@ if TYPE_CHECKING:
 # The shipped systems, each stated once by the module ``lyapint.<name>``:
 # ``setup``, whose params hold and check the constants, the gain diagonal
 # ``K`` and the targets ``f0``, the kernels, ``period``, ``gain_bound`` and
-# the names ``make_system`` reads; ``feedback.derive_system`` composes the
-# rest from the kernels.
+# the names ``make_system`` reads. ``make_system`` composes the model from
+# the kernels; the module binds the three that ``feedback.derive_system``
+# gives, which the model calls through the module.
 SYSTEM_NAMES = ("rigid_body", "kepler", "perturbed_kepler")
 
 
@@ -73,13 +74,15 @@ class SystemModel:
     initial_state)``: the period of the start's motion, inf where it has
     none. It is computed when first read, and a ``run`` never reads it.
 
+    ``make_system`` composes the rest from the module's kernels.
     ``drift_metrics(s)`` gives the drift columns at a state, a tuple of
     floats named by ``drift_names`` (V first, as in the CSV), against the
     integrals of ``initial_state``. ``field_and_drift(s)`` gives
-    ``(modified_field(s), drift_metrics(s))`` bit for bit from one
-    evaluation of the state's integrals, or raises where either raises;
-    a run's feedback step takes its first stage from it (see
-    ``cli.DriftObserver``).
+    ``(modified_field(s), drift_metrics(s))`` bit for bit from one call of
+    the module's fused ``_feedback``, or raises where either raises; a
+    run's feedback step takes its first stage from it (see
+    ``cli.DriftObserver``). ``integral_map`` is the stacked map f of the
+    module's ``_map_values`` and ``_jacobian_rows``.
 
     ``sampler`` is the system's ``SamplingRule``, stated once over
     components. ``sample_state(rng)`` applies it to floats, one
@@ -204,6 +207,10 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
     the benchmark value. The targets f(x0) are the start state's integrals.
     A name the system does not take is a ValueError here; the params check
     the values.
+
+    The model is composed here from the module's kernels ``_feedback``,
+    ``_values`` (evaluated once at the start for the drift rows),
+    ``_drift_row``, ``_map_values`` and ``_jacobian_rows``.
     """
     m = module(name)
     gains = gains or {}
@@ -215,14 +222,21 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
     p, s0 = m.setup(initial_state,
                     tuple(gains.get(k, d) for k, d in zip(m.GAIN_NAMES, m.BENCHMARK_GAINS)),
                     **constants)
-    drift = m.drift_from_values(p, s0)
+    values, feedback, drift_row = m._values, m._feedback, m._drift_row
+    K, f0, start = p.K, p.f0, values(p, s0)
+
+    def drift(vals):
+        return drift_row(start, vals, lyapunov_value(K, f0, vals))
+
+    def drift_metrics(s):
+        return drift(values(p, s))
 
     def field_and_drift(s):
-        field, values = m.modified_field_and_values(p, s)
-        return field, drift(values)
+        field, _, vals = feedback(p, s)
+        return field, drift(vals)
 
-    # each call looks up the module function, so wrapping it in place
-    # (as perfbench/tracer.py does) sees every call
+    # each call of the four kernels below looks up the module function, so
+    # wrapping it in place (as perfbench/tracer.py does) sees every call
     return SystemModel(
         name=name,
         dim=m.DIM,
@@ -231,11 +245,13 @@ def make_system(name: str, initial_state=None, gains=None, **constants) -> Syste
         modified_field=lambda s: m.modified_field(p, s),
         gradient=lambda s: m.lyapunov_gradient(p, s),
         lyapunov=lambda s: m.lyapunov(p, s),
-        integral_map=m.integral_map(p),
+        integral_map=FirstIntegralMap(dim_state=m.DIM, dim_values=len(f0),
+                                      eval=partial(m._map_values, p),
+                                      jacobian=partial(m._jacobian_rows, p)),
         initial_state=s0,
         state_names=m.STATE_NAMES,
         drift_names=m.DRIFT_NAMES,
-        drift_metrics=m.drift_metrics(p, s0),
+        drift_metrics=drift_metrics,
         field_and_drift=field_and_drift,
         sampler=_SAMPLERS[name],
         gain_bound=m.gain_bound(p),

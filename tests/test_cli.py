@@ -470,11 +470,17 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
      "config error: projection tol must be positive and finite, got inf"),
     (VALID_EXPERIMENT + "strid = 5\n", None, "config error"),
     (VALID_EXPERIMENT + "[outputs]\nstride = 5\n", None, "config error"),
-    # non-finite constants give non-finite targets, which the system's params reject
-    (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None, "config error"),
-    (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None, "config error"),
+    # the params name a non-finite constant and its value
+    (VALID_EXPERIMENT + "[constants]\nmu = nan\n", None,
+     "config error: constant mu must be finite, got nan"),
+    (VALID_EXPERIMENT + "[constants]\nmu = inf\n", None,
+     "config error: constant mu must be finite, got inf"),
     ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
-     "[constants]\ninertia = inf,2,1\n", None, "config error"),
+     "[constants]\ninertia = inf,2,1\n", None,
+     "config error: constant inertia must be finite, got (inf, 2.0, 1.0)"),
+    *((f"[experiment]\nsystem = perturbed_kepler\nmethod = euler\nt_end = 1.0\n"
+       f"[constants]\n{name} = inf\n", None,
+       f"config error: constant {name} must be finite, got inf") for name in ("mu", "delta")),
     # the params check the moments before the start's integrals unpack them
     ("[experiment]\nsystem = rigid_body\nmethod = euler\nt_end = 1.0\n"
      "[constants]\ninertia = 1,2\n", None,
@@ -489,7 +495,8 @@ VALID_EXPERIMENT = "[experiment]\nsystem = kepler\nmethod = projection_euler\nt_
     (VALID_EXPERIMENT, "missing", "config error"),  # --out inside a directory that does not exist
 ], ids=["stride", "gain", "gain_inf", "gain_nan", "initial",
         "initial_beside_paper_default", "initial_unknown_condition", "max_iter", "tol_zero", "tol_negative", "tol_inf",
-        "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf", "inertia_short",
+        "unknown_key", "unknown_section", "mu_nan", "mu_inf", "inertia_inf",
+        "perturbed_kepler_mu_inf", "perturbed_kepler_delta_inf", "inertia_short",
         "kepler_mu_at_origin", "perturbed_kepler_mu_at_origin", "missing_config",
         "missing_out_dir"])
 def test_main_bad_input_exits_2_before_integration(tmp_path, capsys, config, out_dir, message):
@@ -655,18 +662,12 @@ def test_feedback_rows_are_the_drift_metrics_of_their_states(tmp_path, capsys, n
         assert float(printed[column]) == max(float(row[i]) for row in rows)
 
 
-# The function through which each system's drift reads its integrals; its
-# fused kernel, _feedback, evaluates them as well
-DRIFT_VALUES = {"rigid_body": "_integral_values", "kepler": "invariant_components",
-                "perturbed_kepler": "invariant_components"}
-
-
 def integral_evaluations(name, run) -> int:
-    """The calls of system ``name``'s ``_feedback`` and drift values function
-    in ``run()``, by code object: the derived functions hold the kernels
-    themselves, not their module names."""
+    """The calls of system ``name``'s ``_feedback`` and ``_values``, through
+    which its drift reads its integrals, in ``run()``, by code object: the
+    model holds the kernels themselves, not their module names."""
     m = module(name)
-    counted = {m._feedback.__code__, getattr(m, DRIFT_VALUES[name]).__code__}
+    counted = {m._feedback.__code__, m._values.__code__}
     calls = []
 
     def profile(frame, event, arg):

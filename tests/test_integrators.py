@@ -160,7 +160,7 @@ def test_projection_returns_point_on_constraint_untouched(kepler_sys):
                            target=kepler_sys.params.f0,
                            tol=0.005)
     x0 = kepler_sys.initial_state
-    out = projection_step(euler_step, cfg, lambda s: (0.0,) * 6, x0, 0.005)
+    out = projection_step(cfg, lambda s: (0.0,) * 6, x0, 0.005)
     assert out == x0
 
 
@@ -170,7 +170,7 @@ def test_projection_kepler_residual_within_tolerance(kepler_sys):
                            tol=0.005)
     x = kepler_sys.initial_state
     for _ in range(2000):
-        x = projection_step(euler_step, cfg, kepler_sys.field, x, 0.005)
+        x = projection_step(cfg, kepler_sys.field, x, 0.005)
         res = np.linalg.norm(np.array(kepler_sys.integral_map.eval(x)) - cfg.target)
         assert res <= 0.005
 
@@ -181,7 +181,7 @@ def test_projection_rigid_residual_within_tolerance(rigid_sys):
                            tol=1e-4)
     x = rigid_sys.initial_state
     for _ in range(500):
-        x = projection_step(euler_step, cfg, rigid_sys.field, x, 1e-4)
+        x = projection_step(cfg, rigid_sys.field, x, 1e-4)
         res = np.linalg.norm(np.array(rigid_sys.integral_map.eval(x)) - cfg.target)
         assert res <= 1e-4
 
@@ -197,7 +197,7 @@ def test_projection_perturbed_kepler_residual_within_tolerance(pk_sys):
     rng = np.random.default_rng(47)
     x = tuple((pk_sys.initial_state + rng.uniform(-1e-3, 1e-3, 6)).tolist())
     for _ in range(200):
-        x = projection_step(euler_step, cfg, pk_sys.field, x, 0.03)
+        x = projection_step(cfg, pk_sys.field, x, 0.03)
         res = np.linalg.norm(np.array(pk_sys.integral_map.eval(x)) - cfg.target)
         assert res <= cfg.tol
 
@@ -274,7 +274,7 @@ def test_projection_correction_matrix_matches_lagrange_multiplier_iteration(name
         x = system.initial_state + rng.uniform(-1e-2, 1e-2, system.dim)
         expected, n_iter = lagrange_multiplier_projection(cfg, system.field, x, h)
         evals.clear()
-        got = np.array(projection_step(euler_step, counted, system.field, tuple(x.tolist()), h))
+        got = np.array(projection_step(counted, system.field, tuple(x.tolist()), h))
         assert np.linalg.norm(got - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
         assert len(evals) - 1 == n_iter  # one eval per residual
         iterations.append(n_iter)
@@ -314,7 +314,7 @@ def test_projection_reports_nonconvergence(kepler_sys):
                            tol=1e-15, max_iter=1)
     far = tuple((kepler_sys.initial_state + np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0])).tolist())
     with pytest.raises(ProjectionError) as info:
-        projection_step(euler_step, cfg, kepler_sys.field, far, 0.005)
+        projection_step(cfg, kepler_sys.field, far, 0.005)
     assert info.value.residual > 0.0
 
 
@@ -325,7 +325,7 @@ def test_projection_rank_error_on_degenerate_constraint():
         jacobian=lambda x: ((0.0, 0.0),))
     cfg = ProjectionConfig(constraint=flat, target=(0.0,), tol=1e-10)
     with pytest.raises(RankError):
-        projection_step(euler_step, cfg, lambda s: (0.0, 0.0), (0.0, 0.0), 0.1)
+        projection_step(cfg, lambda s: (0.0, 0.0), (0.0, 0.0), 0.1)
 
 
 def test_projection_config_validation(kepler_sys):
@@ -483,7 +483,7 @@ def scheme_advance(system, method):
         cfg = ProjectionConfig(constraint=system.integral_map,
                                target=system.params.f0,
                                tol=system.projection_tol)
-        return lambda x, h: projection_step(euler_step, cfg, field, x, h)
+        return lambda x, h: projection_step(cfg, field, x, h)
     if method == "splitting":
         return system.splitting_step
     variant = method[-1].upper()

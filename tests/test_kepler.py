@@ -133,8 +133,8 @@ def random_states(seed, n):
 @pytest.mark.parametrize("mu, k1, k2, seed", [(1.0, 4.0, 2.0, 34), (2.5, 0.3, 7.0, 35)])
 def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
     # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
-    p = case_params(mu, k1, k2)
-    fim = kepler.integral_map(p)
+    model = case_model(mu, k1, k2)
+    p, fim = model.params, model.integral_map
     worst = 0.0
     for s in random_states(seed, 1000):
         expected = np.array(kepler.field(p, s)) - np.array(generic_gradient(fim, p.K, p.f0, s))
@@ -148,14 +148,15 @@ def test_modified_field_matches_jacobian_transpose_oracle(mu, k1, k2, seed):
 KERNEL_CASES = [(1.0, 4.0, 2.0, 36), (2.5, 0.3, 7.0, 37)]
 
 
-def case_params(mu, k1, k2):
-    return kepler.setup((1.0, 0.2, -0.1, 0.1, 1.1, 0.3), (k1, k2), mu=mu)[0]
+def case_model(mu, k1, k2):
+    return make_system("kepler", (1.0, 0.2, -0.1, 0.1, 1.1, 0.3),
+                       gains={"k1": k1, "k2": k2}, mu=mu)
 
 
 @pytest.mark.parametrize("mu, k1, k2, seed", KERNEL_CASES)
 def test_jacobian_matches_finite_differences(mu, k1, k2, seed):
     # the float Jacobian against central differences of eval
-    fim = kepler.integral_map(case_params(mu, k1, k2))
+    fim = case_model(mu, k1, k2).integral_map
     for s in random_states(seed, 1000):
         jac = np.array(fim.jacobian(s))
         assert jac.shape == (6, 6)
@@ -169,7 +170,7 @@ def test_jacobian_matches_finite_differences(mu, k1, k2, seed):
 def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, k1, k2, seed):
     # each kernel on a block's columns: entry i of every result column is
     # the kernel's result at state i
-    p = case_params(mu, k1, k2)
+    p = case_model(mu, k1, k2).params
     states = random_states(seed, 2000)
     columns = tuple(np.array(states).T)
     for kernel in (kepler.field, kepler.lyapunov_gradient, kepler.modified_field):

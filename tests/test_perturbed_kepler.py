@@ -147,8 +147,9 @@ def test_invariants_rotation_property(params):
 KERNEL_CASES = [(1.0, 0.0025, 2.0, 3.0, 44), (2.5, 0.04, 0.5, 7.0, 45)]
 
 
-def case_params(mu, delta, k1, k2):
-    return pk.setup((1.0, 0.2, -0.1, 0.1, 1.1, 0.3), (k1, k2), mu=mu, delta=delta)[0]
+def case_model(mu, delta, k1, k2):
+    return make_system("perturbed_kepler", (1.0, 0.2, -0.1, 0.1, 1.1, 0.3),
+                       gains={"k1": k1, "k2": k2}, mu=mu, delta=delta)
 
 
 def numpy_invariants(p, s):
@@ -160,8 +161,8 @@ def numpy_invariants(p, s):
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed):
-    p = case_params(mu, delta, k1, k2)
-    evaluate = pk.integral_map(p).eval
+    model = case_model(mu, delta, k1, k2)
+    p, evaluate = model.params, model.integral_map.eval
     for s in random_states(seed, 1000):
         E, L = numpy_invariants(p, s)
         got = np.array(evaluate(s))
@@ -173,7 +174,7 @@ def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed)
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_jacobian_matches_finite_differences(mu, delta, k1, k2, seed):
     # the float Jacobian against central differences of eval
-    fim = pk.integral_map(case_params(mu, delta, k1, k2))
+    fim = case_model(mu, delta, k1, k2).integral_map
     for s in random_states(seed, 1000):
         jac = np.array(fim.jacobian(s))
         assert jac.shape == (4, 6)
@@ -187,8 +188,8 @@ def test_jacobian_matches_finite_differences(mu, delta, k1, k2, seed):
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, seed):
     # the float gradient kernel against field - Df^T K (f - f0) built from eval and jacobian
-    p = case_params(mu, delta, k1, k2)
-    fim = pk.integral_map(p)
+    model = case_model(mu, delta, k1, k2)
+    p, fim = model.params, model.integral_map
     worst = 0.0
     for s in random_states(seed, 1000):
         expected = np.array(pk.field(p, s)) - np.array(generic_gradient(fim, p.K, p.f0, s))
@@ -201,7 +202,7 @@ def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, see
 def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, delta, k1, k2, seed):
     # each kernel on a block's columns: entry i of every result column is
     # the kernel's result at state i
-    p = case_params(mu, delta, k1, k2)
+    p = case_model(mu, delta, k1, k2).params
     states = random_states(seed, 2000)
     columns = tuple(np.array(states).T)
     for kernel in (pk.field, pk.lyapunov_gradient, pk.modified_field):
@@ -213,7 +214,7 @@ def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, delta, k1, k
 
 @pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
 def test_modified_field_is_field_minus_gradient_bit_for_bit(mu, delta, k1, k2, seed):
-    p = case_params(mu, delta, k1, k2)
+    p = case_model(mu, delta, k1, k2).params
     for s in random_states(seed, 2000):
         assert np.array_equal(pk.modified_field(p, s),
                               np.array(pk.field(p, s)) - np.array(pk.lyapunov_gradient(p, s)))

@@ -188,8 +188,9 @@ def random_states(seed, n):
 def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
     # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
     start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    p, _ = rigid_body.setup(start, gains, inertia=inertia)
-    fim = rigid_body.integral_map(p)
+    model = make_system("rigid_body", start, gains=dict(zip(rigid_body.GAIN_NAMES, gains)),
+                        inertia=inertia)
+    p, fim = model.params, model.integral_map
     worst = 0.0
     for s in random_states(seed, 1000):
         R, W = unpack(s)
@@ -229,8 +230,9 @@ def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, 
     # the float eval and Jacobian against their numpy forms, and the
     # Jacobian against central differences of eval
     start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    p, _ = rigid_body.setup(start, gains, inertia=inertia)
-    fim = rigid_body.integral_map(p)
+    model = make_system("rigid_body", start, gains=dict(zip(rigid_body.GAIN_NAMES, gains)),
+                        inertia=inertia)
+    p, fim = model.params, model.integral_map
     for s in random_states(seed, 300):
         values, rows = numpy_integral_map(p, s)
         jac = np.array(fim.jacobian(s))
@@ -269,11 +271,11 @@ def test_feedback_kernel_is_field_minus_gradient_and_the_integral_values_bit_for
     start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
     p, _ = rigid_body.setup(start, gains, inertia=inertia)
     for s in random_states(seed, 2000):
-        field, values = rigid_body.modified_field_and_values(p, s)
+        field, _, values = rigid_body._feedback(p, s)
         expected = np.array(rigid_body.field(p, s)) - np.array(rigid_body.lyapunov_gradient(p, s))
         assert np.array(rigid_body.modified_field(p, s)).tobytes() == expected.tobytes()
         assert np.array(field).tobytes() == expected.tobytes()
-        assert values == rigid_body._integral_values(p, s)
+        assert values == rigid_body._values(p, s)
 
 
 def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
