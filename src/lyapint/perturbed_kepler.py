@@ -17,10 +17,10 @@ long as no radius r > 0 simultaneously solves
 i.e. as long as (E0, L0) is not the data of a circular orbit of the
 potential. ``check_hypothesis`` tests this on a bracket, with the candidate
 radii in closed form as the roots of a quadratic in r. ``radial_band``
-finds the turning points that bound the start's radial motion by
-bisection, each bracketed on a monotone piece of the cubic r g(r);
-``level_set_states`` builds states of the level set across that band in
-closed form, and ``period`` integrates over it.
+takes the turning points that bound the start's radial motion in closed
+form too, as two roots of the cubic r g(r); ``level_set_states`` builds
+states of the level set across that band in closed form, and ``period``
+integrates over it.
 """
 
 import math
@@ -191,47 +191,33 @@ def _drift_row(start, values, V) -> tuple:
 
 def radial_band(p: PerturbedKeplerParams, r0: float):
     """The turning points ``(r_in, r_out)`` that bound the band of radii
-    holding r0 on the level set {E = E0, L = L0}, or None where the radial
-    motion has no such band.
-
-    The band is where g(r) = 2 r^2 (E0 - U(r)) - |L0|^2, which is
-    r^2 v_r^2 on the level set, is nonnegative (Landau and Lifshitz,
-    *Mechanics*, section 14). For E0 < 0, r g(r) = 2 E0 r^3 + 2 mu r^2 -
-    |L0|^2 r + 2 delta is a cubic falling on (0, s1), rising on (s1, s2) and
-    falling beyond, where s1 < s2 are the roots of its derivative, both
-    positive; each turning point is its one root on a piece. r_in lies in
-    (s1, min(r0, s2)) and r_out in (max(r0, s2), mu / |E0|): the cubic's
-    three roots sum to mu / |E0| and the smallest is not negative (its value
-    at 0 is 2 delta >= 0). ``_bisect`` refines each to a few ulps, with r0
-    taken to be in the band (g(r0) = (x0 . v0)^2 >= 0, however it rounds).
-    None means: E0 >= 0, so that there is no outer turning point; s1 and s2
-    not real, or g(s1) >= 0, or r0 <= s1, so that the motion holding r0
-    reaches the centre; or radii beyond float range.
+    holding r0 on the level set {E = E0, L = L0}, where g(r) =
+    2 r^2 (E0 - U(r)) - |L0|^2 = r^2 v_r^2 >= 0 (Landau and Lifshitz,
+    *Mechanics*, section 14): the upper two of the roots r_core <= r_in <=
+    r_out of the cubic r g(r) = 2 E0 r^3 + 2 mu r^2 - |L0|^2 r + 2 delta, none
+    negative, r_out by Viete's formula (Abramowitz and Stegun 3.8.2). r0 is
+    in the band however it rounds, as g(r0) = (x0 . v0)^2. None where
+    E0 >= 0, where one root is real, or where r0 <= r_core (the motion
+    reaches the centre).
     """
     if not p.E0 < 0.0:
         return None
-    E0, l0sq = p.E0, dot(p.L0, p.L0)
-
-    def gap(r):
-        return 2.0 * r * r * (E0 - u(p, r)) - l0sq
-
-    try:
-        # the derivative's roots, 6 |E0| s^2 - 4 mu s + |L0|^2 = 0, the
-        # smaller one from their product |L0|^2 / (6 |E0|)
-        disc = 16.0 * p.mu * p.mu + 24.0 * E0 * l0sq
-        if not disc > 0.0:
-            return None
-        s2 = (4.0 * p.mu + math.sqrt(disc)) / (-12.0 * E0)
-        s1 = l0sq / (-6.0 * E0 * s2)
-        if not (s1 < r0 and gap(s1) < 0.0):
-            return None
-        hi = min(r0, s2)
-        r_in = _bisect(gap, s1, hi, tol=1e-15 * hi)
-        lo = max(r0, s2)
-        r_out = _bisect(gap, p.mu / -E0, lo, tol=1e-15 * lo)
-    except ArithmeticError:
+    # r g(r) / (2 E0) = r^3 + 3 shift r^2 + b r + c; r = t - shift gives t^3 + 3 q t + 2 s,
+    # whose largest root is 2 sqrt(-q) cos(phi) with cos(3 phi) = s / (q sqrt(-q))
+    shift, b, c = p.mu / p.E0 / 3.0, dot(p.L0, p.L0) / (-2.0 * p.E0), p.delta / p.E0
+    q = b / 3.0 - shift * shift
+    s = shift * shift * shift - 0.5 * shift * b + 0.5 * c
+    cos_3phi = s / q / math.sqrt(-q) if q < 0.0 else math.inf
+    if not abs(cos_3phi) <= 1.0 + 1e-12:  # one real root, beyond rounding at a double root
         return None
-    return r_in, r_out
+    r_out = 2.0 * math.sqrt(-q) * math.cos(math.acos(max(-1.0, min(1.0, cos_3phi))) / 3.0) - shift
+    # r_core and r_in from their product and sum; Viete's r_in cancels where r_in << r_out
+    prod = -c / r_out
+    total = (b - prod) / r_out
+    r_in = 0.5 * (total + math.sqrt(max(0.0, total * total - 4.0 * prod)))
+    if not r0 * r_in > prod:  # r0 > r_core = prod / r_in
+        return None
+    return min(r_in, r0), max(r_out, r0)
 
 
 def _band_geometry(p: PerturbedKeplerParams, r0: float):
@@ -239,8 +225,8 @@ def _band_geometry(p: PerturbedKeplerParams, r0: float):
     over it as theta runs over [0, pi].
 
     r g(r) = 2 E0 r^3 + 2 mu r^2 - |L0|^2 r + 2 delta is a cubic with roots
-    r_in, r_out and r_core = delta / (|E0| r_in r_out) < r_in, so
-    v_r^2 = 2 |E0| (r - r_in) (r_out - r) (r - r_core) / r^3, and
+    r_in, r_out and, from their product, r_core = delta / (|E0| r_in r_out)
+    < r_in, so v_r^2 = 2 |E0| (r - r_in) (r_out - r) (r - r_core) / r^3, and
     (r - r_in) (r_out - r) = d^2 sin(theta)^2. Then
     |v_r| = d sin(theta) sqrt(2 |E0| (r - r_core) / r^3), and dr / |v_r| is
     sqrt(r^3 / (2 |E0| (r - r_core))) d theta, smooth up to both turning
@@ -256,8 +242,8 @@ def _band_geometry(p: PerturbedKeplerParams, r0: float):
     if not r_core < r_in:
         return None
     # c from the sum of the cubic's roots, mu / |E0|, which its coefficients
-    # give exactly: bisection finds the double root of a circular orbit only
-    # to the square root of the rounding error
+    # give exactly: no formula gives the double root of a circular orbit
+    # closer than the square root of the rounding error
     c = 0.5 * (2.0 * p.mu / two_e - r_core)
     return c, 0.5 * (r_out - r_in), two_e, r_core
 
@@ -398,29 +384,6 @@ class HypothesisReport(NamedTuple):
     @property
     def vacuous(self) -> bool:
         return len(self.roots) == 0
-
-
-def _bisect(g, lo, hi, tol=1e-12, max_iter=200):
-    """A root of g between lo and hi, to within tol: ``radial_band``'s root
-    finder.
-
-    g changes sign between the two ends. Only g(lo) is evaluated, so the
-    sign of g at hi is taken to be the other one; hi may lie on either side
-    of lo.
-    """
-    glo = g(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if abs(hi - lo) <= tol:
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],

@@ -391,6 +391,46 @@ def test_band_ends_are_the_turning_points_of_the_cubic(mu, delta, s0):
         assert abs(radial_gap(p, r)) <= 1e-13 * float(np.dot(p.L0, p.L0))
 
 
+def test_band_ends_are_the_upper_roots_of_the_cubic_across_a_seeded_family():
+    # bound starts at 0.3 to 0.9 of the Kepler escape speed, in random
+    # directions. Faster, r_out / r_in passes 1e3, and the slope of g at
+    # r_out, about 2 mu, leaves |g| above 1e-13 |L0|^2 at a root right to
+    # the last bit
+    rng = np.random.default_rng(51)
+    checked = 0
+    for _ in range(300):
+        mu, r, speed = rng.uniform(0.3, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0.3, 0.9)
+        delta = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.05)
+        x, v = rng.normal(size=3), rng.normal(size=3)
+        x *= r / np.linalg.norm(x)
+        v *= speed * math.sqrt(2.0 * mu / r) / np.linalg.norm(v)
+        p, s0 = pk.setup((*x.tolist(), *v.tolist()), pk.BENCHMARK_GAINS, mu=mu, delta=delta)
+        band = pk.radial_band(p, pk.norm(s0[:3]))
+        if band is None:  # the motion reaches the centre
+            continue
+        l0_sq = float(np.dot(p.L0, p.L0))
+        roots = sorted(np.roots((2.0 * p.E0, 2.0 * mu, -l0_sq, 2.0 * delta)).real)
+        if roots[-1] - roots[-2] <= 1e-6 * roots[-1]:
+            continue
+        checked += 1
+        assert list(band) == pytest.approx(roots[-2:], rel=1e-12)
+        for end in band:
+            assert abs(radial_gap(p, end)) <= 1e-13 * l0_sq
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("mu, delta, r", [(1.0, 0.0025, 0.4), (1.0, 0.0025, 1.3),
+                                          (1.5, 0.01, 0.7)])
+def test_period_of_a_circular_orbit_is_the_epicyclic_period(mu, delta, r):
+    # the band is a double root of the cubic, and the radial period that of a
+    # small oscillation about the circle, 2 pi / kappa with
+    # kappa^2 = U''(r) + 3 U'(r) / r = mu / r^3 - 3 delta / r^5
+    v = math.sqrt(mu / r + 3.0 * delta / r**3)
+    p, s0 = pk.setup((r, 0.0, 0.0, 0.0, v, 0.0), pk.BENCHMARK_GAINS, mu=mu, delta=delta)
+    kappa = math.sqrt(mu / r**3 - 3.0 * delta / r**5)
+    assert pk.period(p, s0) == pytest.approx(2.0 * math.pi / kappa, rel=1e-13)
+
+
 @pytest.mark.parametrize("mu, delta, s0", [
     (1.0, 0.0025, None),
     (1.5, 0.01, None),
@@ -416,7 +456,7 @@ def test_level_set_states_are_on_the_level_set(mu, delta, s0):
     assert min(v_r[1:-1]) > 1e-3 * speed
 
 
-def test_check_hypothesis_roots_are_those_of_the_shared_bisection(params):
+def test_check_hypothesis_roots_are_those_of_the_quadratic(params):
     # the closed-form roots bit for bit, the quadratic oracle's at the params'
     # |L0|^2 to its cancellation, and within 2 ulps of the roots to 40 digits
     roots = pk.check_hypothesis(params).roots
@@ -428,12 +468,6 @@ def test_check_hypothesis_roots_are_those_of_the_shared_bisection(params):
         root_disc = (Decimal(l0_sq) ** 2 - 12 * Decimal(0.0025)).sqrt()
         exact = ((Decimal(l0_sq) - root_disc) / 2, (Decimal(l0_sq) + root_disc) / 2)
         assert all(abs(Decimal(r) - e) <= 2 * Decimal(math.ulp(r)) for r, e in zip(roots, exact))
-
-    def g(r):
-        return r**3 * pk.u_prime(params, r) - 0.64
-
-    outer = pk._bisect(g, 0.6, 0.7)  # the bracket may be given either way round
-    assert outer == pk._bisect(g, 0.7, 0.6) == pytest.approx(roots[1], abs=1e-12)
 
 
 def rk4_radial_return_time(system, h, t_guess):
