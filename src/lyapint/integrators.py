@@ -27,6 +27,12 @@ from .feedback import FirstIntegralMap
 # the residual stays in the range.
 _SINGULAR_CUTOFF = math.sqrt(1e-14)
 
+# A projection iteration that does not bring the residual norm below this
+# fraction of the one before rebuilds the correction matrix at its iterate:
+# simplified Newton's contraction condition (Deuflhard, *Newton Methods for
+# Nonlinear Problems*, section 2.1).
+_CONTRACTION = 0.5
+
 
 def _axpy(x, a, y) -> tuple:
     """x + a * y over component sequences, one IEEE multiply and add per component."""
@@ -132,13 +138,14 @@ def _residual(values, target) -> list:
 def projection_step(cfg: ProjectionConfig, field, x, h):
     """Euler step followed by pull-back onto the constraint level set.
 
-    Computes xt = euler_step(field, x, h), then solves f(xt + Df(xt)^T lam) = target
-    for lam by simplified Newton with Df frozen at xt. The iteration runs on
-    the state itself: with the correction matrix C = Df(xt)^+, which is
-    Df(xt)^T G^+ for G = Df Df^T, built once per step, each iteration is
-    y <- y - C (f(y) - target), starting from y = xt. Returns once the
-    residual norm is within cfg.tol; raises ProjectionError with the final
-    residual otherwise.
+    Computes xt = euler_step(field, x, h), then solves f(y) = target by
+    simplified Newton on the state itself: with the correction matrix
+    C = Df(xt)^+, which is Df(xt)^T G^+ for G = Df Df^T, each iteration is
+    y <- y - C (f(y) - target), starting from y = xt. An iteration that
+    fails to shrink the residual norm by the factor ``_CONTRACTION``
+    rebuilds C at its y; cfg.max_iter bounds the iterations in all. Returns
+    once the residual norm is within cfg.tol; raises ProjectionError with
+    the final residual otherwise.
 
     The Euler step is on the tuple, and ``cfg.constraint``'s ``eval`` and
     ``jacobian`` take tuples: each residual and its norm are Python floats.
@@ -160,9 +167,11 @@ def projection_step(cfg: ProjectionConfig, field, x, h):
         y = y - correction @ res
         yt = tuple(y.tolist())
         res = _residual(f.eval(yt), target)
-        rnorm = math.hypot(*res)
+        previous, rnorm = rnorm, math.hypot(*res)
         if rnorm <= cfg.tol:
             return yt
+        if rnorm > _CONTRACTION * previous:
+            correction = _pseudo_inverse(np.asarray(f.jacobian(yt), dtype=float))
     raise ProjectionError(
         f"projection residual {rnorm:.3e} above tolerance {cfg.tol:.3e} "
         f"after {cfg.max_iter} iterations",

@@ -957,24 +957,43 @@ def test_main_projection_with_an_overflowing_jacobian_exits_3(tmp_path, capsys):
     assert len(read_csv(out)[1]) == 1
 
 
+# README's cell where a step lands far from the level set: with the
+# correction matrix frozen at the Euler point, the energy residual flips
+# sign at every iteration and stays near 2.7e-3
+STALL_CELL = ("[experiment]\nsystem = perturbed_kepler\nmethod = projection_euler\n"
+              "h = 0.03\nt_end = 3\n[constants]\nmu = 1.5\ndelta = 0.01\n"
+              "[initial]\nx0 = 0.4\nx1 = 0.01\nx2 = 0\nv0 = 0\nv1 = 2\nv2 = 0.01\n"
+              "[projection]\ntol = 1e-8\n")
+
+
 def test_main_projection_stall_exits_3_with_the_start_row(tmp_path, capsys):
-    # README's stalling cell: the frozen-Jacobian Newton loop flips the energy
-    # residual's sign at every iteration and stops at max_iter
+    # one iteration, which does not reach the level set, is all max_iter allows
     assert issubclass(ProjectionError, IntegrationError)
     assert issubclass(RankError, IntegrationError)
     config = tmp_path / "exp.ini"
-    config.write_text("[experiment]\nsystem = perturbed_kepler\nmethod = projection_euler\n"
-                      "h = 0.03\nt_end = 1\n[constants]\nmu = 1.5\ndelta = 0.01\n"
-                      "[initial]\nx0 = 0.4\nx1 = 0.01\nx2 = 0\nv0 = 0\nv1 = 2\nv2 = 0.01\n"
-                      "[projection]\ntol = 1e-8\n")
+    config.write_text(STALL_CELL + "max_iter = 1\n")
     out = tmp_path / "partial.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "run aborted at step 1: projection residual 2.719e-03 above tolerance 1.000e-08 "
-        "after 25 iterations",
+        "run aborted at step 1: projection residual 2.343e-03 above tolerance 1.000e-08 "
+        "after 1 iterations",
         f"partial CSV flushed to {out} (0 completed steps)"]
     assert out.read_text().splitlines() == ["t,x0,x1,x2,v0,v1,v2,V,dE,dL",
                                             "0,0.40000000000000002,0.01,0,0,2,0.01,0,0,0"]
+
+
+def test_main_projection_rebuilding_its_correction_runs_the_stall_cell(tmp_path, capsys):
+    # an iteration that fails to halve the residual rebuilds the correction
+    # matrix at its iterate, and every step lands within tol of the level set
+    config = tmp_path / "exp.ini"
+    config.write_text(STALL_CELL)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "steps_taken = 100\n" in capsys.readouterr().out
+    header, rows = read_csv(out)
+    assert len(rows) == 101 and float(rows[-1][0]) == pytest.approx(3.0)
+    dE, dL = header.index("dE"), header.index("dL")
+    assert max(max(float(row[dE]), float(row[dL])) for row in rows) <= 1e-8
 
 
 def test_main_bad_gains_string():

@@ -308,6 +308,34 @@ def test_integral_map_on_a_tuple_equals_its_array_form_bit_for_bit(name):
         assert np.array(entries).tobytes() == np.array(single_rows).tobytes()
 
 
+def test_projection_rebuilds_its_correction_where_an_iteration_fails_to_halve_the_residual():
+    # README's stall cell: the frozen correction holds the residual near
+    # 2.7e-3 for 60 iterations; rebuilt at each iterate that fails to halve
+    # it, the step converges within max_iter
+    system = make_system("perturbed_kepler", initial_state=(0.4, 0.01, 0.0, 0.0, 2.0, 0.01),
+                         mu=1.5, delta=0.01)
+    fim = system.integral_map
+    evals, jacobians = [], []
+
+    def counted_eval(s):
+        values = fim.eval(s)
+        evals.append((s, math.hypot(*(v - t for v, t in zip(values, system.params.f0)))))
+        return values
+
+    def counted_jacobian(s):
+        jacobians.append(s)
+        return fim.jacobian(s)
+
+    cfg = ProjectionConfig(
+        constraint=dataclasses.replace(fim, eval=counted_eval, jacobian=counted_jacobian),
+        target=system.params.f0, tol=1e-8)
+    projection_step(cfg, system.field, system.initial_state, 0.03)
+    norms = [n for _, n in evals]
+    assert norms[-1] <= 1e-8 and len(norms) - 1 <= cfg.max_iter
+    rebuilt = [s for (s, n), before in zip(evals[1:-1], norms) if n > 0.5 * before]
+    assert rebuilt and jacobians == [evals[0][0], *rebuilt]
+
+
 def test_projection_reports_nonconvergence(kepler_sys):
     cfg = ProjectionConfig(constraint=kepler_sys.integral_map,
                            target=kepler_sys.params.f0,
