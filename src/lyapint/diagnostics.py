@@ -2,8 +2,8 @@
 
 ``orthogonality_report`` and ``gradient_agreement_report`` check the paper's
 premises at seeded random states, drawn in blocks by
-``SystemModel.sample_blocks``. Each block is reduced with numpy, and
-``worst_of`` keeps the largest residual: a NaN or inf residual at any state
+``SystemModel.sample_blocks``. ``worst_residual`` reduces each block with
+numpy and keeps the largest residual: a NaN or inf residual at any state
 becomes the report's value, so the report fails. ``check_rank_condition``
 estimates the smallest singular values of the stacked integral map's
 Jacobian over sample states.
@@ -29,15 +29,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     import numpy as np
 
     return np.linalg.svd(a, compute_uv=False)
-
-
-def worst_of(worst: float, residuals) -> float:
-    """The larger of worst and the largest of an array of residuals, as a
-    float; NaN if either holds a NaN, which no tolerance passes. (Python's
-    ``max`` drops a NaN that comes second.)"""
-    import numpy as np
-
-    return float(np.maximum(worst, residuals.max()))
 
 
 class RankReport(NamedTuple):
@@ -74,8 +65,8 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
                       threshold=threshold)
 
 
-class OrthogonalityReport(NamedTuple):
-    """Worst scaled residual of <grad V, X> over random states."""
+class SampledReport(NamedTuple):
+    """Worst scaled residual of a check over sampled states."""
 
     max_scaled_residual: float
     n_samples: int
@@ -90,47 +81,48 @@ class OrthogonalityReport(NamedTuple):
 # the `check` validators: large enough that the per-call cost of the kernels
 # vanishes, small enough that the blocks do not raise the peak memory of a
 # `check` run.
-ORTHOGONALITY_BLOCK = 1000
+SAMPLE_BLOCK = 1000
 
 
-def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
-                         seed: int = 0, tolerance: float = 1e-12) -> OrthogonalityReport:
-    """Check <grad V(x), X(x)> = 0 at sampled states, scaled by 1 + |grad V| |X|.
-
-    The states are the first n_samples that ``system.sample_state`` draws
-    from ``default_rng(seed)``. ``system.sample_blocks`` draws them in blocks
-    of ORTHOGONALITY_BLOCK, each evaluated with one gradient and one field
-    call on the block's columns; the inner products are summed over the
-    result columns, with no (N, dim) result formed.
+def worst_residual(system: SystemModel, n_samples: int, seed: int, residuals) -> float:
+    """The largest of ``residuals(columns)``, an array of one residual per
+    state, over the first n_samples states that ``system.sample_state``
+    draws from ``default_rng(seed)``. ``system.sample_blocks`` draws them in
+    blocks of SAMPLE_BLOCK, and ``residuals`` gets each block's columns. A
+    NaN residual at any state is the result, which no tolerance passes
+    (Python's ``max`` drops a NaN that comes second).
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
-        columns = tuple(block.T)
-        g = system.gradient(columns)
-        f = system.field(columns)
+    for block in system.sample_blocks(rng, n_samples, SAMPLE_BLOCK):
+        worst = float(np.maximum(worst, residuals(tuple(block.T)).max()))
+    return worst
+
+
+def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
+                         seed: int = 0, tolerance: float = 1e-12) -> SampledReport:
+    """Check <grad V(x), X(x)> = 0 at sampled states (see ``worst_residual``),
+    scaled by 1 + |grad V| |X|.
+
+    Each block is evaluated with one gradient and one field call on its
+    columns; the inner products are summed over the result columns, with no
+    (N, dim) result formed.
+    """
+    import numpy as np
+
+    def residuals(columns):
+        g, f = system.gradient(columns), system.field(columns)
         scale = 1.0 + np.sqrt(column_dot(g, g)) * np.sqrt(column_dot(f, f))
-        worst = worst_of(worst, np.abs(column_dot(g, f)) / scale)
-    return OrthogonalityReport(max_scaled_residual=worst, n_samples=n_samples,
-                               tolerance=tolerance)
+        return np.abs(column_dot(g, f)) / scale
 
-
-class GradientAgreementReport(NamedTuple):
-    """Worst scaled difference between the analytic gradient and Df^T K (f - f0)."""
-
-    max_scaled_difference: float
-    n_samples: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_scaled_difference <= self.tolerance
+    return SampledReport(worst_residual(system, n_samples, seed, residuals), n_samples,
+                         tolerance)
 
 
 def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
-                              seed: int = 0, tolerance: float = 1e-12) -> GradientAgreementReport:
+                              seed: int = 0, tolerance: float = 1e-12) -> SampledReport:
     """Compare the analytic gradient to Df^T K (f - f0) at sampled states.
 
     The states are those of ``orthogonality_report`` for the same seed, in
@@ -145,15 +137,12 @@ def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
 
     from .feedback import generic_gradient
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for block in system.sample_blocks(rng, n_samples, ORTHOGONALITY_BLOCK):
-        columns = tuple(block.T)
+    def residuals(columns):
         analytic = np.stack(system.gradient(columns), axis=1)
         oracle = np.stack(generic_gradient(
             system.integral_map, system.params.K, system.params.f0, columns), axis=1)
         diff = analytic - oracle
-        scale = 1.0 + np.sqrt(np.vecdot(analytic, analytic))
-        worst = worst_of(worst, np.sqrt(np.vecdot(diff, diff)) / scale)
-    return GradientAgreementReport(max_scaled_difference=worst, n_samples=n_samples,
-                                   tolerance=tolerance)
+        return np.sqrt(np.vecdot(diff, diff)) / (1.0 + np.sqrt(np.vecdot(analytic, analytic)))
+
+    return SampledReport(worst_residual(system, n_samples, seed, residuals), n_samples,
+                         tolerance)

@@ -1065,6 +1065,9 @@ def test_figure_f6_reproduces_drift_ordering(tmp_path):
 def test_figure_specs_cover_f1_to_f9():
     assert set(FIGURES) == {f"F{i}" for i in range(1, 10)}
     assert FIGURES["F8"].h_overrides.get("rk4") == 1e-4
+    # F5-F7 run 1000 true periods of the benchmark orbit, not of a rounded one
+    assert FIGURES["F5"].t_end == pytest.approx(1000 * make_system("kepler").period, rel=1e-15)
+    assert steps_for(FIGURES["F5"].t_end, FIGURES["F5"].h) == 14_049_629
 
 
 def test_check_command_passes_for_shipped_systems(capsys):
@@ -1076,10 +1079,10 @@ def test_check_command_passes_for_shipped_systems(capsys):
 
 # A failing result of each report that `check --system perturbed_kepler` calls.
 FAILING_REPORTS = {
-    "orthogonality_report": lambda d: d.OrthogonalityReport(
+    "orthogonality_report": lambda d: d.SampledReport(
         max_scaled_residual=1.0, n_samples=1, tolerance=1e-12),
-    "gradient_agreement_report": lambda d: d.GradientAgreementReport(
-        max_scaled_difference=1.0, n_samples=1, tolerance=1e-12),
+    "gradient_agreement_report": lambda d: d.SampledReport(
+        max_scaled_residual=1.0, n_samples=1, tolerance=1e-12),
     "check_rank_condition": lambda d: d.RankReport(
         min_singular_value=0.0, spectra=((1.0, 1.0, 1.0, 0.0),), threshold=1e-8),
 }
