@@ -197,7 +197,7 @@ def radial_band(p: PerturbedKeplerParams, r0: float):
     r_out of the cubic r g(r) = 2 E0 r^3 + 2 mu r^2 - |L0|^2 r + 2 delta, none
     negative, r_out by Viete's formula (Abramowitz and Stegun 3.8.2). r0 is
     in the band however it rounds, as g(r0) = (x0 . v0)^2. None where
-    E0 >= 0, where one root is real, or where r0 <= r_core (the motion
+    E0 >= 0, where only one root is real, or where r0 <= r_core (the motion
     reaches the centre).
     """
     if not p.E0 < 0.0:
@@ -210,7 +210,8 @@ def radial_band(p: PerturbedKeplerParams, r0: float):
     cos_3phi = s / q / math.sqrt(-q) if q < 0.0 else math.inf
     if not abs(cos_3phi) <= 1.0 + 1e-12:  # one real root, beyond rounding at a double root
         return None
-    r_out = 2.0 * math.sqrt(-q) * math.cos(math.acos(max(-1.0, min(1.0, cos_3phi))) / 3.0) - shift
+    phi = math.acos(max(-1.0, min(1.0, cos_3phi))) / 3.0
+    r_out = 2.0 * math.sqrt(-q) * math.cos(phi) - shift
     # r_core and r_in from their product and sum; Viete's r_in cancels where r_in << r_out
     prod = -c / r_out
     total = (b - prod) / r_out
@@ -241,9 +242,8 @@ def _band_geometry(p: PerturbedKeplerParams, r0: float):
     r_core = 2.0 * p.delta / (two_e * r_in * r_out)
     if not r_core < r_in:
         return None
-    # c from the sum of the cubic's roots, mu / |E0|, which its coefficients
-    # give exactly: no formula gives the double root of a circular orbit
-    # closer than the square root of the rounding error
+    # c from the roots' sum mu / |E0|, exact in the coefficients: no formula
+    # gets a circular orbit's double root closer than sqrt(rounding error)
     c = 0.5 * (2.0 * p.mu / two_e - r_core)
     return c, 0.5 * (r_out - r_in), two_e, r_core
 
