@@ -18,7 +18,6 @@ failed write of the CSV or of stdout, 4 validator failure.
 import argparse
 import configparser
 import contextlib
-import io
 import math
 import os
 import sys
@@ -99,27 +98,22 @@ class ExperimentConfig:
 
 class ConfigKey(NamedTuple):
     """A config key, the ExperimentConfig field it sets, and how its text
-    parses and formats. Key None makes the section open: ``parse`` takes the
-    section's mapping and ``format`` gives one, and the system checks the
-    names (gains, state components) when it is built. An [experiment] key is
-    also a `run` flag, ``--key`` with '_' as '-', with ``help`` and ``choices``.
+    parses. Key None makes the section open: ``parse`` takes the section's
+    mapping, and the system checks the names (gains, state components) when
+    it is built. An [experiment] key is also a `run` flag, ``--key`` with
+    '_' as '-', with ``help`` and ``choices``.
     """
 
     section: str
     key: Optional[str]
     field: str
     parse: Callable = float
-    format: Callable = repr
     help: Optional[str] = None
     choices: Optional[tuple] = None
 
 
 def _float_values(section) -> dict:
     return {k: float(v) for k, v in section.items()}
-
-
-def _repr_values(values: dict) -> dict:
-    return {k: repr(v) for k, v in values.items()}
 
 
 def _parse_initial(section):
@@ -137,25 +131,24 @@ def _parse_initial(section):
     return "paper_default"
 
 
-# The config schema: parsing, its unknown-section and unknown-key errors,
-# serialising and the `run` flags all read this table.
+# The config schema: parsing, its unknown-section and unknown-key errors
+# and the `run` flags all read this table.
 CONFIG_KEYS = (
-    ConfigKey("experiment", "system", "system", str, str, "system override", SYSTEM_NAMES),
-    ConfigKey("experiment", "method", "method", str, str, "method override", METHOD_NAMES),
+    ConfigKey("experiment", "system", "system", str, "system override", SYSTEM_NAMES),
+    ConfigKey("experiment", "method", "method", str, "method override", METHOD_NAMES),
     ConfigKey("experiment", "h", "h", help="step size override"),
     ConfigKey("experiment", "t_end", "t_end", help="horizon override"),
-    ConfigKey("experiment", "out", "output_path", str, str, "output CSV path override"),
-    ConfigKey("experiment", "stride", "sample_stride", int, str, "output subsampling stride"),
-    ConfigKey("gains", None, "gains", _float_values, _repr_values),
+    ConfigKey("experiment", "out", "output_path", str, "output CSV path override"),
+    ConfigKey("experiment", "stride", "sample_stride", int, "output subsampling stride"),
+    ConfigKey("gains", None, "gains", _float_values),
     ConfigKey("constants", "mu", "mu"),
     ConfigKey("constants", "delta", "delta"),
     ConfigKey("constants", "eccentricity", "eccentricity"),
     ConfigKey("constants", "inertia", "inertia",
-              lambda text: tuple(float(part) for part in text.split(",")),
-              lambda values: ",".join(repr(v) for v in values)),
-    ConfigKey("initial", None, "initial_condition", _parse_initial, _repr_values),
+              lambda text: tuple(float(part) for part in text.split(","))),
+    ConfigKey("initial", None, "initial_condition", _parse_initial),
     ConfigKey("projection", "tol", "projection_tol"),
-    ConfigKey("projection", "max_iter", "projection_max_iter", int, str),
+    ConfigKey("projection", "max_iter", "projection_max_iter", int),
 )
 RUN_FLAGS = tuple(row for row in CONFIG_KEYS if row.section == "experiment")
 
@@ -198,22 +191,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Config text that ``parse_config_text`` reads back as ``cfg``: each
-    value that differs from the ExperimentConfig default."""
-    parser = configparser.ConfigParser(interpolation=None)
-    default = ExperimentConfig()
-    for row in CONFIG_KEYS:
-        value = getattr(cfg, row.field)
-        if value == getattr(default, row.field):
-            continue
-        text = row.format(value)  # read_dict adds to a section already read
-        parser.read_dict({row.section: text if row.key is None else {row.key: text}})
-    buffer = io.StringIO()
-    parser.write(buffer)
-    return buffer.getvalue()
-
-
 def build_system(cfg: ExperimentConfig) -> SystemModel:
     """Instantiate the configured system with gains, constants and start state."""
     initial = None
@@ -242,19 +219,19 @@ class DriftObserver:
     and raises ``maxima`` by it, in column order (-1.0 until a column's
     first value; a NaN raises nothing). The row comes from
     ``system.drift_metrics``, except where ``make_advance`` has set
-    ``fused`` for a feedback method: then x_k with k < n_steps takes it from
-    ``system.field_and_drift`` and keeps the field as ``value``, the first
-    stage of the step from ``state``. If that evaluation overflows, divides
-    by zero or leaves the domain, nothing is kept and ``drift_metrics`` and
-    ``modified_field`` raise the failure where they would.
+    ``fused`` for a feedback method: then it comes from
+    ``system.field_and_drift``, which gives the same row bit for bit, and
+    the field is kept as ``value``, the first stage of the step from
+    ``state``. If that evaluation overflows, divides by zero or leaves the
+    domain, nothing is kept and ``drift_metrics`` and ``modified_field``
+    raise the failure where they would.
     """
 
-    __slots__ = ("names", "n_steps", "drift_metrics", "field_and_drift", "fused",
+    __slots__ = ("names", "drift_metrics", "field_and_drift", "fused",
                  "state", "value", "maxima", "row")
 
-    def __init__(self, system: SystemModel, n_steps: int):
+    def __init__(self, system: SystemModel):
         self.names = system.drift_names
-        self.n_steps = n_steps
         self.drift_metrics = system.drift_metrics
         self.field_and_drift = system.field_and_drift
         self.fused = False
@@ -264,7 +241,7 @@ class DriftObserver:
 
     def observe(self, k, x):
         row = None
-        if self.fused and k < self.n_steps:
+        if self.fused:
             try:
                 self.value, row = self.field_and_drift(x)
                 self.state = x
@@ -351,8 +328,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     Drift maxima are tracked at full step resolution regardless of the output
     stride; only the rows that are written are formatted. The rows and
     maxima come from a ``DriftObserver``: a feedback method's state x_k
-    gets its row from the evaluation of its field that starts step k + 1,
-    and the other methods and the final state from ``drift_metrics``.
+    gets its row from the evaluation of its field that starts step k + 1
+    (at the final state, the same evaluation with no step after it), and
+    the other methods' states from ``drift_metrics``.
 
     A mid-run failure (``integrate`` numbers the step and turns float
     overflow or division by zero into IntegrationError) flushes the partial
@@ -363,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     cfg = cfg.validated()
     system = build_system(cfg)
     n_steps = steps_for(cfg.t_end, cfg.h)
-    observer = DriftObserver(system, n_steps)
+    observer = DriftObserver(system)
     advance = make_advance(system, cfg.method, cfg, observer)
     stride = cfg.sample_stride
     started = time.perf_counter()

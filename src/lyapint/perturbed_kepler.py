@@ -48,7 +48,7 @@ DRIFT_NAMES = ("V", "dE", "dL")
 PROJECTION_TOL = 1e-8
 
 # Residual threshold for declaring the circular-orbit equations incompatible,
-# and the default radius bracket searched for candidate roots.
+# and the radius bracket searched for candidate roots.
 HYPOTHESIS_RESIDUAL_TOL = 1e-9
 DEFAULT_BRACKET = (1e-3, 1e3)
 
@@ -369,10 +369,10 @@ modified_field, lyapunov_gradient, lyapunov = derive_system(_feedback, _values)
 class HypothesisReport(NamedTuple):
     """Outcome of the circular-orbit incompatibility check.
 
-    ``roots`` are the radii solving |L0|^2 = r^3 U'(r) inside the bracket;
-    ``residuals`` the corresponding energy-equation mismatches. The
-    hypothesis is satisfied when every residual exceeds ``residual_tol``
-    (vacuously when no roots exist in the bracket).
+    ``roots`` are the radii solving |L0|^2 = r^3 U'(r) inside ``bracket``,
+    ``DEFAULT_BRACKET``; ``residuals`` the corresponding energy-equation
+    mismatches. The hypothesis is satisfied when every residual exceeds
+    ``residual_tol`` (vacuously when no roots exist in the bracket).
     """
 
     satisfied: bool
@@ -381,23 +381,17 @@ class HypothesisReport(NamedTuple):
     bracket: tuple
     residual_tol: float
 
-    @property
-    def vacuous(self) -> bool:
-        return len(self.roots) == 0
 
-
-def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
-                     r_max=DEFAULT_BRACKET[1]) -> HypothesisReport:
-    """Locate all radii with r^3 U'(r) = |L0|^2 in [r_min, r_max] and test
-    whether any also satisfies the energy equation E0 = r U'(r)/2 + U(r).
+def check_hypothesis(p: PerturbedKeplerParams) -> HypothesisReport:
+    """Locate all radii with r^3 U'(r) = |L0|^2 in ``DEFAULT_BRACKET`` and
+    test whether any also satisfies the energy equation E0 = r U'(r)/2 + U(r).
 
     As r^3 U'(r) = mu r + 3 delta / r, the radii are the roots of
     mu r^2 - |L0|^2 r + 3 delta = 0, taken without cancellation as q / mu
     and 3 delta / q for q = (|L0|^2 + sqrt(disc)) / 2; a double root counts
     once. No roots means the hypothesis holds vacuously.
     """
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+    r_min, r_max = DEFAULT_BRACKET
     l0sq = dot(p.L0, p.L0)
     disc = l0sq * l0sq - 12.0 * p.mu * p.delta
     roots = []
@@ -415,6 +409,6 @@ def check_hypothesis(p: PerturbedKeplerParams, r_min=DEFAULT_BRACKET[0],
         satisfied=satisfied,
         roots=tuple(roots),
         residuals=tuple(residuals),
-        bracket=(float(r_min), float(r_max)),
+        bracket=DEFAULT_BRACKET,
         residual_tol=HYPOTHESIS_RESIDUAL_TOL,
     )

@@ -34,7 +34,7 @@ def run_with_metrics(system, method, h, t_end, state_stride=0, v_windows=(),
     """
     s0 = system.initial_state if x0 is None else x0
     n = steps_for(t_end, h)
-    observer = DriftObserver(system, n)
+    observer = DriftObserver(system)
     advance = make_advance(system, method, cfg or ExperimentConfig(), observer)
     drift = observer.observe
     column = system.drift_names.index(series_metric) if series_stride else None
@@ -196,6 +196,28 @@ def stacked(columns) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def sampled(system, n, seed) -> np.ndarray:
+    """The first n states of the system's sampler on default_rng(seed), as one block (n, dim)."""
+    return next(system.sample_blocks(np.random.default_rng(seed), n, n))
+
+
+def hat(w):
+    """Skew-symmetric matrix of a 3-vector: hat(u) @ v is the cross product u x v."""
+    return np.array(((0.0, -w[2], w[1]), (w[2], 0.0, -w[0]), (-w[1], w[0], 0.0)))
+
+
+def rodrigues(axis, angle):
+    # exact rotation matrix oracle, independent of the package's factors
+    k = np.asarray(axis, dtype=float)
+    k = k / np.linalg.norm(k)
+    km = hat(k)
+    return np.eye(3) + math.sin(angle) * km + (1 - math.cos(angle)) * (km @ km)
+
+
+def random_rotation(rng):
+    return rodrigues(rng.standard_normal(3), rng.uniform(0, 2 * math.pi))
+
+
 def central_difference_gradient(fun, x, eps=1e-6):
     """Central differences of fun, which takes a state as a tuple of floats."""
     x = np.array(x, dtype=float)
@@ -207,6 +229,33 @@ def central_difference_gradient(fun, x, eps=1e-6):
         xm[i] -= eps
         g[i] = (fun(tuple(xp.tolist())) - fun(tuple(xm.tolist()))) / (2.0 * eps)
     return g
+
+
+# The kernel-contract models, two per system, by id: the benchmark constants
+# and gains, and other constants with other gains, each started off the
+# benchmark orbit. The rigid-body attitude, the rotation by 2 pi / 3 about
+# (1, 1, 1), has R^T R = I exactly, so V and its gradient vanish at the start.
+_ORBITAL_START = (1.0, 0.2, -0.1, 0.1, 1.1, 0.3)
+_RIGID_START = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.4, -1.2, 0.9)
+CONTRACT_MODELS = {
+    "kepler-benchmark": ("kepler", _ORBITAL_START, {}, {}),
+    "kepler-mu2.5": ("kepler", _ORBITAL_START, {"k1": 0.3, "k2": 7.0}, {"mu": 2.5}),
+    "perturbed_kepler-benchmark": ("perturbed_kepler", _ORBITAL_START, {}, {}),
+    "perturbed_kepler-mu2.5-delta0.04": ("perturbed_kepler", _ORBITAL_START,
+                                         {"k1": 0.5, "k2": 7.0}, {"mu": 2.5, "delta": 0.04}),
+    "rigid_body-benchmark": ("rigid_body", _RIGID_START, {}, {}),
+    "rigid_body-inertia0.7,1.9,4.2": ("rigid_body", _RIGID_START,
+                                      {"k0": 0.3, "k1": 7.0, "k2": 2.5},
+                                      {"inertia": (0.7, 1.9, 4.2)}),
+}
+
+
+def contract_models(*systems):
+    """The CONTRACT_MODELS of ``systems`` (default: all) as pytest params,
+    each the SystemModel that make_system builds, with the table's id."""
+    return [pytest.param(make_system(name, start, gains=gains, **constants), id=key)
+            for key, (name, start, gains, constants) in CONTRACT_MODELS.items()
+            if not systems or name in systems]
 
 
 @pytest.fixture(scope="session")

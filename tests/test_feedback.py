@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, pack, stacked
+from conftest import central_difference_gradient, contract_models, pack, sampled, stacked
 from lyapint import kepler, perturbed_kepler, rigid_body
 from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient, lyapunov_value
+from lyapint.systems import module as system_module
 
 ALL_SYSTEMS = ["rigid_body", "kepler", "perturbed_kepler"]
 
@@ -41,34 +43,111 @@ def test_params_reject_bad_gains_and_non_finite_targets(module):
                 dataclasses.replace(p, **{target: bad_value})
 
 
-def test_oracle_on_block_columns_equals_single_state_floats_bit_for_bit(system):
-    # eval, jacobian and generic_gradient on a block's columns against the
-    # Python floats of each state; 1,500 states, one full and one partial block
-    f, K, f0 = system.integral_map, system.params.K, system.params.f0
-    for block in system.sample_blocks(np.random.default_rng(19), 1500, 1000):
-        columns = tuple(block.T)
-        values, rows = f.eval(columns), f.jacobian(columns)
-        oracle = stacked(generic_gradient(f, K, f0, columns))
-        for i, state in enumerate(block.tolist()):
-            x = tuple(state)
-            single_values, single_rows = f.eval(x), f.jacobian(x)
-            assert len(single_values) == f.dim_values and len(single_rows) == f.dim_values
-            assert all(type(v) is float for v in single_values)
-            assert all(len(row) == f.dim_state and all(type(c) is float for c in row)
-                       for row in single_rows)
-            assert np.array([v[i] for v in values]).tobytes() == np.array(single_values).tobytes()
-            entries = [[np.broadcast_to(c, len(block))[i] for c in row] for row in rows]
-            assert np.array(entries).tobytes() == np.array(single_rows).tobytes()
-            single = generic_gradient(f, K, f0, x)
-            assert all(type(c) is float for c in single)
-            assert np.array(single).tobytes() == oracle[i].tobytes()
+# The kernel contract, stated once over the two models of each system
+# (conftest.CONTRACT_MODELS). A block's columns give the single-state results
+# bit for bit (the block test), so the other properties read blocks where
+# that is quicker.
 
 
-def test_gradient_zero_at_reference_point(system):
-    p = system.params
-    g = generic_gradient(system.integral_map, p.K, p.f0, system.initial_state)
-    assert np.array_equal(g, np.zeros(system.dim))
-    assert lyapunov_value(p.K, p.f0, system.integral_map.eval(system.initial_state)) == 0.0
+@pytest.fixture(params=contract_models())
+def model(request):
+    return request.param
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def jacobian_block(f, columns) -> np.ndarray:
+    """The integral map's Jacobian on a block's columns as an array (N, dim_values, dim_state)."""
+    n = len(columns[0])
+    return np.array([[np.broadcast_to(c, n) for c in row]
+                     for row in f.jacobian(columns)]).transpose(2, 0, 1)
+
+
+def test_gradient_and_feedback_field_match_the_oracle(model):
+    # the closed forms against Df^T K (f - f0), which generic_gradient builds
+    # from eval and jacobian, at 1,000 states
+    p, f = model.params, model.integral_map
+    columns = tuple(sampled(model, 1000, 21).T)
+    oracle = stacked(generic_gradient(f, p.K, p.f0, columns))
+    for got, expected in ((model.gradient(columns), oracle),
+                          (model.modified_field(columns), stacked(model.field(columns)) - oracle)):
+        gap = np.linalg.norm(stacked(got) - expected, axis=1)
+        assert (gap / (1.0 + np.linalg.norm(expected, axis=1))).max() <= 1e-12
+
+
+def test_jacobian_rows_are_central_differences_of_eval(model):
+    # at 1,000 states, each entry as conftest.central_difference_gradient forms it
+    f, eps = model.integral_map, 1e-6
+    block = sampled(model, 1000, 22)
+    jac = jacobian_block(f, tuple(block.T))
+    fd = np.empty_like(jac)
+    for j in range(f.dim_state):
+        up, down = block.copy(), block.copy()
+        up[:, j] += eps
+        down[:, j] -= eps
+        fd[:, :, j] = (stacked(f.eval(tuple(up.T))) - stacked(f.eval(tuple(down.T)))) / (2.0 * eps)
+    gap = np.abs(jac - fd).max(axis=(1, 2)) / (1.0 + np.abs(jac).max(axis=(1, 2)))
+    assert gap.max() <= 1e-6
+
+
+def test_kernels_on_block_columns_give_the_single_state_floats_bit_for_bit(model):
+    # entry i of each result column is the kernel's result at state i, a
+    # tuple of Python floats; 2,000 states
+    p, f = model.params, model.integral_map
+    block = sampled(model, 2000, 23)
+    states = [tuple(s) for s in block.tolist()]
+    columns = tuple(block.T)
+    kernels = [(model.field, model.dim), (model.gradient, model.dim),
+               (model.modified_field, model.dim), (f.eval, f.dim_values),
+               (partial(generic_gradient, f, p.K, p.f0), model.dim)]
+    if model.accel is not None:
+        kernels.append((lambda x: model.accel(x[:3]), 3))
+    for kernel, width in kernels:
+        single = [kernel(s) for s in states]
+        assert {len(result) for result in single} == {width}
+        assert {type(c) for result in single for c in result} == {float}
+        assert same_bits(single, stacked(kernel(columns)))
+    rows = [f.jacobian(s) for s in states]
+    assert {len(r) for r in rows} == {f.dim_values}
+    assert {len(row) for r in rows for row in r} == {f.dim_state}
+    assert {type(c) for r in rows for row in r for c in row} == {float}
+    assert same_bits(rows, jacobian_block(f, columns))
+
+
+def test_fused_kernel_gives_the_feedback_field_gradient_and_values_bit_for_bit(model):
+    # the module's _feedback against modified_field, the gradient and
+    # _values, and its field against field - gradient; 2,000 states
+    m, p = system_module(model.name), model.params
+    states = [tuple(s) for s in sampled(model, 2000, 24).tolist()]
+    fused = [np.array(part) for part in zip(*(m._feedback(p, s) for s in states))]
+    for part, kernel in zip(fused, (model.modified_field, model.gradient, partial(m._values, p))):
+        assert same_bits(part, [kernel(s) for s in states])
+    assert same_bits(fused[0], np.array([model.field(s) for s in states]) - fused[1])
+
+
+@pytest.mark.parametrize("model", contract_models("kepler", "perturbed_kepler"))
+def test_a_state_at_the_origin_raises_alone_and_in_a_block(model):
+    p, f = model.params, model.integral_map
+    block = sampled(model, 10, 25)
+    block[7, :3] = 0.0
+    for kernel in (model.field, model.gradient, model.modified_field, model.lyapunov, f.eval,
+                   partial(generic_gradient, f, p.K, p.f0), lambda x: model.accel(x[:3])):
+        with pytest.raises(DomainError):
+            kernel(tuple(block[7].tolist()))
+        with pytest.raises(DomainError, match="batch state 7 "):
+            kernel(tuple(block.T))
+
+
+def test_at_the_start_the_gradient_is_zero_and_the_feedback_field_is_the_field(model):
+    # the kernels evaluate f0 = f(x0)'s own expressions: f - f0 is exactly 0 there
+    p, s0 = model.params, model.initial_state
+    assert np.array_equal(model.gradient(s0), np.zeros(model.dim))
+    assert np.array_equal(generic_gradient(model.integral_map, p.K, p.f0, s0), np.zeros(model.dim))
+    assert np.array_equal(model.modified_field(s0), model.field(s0))
+    assert model.lyapunov(s0) == 0.0
 
 
 def test_rigid_body_generic_matches_analytic_at_scaled_identity(rigid_sys):
@@ -87,16 +166,6 @@ def test_rigid_body_lyapunov_hand_value(rigid_sys):
     assert lyapunov_value(p.K, p.f0,
                           rigid_sys.integral_map.eval(s)) == pytest.approx(expected, rel=1e-12)
     assert rigid_sys.lyapunov(s) == pytest.approx(expected, rel=1e-12)
-
-
-def test_generic_matches_analytic_gradient(system):
-    rng = np.random.default_rng(12)
-    p = system.params
-    for _ in range(300):
-        x = system.sample_state(rng)
-        ga = np.array(system.gradient(x))
-        gg = np.array(generic_gradient(system.integral_map, p.K, p.f0, x))
-        assert np.linalg.norm(ga - gg) <= 1e-12 * (1.0 + np.linalg.norm(ga))
 
 
 def test_closed_form_gradient_matches_finite_differences_of_lyapunov(system):
@@ -119,20 +188,6 @@ def test_generic_matches_finite_differences(system):
         assert np.linalg.norm(gg - gfd) <= 1e-5 * (1.0 + np.linalg.norm(gg))
 
 
-def test_gradient_rejects_domain_violations(kepler_sys, pk_sys):
-    origin = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    for system in (kepler_sys, pk_sys):
-        p = system.params
-        with pytest.raises(DomainError):
-            generic_gradient(system.integral_map, p.K, p.f0, origin)
-        with pytest.raises(DomainError):
-            lyapunov_value(p.K, p.f0, system.integral_map.eval(origin))
-        block = np.array([system.sample_state(np.random.default_rng(k)) for k in range(5)])
-        block[3] = origin
-        with pytest.raises(DomainError, match="batch state 3"):
-            generic_gradient(system.integral_map, p.K, p.f0, tuple(block.T))
-
-
 def test_lyapunov_value_nonnegative(system):
     rng = np.random.default_rng(14)
     for _ in range(10_000):
@@ -149,19 +204,6 @@ def test_gain_doubling_doubles_gradient(system):
         g1 = np.array(generic_gradient(system.integral_map, p.K, p.f0, x))
         g2 = np.array(generic_gradient(system.integral_map, doubled, p.f0, x))
         assert np.array_equal(g2, 2.0 * g1)
-
-
-def test_modified_field_is_field_minus_gradient(system):
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        x = system.sample_state(rng)
-        assert np.array_equal(system.modified_field(x),
-                              np.array(system.field(x)) - np.array(system.gradient(x)))
-
-
-def test_modified_field_coincides_with_field_on_level_set(system):
-    x0 = system.initial_state
-    assert np.array_equal(system.modified_field(x0), system.field(x0))
 
 
 def test_orthogonality_of_gradient_and_field(system):

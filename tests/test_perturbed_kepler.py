@@ -6,14 +6,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from conftest import (central_difference_gradient, drift_by_name, perihelion_passages,
-                      precession_rate, run_with_metrics, stacked)
+from conftest import (contract_models, drift_by_name, perihelion_passages, precession_rate,
+                      random_rotation, run_with_metrics, sampled)
 from lyapint import kepler, perturbed_kepler as pk
 from lyapint.errors import DomainError
-from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step
 from lyapint.systems import make_system
-from test_kepler import random_states
 
 
 @pytest.fixture(scope="module")
@@ -104,11 +102,6 @@ def test_force_is_central(params):
         assert np.linalg.norm(torque) <= 1e-13 * (1.0 + np.linalg.norm(a))
 
 
-def test_field_rejects_origin(params):
-    with pytest.raises(DomainError):
-        pk.field(params, (0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
-
-
 def invariants(p, s):
     """(E, L) at s, with L as an array, from ``perturbed_kepler.invariant_components``."""
     E, l0, l1, l2 = pk.invariant_components(p, s)
@@ -129,8 +122,6 @@ def test_invariants_zero_velocity(params):
 
 
 def test_invariants_rotation_property(params):
-    from test_rigid_body import random_rotation
-
     rng = np.random.default_rng(42)
     s = np.array([0.7, -0.3, 0.4, 0.2, 1.1, -0.5])
     E_ref, L_ref = invariants(params, tuple(s.tolist()))
@@ -142,16 +133,6 @@ def test_invariants_rotation_property(params):
         assert np.allclose(L, Q @ L_ref, atol=1e-13)
 
 
-# (mu, delta, k1, k2, seed): the benchmark constants, and a stronger
-# perturbation with other gains
-KERNEL_CASES = [(1.0, 0.0025, 2.0, 3.0, 44), (2.5, 0.04, 0.5, 7.0, 45)]
-
-
-def case_model(mu, delta, k1, k2):
-    return make_system("perturbed_kepler", (1.0, 0.2, -0.1, 0.1, 1.1, 0.3),
-                       gains={"k1": k1, "k2": k2}, mu=mu, delta=delta)
-
-
 def numpy_invariants(p, s):
     """E = 0.5 v.v + U(|x|) and L = x cross v, evaluated with numpy."""
     s = np.array(s)
@@ -159,11 +140,10 @@ def numpy_invariants(p, s):
     return 0.5 * float(v @ v) + pk.u(p, float(np.linalg.norm(x))), np.cross(x, v)
 
 
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed):
-    model = case_model(mu, delta, k1, k2)
+@pytest.mark.parametrize("model", contract_models("perturbed_kepler"))
+def test_eval_matches_numpy_energy_and_angular_momentum(model):
     p, evaluate = model.params, model.integral_map.eval
-    for s in random_states(seed, 1000):
+    for s in sampled(model, 1000, 44).tolist():
         E, L = numpy_invariants(p, s)
         got = np.array(evaluate(s))
         assert got.shape == (4,)
@@ -171,90 +151,28 @@ def test_eval_matches_numpy_energy_and_angular_momentum(mu, delta, k1, k2, seed)
         assert np.abs(got[1:] - L).max() <= 1e-15 * (1.0 + np.linalg.norm(L))
 
 
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_jacobian_matches_finite_differences(mu, delta, k1, k2, seed):
-    # the float Jacobian against central differences of eval
-    fim = case_model(mu, delta, k1, k2).integral_map
-    for s in random_states(seed, 1000):
-        jac = np.array(fim.jacobian(s))
-        assert jac.shape == (4, 6)
-        scale = 1.0 + np.abs(jac).max()
-        fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
-                       for i in range(4)])
-        assert np.abs(jac - fd).max() <= 1e-6 * scale
-
-
-
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_modified_field_matches_jacobian_transpose_oracle(mu, delta, k1, k2, seed):
-    # the float gradient kernel against field - Df^T K (f - f0) built from eval and jacobian
-    model = case_model(mu, delta, k1, k2)
-    p, fim = model.params, model.integral_map
-    worst = 0.0
-    for s in random_states(seed, 1000):
-        expected = np.array(pk.field(p, s)) - np.array(generic_gradient(fim, p.K, p.f0, s))
-        diff = np.linalg.norm(np.array(pk.modified_field(p, s)) - expected)
-        worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
-    assert worst <= 1e-12
-
-
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_batched_kernels_equal_single_state_results_bit_for_bit(mu, delta, k1, k2, seed):
-    # each kernel on a block's columns: entry i of every result column is
-    # the kernel's result at state i
-    p = case_model(mu, delta, k1, k2).params
-    states = random_states(seed, 2000)
-    columns = tuple(np.array(states).T)
-    for kernel in (pk.field, pk.lyapunov_gradient, pk.modified_field):
-        single = np.array([kernel(p, s) for s in states])
-        assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
-    single = np.array([pk.accel(p, s[:3]) for s in states])
-    assert stacked(pk.accel(p, columns[:3])).tobytes() == single.tobytes()
-
-
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_modified_field_is_field_minus_gradient_bit_for_bit(mu, delta, k1, k2, seed):
-    p = case_model(mu, delta, k1, k2).params
-    for s in random_states(seed, 2000):
-        assert np.array_equal(pk.modified_field(p, s),
-                              np.array(pk.field(p, s)) - np.array(pk.lyapunov_gradient(p, s)))
-
-
-def test_batch_with_a_state_at_the_origin_raises(params):
-    states = np.array(random_states(46, 10))
-    states[3, :3] = 0.0
-    columns = tuple(states.T)
-    for kernel in (pk.field, pk.lyapunov_gradient, pk.modified_field):
-        with pytest.raises(DomainError, match="batch state 3 "):
-            kernel(params, columns)
-    with pytest.raises(DomainError, match="batch state 3 "):
-        pk.accel(params, columns[:3])
-
-
-def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params):
+def test_energy_guard_rejects_a_block_with_one_non_finite_energy(params, pk_sys):
     # |v|^2 overflows at state 2, so its energy is inf, on its own and in a block
-    states = np.array(random_states(47, 4))
+    states = sampled(pk_sys, 4, 47)
     states[2, 3] = 1e200
     with pytest.raises(DomainError, match="not finite"):
         pk.invariant_components(params, tuple(states[2].tolist()))
     with pytest.raises(DomainError, match="batch state 2"), np.errstate(over="ignore"):
         pk.invariant_components(params, tuple(states.T))
 
-@pytest.mark.parametrize("mu, delta, k1, k2, seed", KERNEL_CASES)
-def test_drift_metrics_match_numpy_invariants(mu, delta, k1, k2, seed):
-    s0 = np.array([0.9, -0.3, 0.2, 0.2, 1.0, -0.1])
-    system = make_system("perturbed_kepler", initial_state=s0, gains={"k1": k1, "k2": k2},
-                         mu=mu, delta=delta)
-    p = system.params
-    E0, L0 = numpy_invariants(p, s0)
-    for s in random_states(seed, 1000):
+
+@pytest.mark.parametrize("model", contract_models("perturbed_kepler"))
+def test_drift_metrics_match_numpy_invariants(model):
+    p = model.params
+    E0, L0 = numpy_invariants(p, model.initial_state)
+    for s in sampled(model, 1000, 45).tolist():
         E, L = numpy_invariants(p, s)
         expected = {
             "dE": abs(E - E0),
             "dL": np.linalg.norm(L - L0),
             "V": 0.5 * p.k1 * (E - p.E0) ** 2 + 0.5 * p.k2 * np.sum((L - p.L0) ** 2),
         }
-        got = drift_by_name(system, s)
+        got = drift_by_name(model, s)
         assert set(got) == set(expected)
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-13 * (1.0 + abs(value)), key
@@ -265,22 +183,6 @@ def test_gradient_vanishes_on_level_set(params, start, pk_runs):
     for s in pk_runs["reference"].states[:: len(pk_runs["reference"].states) // 8]:
         g = pk.lyapunov_gradient(params, tuple(s.tolist()))
         assert np.linalg.norm(g) <= 1e-10
-
-
-def test_orthogonality_identity(params):
-    rng = np.random.default_rng(43)
-    for _ in range(2000):
-        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
-        if np.linalg.norm(s[:3]) < 0.25:
-            continue
-        g = np.array(pk.lyapunov_gradient(params, s))
-        f = np.array(pk.field(params, s))
-        assert abs(float(g @ f)) <= 1e-12 * (1.0 + np.linalg.norm(g) * np.linalg.norm(f))
-
-
-def test_modified_field_on_level_set(params, start):
-    assert np.array_equal(pk.modified_field(params, start),
-                          pk.field(params, start))
 
 
 def test_euler_step_decreases_v_away_from_perihelion(params):
@@ -313,7 +215,7 @@ def quadratic_root_oracle(mu, delta, l0_sq):
 
 def test_hypothesis_benchmark_satisfied(params):
     report = pk.check_hypothesis(params)
-    assert report.satisfied and not report.vacuous
+    assert report.satisfied
     oracle = quadratic_root_oracle(1.0, 0.0025, 0.64)
     assert len(report.roots) == 2
     assert sorted(report.roots) == pytest.approx(oracle, abs=1e-9)
@@ -333,15 +235,11 @@ def test_hypothesis_violated_for_circular_orbit_data():
 
 
 def test_hypothesis_vacuous_when_no_roots(params):
-    p = dataclasses.replace(params, k1=1.0, k2=1.0, E0=-0.5, L0=(0.0, 0.0, 10.0))
-    report = pk.check_hypothesis(p, r_min=0.1, r_max=1.0)
-    assert report.satisfied and report.vacuous
-    assert report.bracket == (0.1, 1.0)
-
-
-def test_hypothesis_bracket_validation(params):
-    with pytest.raises(ValueError):
-        pk.check_hypothesis(params, r_min=1.0, r_max=0.5)
+    # |L0|^4 = 0.0625 < 12 mu delta = 0.6: the quadratic has no real root
+    p = dataclasses.replace(params, L0=(0.0, 0.0, 0.5), delta=0.05)
+    report = pk.check_hypothesis(p)
+    assert report.satisfied and report.roots == () and report.residuals == ()
+    assert report.bracket == pk.DEFAULT_BRACKET == (1e-3, 1e3)
 
 
 def test_root_finding_against_dense_scan(params):

@@ -3,29 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (central_difference_gradient, drift_by_name, global_order_ratio, pack,
-                      run_with_metrics, stacked, state_with_lyapunov, unpack)
+from conftest import (contract_models, drift_by_name, global_order_ratio, hat, pack,
+                      random_rotation, rodrigues, run_with_metrics, sampled, state_with_lyapunov,
+                      unpack)
 from lyapint import rigid_body
-from lyapint.feedback import generic_gradient
 from lyapint.integrators import euler_step, rk4_step, steps_for
 from lyapint.systems import make_system
-
-
-def hat(w):
-    """Skew-symmetric matrix of a 3-vector: hat(u) @ v is the cross product u x v."""
-    return np.array(((0.0, -w[2], w[1]), (w[2], 0.0, -w[0]), (-w[1], w[0], 0.0)))
-
-
-def rodrigues(axis, angle):
-    # exact rotation matrix oracle, independent of the package's factors
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
-    km = hat(k)
-    return np.eye(3) + math.sin(angle) * km + (1 - math.cos(angle)) * (km @ km)
-
-
-def random_rotation(rng):
-    return rodrigues(rng.standard_normal(3), rng.uniform(0, 2 * math.pi))
 
 
 def frobenius_norm(a) -> float:
@@ -118,11 +101,6 @@ def test_integrals_rotation_invariance(params):
         assert np.linalg.norm(pi) == pytest.approx(np.linalg.norm(pi_ref), rel=1e-12)
 
 
-def test_gradient_vanishes_at_reference(params):
-    s = pack(np.eye(3), (1.0, 1.0, 1.0))
-    assert np.array_equal(rigid_body.lyapunov_gradient(params, s), np.zeros(12))
-
-
 def test_gradient_vanishes_on_level_set_of_rotated_start():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -133,16 +111,6 @@ def test_gradient_vanishes_on_level_set_of_rotated_start():
         p, _ = rigid_body.setup(pack(R0, W0), (50, 100, 50), inertia=(3, 2, 1))
         g = rigid_body.lyapunov_gradient(p, pack(R0, W0))
         assert np.linalg.norm(g) <= 1e-12
-
-
-def test_modified_field_equals_field_minus_gradient(params):
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        R = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
-        s = pack(R, rng.uniform(-2, 2, 3))
-        expected = (np.array(rigid_body.field(params, s))
-                    - np.array(rigid_body.lyapunov_gradient(params, s)))
-        assert np.array_equal(rigid_body.modified_field(params, s), expected)
 
 
 def test_modified_field_against_independent_transcription(params):
@@ -169,39 +137,6 @@ def test_modified_field_against_independent_transcription(params):
         assert np.allclose(out[9:], Wdot, rtol=1e-13, atol=1e-13)
 
 
-def test_modified_field_coincides_on_level_set(params):
-    s = pack(np.eye(3), (1.0, 1.0, 1.0))
-    assert np.array_equal(rigid_body.modified_field(params, s),
-                          rigid_body.field(params, s))
-
-
-def random_states(seed, n):
-    rng = np.random.default_rng(seed)
-    return [pack(np.eye(3) + rng.uniform(-0.5, 0.5, (3, 3)),
-                            rng.uniform(-2, 2, 3)) for _ in range(n)]
-
-
-@pytest.mark.parametrize("inertia, gains, seed", [
-    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 24),
-    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 25),
-])
-def test_modified_field_matches_jacobian_transpose_oracle(inertia, gains, seed):
-    # the float kernel against field - Df^T K (f - f0) built from eval and jacobian
-    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    model = make_system("rigid_body", start, gains=dict(zip(rigid_body.GAIN_NAMES, gains)),
-                        inertia=inertia)
-    p, fim = model.params, model.integral_map
-    worst = 0.0
-    for s in random_states(seed, 1000):
-        R, W = unpack(s)
-        numpy_field = np.concatenate(((R @ hat(W)).ravel(), np.cross(p.inertia * W, W) / p.inertia))
-        expected = numpy_field - np.array(generic_gradient(fim, p.K, p.f0, s))
-        diff = np.linalg.norm(np.array(rigid_body.modified_field(p, s)) - expected)
-        worst = max(worst, diff / (1.0 + np.linalg.norm(expected)))
-    assert worst <= 1e-12
-
-
-
 def numpy_integral_map(p, s):
     # the integral map's values and Jacobian as matrix products and outer products
     R, W = unpack(s)
@@ -222,60 +157,19 @@ def numpy_integral_map(p, s):
     return values, rows
 
 
-@pytest.mark.parametrize("inertia, gains, seed", [
-    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 28),
-    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 29),
-])
-def test_integral_map_matches_numpy_form_and_finite_differences(inertia, gains, seed):
-    # the float eval and Jacobian against their numpy forms, and the
-    # Jacobian against central differences of eval
-    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    model = make_system("rigid_body", start, gains=dict(zip(rigid_body.GAIN_NAMES, gains)),
-                        inertia=inertia)
+@pytest.mark.parametrize("model", contract_models("rigid_body"))
+def test_field_and_integral_map_match_numpy_forms(model):
+    # the float field, eval and Jacobian against their numpy forms
     p, fim = model.params, model.integral_map
-    for s in random_states(seed, 300):
+    for s in sampled(model, 1000, 28).tolist():
+        R, W = unpack(s)
+        field = np.concatenate(((R @ hat(W)).ravel(), np.cross(p.inertia * W, W) / p.inertia))
+        assert np.abs(np.array(model.field(s)) - field).max() <= 1e-14 * (1.0 + np.abs(field).max())
         values, rows = numpy_integral_map(p, s)
         jac = np.array(fim.jacobian(s))
         assert jac.shape == (13, 12)
         assert np.array_equal(jac, rows)
         assert np.abs(np.array(fim.eval(s)) - values).max() <= 1e-14 * (1.0 + np.abs(values).max())
-        scale = 1.0 + np.abs(jac).max()
-        fd = np.array([central_difference_gradient(lambda y, i=i: fim.eval(y)[i], s)
-                       for i in range(13)])
-        assert np.abs(jac - fd).max() <= 1e-6 * scale
-
-
-@pytest.mark.parametrize("inertia, gains, seed", [
-    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 26),
-    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 27),
-])
-def test_batched_kernels_equal_single_state_results_bit_for_bit(inertia, gains, seed):
-    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    p, _ = rigid_body.setup(start, gains, inertia=inertia)
-    # each kernel on a block's columns: entry i of every result column is
-    # the kernel's result at state i
-    states = random_states(seed, 2000)
-    columns = tuple(np.array(states).T)
-    for kernel in (rigid_body.field, rigid_body.lyapunov_gradient, rigid_body.modified_field):
-        single = np.array([kernel(p, s) for s in states])
-        assert stacked(kernel(p, columns)).tobytes() == single.tobytes()
-
-
-@pytest.mark.parametrize("inertia, gains, seed", [
-    ((3.0, 2.0, 1.0), (50.0, 100.0, 50.0), 28),
-    ((0.7, 1.9, 4.2), (0.3, 7.0, 2.5), 29),
-])
-def test_feedback_kernel_is_field_minus_gradient_and_the_integral_values_bit_for_bit(
-        inertia, gains, seed):
-    # the one fused kernel against the separate field and integral-value expressions
-    start = pack(random_rotation(np.random.default_rng(seed)), (0.4, -1.2, 0.9))
-    p, _ = rigid_body.setup(start, gains, inertia=inertia)
-    for s in random_states(seed, 2000):
-        field, _, values = rigid_body._feedback(p, s)
-        expected = np.array(rigid_body.field(p, s)) - np.array(rigid_body.lyapunov_gradient(p, s))
-        assert np.array(rigid_body.modified_field(p, s)).tobytes() == expected.tobytes()
-        assert np.array(field).tobytes() == expected.tobytes()
-        assert values == rigid_body._values(p, s)
 
 
 def test_sampler_draws_the_states_of_the_numpy_determinant_sampler():
@@ -300,7 +194,7 @@ def test_drift_metrics_match_numpy_integrals(rigid_sys):
     R0, W0 = unpack(s0)
     pi_start = R0 @ (p.inertia * W0)
     E_start = 0.5 * float(W0 @ (p.inertia * W0))
-    for s in random_states(26, 1000):
+    for s in sampled(rigid_sys, 1000, 26).tolist():
         R, W = unpack(s)
         momentum = p.inertia * W
         E = 0.5 * float(W @ momentum)
@@ -356,13 +250,13 @@ def numpy_splitting_step(p, s, h):
 
 @pytest.mark.parametrize("h", [1e-4, 1e-2, 0.1])
 @pytest.mark.parametrize("inertia", [(3.0, 2.0, 1.0), (0.7, 1.9, 4.2)])
-def test_splitting_step_matches_numpy_rotation_composition(inertia, h):
+def test_splitting_step_matches_numpy_rotation_composition(inertia, h, rigid_sys):
     # one float step against the matrix composition, from the benchmark start,
     # from states off SO(3) and from rotations; the two round their products
     # differently, by at most 1e-15 relative per step (measured: 3.1e-16)
     p, s0 = rigid_body.setup(None, rigid_body.BENCHMARK_GAINS, inertia=inertia)
     rng = np.random.default_rng(31)
-    starts = ([s0] + random_states(30, 100)
+    starts = ([s0] + sampled(rigid_sys, 100, 30).tolist()
               + [pack(random_rotation(rng), rng.uniform(-2, 2, 3)) for _ in range(100)])
     for s in starts:
         got = np.array(rigid_body.splitting_step(p, s, h))
