@@ -93,28 +93,42 @@ def test_jacobian_rows_are_central_differences_of_eval(model):
     assert gap.max() <= 1e-6
 
 
-def test_kernels_on_block_columns_give_the_single_state_floats_bit_for_bit(model):
-    # entry i of each result column is the kernel's result at state i, a
-    # tuple of Python floats; 2,000 states
+# the kernels a block test checks, by name; accel only where the system has one
+BLOCK_KERNELS = ("field", "gradient", "modified_field", "accel", "eval", "jacobian",
+                 "generic_gradient")
+
+
+def block_cases():
+    return [pytest.param(case.values[0], name, id=f"{case.id}-{name}")
+            for case in contract_models() for name in BLOCK_KERNELS
+            if name != "accel" or case.values[0].accel is not None]
+
+
+def block_kernel(model, name):
+    """The kernel called name, on a state or a block's columns; the shape of its
+    result at one state; and its result on a block's columns as an array (N, *shape)."""
     p, f = model.params, model.integral_map
+    if name == "jacobian":
+        return f.jacobian, (f.dim_values, f.dim_state), partial(jacobian_block, f)
+    kernel, width = {"field": (model.field, model.dim),
+                     "gradient": (model.gradient, model.dim),
+                     "modified_field": (model.modified_field, model.dim),
+                     "accel": (lambda x: model.accel(x[:3]), 3),
+                     "eval": (f.eval, f.dim_values),
+                     "generic_gradient": (partial(generic_gradient, f, p.K, p.f0), model.dim)}[name]
+    return kernel, (width,), lambda columns: stacked(kernel(columns))
+
+
+@pytest.mark.parametrize(("model", "name"), block_cases())
+def test_kernels_on_block_columns_give_the_single_state_floats_bit_for_bit(model, name):
+    # entry i of the block result is the kernel's result at state i, Python
+    # floats of the kernel's shape; 2,000 states
+    kernel, shape, on_block = block_kernel(model, name)
     block = sampled(model, 2000, 23)
-    states = [tuple(s) for s in block.tolist()]
-    columns = tuple(block.T)
-    kernels = [(model.field, model.dim), (model.gradient, model.dim),
-               (model.modified_field, model.dim), (f.eval, f.dim_values),
-               (partial(generic_gradient, f, p.K, p.f0), model.dim)]
-    if model.accel is not None:
-        kernels.append((lambda x: model.accel(x[:3]), 3))
-    for kernel, width in kernels:
-        single = [kernel(s) for s in states]
-        assert {len(result) for result in single} == {width}
-        assert {type(c) for result in single for c in result} == {float}
-        assert same_bits(single, stacked(kernel(columns)))
-    rows = [f.jacobian(s) for s in states]
-    assert {len(r) for r in rows} == {f.dim_values}
-    assert {len(row) for r in rows for row in r} == {f.dim_state}
-    assert {type(c) for r in rows for row in r for c in row} == {float}
-    assert same_bits(rows, jacobian_block(f, columns))
+    single = np.array([kernel(tuple(s)) for s in block.tolist()], dtype=object)
+    assert single.shape == (len(block), *shape)
+    assert {type(c) for c in single.ravel()} == {float}
+    assert same_bits(single.astype(float), on_block(tuple(block.T)))
 
 
 def test_fused_kernel_gives_the_feedback_field_gradient_and_values_bit_for_bit(model):
