@@ -2,16 +2,20 @@
 
 A system is given by its extended vector field X on R^n together with a
 stacked map f of manifold constraint plus first integrals. With a positive
-diagonal gain matrix K and the reference values f0 = f(x0), the scalar
+diagonal gain matrix K and the reference values f0, the scalar
 
     V(x) = 0.5 * (f(x) - f0)^T K (f(x) - f0)
 
-vanishes exactly on the invariant set through x0, and its gradient is
+vanishes exactly on the invariant set {f = f0}, and its gradient is
 
     grad V(x) = Df(x)^T K (f(x) - f0).
 
 Integrating the corrected field X - grad V with any ordinary one-step scheme
-keeps the numerical trajectory near that invariant set. Each system's params
+keeps the numerical trajectory near that invariant set. The reference
+values are the first integrals at the start x0, and the constraint's own
+value on the manifold: the rigid body's nine R^T R - I targets are exact
+zeros, not f(x0), so its set is the orthogonal matrices even where the
+start's attitude is orthogonal only to rounding. Each system's params
 state K's diagonal and f0 once, as ``params.K`` and ``params.f0`` in the
 map's order, and check them and the constants with ``check_params``; the
 functions below take them as they are. The shipped systems provide

@@ -2,33 +2,36 @@
 
 Each scheme ``(field, x, h) -> x_next`` steps a state x given as a tuple of
 Python floats, with a field mapping such tuples to float sequences, and
-returns a tuple; Euler and RK4 also take a known first stage field(x). ``integrate`` is the one loop that advances a trajectory by
-repeated application, and the one place where a failing step is numbered and
-turned into IntegrationError. Projection takes an Euler step and pulls the
-result back onto a target level set of a first-integral map with a
-simplified Newton iteration.
+returns a tuple; Euler and RK4 also take a known first stage field(x).
+``integrate`` is the one loop that advances a trajectory by repeated
+application, and the one place where a failing step is numbered and turned
+into IntegrationError. Projection takes an Euler step and pulls the result
+back onto a target level set of a first-integral map with a simplified
+Newton iteration, whose pseudo-inverse correction is Gram-Schmidt on Python
+floats: the constraint Jacobians are a few rows of 6 or 12 entries, smaller
+than numpy's per-call overhead.
 
-numpy is imported only where arrays are made: by a projection step whose
-Newton loop runs, and by ``rollout``.
+numpy is imported only where arrays are made, by ``rollout``.
 """
 
 import math
 import numbers
+from operator import mul, sub
 
 from .errors import IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap
 
-# Relative cutoff below which singular values of the constraint Jacobian J
-# are treated as null: sqrt(1e-14), the cutoff 1e-14 on those of the Gram
-# matrix J J^T, which are their squares. Constraint maps whose level sets
-# contain whole trajectories (e.g. the six angular-momentum/eccentricity
-# values of a Kepler orbit) are rank deficient by construction; the
-# pseudo-inverse restricted to the usable spectrum still converges because
-# the residual stays in the range.
+# Cutoff, relative to the Frobenius norm of the constraint Jacobian J, below
+# which a row's Gram-Schmidt remainder adds no direction: sqrt(1e-14), as
+# 1e-14 on the singular values of the Gram matrix J J^T, the squares of J's.
+# Constraint maps whose level sets contain whole trajectories (e.g. the six
+# angular-momentum/eccentricity values of a Kepler orbit) are rank deficient
+# by construction; the pseudo-inverse restricted to the rows' usable span
+# still converges because the residual stays in the range.
 _SINGULAR_CUTOFF = math.sqrt(1e-14)
 
 # A projection iteration that does not bring the residual norm below this
-# fraction of the one before rebuilds the correction matrix at its iterate:
+# fraction of the one before rebuilds the correction at its iterate:
 # simplified Newton's contraction condition (Deuflhard, *Newton Methods for
 # Nonlinear Problems*, section 2.1).
 _CONTRACTION = 0.5
@@ -111,24 +114,80 @@ class ProjectionConfig:
         self.max_iter = max_iter
 
 
-def _pseudo_inverse(jac):
-    """Correction matrix C = J^+ = V diag(inv) U^T from one SVD J = U diag(s) V^T.
+def _gram_schmidt(vectors, cutoff: float):
+    """Modified Gram-Schmidt (Golub and Van Loan, section 5.2) on a sequence of vectors.
 
-    inv drops singular values below ``_SINGULAR_CUTOFF`` relative to the
-    largest, so C equals J^T G^+ for the Gram matrix G = J J^T restricted to
-    its usable spectrum. C has shape (n, m) for an (m, n) Jacobian J. The sum
-    of the squared entries of J is the trace of G, finite exactly when G is.
+    Returns (basis, coefficients). Vector i is reduced against the basis
+    built from the vectors before it; coefficients[i] lists its coefficients
+    on those basis vectors and, where its remainder's norm is above
+    ``cutoff``, ends with that norm, and the normalized remainder joins the
+    basis. So vector i is the sum of coefficients[i][j] times basis[j], up to
+    the dropped remainder of a vector with no norm entry.
     """
-    import numpy as np
+    basis, coefficients = [], []
+    for v in vectors:
+        row = []
+        for q in basis:
+            t = sum(map(mul, v, q))
+            v = [a - t * b for a, b in zip(v, q)]
+            row.append(t)
+        norm = math.hypot(*v)
+        if norm > cutoff:
+            row.append(norm)
+            basis.append([c / norm for c in v])
+        coefficients.append(row)
+    return basis, coefficients
 
-    if not math.isfinite(float(np.vdot(jac, jac))):
+
+def _pseudo_inverse(jac):
+    """The correction r -> J^+ r for the constraint Jacobian J given as its m rows.
+
+    Modified Gram-Schmidt on the rows of J gives J = T Q, with Q's k rows
+    orthonormal and T an (m, k) lower trapezoidal matrix; a row whose
+    remainder is below ``_SINGULAR_CUTOFF`` times the Frobenius norm of J
+    adds no row to Q. Then J^+ = Q^T T^+. With no row dropped, T is square
+    lower triangular and T^+ r = T^{-1} r is a forward substitution.
+    Otherwise a second Gram-Schmidt, on T's columns, gives T = P R with P's
+    k columns orthonormal and R upper triangular, and T^+ r = R^{-1} P^T r.
+    The map returns the n-component correction as a list of Python floats.
+
+    The sum of the squared entries of J is the trace of the Gram matrix
+    G = J J^T, finite exactly when G is; a non-finite trace raises
+    IntegrationError, and a zero one, J = 0, RankError.
+    """
+    trace = sum([c * c for row in jac for c in row])
+    if not math.isfinite(trace):
         raise IntegrationError("non-finite constraint Jacobian Gram matrix")
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    sv = s.tolist()
-    if sv[0] <= 0.0:
+    if trace == 0.0:
         raise RankError("constraint Jacobian Gram matrix is numerically rank zero")
-    k = sum(si > sv[0] * _SINGULAR_CUTOFF for si in sv)
-    return (vt[:k].T / s[:k]) @ u[:, :k].T
+    q, t = _gram_schmidt(jac, _SINGULAR_CUTOFF * math.sqrt(trace))
+    columns_of_q = list(zip(*q))
+    if len(q) == len(t):
+
+        def solve(r):
+            z = []
+            for row, ri in zip(t, r):
+                z.append((ri - sum(map(mul, row, z))) / row[-1])
+            return z
+    else:
+        k = len(q)
+        p, r_columns = _gram_schmidt(
+            zip(*[row + [0.0] * (k - len(row)) for row in t]), 0.0)
+
+        def solve(r):
+            z = [sum(map(mul, pj, r)) for pj in p]
+            for j in reversed(range(k)):
+                column = r_columns[j]
+                zj = z[j] = z[j] / column[j]
+                for i in range(j):
+                    z[i] -= column[i] * zj
+            return z
+
+    def correct(r):
+        z = solve(r)
+        return [sum(map(mul, column, z)) for column in columns_of_q]
+
+    return correct
 
 
 def _residual(values, target) -> list:
@@ -139,19 +198,20 @@ def projection_step(cfg: ProjectionConfig, field, x, h):
     """Euler step followed by pull-back onto the constraint level set.
 
     Computes xt = euler_step(field, x, h), then solves f(y) = target by
-    simplified Newton on the state itself: with the correction matrix
-    C = Df(xt)^+, which is Df(xt)^T G^+ for G = Df Df^T, each iteration is
-    y <- y - C (f(y) - target), starting from y = xt. An iteration that
-    fails to shrink the residual norm by the factor ``_CONTRACTION``
-    rebuilds C at its y; cfg.max_iter bounds the iterations in all. Returns
-    once the residual norm is within cfg.tol; raises ProjectionError with
-    the final residual otherwise.
+    simplified Newton on the state itself: with the correction
+    r -> Df(xt)^+ r, which is Df(xt)^T G^+ r for G = Df Df^T, each
+    iteration is y <- y - Df(xt)^+ (f(y) - target), starting from y = xt.
+    An iteration rebuilds the correction from Df at its y when it fails to
+    shrink the residual norm by the factor ``_CONTRACTION``, or when its
+    ratio theta of successive residual norms, kept for the iterations
+    cfg.max_iter leaves, would not bring the residual norm within cfg.tol:
+    Deuflhard's predicted contraction. cfg.max_iter bounds the iterations in
+    all. Returns once the residual norm is within cfg.tol; raises
+    ProjectionError with the final residual otherwise.
 
-    The Euler step is on the tuple, and ``cfg.constraint``'s ``eval`` and
-    ``jacobian`` take tuples: each residual and its norm are Python floats.
-    Only when the Newton loop runs is numpy imported and an array y built
-    from xt, for the update ``C @ residual``; a step that lands within
-    cfg.tol needs no numpy.
+    Everything is Python floats: the Euler step, ``cfg.constraint``'s
+    ``eval`` and ``jacobian`` on the state tuple, each residual and its
+    norm, the correction (``_pseudo_inverse``) and the iterate y.
     """
     f, target = cfg.constraint, cfg.target
     xt = euler_step(field, x, h)
@@ -159,19 +219,17 @@ def projection_step(cfg: ProjectionConfig, field, x, h):
     rnorm = math.hypot(*res)
     if rnorm <= cfg.tol:
         return xt
-    import numpy as np
-
-    correction = _pseudo_inverse(np.asarray(f.jacobian(xt), dtype=float))
-    y = np.array(xt)
-    for _ in range(cfg.max_iter):
-        y = y - correction @ res
-        yt = tuple(y.tolist())
-        res = _residual(f.eval(yt), target)
+    correct = _pseudo_inverse(f.jacobian(xt))
+    y = xt
+    for left in reversed(range(cfg.max_iter)):
+        y = tuple(map(sub, y, correct(res)))
+        res = _residual(f.eval(y), target)
         previous, rnorm = rnorm, math.hypot(*res)
         if rnorm <= cfg.tol:
-            return yt
-        if rnorm > _CONTRACTION * previous:
-            correction = _pseudo_inverse(np.asarray(f.jacobian(yt), dtype=float))
+            return y
+        theta = rnorm / previous
+        if left and (theta > _CONTRACTION or rnorm * theta**left > cfg.tol):
+            correct = _pseudo_inverse(f.jacobian(y))
     raise ProjectionError(
         f"projection residual {rnorm:.3e} above tolerance {cfg.tol:.3e} "
         f"after {cfg.max_iter} iterations",

@@ -69,7 +69,11 @@ class SystemModel:
     give columns.
 
     ``params`` states the system's constants, gain diagonal ``params.K`` and
-    targets ``params.f0 = f(x0)`` once; V, the oracle and the projection read them.
+    targets ``params.f0`` once; V, the oracle and the projection read them.
+    The targets are the start's first integrals, f(x0) of the orbital
+    systems; the rigid body's nine ``R^T R - I`` targets are exact zeros,
+    not the start's defect, so V and its gradient vanish at the start only
+    where its attitude is exactly orthogonal in floats.
     ``period`` is ``period_of()``, the module's ``period(params,
     initial_state)``: the period of the start's motion, inf where it has
     none. It is computed when first read, and a ``run`` never reads it.

@@ -823,7 +823,7 @@ def test_importing_the_cli_does_not_load_numpy_random():
 
 
 FLOAT_METHODS = ("feedback_euler", "feedback_rk4", "euler", "rk4", "splitting",
-                 "stormer_verlet_a", "stormer_verlet_b")
+                 "stormer_verlet_a", "stormer_verlet_b", "projection_euler")
 
 
 def _run_python(code, tmp_path):
@@ -835,12 +835,18 @@ def _run_python(code, tmp_path):
 
 def test_float_methods_run_without_numpy(tmp_path):
     # sys.modules["numpy"] = None makes every numpy import raise ImportError:
-    # the import of the CLI and a `run` of each float method must need none
+    # the import of the CLI and a `run` of each float method must need none;
+    # the projection runs count their correction builds, so a Newton loop
+    # that iterates is seen to run without numpy
     code = f"""if True:
         import sys
         sys.modules["numpy"] = None
         import lyapint, lyapint.cli
+        from lyapint import integrators
         from lyapint.systems import SYSTEM_NAMES, module
+        builds = []
+        pseudo_inverse = integrators._pseudo_inverse
+        integrators._pseudo_inverse = lambda jac: builds.append(1) or pseudo_inverse(jac)
         for system in SYSTEM_NAMES:
             for method in {FLOAT_METHODS!r}:
                 try:
@@ -851,15 +857,20 @@ def test_float_methods_run_without_numpy(tmp_path):
                 h = module(system).BENCHMARK_STEP
                 argv = ["run", "--system", system, "--method", method, "--h", repr(h),
                         "--t-end", repr(5.5 * h), "--out", f"{{system}}_{{method}}.csv"]
+                builds.clear()
                 if lyapint.cli.main(argv) != 0:
                     sys.exit(f"{{system}} {{method}} failed")
-                print(system, method, file=sys.stderr)
+                print(system, method, len(builds), file=sys.stderr)
+        # a figure's curves are float-method runs, its projection curve too
+        if lyapint.cli.main(["figure", "--id", "F8", "--scale", "0.0005", "--out-dir", "fig"]):
+            sys.exit("figure F8 failed")
         """
     proc = _run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    cells = proc.stderr.split("\n")[:-1]
-    assert len(cells) == 17 and "rigid_body splitting" in cells
+    cells = dict(line.rsplit(" ", 1) for line in proc.stderr.split("\n")[:-1])
+    assert len(cells) == 20 and "rigid_body splitting" in cells
     assert "kepler stormer_verlet_b" in cells and "rigid_body stormer_verlet_a" not in cells
+    assert int(cells["perturbed_kepler projection_euler"]) >= 1
 
 
 def _one_step_run(system):
@@ -919,13 +930,9 @@ def test_a_run_defines_four_dataclasses(tmp_path, system):
     assert proc.stdout.splitlines() == [repr(expected)]
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--system", "perturbed_kepler", "--method", "projection_euler",
-     "--t-end", "0.1", "--out", "proj.csv"],
-    ["check", "--system", "kepler"],
-])
-def test_projection_and_check_load_numpy(tmp_path, argv):
-    # positive controls for the test above: these commands build arrays
+def test_check_loads_numpy(tmp_path):
+    # positive control for the test above: `check` builds arrays
+    argv = ["check", "--system", "kepler"]
     code = (f"import sys, lyapint.cli; code = lyapint.cli.main({argv!r}); "
             "sys.exit(code or 'numpy' not in sys.modules)")
     proc = _run_python(code, tmp_path)
@@ -982,6 +989,21 @@ def test_main_projection_rebuilding_its_correction_runs_the_stall_cell(tmp_path,
     assert "steps_taken = 100\n" in capsys.readouterr().out
     header, rows = read_csv(out)
     assert len(rows) == 101 and float(rows[-1][0]) == pytest.approx(3.0)
+    dE, dL = header.index("dE"), header.index("dL")
+    assert max(max(float(row[dE]), float(row[dL])) for row in rows) <= 1e-8
+
+
+def test_main_projection_predicted_contraction_runs_the_stall_cell_at_h_0_05(tmp_path, capsys):
+    # at h = 0.05 step 1's residual contracts at a ratio near 0.45 after its
+    # halving rebuilds, too slowly for the iterations max_iter leaves; the
+    # predicted-contraction rule rebuilds there, and the cell runs to t = 3
+    config = tmp_path / "exp.ini"
+    config.write_text(STALL_CELL.replace("h = 0.03\n", "h = 0.05\n"))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "steps_taken = 60\n" in capsys.readouterr().out
+    header, rows = read_csv(out)
+    assert len(rows) == 61 and float(rows[-1][0]) == pytest.approx(3.0)
     dE, dL = header.index("dE"), header.index("dL")
     assert max(max(float(row[dE]), float(row[dL])) for row in rows) <= 1e-8
 

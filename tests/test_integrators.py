@@ -221,11 +221,14 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
     rng = np.random.default_rng(49)
     for _ in range(200):
         x = tuple((system.initial_state + rng.uniform(-0.1, 0.1, system.dim)).tolist())
-        jac = np.asarray(system.integral_map.jacobian(x), dtype=float)
-        expected = gram_pseudo_inverse(jac)
+        rows = system.integral_map.jacobian(x)
+        expected = gram_pseudo_inverse(np.asarray(rows, dtype=float))
         assert np.linalg.matrix_rank(expected) == JACOBIAN_RANK[name]
-        got = _pseudo_inverse(jac)
-        assert got.shape == (system.dim, system.integral_map.dim_values)
+        # column i of J^+ is the correction of the unit residual e_i
+        m = system.integral_map.dim_values
+        correct = _pseudo_inverse(rows)
+        got = np.array([correct([float(i == j) for j in range(m)]) for i in range(m)]).T
+        assert got.shape == (system.dim, m)
         assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
 
@@ -334,6 +337,31 @@ def test_projection_rebuilds_its_correction_where_an_iteration_fails_to_halve_th
     assert norms[-1] <= 1e-8 and len(norms) - 1 <= cfg.max_iter
     rebuilt = [s for (s, n), before in zip(evals[1:-1], norms) if n > 0.5 * before]
     assert rebuilt and jacobians == [evals[0][0], *rebuilt]
+
+
+@pytest.mark.parametrize("max_iter", [1, 4])
+def test_a_failing_projection_builds_no_correction_at_its_last_iterate(kepler_sys, max_iter):
+    # tol = 1e-15 is out of reach, so every iteration fails; a correction
+    # built at the last iterate would serve no iteration
+    fim = kepler_sys.integral_map
+    evals, jacobians = [], []
+
+    def counted_eval(s):
+        evals.append(s)
+        return fim.eval(s)
+
+    def counted_jacobian(s):
+        jacobians.append(s)
+        return fim.jacobian(s)
+
+    cfg = ProjectionConfig(
+        constraint=dataclasses.replace(fim, eval=counted_eval, jacobian=counted_jacobian),
+        target=kepler_sys.params.f0, tol=1e-15, max_iter=max_iter)
+    far = tuple((kepler_sys.initial_state + np.array([0.3, 0.2, 0.0, 0.1, -0.2, 0.0])).tolist())
+    with pytest.raises(ProjectionError):
+        projection_step(cfg, kepler_sys.field, far, 0.005)
+    assert len(evals) == max_iter + 1
+    assert 1 <= len(jacobians) <= max_iter and evals[-1] not in jacobians
 
 
 def test_projection_reports_nonconvergence(kepler_sys):

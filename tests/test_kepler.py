@@ -76,25 +76,17 @@ def test_energy_relation_at_benchmark(params, start):
         params.mu**2 + 2 * E * float(L @ L), abs=1e-14)
 
 
-def test_energy_relation_random_states(params):
-    rng = np.random.default_rng(30)
-    for _ in range(2000):
-        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
-        if np.linalg.norm(s[:3]) < 0.2:
-            continue
-        L, A, E = invariants(params, tuple(s.tolist()))
+def test_energy_relation_random_states(params, kepler_sys):
+    for s in sampled(kepler_sys, 2000, 30).tolist():
+        L, A, E = invariants(params, s)
         lhs = float(A @ A)
         rhs = params.mu**2 + 2 * E * float(L @ L)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
-def test_angular_momentum_orthogonal_to_lrl(params):
-    rng = np.random.default_rng(31)
-    for _ in range(2000):
-        s = np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3)))
-        if np.linalg.norm(s[:3]) < 0.2:
-            continue
-        L, A, _ = invariants(params, tuple(s.tolist()))
+def test_angular_momentum_orthogonal_to_lrl(params, kepler_sys):
+    for s in sampled(kepler_sys, 2000, 31).tolist():
+        L, A, _ = invariants(params, s)
         assert abs(float(L @ A)) <= 1e-12 * (1.0 + np.linalg.norm(L) * np.linalg.norm(A))
 
 

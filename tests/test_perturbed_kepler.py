@@ -64,14 +64,10 @@ def test_period_at_zero_delta_is_the_kepler_period(mu, s0):
     assert period == pytest.approx(expected, rel=1e-12)
 
 
-def test_zero_delta_reduces_to_kepler(start):
+def test_zero_delta_reduces_to_kepler(start, pk_sys):
     pp, _ = pk.setup(start, (2.0, 3.0), mu=1.0, delta=0.0)
     kp, _ = kepler.setup(start, (4.0, 2.0), mu=1.0)
-    rng = np.random.default_rng(40)
-    for _ in range(100):
-        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
-        if np.linalg.norm(s[:3]) < 0.25:
-            continue
+    for s in map(tuple, sampled(pk_sys, 100, 40).tolist()):
         assert np.allclose(pk.field(pp, s), kepler.field(kp, s),
                            rtol=1e-14, atol=1e-14)
         assert np.allclose(pk.accel(pp, s[:3]), kepler.accel(kp, s[:3]),
@@ -91,12 +87,8 @@ def test_field_benchmark_value(params):
     assert out[4] == 0.0 and out[5] == 0.0
 
 
-def test_force_is_central(params):
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        s = tuple(np.concatenate((rng.uniform(-2, 2, 3), rng.uniform(-1.5, 1.5, 3))).tolist())
-        if np.linalg.norm(s[:3]) < 0.25:
-            continue
+def test_force_is_central(params, pk_sys):
+    for s in map(tuple, sampled(pk_sys, 200, 41).tolist()):
         a = np.array(pk.field(params, s)[3:])
         torque = np.cross(s[:3], a)
         assert np.linalg.norm(torque) <= 1e-13 * (1.0 + np.linalg.norm(a))
