@@ -9,14 +9,17 @@ into IntegrationError. Projection takes an Euler step and pulls the result
 back onto a target level set of a first-integral map with a simplified
 Newton iteration, whose pseudo-inverse correction is Gram-Schmidt on Python
 floats: the constraint Jacobians are a few rows of 6 or 12 entries, smaller
-than numpy's per-call overhead.
+than numpy's per-call overhead. That Gram-Schmidt is straight-line code,
+generated and compiled once per Jacobian shape and pattern of kept rows
+(``_pseudo_inverse``), with the loop form's operations in its order.
 
 numpy is imported only where arrays are made, by ``rollout``.
 """
 
+import functools
 import math
 import numbers
-from operator import mul, sub
+from operator import sub
 
 from .errors import IntegrationError, ProjectionError, RankError
 from .feedback import FirstIntegralMap
@@ -114,29 +117,115 @@ class ProjectionConfig:
         self.max_iter = max_iter
 
 
-def _gram_schmidt(vectors, cutoff: float):
-    """Modified Gram-Schmidt (Golub and Van Loan, section 5.2) on a sequence of vectors.
+def _dot(pairs) -> str:
+    """Source of ``sum(map(mul, a, b))`` for the pairs of names (a_i, b_i):
+    ``0.0 + a0 * b0 + a1 * b1 + ...``, the start and order in which ``sum``
+    adds floats up to Python 3.11 (3.12's compensates), and ``sum``'s int 0
+    for no pairs."""
+    return " + ".join(["0.0", *(f"{a} * {b}" for a, b in pairs)]) if pairs else "0"
 
-    Returns (basis, coefficients). Vector i is reduced against the basis
-    built from the vectors before it; coefficients[i] lists its coefficients
-    on those basis vectors and, where its remainder's norm is above
-    ``cutoff``, ends with that norm, and the normalized remainder joins the
-    basis. So vector i is the sum of coefficients[i][j] times basis[j], up to
-    the dropped remainder of a vector with no norm entry.
+
+def _gram_schmidt_source(vectors, kept, tested: bool, q: str, t: str, v: str):
+    """Modified Gram-Schmidt (Golub and Van Loan, section 5.2) as straight-line
+    source on vectors given as lists of names; returns (lines, coefficients).
+
+    Vector i is reduced against the basis built from the vectors before it,
+    its remainder held in ``{v}0, {v}1, ...``. coefficients[i] lists the
+    names of its coefficients on those basis vectors and, where i is in
+    ``kept``, ends with the name of its remainder's norm, and the normalized
+    remainder joins the basis as ``{q}{b}_0, {q}{b}_1, ...``. So vector i is
+    the sum of coefficients[i][b] times basis vector b, up to the dropped
+    remainder of a vector not kept. A dropped vector whose norm is above
+    ``cutoff``, and, where ``tested``, a kept one whose norm is not, is
+    appended to the list ``miss``. The kept one then takes the norm 1.0: its
+    basis vector is as small as its remainder, so the code goes on nearly as
+    if it were dropped, and divides by no zero.
     """
-    basis, coefficients = [], []
-    for v in vectors:
+    lines, coefficients, k = [], [], 0
+    for i, x in enumerate(vectors):
         row = []
-        for q in basis:
-            t = sum(map(mul, v, q))
-            v = [a - t * b for a, b in zip(v, q)]
-            row.append(t)
-        norm = math.hypot(*v)
-        if norm > cutoff:
-            row.append(norm)
-            basis.append([c / norm for c in v])
+        for b in range(k):
+            basis = [f"{q}{b}_{c}" for c in range(len(x))]
+            row.append(f"{t}{i}_{b}")
+            lines.append(f"{row[-1]} = {_dot(list(zip(x, basis)))}")
+            lines += [f"{v}{c} = {a} - {row[-1]} * {e}" for c, (a, e) in enumerate(zip(x, basis))]
+            x = [f"{v}{c}" for c in range(len(x))]
+        norm = f"hypot({', '.join(x)})"
+        if i not in kept:
+            lines += [f"if {norm} > cutoff:", f"    miss.append({i})"]
+        else:
+            row.append(f"{t}{i}_{k}")
+            lines.append(f"{row[-1]} = {norm}")
+            if tested:
+                lines += [f"if not {row[-1]} > cutoff:", f"    miss.append({i})",
+                          f"    {row[-1]} = 1.0"]
+            lines += [f"{q}{k}_{c} = {a} / {row[-1]}" for c, a in enumerate(x)]
+            k += 1
         coefficients.append(row)
-    return basis, coefficients
+    return lines, coefficients
+
+
+def _source(m: int, n: int, kept: tuple) -> str:
+    """Source of ``build(jac)``: the correction of ``_pseudo_inverse`` for an
+    (m, n) Jacobian whose row Gram-Schmidt keeps the rows ``kept``, built
+    from these integers alone. ``build`` returns the correction, or the
+    list of the rows whose cutoff tests disagree with ``kept``."""
+    rows = [[f"j{i}_{c}" for c in range(n)] for i in range(m)]
+    factor, t = _gram_schmidt_source(rows, kept, True, "q", "t", "v")
+    factor += ["if miss:", "    return miss"]
+    r = [f"r{i}" for i in range(m)]
+    k = len(kept)
+    if k == m:  # T square lower triangular: forward substitution
+        solve = [f"z{i} = ({r[i]} - ({_dot([(a, f'z{j}') for j, a in enumerate(row[:-1])])}))"
+                 f" / {row[-1]}" for i, row in enumerate(t)]
+    else:
+        # T = P R on T's columns, zero-padded to k entries per row, with R's
+        # column j named s{j}_0, s{j}_1, ...; T has full column rank (its
+        # kept rows are lower triangular with diagonal above the cutoff), so
+        # every column joins P and none is tested
+        columns = [[row[j] if j < len(row) else "0.0" for row in t] for j in range(k)]
+        lines, s = _gram_schmidt_source(columns, range(k), False, "p", "s", "w")
+        factor += lines
+        solve = [f"z{j} = {_dot([(f'p{j}_{i}', r[i]) for i in range(m)])}" for j in range(k)]
+        for j in reversed(range(k)):  # R^{-1} (P^T r) by back substitution
+            solve.append(f"z{j} = z{j} / {s[j][j]}")
+            solve += [f"z{i} = z{i} - {s[j][i]} * z{j}" for i in range(j)]
+    correction = [_dot([(f"q{b}_{c}", f"z{b}") for b in range(k)]) for c in range(n)]
+    unpack = ", ".join(f"({', '.join(row)},)" for row in rows)
+    return "\n".join([
+        "def build(jac):",
+        f"    {unpack}, = jac",
+        f"    trace = {_dot([(a, a) for row in rows for a in row])}",
+        "    if not isfinite(trace):",
+        "        raise IntegrationError('non-finite constraint Jacobian Gram matrix')",
+        "    if trace == 0.0:",
+        "        raise RankError('constraint Jacobian Gram matrix is numerically rank zero')",
+        "    cutoff = CUTOFF * sqrt(trace)",
+        "    miss = []",
+        *(f"    {line}" for line in factor),
+        "    def correct(r):",
+        f"        {', '.join(r)}, = r",
+        *(f"        {line}" for line in solve),
+        f"        return [{', '.join(correction)}]",
+        "    return correct",
+        "",
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(m: int, n: int, kept: tuple):
+    """``build`` of ``_source(m, n, kept)``, compiled once per process; the
+    cache holds a kernel per shape and pattern met, a few per system."""
+    namespace = {"hypot": math.hypot, "isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "CUTOFF": _SINGULAR_CUTOFF, "IntegrationError": IntegrationError,
+                 "RankError": RankError}
+    exec(compile(_source(m, n, kept), f"<gram-schmidt {m}x{n} {kept}>", "exec"), namespace)
+    return namespace["build"]
+
+
+# The rows the last build of each Jacobian shape kept: where the next build
+# of that shape starts its search. It orders the search, never its result.
+_kept_rows = {}
 
 
 def _pseudo_inverse(jac):
@@ -154,44 +243,29 @@ def _pseudo_inverse(jac):
     The sum of the squared entries of J is the trace of the Gram matrix
     G = J J^T, finite exactly when G is; a non-finite trace raises
     IntegrationError, and a zero one, J = 0, RankError.
+
+    All of this runs as straight-line code, a kernel generated from J's
+    shape (m, n) and the rows the cutoff keeps (``_source``) and compiled
+    with ``exec`` once per process (``_kernel``); README gives the compile
+    cost per system. Its sums, in ``sum``'s start and order, its norms and
+    its divisions are those of the loop form it replaced, so each
+    correction is bit for bit the loop's (tests/test_integrators.py keeps
+    that loop as the reference). A build starts from the rows the last build
+    of its shape kept, all rows at first. A kernel whose cutoff tests
+    disagree with its pattern returns the rows that disagreed, and the
+    search flips them and runs the kernel of the new pattern. The first of
+    those rows is then settled, so at most m + 1 kernels run; the later
+    ones are the kernel's estimate past it, and the shipped systems' first
+    builds run one kernel (perturbed Kepler) or two.
     """
-    trace = sum([c * c for row in jac for c in row])
-    if not math.isfinite(trace):
-        raise IntegrationError("non-finite constraint Jacobian Gram matrix")
-    if trace == 0.0:
-        raise RankError("constraint Jacobian Gram matrix is numerically rank zero")
-    q, t = _gram_schmidt(jac, _SINGULAR_CUTOFF * math.sqrt(trace))
-    columns_of_q = list(zip(*q))
-    if len(q) == len(t):
-
-        def solve(r):
-            z = []
-            for row, ri in zip(t, r):
-                z.append((ri - sum(map(mul, row, z))) / row[-1])
-            return z
-    else:
-        k = len(q)
-        p, r_columns = _gram_schmidt(
-            zip(*[row + [0.0] * (k - len(row)) for row in t]), 0.0)
-
-        def solve(r):
-            z = [sum(map(mul, pj, r)) for pj in p]
-            for j in reversed(range(k)):
-                column = r_columns[j]
-                zj = z[j] = z[j] / column[j]
-                for i in range(j):
-                    z[i] -= column[i] * zj
-            return z
-
-    def correct(r):
-        z = solve(r)
-        return [sum(map(mul, column, z)) for column in columns_of_q]
-
+    shape = len(jac), len(jac[0])
+    kept = _kept_rows.get(shape) or tuple(range(shape[0]))
+    correct = _kernel(*shape, kept)(jac)
+    while type(correct) is list:  # the rows whose tests disagreed with kept
+        kept = tuple(sorted(set(kept).symmetric_difference(correct)))
+        correct = _kernel(*shape, kept)(jac)
+    _kept_rows[shape] = kept
     return correct
-
-
-def _residual(values, target) -> list:
-    return [v - t for v, t in zip(values, target)]
 
 
 def projection_step(cfg: ProjectionConfig, field, x, h):
@@ -215,16 +289,16 @@ def projection_step(cfg: ProjectionConfig, field, x, h):
     """
     f, target = cfg.constraint, cfg.target
     xt = euler_step(field, x, h)
-    res = _residual(f.eval(xt), target)
-    rnorm = math.hypot(*res)
+    values = f.eval(xt)
+    rnorm = math.dist(values, target)
     if rnorm <= cfg.tol:
         return xt
     correct = _pseudo_inverse(f.jacobian(xt))
     y = xt
     for left in reversed(range(cfg.max_iter)):
-        y = tuple(map(sub, y, correct(res)))
-        res = _residual(f.eval(y), target)
-        previous, rnorm = rnorm, math.hypot(*res)
+        y = tuple(map(sub, y, correct(list(map(sub, values, target)))))
+        values = f.eval(y)
+        previous, rnorm = rnorm, math.dist(values, target)
         if rnorm <= cfg.tol:
             return y
         theta = rnorm / previous

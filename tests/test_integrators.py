@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import global_order_ratio, run_with_metrics, stacked
-from lyapint import kepler
+from lyapint import integrators, kepler
 from lyapint.cli import (
     METHOD_NAMES,
     ExperimentConfig,
+    main,
     make_advance,
     run_experiment,
 )
@@ -21,6 +22,7 @@ from lyapint.errors import (
 )
 from lyapint.feedback import FirstIntegralMap
 from lyapint.integrators import (
+    _SINGULAR_CUTOFF,
     ProjectionConfig,
     _pseudo_inverse,
     euler_step,
@@ -230,6 +232,138 @@ def test_pseudo_inverse_equals_the_gram_reference(name):
         got = np.array([correct([float(i == j) for j in range(m)]) for i in range(m)]).T
         assert got.shape == (system.dim, m)
         assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+
+def dot(a, b):
+    """sum(map(mul, a, b)) as ``sum`` adds floats up to Python 3.11: from 0,
+    left to right, uncompensated (3.12's ``sum`` compensates)."""
+    total = 0
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
+def loop_gram_schmidt(vectors, cutoff):
+    """Reference: modified Gram-Schmidt as loops over lists, the form the
+    generated kernels replaced. Returns (basis, coefficients): vector i's
+    coefficients on the basis before it, then its remainder's norm where
+    that is above cutoff and the normalized remainder joins the basis."""
+    basis, coefficients = [], []
+    for v in vectors:
+        row = []
+        for q in basis:
+            t = dot(v, q)
+            v = [a - t * b for a, b in zip(v, q)]
+            row.append(t)
+        norm = math.hypot(*v)
+        if norm > cutoff:
+            row.append(norm)
+            basis.append([c / norm for c in v])
+        coefficients.append(row)
+    return basis, coefficients
+
+
+def loop_pseudo_inverse(jac):
+    """Reference: (r -> J^+ r, the rows kept) by loops. J^+ r = Q^T T^+ r
+    from the rows' Gram-Schmidt J = T Q; T^+ r by forward substitution where
+    no row was dropped, otherwise R^{-1} P^T r from the Gram-Schmidt
+    T = P R of T's columns."""
+    entries = [c for row in jac for c in row]
+    q, t = loop_gram_schmidt(jac, _SINGULAR_CUTOFF * math.sqrt(dot(entries, entries)))
+    k = len(q)
+    if k == len(t):
+
+        def solve(r):
+            z = []
+            for row, ri in zip(t, r):
+                z.append((ri - dot(row, z)) / row[-1])
+            return z
+    else:
+        p, r_columns = loop_gram_schmidt(zip(*[row + [0.0] * (k - len(row)) for row in t]), 0.0)
+
+        def solve(r):
+            z = [dot(pj, r) for pj in p]
+            for j in reversed(range(k)):
+                column = r_columns[j]
+                zj = z[j] = z[j] / column[j]
+                for i in range(j):
+                    z[i] -= column[i] * zj
+            return z
+
+    def correct(r):
+        z = solve(r)
+        return [dot(column, z) for column in zip(*q)]
+
+    # row i holds a coefficient per row kept before it, and a norm if kept
+    return correct, [i for i, row in enumerate(t) if len(row) > (len(t[i - 1]) if i else 0)]
+
+
+def assert_same_bits(jac, residuals):
+    correct, reference = _pseudo_inverse(jac), loop_pseudo_inverse(jac)[0]
+    for r in residuals:
+        assert [c.hex() for c in correct(r)] == [c.hex() for c in reference(r)]
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_pseudo_inverse_equals_the_loop_reference_bit_for_bit(name):
+    # the Jacobian at the start and at 200 sampled states as the system gives
+    # it (full rank for perturbed Kepler, rank deficient for the others), its
+    # rows the loop keeps (full rank) and its last row replaced by its first
+    # (rank deficient); the start's exact zeros (a planar orbit's out-of-plane
+    # components) make the sign of a zero sum depend on the sums' 0.0 start
+    system = make_system(name)
+    rng = np.random.default_rng(51)
+    m = system.integral_map.dim_values
+    units = [[float(i == j) * sign for j in range(m)] for i in range(m) for sign in (1, -1)]
+    states = [tuple((system.initial_state + rng.uniform(-0.1, 0.1, system.dim)).tolist())
+              for _ in range(200)]
+    for x in [system.initial_state, *states]:
+        rows = [list(row) for row in system.integral_map.jacobian(x)]
+        kept = [rows[i] for i in loop_pseudo_inverse(rows)[1]]
+        assert len(kept) == JACOBIAN_RANK[name]
+        assert_same_bits(rows, [*units, rng.normal(size=m).tolist()])
+        assert_same_bits(kept, [rng.normal(size=len(kept)).tolist() for _ in range(3)])
+        assert_same_bits(rows[:-1] + rows[:1], [rng.normal(size=m).tolist() for _ in range(3)])
+
+
+def test_a_kernel_serves_only_its_own_pattern_of_kept_rows(monkeypatch):
+    # a 4 x 6 Jacobian with a duplicated row right after a full-rank one:
+    # the full-rank kernel meets the dropped row and hands back to the
+    # search, which compiles the kernel of the new pattern; the full-rank
+    # Jacobian after it runs the first kernel again
+    monkeypatch.setattr(integrators, "_kept_rows", {})
+    integrators._kernel.cache_clear()
+    system = make_system("perturbed_kepler")
+    full = [list(row) for row in system.integral_map.jacobian(system.initial_state)]
+    duplicated = full[:3] + full[1:2]
+    r = [0.3, -1.1, 0.7, 2.0]
+    for jac, kept, misses in ((full, (0, 1, 2, 3), 1), (duplicated, (0, 1, 2), 2),
+                              (full, (0, 1, 2, 3), 2)):
+        assert_same_bits(jac, [r])
+        assert integrators._kept_rows == {(4, 6): kept}
+        assert integrators._kernel.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("system, h, t_end, kernels", [
+    ("perturbed_kepler", "0.03", "24", 1), ("kepler", "0.05", "1", 2), ("rigid_body", "0.01", "0.2", 2)])
+def test_a_projection_run_compiles_each_kernel_once(monkeypatch, tmp_path, system, h, t_end,
+                                                    kernels):
+    # a tenth of the perturbed-Kepler benchmark cell, and Kepler and
+    # rigid-body runs at steps where their Newton loops iterate: the first
+    # build compiles the kernels its search runs (for the rank-deficient
+    # maps, every row kept, then the rows that kernel found to drop), and
+    # every later build reuses the last one
+    monkeypatch.setattr(integrators, "_kept_rows", {})
+    integrators._kernel.cache_clear()
+    builds = []
+    pseudo_inverse = integrators._pseudo_inverse
+    monkeypatch.setattr(integrators, "_pseudo_inverse",
+                        lambda jac: builds.append(1) or pseudo_inverse(jac))
+    argv = ["run", "--system", system, "--method", "projection_euler", "--h", h,
+            "--t-end", t_end, "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == 0
+    info = integrators._kernel.cache_info()
+    assert info.misses == kernels and info.hits == len(builds) - 1 >= 10
 
 
 def lagrange_multiplier_projection(cfg, field, x, h):
