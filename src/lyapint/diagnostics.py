@@ -1,34 +1,68 @@
-"""Hypothesis validators.
+"""Hypothesis validators, on Python floats.
 
 ``orthogonality_report`` and ``gradient_agreement_report`` check the paper's
-premises at seeded random states, drawn in blocks by
-``SystemModel.sample_blocks``. ``worst_residual`` reduces each block with
-numpy and keeps the largest residual: a NaN or inf residual at any state
-becomes the report's value, so the report fails. ``check_rank_condition``
-estimates the smallest singular values of the stacked integral map's
-Jacobian over sample states.
-
-Each function imports numpy when it runs, so that importing this module (as
-a `check` does) loads no numpy.
+premises at seeded random states. ``worst_residual`` draws them one at a
+time with ``SystemModel.sample_state`` and keeps the largest residual: a
+NaN residual at any state becomes the report's value, so the report fails.
+``check_rank_condition`` estimates the smallest singular values of the
+stacked integral map's Jacobian over sample states.
 """
 
-from __future__ import annotations  # np.ndarray names numpy without importing it
-
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+import math
+import random
+import sys
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .feedback import FirstIntegralMap
-from .numerics import column_dot
 from .systems import SystemModel
 
-if TYPE_CHECKING:
-    import numpy as np
+# ``singular_values`` runs at most this many Jacobi sweeps; the Jacobians of
+# the shipped systems converge in far fewer (the method converges
+# quadratically once the vectors are nearly orthogonal).
+JACOBI_SWEEPS = 30
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Descending singular values of a (LAPACK through numpy)."""
-    import numpy as np
+def singular_values(rows) -> list:
+    """Descending singular values of the matrix given as a sequence of rows
+    of floats, by one-sided Jacobi (Hestenes 1958).
 
-    return np.linalg.svd(a, compute_uv=False)
+    Plane rotations make the rows mutually orthogonal (the columns, where
+    there are more rows than columns), and their norms are then the
+    singular values, each to high relative accuracy (Demmel and Veselic,
+    "Jacobi's method is more accurate than QR", 1992). A pair is rotated
+    while its cosine exceeds the machine epsilon eps, in at most
+    JACOBI_SWEEPS sweeps. A vector shorter than eps times the matrix's
+    Frobenius norm is not rotated: its direction is rounding noise, which
+    each rotation would shrink by eps again, so a rank-deficient matrix
+    would never converge.
+    """
+    vectors = [list(row) for row in rows]
+    if len(vectors) > len(vectors[0]):
+        vectors = [list(column) for column in zip(*vectors)]
+    eps = sys.float_info.epsilon
+    negligible = (eps * math.hypot(*(x for v in vectors for x in v))) ** 2
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i in range(len(vectors) - 1):
+            for j in range(i + 1, len(vectors)):
+                a, b = vectors[i], vectors[j]
+                alpha, beta = sum(map(mul, a, a)), sum(map(mul, b, b))
+                gamma = sum(map(mul, a, b))
+                if (alpha <= negligible or beta <= negligible
+                        or not abs(gamma) > eps * math.sqrt(alpha) * math.sqrt(beta)):
+                    continue
+                # the rotation by c = cos, s = sin, t = s / c that zeroes a . b
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                vectors[i] = [c * x - s * y for x, y in zip(a, b)]
+                vectors[j] = [s * x + c * y for x, y in zip(a, b)]
+                rotated = True
+        if not rotated:
+            break
+    return sorted((math.hypot(*v) for v in vectors), reverse=True)
 
 
 class RankReport(NamedTuple):
@@ -54,14 +88,8 @@ def check_rank_condition(f: FirstIntegralMap, samples: Sequence,
     deficient by construction and report a near-zero value; callers gate on
     the spectrum entry matching the rank they actually rely on.
     """
-    import numpy as np
-
-    spectra = []
-    for s in samples:
-        jac = np.asarray(f.jacobian(s), dtype=float)
-        spectra.append(tuple(singular_values(jac)))
-    smallest = min(spec[-1] for spec in spectra)
-    return RankReport(min_singular_value=float(smallest), spectra=tuple(spectra),
+    spectra = tuple(tuple(singular_values(f.jacobian(s))) for s in samples)
+    return RankReport(min_singular_value=min(spec[-1] for spec in spectra), spectra=spectra,
                       threshold=threshold)
 
 
@@ -77,47 +105,32 @@ class SampledReport(NamedTuple):
         return self.max_scaled_residual <= self.tolerance
 
 
-# States per sampled block, and so per batched evaluation, in the reports and
-# the `check` validators: large enough that the per-call cost of the kernels
-# vanishes, small enough that the blocks do not raise the peak memory of a
-# `check` run.
-SAMPLE_BLOCK = 1000
-
-
-def worst_residual(system: SystemModel, n_samples: int, seed: int, residuals) -> float:
-    """The largest of ``residuals(columns)``, an array of one residual per
-    state, over the first n_samples states that ``system.sample_state``
-    draws from ``default_rng(seed)``. ``system.sample_blocks`` draws them in
-    blocks of SAMPLE_BLOCK, and ``residuals`` gets each block's columns. A
-    NaN residual at any state is the result, which no tolerance passes
+def worst_residual(system: SystemModel, n_samples: int, seed: int, residual) -> float:
+    """The largest of ``residual(s)``, a float, over the first n_samples
+    states s that ``system.sample_state`` draws from ``random.Random(seed)``.
+    A NaN residual at any state is the result, which no tolerance passes
     (Python's ``max`` drops a NaN that comes second).
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    sample, rng = system.sample_state, random.Random(seed)
     worst = 0.0
-    for block in system.sample_blocks(rng, n_samples, SAMPLE_BLOCK):
-        worst = float(np.maximum(worst, residuals(tuple(block.T)).max()))
+    for _ in range(n_samples):
+        r = residual(sample(rng))
+        if r > worst or r != r:
+            worst = r
     return worst
 
 
 def orthogonality_report(system: SystemModel, n_samples: int = 10_000,
                          seed: int = 0, tolerance: float = 1e-12) -> SampledReport:
     """Check <grad V(x), X(x)> = 0 at sampled states (see ``worst_residual``),
-    scaled by 1 + |grad V| |X|.
+    scaled by 1 + |grad V| |X|."""
+    gradient, field = system.gradient, system.field
 
-    Each block is evaluated with one gradient and one field call on its
-    columns; the inner products are summed over the result columns, with no
-    (N, dim) result formed.
-    """
-    import numpy as np
+    def residual(s):
+        g, f = gradient(s), field(s)
+        return abs(sum(map(mul, g, f))) / (1.0 + math.hypot(*g) * math.hypot(*f))
 
-    def residuals(columns):
-        g, f = system.gradient(columns), system.field(columns)
-        scale = 1.0 + np.sqrt(column_dot(g, g)) * np.sqrt(column_dot(f, f))
-        return np.abs(column_dot(g, f)) / scale
-
-    return SampledReport(worst_residual(system, n_samples, seed, residuals), n_samples,
+    return SampledReport(worst_residual(system, n_samples, seed, residual), n_samples,
                          tolerance)
 
 
@@ -125,24 +138,18 @@ def gradient_agreement_report(system: SystemModel, n_samples: int = 1000,
                               seed: int = 0, tolerance: float = 1e-12) -> SampledReport:
     """Compare the analytic gradient to Df^T K (f - f0) at sampled states.
 
-    The states are those of ``orthogonality_report`` for the same seed, in
-    the same blocks. Each block gets one analytic gradient and one
-    ``generic_gradient`` call on its columns, the oracle built from the
-    integral map's ``eval`` and ``jacobian``. Both are stacked into
-    C-contiguous (N, dim) arrays, whose rows equal the single-state results
-    bit for bit, and each row's norms come from ``np.vecdot``, which sums a
-    row as ``row @ row`` does.
+    The states are those of ``orthogonality_report`` for the same seed. The
+    oracle is ``generic_gradient``, built from the integral map's ``eval``
+    and ``jacobian``; the residual is |analytic - oracle| / (1 + |analytic|).
     """
-    import numpy as np
-
     from .feedback import generic_gradient
 
-    def residuals(columns):
-        analytic = np.stack(system.gradient(columns), axis=1)
-        oracle = np.stack(generic_gradient(
-            system.integral_map, system.params.K, system.params.f0, columns), axis=1)
-        diff = analytic - oracle
-        return np.sqrt(np.vecdot(diff, diff)) / (1.0 + np.sqrt(np.vecdot(analytic, analytic)))
+    gradient, f, p = system.gradient, system.integral_map, system.params
 
-    return SampledReport(worst_residual(system, n_samples, seed, residuals), n_samples,
+    def residual(s):
+        analytic = gradient(s)
+        oracle = generic_gradient(f, p.K, p.f0, s)
+        return math.dist(analytic, oracle) / (1.0 + math.hypot(*analytic))
+
+    return SampledReport(worst_residual(system, n_samples, seed, residual), n_samples,
                          tolerance)

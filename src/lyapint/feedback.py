@@ -37,13 +37,10 @@ from typing import Callable, Optional
 class FirstIntegralMap:
     """Stacked constraint-plus-integrals map f: R^dim_state -> R^dim_values.
 
-    ``eval`` and ``jacobian`` take a state's components and give the
-    dim_values values as a sequence and the Jacobian as a sequence of
-    dim_values rows, row i the gradient of value i: Python floats for one
-    state's floats, and for a block's columns, arrays of shape (N,) or float
-    constants (an entry that is identically zero may be the float 0.0), with
-    entry i of each equal to the single-state value of state i bit for bit.
-    ``jacobian_transpose_apply(x, w)``, Df(x)^T w, is optional and unused
+    ``eval`` and ``jacobian`` take a state's components as Python floats
+    and give the dim_values values as a sequence of floats and the Jacobian
+    as a sequence of dim_values rows of floats, row i the gradient of value
+    i. ``jacobian_transpose_apply(x, w)``, Df(x)^T w, is optional and unused
     by the library; no shipped map sets it, and ``perfbench/tracer.py``
     wraps it by name where a map does.
     """
@@ -90,11 +87,8 @@ def generic_gradient(f: FirstIntegralMap, gains, target, x):
     ``gains`` and ``target`` are K's diagonal and f0, the params' ``K`` and
     ``f0``, as for ``lyapunov_value``. Built from ``f.eval`` and
     ``f.jacobian`` alone: entry j is the sum over the values i, in order, of
-    jacobian[i][j] * K_i (f_i - f0_i). x is a
-    state's components: floats for one state, giving dim_state floats, or a
-    block's columns, giving dim_state columns with no (N, dim_values,
-    dim_state) Jacobian formed, entry i of each equal to the gradient at
-    state i bit for bit.
+    jacobian[i][j] * K_i (f_i - f0_i), for the state x as floats, giving
+    dim_state floats.
     """
     w = [k * (fi - ri) for k, fi, ri in zip(gains, f.eval(x), target)]
     rows = f.jacobian(x)

@@ -12,8 +12,6 @@ floats: the constraint Jacobians are a few rows of 6 or 12 entries, smaller
 than numpy's per-call overhead. That Gram-Schmidt is straight-line code,
 generated and compiled once per Jacobian shape and pattern of kept rows
 (``_pseudo_inverse``), with the loop form's operations in its order.
-
-numpy is imported only where arrays are made, by ``rollout``.
 """
 
 import functools
@@ -347,18 +345,17 @@ def integrate(advance, x0, h, n_steps, observe):
 
 
 def rollout(advance, x0, h, n_steps, stride=1):
-    """``integrate`` recording every ``stride``-th state; returns (times, states) as arrays.
+    """``integrate`` recording every ``stride``-th state; returns (times,
+    states), lists of the float times and of the state tuples.
 
     Step 0 and the final step are always recorded.
     """
-    import numpy as np
-
     times, states = [], []
 
     def record(k, x):
         if k % stride == 0 or k == n_steps:
             times.append(k * h)
-            states.append(np.array(x))
+            states.append(x)
 
     integrate(advance, x0, h, n_steps, record)
-    return np.array(times), np.array(states)
+    return times, states

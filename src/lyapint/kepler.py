@@ -87,14 +87,12 @@ accel = position_acceleration(field)  # -mu q / |q|^3
 
 
 def invariant_components(p: KeplerParams, s) -> tuple:
-    """(L, A, E) at s as seven components: L0, L1, L2, A0, A1, A2, E, for
-    p's mu; V reads (L, A), as E carries no gain.
+    """(L, A, E) at the state s as seven floats: L0, L1, L2, A0, A1, A2, E,
+    for p's mu; V reads (L, A), as E carries no gain.
 
-    ``s`` is a state, as a tuple of floats (giving Python floats), or a
-    tuple of a block's columns (giving arrays (N,)). The one
-    source of the Kepler integrals: the kernels below, the target values
-    (L0, A0), V, the drift metrics and the ``check`` vector identities all
-    evaluate these expressions.
+    The one source of the Kepler integrals: the kernels below, the target
+    values (L0, A0), V, the drift metrics and the ``check`` vector
+    identities all evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s
     m = p.mu / radius(x0 * x0 + x1 * x1 + x2 * x2)

@@ -1,11 +1,9 @@
 """Small helpers shared by all systems.
 
 ``dot`` and ``norm`` work on 3-vectors of Python floats, the form of the
-systems' parameter vectors. ``column_dot`` and ``radius`` serve the system
-kernels and their callers, which are written over state components: Python
-floats for one state, shape-(N,) columns for a block. The module does not
-import numpy: ``radius`` tests for a float and imports it only for a column.
-``position_acceleration`` gives the central-force systems their ``accel``.
+systems' parameter vectors. ``radius`` serves the central-force kernels,
+which take a state's components as Python floats, and
+``position_acceleration`` gives those systems their ``accel``.
 """
 
 import math
@@ -27,37 +25,11 @@ def norm(v) -> float:
     return math.sqrt(dot(v, v))
 
 
-def column_dot(a, b):
-    """<a_i, b_i> for each state i of a block given as two sequences of columns.
-
-    The columns are arrays of shape (N,), as a kernel returns them for a
-    block's columns; the products are summed in column order.
-    """
-    out = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        out += x * y
-    return out
-
-
-def radius(r2):
-    """|x| from |x|^2, rejecting positions at the origin.
-
-    ``r2`` is a float (one state) or a column of shape (N,) (a block); a block
-    with any radius below ORIGIN_RADIUS is rejected as a whole.
-    """
-    if isinstance(r2, float):
-        r = math.sqrt(r2)
-        if r < ORIGIN_RADIUS:
-            raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
-        return r
-    import numpy as np
-
-    r = np.sqrt(r2)
-    inside = r < ORIGIN_RADIUS
-    if inside.any():
-        i = int(inside.argmax())
-        raise DomainError(
-            f"position radius {r[i]:.3e} of batch state {i} below {ORIGIN_RADIUS:.0e}")
+def radius(r2: float) -> float:
+    """|x| from the float |x|^2, rejecting positions at the origin."""
+    r = math.sqrt(r2)
+    if r < ORIGIN_RADIUS:
+        raise DomainError(f"position radius {r:.3e} below {ORIGIN_RADIUS:.0e}")
     return r
 
 

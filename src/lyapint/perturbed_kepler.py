@@ -25,7 +25,6 @@ integrates over it.
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import partial
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -84,6 +83,9 @@ class PerturbedKeplerParams:
             raise ValueError("target angular momentum must be nonzero")
 
 
+# U and U' are written for float radii: Python's ``**`` raises OverflowError
+# where a product would go on with inf, and the trajectory driver reports
+# that as the failing step.
 def u(p: PerturbedKeplerParams, r):
     """U(r) = -mu/r - delta/r^3 at a float radius r."""
     return -p.mu / r - p.delta / r**3
@@ -118,26 +120,11 @@ def setup(initial_state, gains, mu=BENCHMARK_MU, delta=BENCHMARK_DELTA, eccentri
     return replace(p, E0=E, L0=(l0, l1, l2)), s0
 
 
-def _radial(fn, p, r):
-    """``u`` or ``u_prime`` at a float radius, or at each radius of a column.
-
-    They are written for floats: Python's ``**`` raises OverflowError where
-    a product would go on with inf, and the trajectory driver reports that
-    as the failing step. A block calls the same function at each of its
-    radii, so its entries equal the single-state values bit for bit.
-    """
-    if isinstance(r, float):
-        return fn(p, r)
-    import numpy as np
-
-    return np.fromiter(map(partial(fn, p), r.tolist()), float, len(r))
-
-
 def field(p: PerturbedKeplerParams, v) -> tuple:
     """Original dynamics (v, -U'(|x|) x / |x|) at the state components v, as 6 components."""
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = -_radial(u_prime, p, r) / r
+    c = -u_prime(p, r) / r
     return v0, v1, v2, c * x0, c * x1, c * x2
 
 
@@ -145,34 +132,18 @@ accel = position_acceleration(field)  # -U'(|q|) q / |q|
 
 
 def invariant_components(p: PerturbedKeplerParams, s) -> tuple:
-    """(E, L) at s as four components: E, L0, L1, L2, for the potential
-    constants of ``p``.
+    """(E, L) at the state s as four floats: E, L0, L1, L2, for the
+    potential constants of ``p``; a non-finite E is a DomainError.
 
-    ``s`` is a state, as a tuple of floats (giving Python floats), or a
-    tuple of a block's columns (giving arrays (N,); a block
-    with any non-finite energy is rejected as a whole). The one source of
-    the perturbed-Kepler integrals: the target values (E0, L0),
-    ``lyapunov``, the integral map's ``eval`` and the drift metrics all
-    evaluate these expressions.
+    The one source of the perturbed-Kepler integrals: the target values
+    (E0, L0), ``lyapunov``, the integral map's ``eval`` and the drift
+    metrics all evaluate these expressions.
     """
     x0, x1, x2, v0, v1, v2 = s
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    kinetic = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2)
-    # one type test per call: the single-state path, which every projection
-    # residual takes, calls U directly
-    if isinstance(r, float):
-        E = kinetic + u(p, r)
-        if not math.isfinite(E):
-            raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
-    else:
-        import numpy as np
-
-        E = kinetic + _radial(u, p, r)
-        finite = np.isfinite(E)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise DomainError(
-                f"potential evaluation not finite at r = {r[i]:.3e} of batch state {i}")
+    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + u(p, r)
+    if not math.isfinite(E):
+        raise DomainError(f"potential evaluation not finite at r = {r:.3e}")
     return E, x1 * v2 - x2 * v1, x2 * v0 - x0 * v2, x0 * v1 - x1 * v0
 
 
@@ -324,12 +295,12 @@ def _feedback(p: PerturbedKeplerParams, v) -> tuple:
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
     E0, t0, t1, t2 = p.f0
-    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + _radial(u, p, r)
+    E = 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) + u(p, r)
     l0 = x1 * v2 - x2 * v1
     l1 = x2 * v0 - x0 * v2
     l2 = x0 * v1 - x1 * v0
     e = p.k1 * (E - E0)
-    force = _radial(u_prime, p, r)
+    force = u_prime(p, r)
     c = -force / r  # the field's factor, as in ``field``: v' = c x
     b = e * force / r
     d0, d1, d2 = l0 - t0, l1 - t1, l2 - t2
@@ -352,7 +323,7 @@ def _jacobian_rows(p: PerturbedKeplerParams, v) -> tuple:
     """
     x0, x1, x2, v0, v1, v2 = v
     r = radius(x0 * x0 + x1 * x1 + x2 * x2)
-    c = _radial(u_prime, p, r) / r
+    c = u_prime(p, r) / r
     return (
         (c * x0, c * x1, c * x2, v0, v1, v2),
         (0.0, v2, -v1, 0.0, -x2, x1),

@@ -4,23 +4,16 @@ A ``SystemModel`` bundles everything the drift diagnostics, validators and
 the experiment runner need: the original and feedback vector fields, the
 stacked integral map, the params (constants, gains ``K``, targets ``f0``),
 drift metrics relative to a run's initial state, and a ``SamplingRule``
-for randomized property checks, stated once over components and applied
-to one state's floats (``sample_state``) or to blocks of columns
-(``sample_blocks``) with the same states bit for bit. ``make_system``
-builds one from the system's module, which ``module`` imports on first
-use: a process loads only the systems it builds.
+that ``sample_state`` applies to draw random states for property checks.
+``make_system`` builds one from the system's module, which ``module``
+imports on first use: a process loads only the systems it builds.
 """
-
-from __future__ import annotations  # np.random.Generator names numpy without importing it
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .feedback import FirstIntegralMap, lyapunov_value
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The shipped systems, each stated once by the module ``lyapint.<name>``:
 # ``setup``, whose params hold and check the constants, the gain diagonal
@@ -46,10 +39,8 @@ class SamplingRule(NamedTuple):
 
     A try takes ``width`` uniforms, ``u``: ``accept(u)`` says whether it
     gives the state ``state(u)``. A try that is not accepted is drawn again
-    with the next ``width`` uniforms. Both functions are written over
-    components, as the kernels are: Python floats for one try, or (N,)
-    columns for N tries, giving a mask and state columns whose entry i is
-    the single-try result bit for bit.
+    with the next ``width`` uniforms. Both functions take the uniforms as
+    Python floats.
     """
 
     width: int
@@ -64,9 +55,7 @@ class SystemModel:
     A single state is a tuple of Python floats: ``initial_state``, what
     ``sample_state`` draws, what the fields, ``lyapunov``, ``drift_metrics``,
     ``accel`` and ``splitting_step`` take, and what the fields, ``accel`` and
-    ``splitting_step`` give. The fields, ``accel``, the gradient and the
-    integral map also take a block's columns, a tuple of arrays (N,), and
-    give columns.
+    ``splitting_step`` give.
 
     ``params`` states the system's constants, gain diagonal ``params.K`` and
     targets ``params.f0`` once; V, the oracle and the projection read them.
@@ -88,12 +77,8 @@ class SystemModel:
     ``cli.DriftObserver``). ``integral_map`` is the stacked map f of the
     module's ``_map_values`` and ``_jacobian_rows``.
 
-    ``sampler`` is the system's ``SamplingRule``, stated once over
-    components. ``sample_state(rng)`` applies it to floats, one
-    ``rng.random(width)`` call per try. ``sample_blocks(rng, n, block)``
-    applies it to columns, ``block`` tries per generator call, and yields
-    the same ``n`` states in the same order, but may leave the generator
-    past the last of them.
+    ``sampler`` is the system's ``SamplingRule``, and ``sample_state(rng)``
+    draws one state by it.
     """
 
     name: str
@@ -120,39 +105,20 @@ class SystemModel:
     def period(self) -> float:
         return self.period_of()
 
-    def sample_state(self, rng: np.random.Generator) -> tuple:
-        """One random state: the rule on floats, one ``rng.random(width)`` per try."""
+    def sample_state(self, rng) -> tuple:
+        """One random state: the rule on ``width`` successive ``rng.random()``
+        draws per try. ``rng`` is a ``random.Random``, or a numpy
+        ``Generator``, whose draws are those of ``rng.random(width)``."""
         rule = self.sampler
+        draw, width = rng.random, range(rule.width)
         while True:
-            u = rng.random(rule.width).tolist()
+            u = [draw() for _ in width]
             if rule.accept(u):
                 return rule.state(u)
 
-    def sample_blocks(self, rng: np.random.Generator, n_samples: int, block: int):
-        """The first n_samples states of ``sample_state`` on rng, in blocks.
-
-        Yields C-contiguous arrays of ``block`` rows (fewer in the last), one
-        at a time. A refill is one ``rng.random((block, width))`` call, whose
-        rows are the uniforms of ``block`` successive ``rng.random(width)``
-        calls: the rule runs on its columns, and the states of the accepted
-        rows, in order, fill the block. Those beyond it carry over to the next.
-        """
-        import numpy as np
-
-        rule = self.sampler
-        states = np.empty((0, self.dim))
-        for start in range(0, n_samples, block):
-            wanted = min(block, n_samples - start)
-            while len(states) < wanted:
-                u = rng.random((block, rule.width)).T  # a try per column
-                kept = u[:, rule.accept(u)]
-                states = np.concatenate((states, np.stack(rule.state(kept), axis=1)))
-            yield states[:wanted]
-            states = states[wanted:]
-
 
 # The rules map a standard uniform u to [low, high) as low + (high - low) * u,
-# the arithmetic of numpy's Generator.uniform, with high - low written out.
+# the arithmetic of ``random.uniform``, with high - low written out.
 def _rigid_attitude(u) -> tuple:
     # I + U, U uniform in [-0.5, 0.5]^(3x3): high - low = 1, so the product is exact
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = u[:9]

@@ -191,14 +191,11 @@ def precession_rate(times: np.ndarray, states: np.ndarray) -> float:
     return float((angles[-1] - angles[0]) / (len(angles) - 1))
 
 
-def stacked(columns) -> np.ndarray:
-    """A kernel's result columns on a block as an array (N, m): row i is state i's result."""
-    return np.stack(columns, axis=1)
-
-
 def sampled(system, n, seed) -> np.ndarray:
-    """The first n states of the system's sampler on default_rng(seed), as one block (n, dim)."""
-    return next(system.sample_blocks(np.random.default_rng(seed), n, n))
+    """The first n states that ``system.sample_state`` draws from
+    default_rng(seed), as an array (n, dim)."""
+    rng = np.random.default_rng(seed)
+    return np.array([system.sample_state(rng) for _ in range(n)])
 
 
 def hat(w):

@@ -814,14 +814,6 @@ def test_main_far_perturbed_kepler_start_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_importing_the_cli_does_not_load_numpy_random():
-    # numpy.random costs the start of every `lyapint run`; only `check` samples
-    code = "import sys, lyapint.cli; sys.exit('numpy.random' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 FLOAT_METHODS = ("feedback_euler", "feedback_rk4", "euler", "rk4", "splitting",
                  "stormer_verlet_a", "stormer_verlet_b", "projection_euler")
 
@@ -835,9 +827,10 @@ def _run_python(code, tmp_path):
 
 def test_float_methods_run_without_numpy(tmp_path):
     # sys.modules["numpy"] = None makes every numpy import raise ImportError:
-    # the import of the CLI and a `run` of each float method must need none;
-    # the projection runs count their correction builds, so a Newton loop
-    # that iterates is seen to run without numpy
+    # the import of the CLI, a `run` of each float method, a `figure` and a
+    # `check` of each system must need none; the projection runs count their
+    # correction builds, so a Newton loop that iterates is seen to run
+    # without numpy
     code = f"""if True:
         import sys
         sys.modules["numpy"] = None
@@ -864,9 +857,15 @@ def test_float_methods_run_without_numpy(tmp_path):
         # a figure's curves are float-method runs, its projection curve too
         if lyapint.cli.main(["figure", "--id", "F8", "--scale", "0.0005", "--out-dir", "fig"]):
             sys.exit("figure F8 failed")
+        for system in SYSTEM_NAMES:
+            if lyapint.cli.main(["check", "--system", system]):
+                sys.exit(f"check {{system}} failed")
         """
     proc = _run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    passes = [line.split(".", 1)[0] for line in proc.stdout.splitlines()
+              if line.startswith("PASS ")]
+    assert passes == ["PASS rigid_body"] * 3 + ["PASS kepler"] * 4 + ["PASS perturbed_kepler"] * 4
     cells = dict(line.rsplit(" ", 1) for line in proc.stderr.split("\n")[:-1])
     assert len(cells) == 20 and "rigid_body splitting" in cells
     assert "kepler stormer_verlet_b" in cells and "rigid_body stormer_verlet_a" not in cells
@@ -928,15 +927,6 @@ def test_a_run_defines_four_dataclasses(tmp_path, system):
     params = type(make_system(system).params).__name__
     expected = sorted(["ExperimentConfig", "FirstIntegralMap", "SystemModel", params])
     assert proc.stdout.splitlines() == [repr(expected)]
-
-
-def test_check_loads_numpy(tmp_path):
-    # positive control for the test above: `check` builds arrays
-    argv = ["check", "--system", "kepler"]
-    code = (f"import sys, lyapint.cli; code = lyapint.cli.main({argv!r}); "
-            "sys.exit(code or 'numpy' not in sys.modules)")
-    proc = _run_python(code, tmp_path)
-    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, contract_models, pack, sampled, stacked
+from conftest import central_difference_gradient, contract_models, pack, sampled
 from lyapint import kepler, perturbed_kepler, rigid_body
 from lyapint.errors import DomainError
 from lyapint.feedback import generic_gradient, lyapunov_value
@@ -44,9 +44,7 @@ def test_params_reject_bad_gains_and_non_finite_targets(module):
 
 
 # The kernel contract, stated once over the two models of each system
-# (conftest.CONTRACT_MODELS). A block's columns give the single-state results
-# bit for bit (the block test), so the other properties read blocks where
-# that is quicker.
+# (conftest.CONTRACT_MODELS).
 
 
 @pytest.fixture(params=contract_models())
@@ -59,76 +57,36 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def jacobian_block(f, columns) -> np.ndarray:
-    """The integral map's Jacobian on a block's columns as an array (N, dim_values, dim_state)."""
-    n = len(columns[0])
-    return np.array([[np.broadcast_to(c, n) for c in row]
-                     for row in f.jacobian(columns)]).transpose(2, 0, 1)
+def at_each(kernel, states) -> np.ndarray:
+    """The kernel's result at each row of the array ``states``, as an array (N, ...)."""
+    return np.array([kernel(tuple(s)) for s in states.tolist()])
 
 
 def test_gradient_and_feedback_field_match_the_oracle(model):
     # the closed forms against Df^T K (f - f0), which generic_gradient builds
     # from eval and jacobian, at 1,000 states
     p, f = model.params, model.integral_map
-    columns = tuple(sampled(model, 1000, 21).T)
-    oracle = stacked(generic_gradient(f, p.K, p.f0, columns))
-    for got, expected in ((model.gradient(columns), oracle),
-                          (model.modified_field(columns), stacked(model.field(columns)) - oracle)):
-        gap = np.linalg.norm(stacked(got) - expected, axis=1)
+    states = sampled(model, 1000, 21)
+    oracle = at_each(partial(generic_gradient, f, p.K, p.f0), states)
+    for kernel, expected in ((model.gradient, oracle),
+                             (model.modified_field, at_each(model.field, states) - oracle)):
+        gap = np.linalg.norm(at_each(kernel, states) - expected, axis=1)
         assert (gap / (1.0 + np.linalg.norm(expected, axis=1))).max() <= 1e-12
 
 
 def test_jacobian_rows_are_central_differences_of_eval(model):
     # at 1,000 states, each entry as conftest.central_difference_gradient forms it
     f, eps = model.integral_map, 1e-6
-    block = sampled(model, 1000, 22)
-    jac = jacobian_block(f, tuple(block.T))
+    states = sampled(model, 1000, 22)
+    jac = at_each(f.jacobian, states)
     fd = np.empty_like(jac)
     for j in range(f.dim_state):
-        up, down = block.copy(), block.copy()
+        up, down = states.copy(), states.copy()
         up[:, j] += eps
         down[:, j] -= eps
-        fd[:, :, j] = (stacked(f.eval(tuple(up.T))) - stacked(f.eval(tuple(down.T)))) / (2.0 * eps)
+        fd[:, :, j] = (at_each(f.eval, up) - at_each(f.eval, down)) / (2.0 * eps)
     gap = np.abs(jac - fd).max(axis=(1, 2)) / (1.0 + np.abs(jac).max(axis=(1, 2)))
     assert gap.max() <= 1e-6
-
-
-# the kernels a block test checks, by name; accel only where the system has one
-BLOCK_KERNELS = ("field", "gradient", "modified_field", "accel", "eval", "jacobian",
-                 "generic_gradient")
-
-
-def block_cases():
-    return [pytest.param(case.values[0], name, id=f"{case.id}-{name}")
-            for case in contract_models() for name in BLOCK_KERNELS
-            if name != "accel" or case.values[0].accel is not None]
-
-
-def block_kernel(model, name):
-    """The kernel called name, on a state or a block's columns; the shape of its
-    result at one state; and its result on a block's columns as an array (N, *shape)."""
-    p, f = model.params, model.integral_map
-    if name == "jacobian":
-        return f.jacobian, (f.dim_values, f.dim_state), partial(jacobian_block, f)
-    kernel, width = {"field": (model.field, model.dim),
-                     "gradient": (model.gradient, model.dim),
-                     "modified_field": (model.modified_field, model.dim),
-                     "accel": (lambda x: model.accel(x[:3]), 3),
-                     "eval": (f.eval, f.dim_values),
-                     "generic_gradient": (partial(generic_gradient, f, p.K, p.f0), model.dim)}[name]
-    return kernel, (width,), lambda columns: stacked(kernel(columns))
-
-
-@pytest.mark.parametrize(("model", "name"), block_cases())
-def test_kernels_on_block_columns_give_the_single_state_floats_bit_for_bit(model, name):
-    # entry i of the block result is the kernel's result at state i, Python
-    # floats of the kernel's shape; 2,000 states
-    kernel, shape, on_block = block_kernel(model, name)
-    block = sampled(model, 2000, 23)
-    single = np.array([kernel(tuple(s)) for s in block.tolist()], dtype=object)
-    assert single.shape == (len(block), *shape)
-    assert {type(c) for c in single.ravel()} == {float}
-    assert same_bits(single.astype(float), on_block(tuple(block.T)))
 
 
 def test_fused_kernel_gives_the_feedback_field_gradient_and_values_bit_for_bit(model):
@@ -142,17 +100,32 @@ def test_fused_kernel_gives_the_feedback_field_gradient_and_values_bit_for_bit(m
     assert same_bits(fused[0], np.array([model.field(s) for s in states]) - fused[1])
 
 
-@pytest.mark.parametrize("model", contract_models("kepler", "perturbed_kepler"))
-def test_a_state_at_the_origin_raises_alone_and_in_a_block(model):
+def test_kernels_give_python_floats_of_their_shape(model):
+    # what integrate steps: no kernel gives an int or a numpy scalar; 100 states
     p, f = model.params, model.integral_map
-    block = sampled(model, 10, 25)
-    block[7, :3] = 0.0
+    kernels = {"field": (model.field, (model.dim,)),
+               "gradient": (model.gradient, (model.dim,)),
+               "modified_field": (model.modified_field, (model.dim,)),
+               "eval": (f.eval, (f.dim_values,)),
+               "jacobian": (f.jacobian, (f.dim_values, f.dim_state)),
+               "generic_gradient": (partial(generic_gradient, f, p.K, p.f0), (model.dim,))}
+    if model.accel is not None:
+        kernels["accel"] = (lambda x: model.accel(x[:3]), (3,))
+    for s in map(tuple, sampled(model, 100, 23).tolist()):
+        for name, (kernel, shape) in kernels.items():
+            result = np.array(kernel(s), dtype=object)
+            assert result.shape == shape, name
+            assert {type(c) for c in result.ravel()} == {float}, name
+
+
+@pytest.mark.parametrize("model", contract_models("kepler", "perturbed_kepler"))
+def test_a_state_at_the_origin_raises(model):
+    p, f = model.params, model.integral_map
+    state = (0.0, 0.0, 0.0, *sampled(model, 8, 25)[7, 3:].tolist())
     for kernel in (model.field, model.gradient, model.modified_field, model.lyapunov, f.eval,
                    partial(generic_gradient, f, p.K, p.f0), lambda x: model.accel(x[:3])):
-        with pytest.raises(DomainError):
-            kernel(tuple(block[7].tolist()))
-        with pytest.raises(DomainError, match="batch state 7 "):
-            kernel(tuple(block.T))
+        with pytest.raises(DomainError, match="position radius"):
+            kernel(state)
 
 
 def test_at_the_start_the_gradient_is_zero_and_the_feedback_field_is_the_field(model):

@@ -126,7 +126,7 @@ def test_strided_csv_rows_are_17_digit_values_of_the_trajectory(tmp_path, kepler
     assert len(lines) - 1 == 1 + n // 3 + 1
     times, states = rollout(make_advance(kepler_sys, "feedback_euler", cfg),
                             kepler_sys.initial_state, 0.005, n, stride=3)
-    for line, t, s in zip(lines[1:], times, states.tolist(), strict=True):
+    for line, t, s in zip(lines[1:], times, states, strict=True):
         values = (t, *s, *kepler_sys.drift_metrics(s))
         assert line.split(",") == [format(v, ".17g") for v in values]
 
