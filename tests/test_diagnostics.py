@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (drift_by_name, perihelion_passages, precession_rate, run_with_metrics,
                       sampled, state_with_lyapunov)
@@ -231,6 +232,69 @@ def test_a_nan_residual_fails_the_report(kepler_sys, report):
     poisoned = report(probe, n_samples=2500, seed=7)
     assert math.isnan(poisoned.max_scaled_residual)
     assert not poisoned.passed
+
+
+def uniform_draws(kind, seed, count) -> list:
+    """``count`` standard uniforms from a fresh generator of ``kind``: a
+    numpy Generator's in one ``random(count)`` call, a ``random.Random``'s
+    one ``random()`` at a time."""
+    if kind == "numpy":
+        return np.random.default_rng(seed).random(count).tolist()
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(count)]
+
+
+def fresh_generator(kind, seed):
+    return np.random.default_rng(seed) if kind == "numpy" else random.Random(seed)
+
+
+def rule_on_successive_tries(rule, draws, n) -> tuple:
+    """The first n states the rule accepts, each try taking the next
+    ``rule.width`` of ``draws``, and the number of tries they took."""
+    states, tries = [], 0
+    while len(states) < n:
+        u = draws[tries * rule.width:(tries + 1) * rule.width]
+        assert len(u) == rule.width, "too few draws for n states"
+        tries += 1
+        if rule.accept(u):
+            states.append(rule.state(u))
+    return states, tries
+
+
+@pytest.mark.parametrize("kind", ["numpy", "random"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_sample_state_applies_the_rule_to_successive_tries(name, seed, kind):
+    # 10,000 states. Each of these runs rejects some tries (the radius and
+    # determinant tests), whose draws are spent. A numpy Generator's
+    # random() calls give the draws of one random(count) call, which
+    # conftest.sampled relies on; the generator is left after the last try.
+    system = make_system(name)
+    rule, n = system.sampler, 10_000
+    rng = fresh_generator(kind, seed)
+    drawn = [system.sample_state(rng) for _ in range(n)]
+    expected, tries = rule_on_successive_tries(rule, uniform_draws(kind, seed, 12_000 * rule.width),
+                                               n)
+    assert tries > n
+    assert np.array(drawn).tobytes() == np.array(expected).tobytes()
+    assert {type(c) for s in drawn for c in s} == {float}
+    after = fresh_generator(kind, seed)
+    for _ in range(tries * rule.width):
+        after.random()
+    assert [rng.random() for _ in range(4)] == [after.random() for _ in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(SYSTEM_NAMES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 1500), kind=st.sampled_from(["numpy", "random"]))
+def test_sample_state_is_n_tries_of_the_rule(name, seed, n, kind):
+    system = make_system(name)
+    rule = system.sampler
+    rng = fresh_generator(kind, seed)
+    drawn = [system.sample_state(rng) for _ in range(n)]
+    expected, _ = rule_on_successive_tries(rule, uniform_draws(kind, seed, (n + 100) * rule.width),
+                                           n)
+    assert np.array(drawn).tobytes() == np.array(expected).tobytes()
 
 
 def per_state_worst_gradient_difference(system, n_samples, seed):

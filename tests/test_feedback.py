@@ -100,22 +100,39 @@ def test_fused_kernel_gives_the_feedback_field_gradient_and_values_bit_for_bit(m
     assert same_bits(fused[0], np.array([model.field(s) for s in states]) - fused[1])
 
 
-def test_kernels_give_python_floats_of_their_shape(model):
-    # what integrate steps: no kernel gives an int or a numpy scalar; 100 states
+# the kernels the float-result test checks, by name; accel only where the system has one
+KERNEL_NAMES = ("field", "gradient", "modified_field", "accel", "eval", "jacobian",
+                "generic_gradient")
+
+
+def kernel_cases():
+    return [pytest.param(case.values[0], name, id=f"{case.id}-{name}")
+            for case in contract_models() for name in KERNEL_NAMES
+            if name != "accel" or case.values[0].accel is not None]
+
+
+def named_kernel(model, name):
+    """The kernel called name, on a state's floats, and the shape of its result."""
     p, f = model.params, model.integral_map
-    kernels = {"field": (model.field, (model.dim,)),
-               "gradient": (model.gradient, (model.dim,)),
-               "modified_field": (model.modified_field, (model.dim,)),
-               "eval": (f.eval, (f.dim_values,)),
-               "jacobian": (f.jacobian, (f.dim_values, f.dim_state)),
-               "generic_gradient": (partial(generic_gradient, f, p.K, p.f0), (model.dim,))}
-    if model.accel is not None:
-        kernels["accel"] = (lambda x: model.accel(x[:3]), (3,))
-    for s in map(tuple, sampled(model, 100, 23).tolist()):
-        for name, (kernel, shape) in kernels.items():
-            result = np.array(kernel(s), dtype=object)
-            assert result.shape == shape, name
-            assert {type(c) for c in result.ravel()} == {float}, name
+    return {"field": (model.field, (model.dim,)),
+            "gradient": (model.gradient, (model.dim,)),
+            "modified_field": (model.modified_field, (model.dim,)),
+            "accel": (lambda x: model.accel(x[:3]), (3,)),
+            "eval": (f.eval, (f.dim_values,)),
+            "jacobian": (f.jacobian, (f.dim_values, f.dim_state)),
+            "generic_gradient": (partial(generic_gradient, f, p.K, p.f0), (model.dim,))}[name]
+
+
+@pytest.mark.parametrize(("model", "name"), kernel_cases())
+def test_kernels_give_python_floats_of_their_shape(model, name):
+    # what integrate steps: no int and no numpy scalar, and every entry
+    # finite, since the sampler draws inside the kernels' domain; 2,000 states
+    kernel, shape = named_kernel(model, name)
+    results = np.array([kernel(tuple(s)) for s in sampled(model, 2000, 23).tolist()],
+                       dtype=object)
+    assert results.shape == (2000, *shape)
+    assert {type(c) for c in results.ravel()} == {float}
+    assert np.isfinite(results.astype(float)).all()
 
 
 @pytest.mark.parametrize("model", contract_models("kepler", "perturbed_kepler"))
